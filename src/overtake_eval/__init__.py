@@ -70,18 +70,15 @@ from .sampling import (
     sample_nde_episode,
 )
 from .estimators import (
-    EmptyGroup,
     EmptyInput,
     Estimate,
     GroupedRegression,
     ZeroEstimate,
-    build_group,
     convergence_series,
     estimate_atscv,
     estimate_nade,
     estimate_nde,
     fit_atscv,
-    mlr_fit,
     rhw,
     tests_to_threshold,
 )

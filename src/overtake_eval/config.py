@@ -33,6 +33,12 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
+# Widest regression design a campaign may ask for.  The group with l control
+# moments has (J-1)^l columns for J surrogate models; the stock 3-model panel
+# at the default cap of 10 needs 1024.
+MAX_DESIGN_WIDTH = 4096
+
+
 @dataclass(frozen=True)
 class InitialStateParams:
     """Distribution of the initial reduced state; r1 ~ U(r1_low, r1_high)."""
@@ -120,6 +126,13 @@ class CampaignConfig:
             raise ConfigError("confirm_window must be at least 1")
         if self.max_control_steps < 0:
             raise ConfigError("max_control_steps must be non-negative")
+        width = (len(self.scenario.surrogates) - 1) ** self.max_control_steps
+        if width > MAX_DESIGN_WIDTH:
+            raise ConfigError(
+                f"max_control_steps = {self.max_control_steps} with "
+                f"{len(self.scenario.surrogates)} surrogate models needs "
+                f"{width} regression columns; at most {MAX_DESIGN_WIDTH} "
+                f"are allowed")
         if self.oracle_bins < 1:
             raise ConfigError("oracle_bins must be at least 1")
         if self.replications < 1:

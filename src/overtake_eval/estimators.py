@@ -1,6 +1,6 @@
 """Accident-rate estimators and the stopping-rule machinery.
 
-Three estimators share one grouped code path:
+Three estimators share one grouped decomposition:
 
 * the naturalistic estimator averages raw accident indicators;
 * the accelerated estimator averages weighted indicators, grouped by the
@@ -12,29 +12,33 @@ Three estimators share one grouped code path:
 
 Groups are indexed by the control-moment count ``l``; records beyond the
 configured cap land in a single overflow group that is never adjusted.  The
-group-``l`` design matrix has ``(J-1)^l`` columns for a panel of J surrogate
-models; nothing anywhere allocates the exponential full-product structure.
+group-``l`` design has ``(J-1)^l`` columns for a panel of J surrogate models;
+nothing anywhere allocates the exponential full-product structure.
+
+Every regression goes through one streaming core, :class:`GroupAccumulator`.
+It keeps the upper-triangular R factor of the group's rows ``[1, z, y]`` and
+folds new rows into it, so the fit at any prefix of the record stream costs
+one small factorisation instead of a refit of the whole group.  The
+per-prefix convergence table and the stopping rule add one record at a time;
+the batch estimate feeds each group's whole block at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .sampling import TestRecord
 
 __all__ = [
     "EmptyInput",
-    "EmptyGroup",
     "ZeroEstimate",
     "GroupedRegression",
     "Estimate",
-    "build_group",
-    "mlr_fit",
     "fit_atscv",
     "estimate_nde",
     "estimate_nade",
@@ -52,51 +56,92 @@ class EmptyInput(ValueError):
     """No records to estimate from."""
 
 
-class EmptyGroup(ValueError):
-    """A regression group with no members cannot be fitted."""
-
-
 class ZeroEstimate(ValueError):
     """Relative half-width is undefined for a zero point estimate."""
 
 
 # ---------------------------------------------------------------------------
-# groups and regression
+# the regression core
 
 
-@dataclass
-class GroupedRegression:
-    """One group's responses and centered control design.
+class GroupAccumulator:
+    """Least squares of one group's responses on its centered control design,
+    grown one block of rows at a time; width 0 is the mean-only case.
 
-    ``members`` holds positions into the source record sequence so adjusted
-    values can be scattered back in input order.  ``beta`` and ``eta`` are
-    populated by :func:`mlr_fit`.
+    The state is the R factor of the rows ``[1, z, y]``, an exact sufficient
+    statistic (``R^T R`` is their Gram matrix).  Eliminating the column of
+    ones centers the rest, so ``R[1:, 1:]`` is an R factor of the centered
+    ``[Zc, yc]`` and its first ``width`` columns have the singular values of
+    ``Zc``: ``lstsq`` on them at ``RANK_TOLERANCE`` gives the minimum-norm
+    slopes of a direct fit, without the squared condition number of
+    ``Zc^T Zc``.  Rows are factored relative to the group's first row, which
+    the intercept absorbs, so a constant column factors to exact zeros
+    rather than to rounding noise that a relative tolerance would keep.
+
+    Lazy: a group of at most ``width + 1`` rows is too small to fit and keeps
+    zero slopes, so until then rows are only appended.  The first fit factors
+    them; every later :meth:`extend` folds its block into R with one more
+    factorisation.
     """
 
-    exposures: int
-    members: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
-    column_means: np.ndarray
-    beta: Optional[np.ndarray] = None
-    eta: Optional[float] = None
+    __slots__ = ("width", "ys", "rows", "factored", "origin", "R")
 
-    @property
-    def count(self) -> int:
-        return len(self.Y)
+    def __init__(self, width: int = 0):
+        self.width = width
+        self.ys: List[float] = []
+        self.rows: List[np.ndarray] = []  # row blocks not yet folded into R
+        self.factored = 0  # rows folded into R
+        self.origin: Optional[np.ndarray] = None  # [z0, y0]
+        self.R: Optional[np.ndarray] = None
 
-    def residuals(self) -> np.ndarray:
-        return self.Y - self.eta - self.Z @ self.beta
+    def extend(self, ys: Iterable[float], rows=None) -> None:
+        """Append responses and, for a group of nonzero width, the matching
+        ``(k, width)`` block of raw control rows, in arrival order."""
+        self.ys.extend(ys)
+        if self.width:
+            self.rows.append(np.asarray(rows, dtype=float))
+        m = len(self.ys)
+        if m <= self.width + 1:
+            return
+        block = np.empty((m - self.factored, self.width + 2))
+        block[:, 0] = 1.0
+        if self.width:
+            block[:, 1:-1] = np.concatenate(self.rows)
+        block[:, -1] = self.ys[self.factored:]
+        if self.origin is None:
+            self.origin = block[0, 1:].copy()
+        block[:, 1:] -= self.origin
+        if self.R is not None:
+            block = np.vstack([self.R, block])
+        self.R = np.linalg.qr(block, mode="r")
+        self.rows = []
+        self.factored = m
 
-    def adjusted(self) -> np.ndarray:
-        """Per-record adjusted values: fitted intercept plus residual."""
-        return self.eta + self.residuals()
+    def fit(self) -> Tuple[np.ndarray, float]:
+        """Slopes and ``count * residual variance`` at the current prefix.
 
-    def residual_variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        r = self.residuals()
-        return float(r @ r) / (self.count - 1)
+        The second value is the group's share of ``n^2`` times the variance
+        of the grouped point estimate; it is 0 for fewer than two rows.
+        """
+        w = self.width
+        m = len(self.ys)
+        beta = np.zeros(w)
+        if m < 2:
+            return beta, 0.0
+        if self.R is None:
+            y = np.asarray(self.ys)
+            d = y - np.mean(y)
+            rss = float(d @ d)
+        else:
+            tail = self.R[w + 1, w + 1]
+            rss = float(tail * tail)
+            if w:
+                T = self.R[1:w + 1, 1:w + 1]
+                c = self.R[1:w + 1, w + 1]
+                beta = np.linalg.lstsq(T, c, rcond=RANK_TOLERANCE)[0]
+                r = c - T @ beta
+                rss += float(r @ r)
+        return beta, m * rss / (m - 1)
 
 
 def _response(record: TestRecord) -> float:
@@ -113,80 +158,68 @@ def control_row(record: TestRecord) -> np.ndarray:
     return row
 
 
-def build_group(records: Sequence[TestRecord], l: int) -> GroupedRegression:
-    """Collect the group with exactly ``l`` control moments and center its
-    design columns.  ``l = 0`` yields a zero-column design."""
-    members = [i for i, r in enumerate(records) if r.control_steps == l]
-    Y = np.array([_response(records[i]) for i in members], dtype=float)
-    if l == 0 or not members:
-        width = 0
-        Z = np.zeros((len(members), 0))
-        means = np.zeros(0)
-    else:
-        rows = [control_row(records[i]) for i in members]
-        Z = np.vstack(rows)
-        means = Z.mean(axis=0)
-        Z = Z - means
-    return GroupedRegression(exposures=l, members=np.asarray(members, dtype=int),
-                             Y=Y, Z=Z, column_means=means)
+def _members_by_label(records: Sequence[TestRecord],
+                      cap: int) -> Dict[int, List[int]]:
+    """Record positions per group label, ascending: the control-moment count,
+    or ``cap + 1`` for the overflow group."""
+    groups: Dict[int, List[int]] = {}
+    for i, r in enumerate(records):
+        groups.setdefault(min(r.control_steps, cap + 1), []).append(i)
+    return dict(sorted(groups.items()))
 
 
-def _build_overflow(records: Sequence[TestRecord], cap: int) -> GroupedRegression:
-    members = [i for i, r in enumerate(records) if r.control_steps > cap]
-    Y = np.array([_response(records[i]) for i in members], dtype=float)
-    return GroupedRegression(exposures=cap + 1,
-                             members=np.asarray(members, dtype=int),
-                             Y=Y, Z=np.zeros((len(members), 0)),
-                             column_means=np.zeros(0))
+@dataclass(frozen=True)
+class GroupedRegression:
+    """One group's batch fit.
 
-
-def mlr_fit(g: GroupedRegression) -> Tuple[np.ndarray, float]:
-    """Least squares of Y on the centered design, with intercept.
-
-    Centering decouples the intercept, so ``eta`` is the plain group mean.
-    Rank deficiency resolves to the minimum-norm solution; groups too small
-    to support the fit fall back to a zero coefficient vector.
+    ``members`` holds positions into the source record sequence so adjusted
+    values can be scattered back in input order.  ``Z`` is the centered
+    design (zero columns for a mean-only group), ``eta`` the group mean and
+    ``spread`` the accumulator's ``count * residual variance``.
     """
-    m = g.count
-    if m == 0:
-        raise EmptyGroup("cannot fit an empty group")
-    eta = float(np.mean(g.Y))
-    width = g.Z.shape[1]
-    if width == 0 or m <= width + 1:
-        beta = np.zeros(width)
-    else:
-        beta, _, _, _ = np.linalg.lstsq(g.Z, g.Y - eta, rcond=RANK_TOLERANCE)
-    g.beta = beta
-    g.eta = eta
-    return beta, eta
 
+    exposures: int
+    members: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
+    eta: float
+    beta: np.ndarray
+    spread: float
 
-def _fit_mean_only(g: GroupedRegression) -> None:
-    if g.count == 0:
-        raise EmptyGroup("cannot fit an empty group")
-    g.eta = float(np.mean(g.Y))
-    g.beta = np.zeros(g.Z.shape[1])
+    @property
+    def count(self) -> int:
+        return len(self.Y)
+
+    def adjusted(self) -> np.ndarray:
+        """Per-record adjusted values: fitted intercept plus residual."""
+        return self.eta + (self.Y - self.eta - self.Z @ self.beta)
 
 
 def fit_atscv(records: Sequence[TestRecord], max_control_steps: int = 10,
               force_zero_beta: bool = False) -> List[GroupedRegression]:
-    """Group records by control-moment count and fit each group.
+    """Group records by control-moment count and fit each group once.
 
     Groups beyond ``max_control_steps`` are merged into one unadjusted
-    overflow group, labeled ``max_control_steps + 1``.
+    overflow group, labeled ``max_control_steps + 1``; ``force_zero_beta``
+    makes every group mean-only and builds no design at all.
     """
     if not records:
         raise EmptyInput("no records")
     cap = max_control_steps
-    labels = sorted({min(r.control_steps, cap + 1) for r in records})
     groups = []
-    for lab in labels:
-        g = _build_overflow(records, cap) if lab > cap else build_group(records, lab)
-        if force_zero_beta or lab > cap:
-            _fit_mean_only(g)
+    for label, members in _members_by_label(records, cap).items():
+        Y = np.array([_response(records[i]) for i in members], dtype=float)
+        if force_zero_beta or not 0 < label <= cap:
+            Z = np.zeros((len(members), 0))
         else:
-            mlr_fit(g)
-        groups.append(g)
+            Z = np.vstack([control_row(records[i]) for i in members])
+        acc = GroupAccumulator(Z.shape[1])
+        acc.extend(Y, Z)
+        beta, spread = acc.fit()
+        groups.append(GroupedRegression(
+            exposures=label, members=np.asarray(members, dtype=int), Y=Y,
+            Z=Z - Z.mean(axis=0), eta=float(np.mean(Y)), beta=beta,
+            spread=spread))
     return groups
 
 
@@ -213,63 +246,69 @@ def _require_env(records: Sequence[TestRecord], env: str) -> None:
             raise ValueError(f"expected {env!r} records, found {r.env!r}")
 
 
-def _grouped_point(groups: Sequence[GroupedRegression], n: int):
+def _grouped_point(blocks: Iterable[Tuple[int, np.ndarray]], n: int):
+    """Sum of per-group mean contributions ``count * mean / n``."""
     mu = 0.0
     per_group = []
-    for g in groups:
-        contribution = g.count * g.eta / n
-        per_group.append((g.exposures, contribution))
+    for label, y in blocks:
+        contribution = len(y) * float(np.mean(y)) / n
+        per_group.append((label, contribution))
         mu += contribution
     return mu, tuple(per_group)
 
 
-def _sample_variance(y: np.ndarray) -> float:
-    if len(y) < 2:
-        return 0.0
+def _pooled_values(records: Sequence[TestRecord], method: str) -> np.ndarray:
+    if method == "nde":
+        return np.array([float(r.accident) for r in records])
+    return np.array([_response(r) for r in records])
+
+
+def _pooled_estimate(method: str, records: Sequence[TestRecord],
+                     cap: int) -> Estimate:
+    _require_env(records, method)
+    y = _pooled_values(records, method)
+    n = len(y)
+    mu, per_group = _grouped_point(
+        ((label, y[members]) for label, members
+         in _members_by_label(records, cap).items()), n)
     d = y - y.mean()
-    return float(d @ d) / (len(y) - 1)
+    s2 = float(d @ d) / (n - 1) if n >= 2 else 0.0
+    return Estimate(method=method, mu=mu, variance=s2 / n, n=n,
+                    per_group=per_group)
 
 
 def estimate_nde(records: Sequence[TestRecord]) -> Estimate:
     """Mean accident indicator; variance is the sample variance over n."""
-    _require_env(records, "nde")
-    n = len(records)
-    groups = fit_atscv(records, force_zero_beta=True)
-    mu, per_group = _grouped_point(groups, n)
-    y = np.array([float(r.accident) for r in records])
-    return Estimate(method="nde", mu=mu, variance=_sample_variance(y) / n,
-                    n=n, per_group=per_group)
+    return _pooled_estimate("nde", records, 10)
 
 
 def estimate_nade(records: Sequence[TestRecord],
                   max_control_steps: int = 10) -> Estimate:
     """Mean weighted indicator; variance is the pooled sample variance
     of the weighted indicators over n."""
-    _require_env(records, "nade")
-    n = len(records)
-    groups = fit_atscv(records, max_control_steps, force_zero_beta=True)
-    mu, per_group = _grouped_point(groups, n)
-    y = np.array([_response(r) for r in records])
-    return Estimate(method="nade", mu=mu, variance=_sample_variance(y) / n,
-                    n=n, per_group=per_group)
+    return _pooled_estimate("nade", records, max_control_steps)
 
 
 def estimate_atscv(records: Sequence[TestRecord], cfg=None,
                    force_zero_beta: bool = False,
-                   max_control_steps: Optional[int] = None) -> Estimate:
+                   max_control_steps: Optional[int] = None,
+                   groups: Optional[Sequence[GroupedRegression]] = None
+                   ) -> Estimate:
     """Regression-adjusted estimate over the same grouped decomposition.
 
     The point estimate coincides with the unadjusted grouped mean (centered
-    designs leave the intercept alone); the variance is the group-size
-    weighted residual variance, which is where the adjustment pays off.
+    designs leave the intercept alone); the variance is the sum of the
+    groups' ``count * residual variance`` over ``n^2``, which is where the
+    adjustment pays off.  ``groups`` reuses the result of :func:`fit_atscv`.
     """
     if max_control_steps is None:
         max_control_steps = getattr(cfg, "max_control_steps", 10)
     _require_env(records, "nade")
     n = len(records)
-    groups = fit_atscv(records, max_control_steps, force_zero_beta)
-    mu, per_group = _grouped_point(groups, n)
-    variance = sum(g.count * g.residual_variance() for g in groups) / n ** 2
+    if groups is None:
+        groups = fit_atscv(records, max_control_steps, force_zero_beta)
+    mu, per_group = _grouped_point(((g.exposures, g.Y) for g in groups), n)
+    variance = sum(g.spread for g in groups) / n ** 2
     return Estimate(method="atscv", mu=mu, variance=variance,
                     n=n, per_group=per_group)
 
@@ -283,20 +322,29 @@ def atscv_adjusted(records: Sequence[TestRecord],
     return out
 
 
+def _quantile(gamma: float) -> float:
+    """Two-sided normal quantile ``z_{1 - gamma/2}``."""
+    return float(ndtri(1.0 - gamma / 2.0))
+
+
 def rhw(e: Estimate, gamma: float = 0.1) -> float:
     """Relative half-width of the two-sided confidence interval."""
     if e.mu <= 0.0:
         raise ZeroEstimate("relative half-width is undefined when the "
                            "point estimate is zero")
-    z = float(norm.ppf(1.0 - gamma / 2.0))
-    return z * float(np.sqrt(e.variance)) / e.mu
+    return _quantile(gamma) * float(np.sqrt(e.variance)) / e.mu
 
 
 # ---------------------------------------------------------------------------
 # per-prefix convergence
 
 
-def _pooled_rhw_series(y: np.ndarray, z: float):
+def _pooled_rhw_series(records: Sequence[TestRecord], gamma: float,
+                       method: str):
+    """Vectorised ``(mu, rhw)`` per prefix for the pooled methods."""
+    if method not in ("nde", "nade"):
+        raise ValueError(f"unknown method {method!r}")
+    y = _pooled_values(records, method)
     n = np.arange(1, len(y) + 1, dtype=float)
     s = np.cumsum(y)
     ss = np.cumsum(y * y)
@@ -306,95 +354,43 @@ def _pooled_rhw_series(y: np.ndarray, z: float):
     s2 = np.where(n >= 2.0, np.maximum(s2, 0.0), 0.0)
     var = s2 / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = z * np.sqrt(var) / mu
+        r = _quantile(gamma) * np.sqrt(var) / mu
     return mu, np.where(mu > 0.0, r, np.inf)
 
 
-class _RunningGroup:
-    """Grows one group's rows and refits it after every arrival."""
-
-    __slots__ = ("label", "fit", "width", "ys", "rows")
-
-    def __init__(self, label: int, fit: bool):
-        self.label = label
-        self.fit = fit
-        self.width = None
-        self.ys: List[float] = []
-        self.rows: List[np.ndarray] = []
-
-    def add(self, y: float, row: Optional[np.ndarray]) -> float:
-        """Insert one record; return the new ``count * residual variance``."""
-        self.ys.append(y)
-        m = len(self.ys)
-        yv = np.asarray(self.ys)
-        eta = float(np.mean(yv))
-        if self.fit:
-            self.rows.append(row)
-            if self.width is None:
-                self.width = len(row)
-        if m < 2:
-            return 0.0
-        if self.fit and self.width > 0 and m > self.width + 1:
-            Z = np.vstack(self.rows)
-            Zc = Z - Z.mean(axis=0)
-            beta, _, _, _ = np.linalg.lstsq(Zc, yv - eta, rcond=RANK_TOLERANCE)
-            resid = yv - eta - Zc @ beta
-        else:
-            resid = yv - eta
-        return m * float(resid @ resid) / (m - 1)
-
-
-def _atscv_rhw_iter(records: Sequence[TestRecord], z: float,
+def _atscv_prefixes(records: Sequence[TestRecord], z: float,
                     cap: int) -> Iterator[Tuple[float, float]]:
     """Yield ``(prefix mean, prefix relative half-width)`` one arrival at a
-    time, refitting only the group the newest record lands in.
-
-    Lazy on purpose: a consumer that stops at the first sustained threshold
-    crossing never pays for fits beyond it.
-    """
-    groups: Dict[int, _RunningGroup] = {}
-    contrib: Dict[int, float] = {}
+    time, folding each record into its group's accumulator."""
+    groups: Dict[int, GroupAccumulator] = {}
+    spread: Dict[int, float] = {}
     total = 0.0
     s = 0.0
     for i, r in enumerate(records):
         y = _response(r)
         s += y
         mu = s / (i + 1)
-        l = r.control_steps
-        label = l if l <= cap else cap + 1
-        grp = groups.get(label)
-        if grp is None:
-            grp = _RunningGroup(label, fit=(0 < label <= cap))
-            groups[label] = grp
-        row = control_row(r) if grp.fit else None
-        fresh = grp.add(y, row)
-        total += fresh - contrib.get(label, 0.0)
-        contrib[label] = fresh
+        label = min(r.control_steps, cap + 1)
+        row = control_row(r) if 0 < label <= cap else None
+        acc = groups.get(label)
+        if acc is None:
+            acc = groups[label] = GroupAccumulator(0 if row is None else len(row))
+        acc.extend([y], [row])
+        _, fresh = acc.fit()
+        total += fresh - spread.get(label, 0.0)
+        spread[label] = fresh
         var = max(total, 0.0) / (i + 1) ** 2
-        if mu > 0.0:
-            yield mu, z * math.sqrt(var) / mu
-        else:
-            yield mu, math.inf
+        yield mu, (z * math.sqrt(var) / mu if mu > 0.0 else math.inf)
 
 
-def _atscv_rhw_series(records: Sequence[TestRecord], z: float, cap: int):
-    pairs = list(_atscv_rhw_iter(records, z, cap))
-    mu = np.array([p[0] for p in pairs])
-    return mu, np.array([p[1] for p in pairs])
-
-
-def _rhw_series(records: Sequence[TestRecord], gamma: float, method: str,
-                max_control_steps: int):
-    z = float(norm.ppf(1.0 - gamma / 2.0))
-    if method == "nde":
-        return _pooled_rhw_series(
-            np.array([float(r.accident) for r in records]), z)
-    if method == "nade":
-        return _pooled_rhw_series(
-            np.array([_response(r) for r in records]), z)
+def _rhw_prefixes(records: Sequence[TestRecord], gamma: float, method: str,
+                  max_control_steps: int) -> Iterator[float]:
+    """Relative half-width per prefix, lazily: the pooled methods are one
+    vectorised pass, ATSCV fits as it goes."""
     if method == "atscv":
-        return _atscv_rhw_series(records, z, max_control_steps)
-    raise ValueError(f"unknown method {method!r}")
+        return (r for _, r in _atscv_prefixes(records, _quantile(gamma),
+                                               max_control_steps))
+    return iter(_pooled_rhw_series(records, gamma, method)[1])
 
 
 def convergence_series(records: Sequence[TestRecord], gamma: float,
@@ -402,7 +398,11 @@ def convergence_series(records: Sequence[TestRecord], gamma: float,
     """Per-prefix table ``(n, point estimate, relative half-width)``."""
     if not records:
         return np.zeros((0, 3))
-    mu, r = _rhw_series(records, gamma, method, max_control_steps)
+    if method == "atscv":
+        mu, r = np.array(list(_atscv_prefixes(
+            records, _quantile(gamma), max_control_steps))).T
+    else:
+        mu, r = _pooled_rhw_series(records, gamma, method)
     n = np.arange(1, len(records) + 1, dtype=float)
     return np.column_stack([n, mu, r])
 
@@ -414,21 +414,17 @@ def tests_to_threshold(records: Sequence[TestRecord], threshold: float,
     """Smallest prefix length whose relative half-width stays at or below
     ``threshold`` for ``confirm_window`` consecutive prefixes.
 
-    Returns None when no fully observed window qualifies.
+    Reads the prefixes lazily, so an ATSCV scan that stops early never pays
+    for fits beyond its stopping point.  Returns None when no fully observed
+    window qualifies.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if not records:
         return None
-    if method == "atscv":
-        z = float(norm.ppf(1.0 - gamma / 2.0))
-        source: Iterator[float] = (
-            r for _, r in _atscv_rhw_iter(records, z, max_control_steps))
-    else:
-        _, series = _rhw_series(records, gamma, method, max_control_steps)
-        source = iter(series)
     run = 0
-    for i, value in enumerate(source):
+    for i, value in enumerate(
+            _rhw_prefixes(records, gamma, method, max_control_steps)):
         run = run + 1 if value <= threshold else 0
         if run == confirm_window:
             return i - confirm_window + 2

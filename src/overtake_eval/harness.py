@@ -151,13 +151,13 @@ def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]):
             tests_to_threshold(nade_recs, cfg.rhw_threshold, cfg.gamma,
                                "nade", cfg.confirm_window,
                                cfg.max_control_steps))
-        est = estimate_atscv(nade_recs, cfg)
+        groups = fit_atscv(nade_recs, cfg.max_control_steps)
+        est = estimate_atscv(nade_recs, cfg, groups=groups)
         methods["atscv"] = MethodResult(
             est, _safe_rhw(est, cfg.gamma),
             tests_to_threshold(nade_recs, cfg.rhw_threshold, cfg.gamma,
                                "atscv", cfg.confirm_window,
                                cfg.max_control_steps))
-        groups = fit_atscv(nade_recs, cfg.max_control_steps)
     return methods, groups
 
 

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from overtake_eval.cli import main
 from overtake_eval.config import (
+    MAX_DESIGN_WIDTH,
     CampaignConfig,
     ConfigError,
     ScenarioConfig,
@@ -139,6 +141,31 @@ def test_scenario_validation_messages(field, value, message):
     cfg = dataclasses.replace(CampaignConfig(), scenario=sc)
     with pytest.raises(ConfigError, match=message):
         cfg.validate()
+
+
+def test_design_width_guard():
+    stock = CampaignConfig()
+    assert len(stock.scenario.surrogates) == 3
+    for steps in (10, 12):  # 2^12 = MAX_DESIGN_WIDTH columns
+        dataclasses.replace(stock, max_control_steps=steps).validate()
+    for steps in (13, 20):
+        with pytest.raises(ConfigError, match="max_control_steps"):
+            dataclasses.replace(stock, max_control_steps=steps).validate()
+    # a two-model panel has one column per group at any cap
+    sc = dataclasses.replace(stock.scenario,
+                             surrogates=stock.scenario.surrogates[:2])
+    dataclasses.replace(stock, scenario=sc, max_control_steps=50).validate()
+    assert MAX_DESIGN_WIDTH == 2 ** 12
+
+
+def test_design_width_guard_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "[estimator]\nmax_control_steps = 20\n")
+    out = str(tmp_path / "out")
+    rc = main(["estimate", "--config", path, "--env", "nade",
+               "--episodes", "5", "--out", out])
+    assert rc == 2
+    assert "max_control_steps" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_inverted_initial_range_rejected():

@@ -1,24 +1,22 @@
 """Point estimates, the sparse regression adjustment, and stopping rules."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from overtake_eval.estimators import (
-    EmptyGroup,
+    RANK_TOLERANCE,
     EmptyInput,
     Estimate,
-    GroupedRegression,
     ZeroEstimate,
     atscv_adjusted,
-    build_group,
     control_row,
     convergence_series,
     estimate_atscv,
     estimate_nade,
     estimate_nde,
     fit_atscv,
-    mlr_fit,
     rhw,
 )
 from overtake_eval.estimators import tests_to_threshold as time_to_threshold
@@ -57,28 +55,34 @@ def test_control_row_empty_log():
     assert row[0] == 1.0
 
 
+def group(groups, l):
+    (g,) = [g for g in groups if g.exposures == l]
+    return g
+
+
 def test_build_group_selects_and_centers():
     rng = np.random.default_rng(6174)
     recs = random_nade_records(rng, 120, max_l=3)
+    groups = fit_atscv(recs)
     for l in (1, 2, 3):
-        g = build_group(recs, l)
+        g = group(groups, l)
         members = [r for r in recs if r.control_steps == l]
         assert g.count == len(members)
-        assert g.exposures == l
         assert g.Z.shape == (len(members), 2 ** l)
-        # columns are centered and the removed means are kept
+        # the kept design is the raw Kronecker rows minus their column means
         np.testing.assert_allclose(g.Z.mean(axis=0), 0.0, atol=1e-10)
         raw = np.vstack([control_row(r) for r in members])
-        np.testing.assert_allclose(g.column_means, raw.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(g.Z, raw - raw.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(g.Y, [r.weight * r.accident for r in members],
                                    atol=0, rtol=0)
+        assert [recs[i] for i in g.members] == members
 
 
 def test_build_group_zero_exposures_has_no_regressors():
-    g = build_group([nde_rec(0, 1), nde_rec(1, 0)], 0)
+    (g,) = fit_atscv([nde_rec(0, 1), nde_rec(1, 0)])
+    assert g.exposures == 0
     assert g.Z.shape == (2, 0)
-    assert g.column_means.shape == (0,)
+    assert g.beta.shape == (0,)
 
 
 def test_group_column_count_is_polynomial_not_exponential_in_panel():
@@ -87,8 +91,7 @@ def test_group_column_count_is_polynomial_not_exponential_in_panel():
     recs = random_nade_records(rng, 40, max_l=4)
     four = [r for r in recs if r.control_steps == 4]
     assert len(four) >= 2
-    g = build_group(recs, 4)
-    assert g.Z.shape == (len(four), 16)
+    assert group(fit_atscv(recs), 4).Z.shape == (len(four), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +112,23 @@ def test_mlr_fit_noiseless_affine_recovery():
         r1 = q1 / qa                      # ratio column is constant too
         p = qa * (a + b * r1)  # makes w*acc = a + b*r1 exactly
         recs.append(make_nade_record(i, 1, [make_moment(p, qa, q)]))
-    g = build_group(recs, 1)
-    beta, eta = mlr_fit(g)
+    (g,) = fit_atscv(recs)
     y = np.array([r.weight for r in recs])
-    assert eta == pytest.approx(float(np.mean(y)), abs=1e-15)
-    assert beta[0] == pytest.approx(b, abs=1e-10)
-    assert beta[1] == pytest.approx(0.0, abs=1e-10)
+    assert g.eta == pytest.approx(float(np.mean(y)), abs=1e-15)
+    assert g.beta[0] == pytest.approx(b, abs=1e-10)
+    assert g.beta[1] == pytest.approx(0.0, abs=1e-10)
     # in-sample residuals vanish up to float noise
-    np.testing.assert_allclose(g.Y - eta - g.Z @ beta, 0.0, atol=1e-12)
+    np.testing.assert_allclose(g.Y - g.eta - g.Z @ g.beta, 0.0, atol=1e-12)
+    assert g.spread == pytest.approx(0.0, abs=1e-20)
 
 
 def test_mlr_fit_constant_response_gives_zero_slope():
     m = make_moment(0.3, 0.6, (0.5, 0.6, 0.7))
     recs = [make_nade_record(i, 1, [m]) for i in range(12)]
-    beta, eta = mlr_fit(build_group(recs, 1))
-    assert eta == recs[0].weight
-    np.testing.assert_allclose(beta, 0.0, atol=0)
+    (g,) = fit_atscv(recs)
+    assert g.eta == recs[0].weight
+    np.testing.assert_allclose(g.beta, 0.0, atol=0)
+    assert g.spread == 0.0
 
 
 def test_mlr_fit_underdetermined_group_falls_back_to_mean():
@@ -133,18 +137,17 @@ def test_mlr_fit_underdetermined_group_falls_back_to_mean():
     recs = random_nade_records(rng, 200, max_l=1)
     ones = [r for r in recs if r.control_steps == 1]
     small = ones[:3]
-    beta, eta = mlr_fit(build_group(small, 1))
-    np.testing.assert_allclose(beta, 0.0, atol=0)
-    assert eta == pytest.approx(np.mean([r.weight * r.accident for r in small]),
-                                abs=1e-15)
-    larger = ones[:4]
-    beta4, _ = mlr_fit(build_group(larger, 1))
-    assert beta4.shape == (2,)
+    (g,) = fit_atscv(small)
+    np.testing.assert_allclose(g.beta, 0.0, atol=0)
+    assert g.eta == pytest.approx(np.mean([r.weight * r.accident for r in small]),
+                                  abs=1e-15)
+    (g4,) = fit_atscv(ones[:4])
+    assert g4.beta.shape == (2,)
 
 
 def test_mlr_fit_rejects_empty_group():
-    with pytest.raises(EmptyGroup):
-        mlr_fit(build_group([], 1))
+    with pytest.raises(EmptyInput):
+        fit_atscv([])
 
 
 def test_fit_atscv_group_layout():
@@ -157,6 +160,118 @@ def test_fit_atscv_group_layout():
     overflow = groups[-1]
     assert overflow.Z.shape[1] == 0  # mean-only, no regressors
     assert overflow.count == sum(r.control_steps > 4 for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# the streaming core against a refit-everything reference
+# ---------------------------------------------------------------------------
+
+def reference_atscv_series(records, z, cap):
+    """Per-prefix (mu, rhw) by re-stacking the newest record's group and
+    refitting it from scratch with lstsq on the explicitly centered design."""
+    ys, rows, spread = {}, {}, {}
+    s, out = 0.0, []
+    for i, r in enumerate(records):
+        y = r.accident * r.weight
+        s += y
+        mu = s / (i + 1)
+        label = min(r.control_steps, cap + 1)
+        ys.setdefault(label, []).append(y)
+        rows.setdefault(label, []).append(control_row(r))
+        yv = np.asarray(ys[label])
+        m = len(yv)
+        eta = float(np.mean(yv))
+        resid = yv - eta
+        width = len(rows[label][0])
+        if 0 < label <= cap and m > width + 1:
+            Z = np.vstack(rows[label])
+            Zc = Z - Z.mean(axis=0)
+            beta = np.linalg.lstsq(Zc, yv - eta, rcond=RANK_TOLERANCE)[0]
+            resid = yv - eta - Zc @ beta
+        spread[label] = m * float(resid @ resid) / (m - 1) if m >= 2 else 0.0
+        var = max(sum(spread.values()), 0.0) / (i + 1) ** 2
+        out.append((mu, z * math.sqrt(var) / mu if mu > 0.0 else math.inf))
+    return np.array(out)
+
+
+def awkward_records(rng):
+    """Random records with duplicated rows, a singleton group, an overflow
+    bucket (cap 5), groups that cross m = width + 1 part-way, and a 32-column
+    group whose design has one direction 1e-12 below the other: numerically
+    rank 1 at RANK_TOLERANCE, as sampled designs are."""
+    recs = random_nade_records(rng, 160, max_l=3)
+    recs += [dataclasses.replace(r, index=1000 + k)
+             for k, r in enumerate(recs[:60:3])]  # exact duplicate rows
+    m = make_moment(0.2, 0.5, (0.4, 0.5, 0.6))
+    recs.append(make_nade_record(2000, 1, [m] * 4))  # singleton group
+    recs += [make_nade_record(3000 + k, k % 2, [m] * (6 + k)) for k in range(5)]
+    for k, a in enumerate(rng.uniform(0.3, 0.9, size=45)):
+        q = (a, a * (1.0 + 1e-12 * rng.standard_normal()), 0.5)
+        recs.append(make_nade_record(4000 + k, int(rng.random() < 0.5),
+                                     [make_moment(0.2, 0.5, q)] + [m] * 4))
+    order = rng.permutation(len(recs))
+    return [recs[i] for i in order]
+
+
+def test_streaming_series_matches_refit_reference():
+    rng = np.random.default_rng(4242)
+    for trial in range(3):
+        recs = awkward_records(rng)
+        labels = {min(r.control_steps, 6) for r in recs}
+        assert labels == {0, 1, 2, 3, 4, 5, 6}
+        got = convergence_series(recs, 0.1, "atscv", max_control_steps=5)
+        want = reference_atscv_series(recs, Z90, 5)
+        np.testing.assert_array_equal(got[:, 1], want[:, 0])
+        finite = np.isfinite(want[:, 1])
+        np.testing.assert_array_equal(np.isfinite(got[:, 2]), finite)
+        np.testing.assert_allclose(got[finite, 2], want[finite, 1],
+                                   rtol=1e-9, atol=0)
+
+
+def counting_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def test_stream_factors_nothing_until_a_group_can_fit(monkeypatch):
+    calls = counting_qr(monkeypatch)
+    rng = np.random.default_rng(7)
+    recs = [r for r in random_nade_records(rng, 200, max_l=3)
+            if r.control_steps == 3][:20]  # one group of width 8
+    for k in range(1, len(recs) + 1):
+        calls.clear()
+        convergence_series(recs[:k], 0.1, "atscv")
+        assert len(calls) == max(0, k - 9)  # one per arrival once m > w + 1
+    # the first fit factors the collected rows, later ones fold in one row
+    assert calls == [(10, 10)] + [(11, 10)] * 10
+    # the stopping rule pays only for the prefixes it reads
+    calls.clear()
+    first = time_to_threshold(recs, 1e9, method="atscv", confirm_window=12)
+    read = first + 12 - 1
+    assert read < len(recs) and len(calls) == read - 9
+    # a 1024-column group stays a plain list of rows while too small to fit
+    m = make_moment(0.2, 0.5, (0.4, 0.5, 0.6))
+    wide = [make_nade_record(k, k % 2, [m] * 10) for k in range(50)]
+    calls.clear()
+    assert time_to_threshold(wide, 1e-9, method="atscv") is None
+    assert not calls
+
+
+def test_batch_fit_factors_each_group_once(monkeypatch):
+    calls = counting_qr(monkeypatch)
+    rng = np.random.default_rng(8)
+    recs = awkward_records(rng)
+    groups = fit_atscv(recs, max_control_steps=5)
+    fitted = [g for g in groups if g.count > g.Z.shape[1] + 1]
+    assert len(calls) == len(fitted) < len(groups)
+    assert sorted(calls) == sorted((g.count, g.Z.shape[1] + 2) for g in fitted)
 
 
 # ---------------------------------------------------------------------------
