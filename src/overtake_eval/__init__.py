@@ -5,7 +5,8 @@ scenario three ways: plain naturalistic Monte Carlo, criticality-driven
 importance sampling, and a regression-adjusted variant that shrinks the
 variance with sparse control variates built from the logged importance
 densities.  A brute-force enumeration oracle provides the reference value
-the estimators are checked against.
+the estimators are checked against.  Naturalistic episodes, cut-in rollouts
+and the oracle run on one lockstep array kernel (``kernel``).
 """
 
 __version__ = "0.1.0"
@@ -16,14 +17,8 @@ from .scenario import (
     Phase,
     ScenarioState,
     Termination,
-    Trajectory,
-    VehicleState,
     check_termination,
     cutin_outcome,
-    derive_state,
-    is_accident,
-    run_trajectory,
-    step,
     step_raw,
 )
 from .models import (
@@ -41,16 +36,8 @@ from .models import (
     idm_accel,
     idm_follower,
     mobil_right_lc_prob,
-    nde_action_dist,
 )
-from .criticality import (
-    CriticalityEvaluator,
-    CriticalityProfile,
-    criticality,
-    importance_fn,
-    maneuver_challenge,
-    mixture_importance,
-)
+from .criticality import CriticalityEvaluator, CriticalityProfile
 from .config import (
     CampaignConfig,
     ConfigError,
@@ -65,9 +52,7 @@ from .sampling import (
     episode_seed,
     sample_initial_state,
     sample_nade_batch,
-    sample_nade_episode,
     sample_nde_batch,
-    sample_nde_episode,
 )
 from .estimators import (
     EmptyInput,
@@ -82,7 +67,7 @@ from .estimators import (
     rhw,
     tests_to_threshold,
 )
-from .oracle import BudgetExceeded, brute_force_mu, conditional_mu
+from .oracle import BudgetExceeded, brute_force_mu
 from .harness import (
     CampaignResult,
     MethodResult,

@@ -93,6 +93,12 @@ class ScenarioConfig:
             raise ConfigError("at least one surrogate model is required")
         if self.init.r1_high < self.init.r1_low:
             raise ConfigError("initial r1 range is inverted")
+        # The array kernel would turn these into inf/nan instead of failing.
+        idm_blocks = [("bv_idm", self.bv_idm), ("av_idm", self.av_idm)] + [
+            (sm.name, sm.idm) for sm in self.surrogates if sm.kind == "idm"]
+        for name, p in idm_blocks:
+            if not (p.v0 > 0 and p.a_max > 0 and p.b > 0):
+                raise ConfigError(f"{name}: v0, a_max and b must be positive")
 
 
 @dataclass(frozen=True)

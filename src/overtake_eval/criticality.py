@@ -22,16 +22,19 @@ evaluates the snapped representative, so that repeated queries hit a cache
 whose values depend only on the grid cell, never on visit order.  The
 naturalistic probabilities entering criticalities and importance weights are
 always evaluated at the exact state.
+
+This module stays scalar: the panel includes FVDM surrogates, and
+``np.tanh`` does not match ``math.tanh`` bit for bit, so the lockstep
+kernel cannot reproduce these rollouts exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .models import (
     ActionDistribution,
-    SurrogateModel,
     WrongPhase,
     bv_car_following_accel,
     idm_accel,
@@ -39,14 +42,7 @@ from .models import (
 )
 from .scenario import LANE_CHANGE, Action, Phase, ScenarioState, cutin_outcome, step_raw
 
-__all__ = [
-    "CriticalityProfile",
-    "CriticalityEvaluator",
-    "maneuver_challenge",
-    "criticality",
-    "importance_fn",
-    "mixture_importance",
-]
+__all__ = ["CriticalityProfile", "CriticalityEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -232,66 +228,3 @@ class CriticalityEvaluator:
             q_alpha_lane_change=sum(q_lc) / n,
             q_alpha_follow=sum(q_follow) / n,
         )
-
-
-def _panel_index(sm: SurrogateModel, cfg) -> Optional[int]:
-    for j, member in enumerate(cfg.surrogates):
-        if member is sm or member == sm:
-            return j
-    return None
-
-
-def _profile_for(s: ScenarioState, sm: SurrogateModel, cfg,
-                 evaluator: Optional[CriticalityEvaluator]):
-    """Profile plus the panel index of ``sm``, widening the panel if needed."""
-    j = _panel_index(sm, cfg)
-    if j is None:
-        cfg = replace(cfg, surrogates=(sm,))
-        evaluator = CriticalityEvaluator(cfg)
-        j = 0
-    elif evaluator is None:
-        evaluator = CriticalityEvaluator(cfg)
-    return evaluator.profile(s), j
-
-
-def maneuver_challenge(s: ScenarioState, action: Action, sm: SurrogateModel,
-                       cfg, evaluator: Optional[CriticalityEvaluator] = None) -> float:
-    """Probability that ``action`` at ``s`` ends in a surrogate-predicted crash.
-
-    A lane change is scored by a deterministic rollout with ``sm`` driving the
-    follower.  Any other action means "keep following", whose score aggregates
-    the lane-change hazard over the no-cut-in continuation; the acceleration
-    value itself does not enter (the continuation always applies the
-    car-following response).
-    """
-    prof, j = _profile_for(s, sm, cfg, evaluator)
-    if action.is_lane_change():
-        return prof.lane_change_challenge[j]
-    return prof.follow_challenge[j]
-
-
-def criticality(s: ScenarioState, sm: SurrogateModel, cfg,
-                evaluator: Optional[CriticalityEvaluator] = None) -> float:
-    """Challenge averaged over the naturalistic action distribution."""
-    prof, j = _profile_for(s, sm, cfg, evaluator)
-    return prof.criticalities[j]
-
-
-def importance_fn(s: ScenarioState, sm: SurrogateModel, cfg,
-                  evaluator: Optional[CriticalityEvaluator] = None) -> ActionDistribution:
-    """One surrogate's importance distribution over the two actions.
-
-    Mixes an ``epsilon`` share of the naturalistic distribution with the
-    challenge-weighted tilt; collapses to the naturalistic distribution when
-    the surrogate sees no danger at all.
-    """
-    prof, j = _profile_for(s, sm, cfg, evaluator)
-    return prof.surrogate_importance(j)
-
-
-def mixture_importance(s: ScenarioState, cfg,
-                       evaluator: Optional[CriticalityEvaluator] = None) -> ActionDistribution:
-    """Equal-weight mixture of the panel's importance distributions."""
-    if evaluator is None:
-        evaluator = CriticalityEvaluator(cfg)
-    return evaluator.profile(s).importance()

@@ -1,8 +1,11 @@
 """Longitudinal driver models and the naturalistic BV action law.
 
-Everything here is deliberately scalar: these functions sit inside the
-episode and criticality inner loops.  ``dv`` always denotes the closing
-speed ``v_follower - v_leader`` (positive while approaching).
+These are the scalar forms, used where a state is handled on its own: the
+criticality evaluator (which also drives FVDM surrogates) and the
+accelerated sampler's pre-cut-in walk.  ``kernel`` holds the array forms of
+IDM and MOBIL that batched code runs on; they agree bit for bit.  ``dv``
+always denotes the closing speed ``v_follower - v_leader`` (positive while
+approaching).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scenario import (LANE_CHANGE, Action, Phase, ScenarioState)
+from .scenario import Action, Phase, ScenarioState
 
 
 class NonPositiveGap(ValueError):
@@ -228,16 +231,6 @@ def mobil_right_lc_prob(s: ScenarioState, mobil: MobilParams, idm: IdmParams,
     if p <= 0.0:
         return 0.0
     return min(p, mobil.p_max)
-
-
-def nde_action_dist(s: ScenarioState, cfg) -> ActionDistribution:
-    """Naturalistic BV action law: lane change w.p. p_R, else follow the LV."""
-    if s.phase is Phase.AFTER_CUT_IN:
-        raise WrongPhase("the BV only acts before the cut-in")
-    p_r = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
-    accel = Action.accel(bv_car_following_accel(s, cfg))
-    return ActionDistribution.from_pairs(
-        [(LANE_CHANGE, p_r), (accel, 1.0 - p_r)])
 
 
 def idm_follower(params: IdmParams):

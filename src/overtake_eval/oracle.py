@@ -11,16 +11,22 @@ where ``crash`` deterministically resolves a cut-in at step k against the
 vehicle under test with the remaining step budget.  The initial range is
 integrated by midpoint quadrature over equal-width bins, which is the sole
 approximation; the quoted value is exact up to that binning.
+
+All bins walk their no-cut-in trajectories in lockstep on the array kernel,
+every cut-in with ``p_R > 0`` is resolved in one batched rollout, and the
+sum is then accumulated per bin in step order, so each bin's ``mu(r)`` is
+the value a scalar walk of that bin produces.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from .models import idm_follower, mobil_right_lc_prob, idm_accel
-from .scenario import Phase, ScenarioState, check_termination, cutin_outcome, step_raw
+import numpy as np
 
-__all__ = ["BudgetExceeded", "brute_force_mu", "conditional_mu", "bin_midpoints"]
+from .kernel import cutin_crashes, initial_states, walk
+
+__all__ = ["BudgetExceeded", "brute_force_mu", "bin_midpoints"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,37 +38,9 @@ def bin_midpoints(low: float, high: float, bins: int) -> List[float]:
     return [low + (b + 0.5) * width for b in range(bins)]
 
 
-def conditional_mu(r1: float, cfg) -> float:
-    """Accident probability given the initial range, by exact enumeration
-    of the cut-in time along the deterministic no-cut-in trajectory."""
-    init = cfg.init
-    s = ScenarioState(v_bv=init.v_bv, r1=r1, r1_dot=init.r1_dot,
-                      r2=init.r2, r2_dot=init.r2_dot,
-                      phase=Phase.BEFORE_CUT_IN)
-    follower = idm_follower(cfg.av_idm)
-    mu = 0.0
-    survive = 1.0
-    k = 0
-    while check_termination(s, k, cfg) is None:
-        p_r = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
-        if p_r > 0.0:
-            crashed = cutin_outcome(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                                    follower, cfg, cfg.max_steps - k)
-            if crashed:
-                mu += survive * p_r
-            survive *= 1.0 - p_r
-        a_bv = idm_accel(s.v_bv, s.r1 - cfg.vehicle_length, -s.r1_dot,
-                         cfg.bv_idm)
-        raw = step_raw(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                       a_bv, 0.0, cfg.dt)
-        s = ScenarioState(*raw, phase=Phase.BEFORE_CUT_IN)
-        k += 1
-    return mu
-
-
 def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
-    """Reference accident rate: midpoint quadrature of ``conditional_mu``
-    over the initial-range distribution.
+    """Reference accident rate: midpoint quadrature of ``mu(r)`` over the
+    initial-range distribution.
 
     Raises BudgetExceeded before doing any work if ``bins`` trajectories of
     up to ``max_steps + 1`` states would exceed the leaf budget.
@@ -73,4 +51,16 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
             f"{bins} bins x {cfg.max_steps + 1} states = {leaves} leaf "
             f"evaluations exceeds the budget of {budget}")
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
-    return sum(conditional_mu(r, cfg) for r in mids) / bins
+    cut = walk(initial_states(mids, cfg.init), cfg,
+               lambda k, rows, p_r: p_r > 0.0, stay=True)
+    crashed = cutin_crashes(cut.state, cut.budget, cfg)
+    mu = np.zeros(bins)
+    survive = np.ones(bins)
+    # Fold one step at a time (the budget counts the steps down); a bin
+    # fires at most once per step, so each bin sums in the scalar order.
+    for left in sorted(set(cut.budget.tolist()), reverse=True):
+        at = cut.budget == left
+        b, p_r = cut.rows[at], cut.p_r[at]
+        mu[b] = np.where(crashed[at], mu[b] + survive[b] * p_r, mu[b])
+        survive[b] = survive[b] * (1.0 - p_r)
+    return sum(mu.tolist()) / bins

@@ -8,6 +8,12 @@ importance distribution instead, logs the densities needed by the estimators,
 and accumulates the likelihood-ratio weight; everywhere else it behaves
 exactly like the naturalistic sampler.
 
+Naturalistic episodes run on the lockstep array kernel (``kernel.walk``)
+in blocks of ``NDE_BLOCK``.  Accelerated episodes walk one at a time up to
+their cut-in, because the criticality profile is scalar; their cut-ins are
+then resolved together by ``kernel.cutin_crashes``.  Both reproduce the
+scalar per-episode samplers bit for bit.
+
 Episodes are deterministic functions of ``(root seed, environment, index)``;
 the per-episode seed is derived through a counter-based spawn so campaigns
 are invariant to worker count and scheduling order.
@@ -15,20 +21,19 @@ are invariant to worker count and scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .criticality import CriticalityEvaluator
-from .models import ZeroDensity, idm_follower, nde_action_dist
+from .kernel import CutIns, cutin_crashes, initial_states, walk
+from .models import ZeroDensity
 from .scenario import (
     Action,
     Phase,
     ScenarioState,
-    Termination,
     check_termination,
-    cutin_outcome,
     step_raw,
 )
 
@@ -36,8 +41,15 @@ ENV_NDE = "nde"
 ENV_NADE = "nade"
 _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 
+# Naturalistic episodes advanced together; bounds the arrays held at once.
+NDE_BLOCK = 1024
+# Per-step uniforms drawn from an episode's generator at a time.
+_DRAW_BLOCK = 16
 
-@dataclass(frozen=True)
+
+# Records are slotted: a campaign holds one per episode, and the per-instance
+# dict would be most of their memory.
+@dataclass(frozen=True, slots=True)
 class CriticalMoment:
     """One logged critical moment: densities evaluated at the chosen action."""
 
@@ -48,7 +60,7 @@ class CriticalMoment:
     action: Optional[Action] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestRecord:
     """One complete test episode and everything the estimators need from it."""
 
@@ -96,40 +108,9 @@ def _advance(s: ScenarioState, a_bv: float, cfg) -> ScenarioState:
     return ScenarioState(*raw, phase=Phase.BEFORE_CUT_IN)
 
 
-def _resolve_cutin(s: ScenarioState, step_index: int, cfg) -> int:
-    """Deterministic post-cut-in outcome within the remaining step budget."""
-    crashed = cutin_outcome(
-        s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-        idm_follower(cfg.av_idm), cfg, cfg.max_steps - step_index,
-    )
-    return 1 if crashed else 0
-
-
-def sample_nde_episode(rng: np.random.Generator, cfg,
-                       index: int = 0, seed: int = 0) -> TestRecord:
-    """Roll one naturalistic episode: every BV action drawn from the behavior
-    model, follower control engaged after the cut-in."""
-    s = sample_initial_state(rng, cfg)
-    k = 0
-    accident = 0
-    while True:
-        if check_termination(s, k, cfg) is not None:
-            break
-        a = nde_action_dist(s, cfg).sample(rng)
-        if a.is_lane_change():
-            accident = _resolve_cutin(s, k, cfg)
-            break
-        s = _advance(s, a.a, cfg)
-        k += 1
-    return TestRecord(index=index, seed=seed, env=ENV_NDE,
-                      accident=accident, weight=1.0)
-
-
-def sample_nade_episode(rng: np.random.Generator, cfg,
-                        evaluator: Optional[CriticalityEvaluator] = None,
-                        max_control_steps: int = 10,
-                        index: int = 0, seed: int = 0) -> TestRecord:
-    """Roll one accelerated episode.
+def _nade_walk(rng: np.random.Generator, cfg, evaluator: CriticalityEvaluator,
+               max_control_steps: int):
+    """Roll one accelerated episode up to its cut-in.
 
     At critical moments (some surrogate sees positive criticality) the action
     comes from the mixture importance distribution and the densities at the
@@ -137,17 +118,15 @@ def sample_nade_episode(rng: np.random.Generator, cfg,
     p/q_alpha factor per logged moment.  After ``max_control_steps`` logged
     moments the sampler reverts to the naturalistic law, which caps the log
     length without affecting unbiasedness.
+
+    Returns ``(weight, log, cut_in)``; ``cut_in`` is the pre-cut-in state and
+    the remaining step budget, or None when the episode ended without one.
     """
-    if evaluator is None:
-        evaluator = CriticalityEvaluator(cfg)
     s = sample_initial_state(rng, cfg)
     k = 0
-    accident = 0
     weight = 1.0
     log: List[CriticalMoment] = []
-    while True:
-        if check_termination(s, k, cfg) is not None:
-            break
+    while check_termination(s, k, cfg) is None:
         prof = evaluator.profile(s)
         if prof.is_critical and len(log) < max_control_steps:
             a = prof.importance().sample(rng)
@@ -162,34 +141,76 @@ def sample_nade_episode(rng: np.random.Generator, cfg,
         else:
             a = prof.naturalistic().sample(rng)
         if a.is_lane_change():
-            accident = _resolve_cutin(s, k, cfg)
-            break
+            return weight, log, (s.raw(), cfg.max_steps - k)
         s = _advance(s, a.a, cfg)
         k += 1
-    return TestRecord(index=index, seed=seed, env=ENV_NADE,
-                      accident=accident, weight=weight,
-                      critical_log=tuple(log))
+    return weight, log, None
 
 
 def sample_nde_batch(root_seed: int, cfg, n: int, start: int = 0) -> List[TestRecord]:
-    out = []
-    for i in range(start, start + n):
-        seed = episode_seed(root_seed, ENV_NDE, i)
-        rng = np.random.default_rng(seed)
-        out.append(sample_nde_episode(rng, cfg, index=i, seed=seed))
+    """Naturalistic episodes ``start .. start+n-1``, advanced in lockstep.
+
+    Every BV action is drawn from the behaviour model: episode i cuts in at
+    step k iff its k-th uniform is below p_R, which is what sampling the
+    two-atom law amounts to.  Each episode draws from its own generator
+    (one uniform for the initial range, then one per step, taken in blocks
+    of ``_DRAW_BLOCK``), so records do not depend on the block layout.
+    """
+    out: List[TestRecord] = []
+    found = []
+    init = cfg.init
+    draws = min(cfg.max_steps, _DRAW_BLOCK)
+    for lo in range(start, start + n, NDE_BLOCK):
+        seeds = [episode_seed(root_seed, ENV_NDE, i)
+                 for i in range(lo, min(lo + NDE_BLOCK, start + n))]
+        r1 = np.empty(len(seeds))
+        u = np.empty((len(seeds), draws))
+        for j, seed in enumerate(seeds):
+            g = np.random.default_rng(seed)
+            r1[j] = g.uniform(init.r1_low, init.r1_high)
+            u[j] = g.random(draws)
+
+        def fires(k, rows, p_r):
+            if k and k % draws == 0:
+                # Rebuild the generator of each row still walking and skip
+                # what it has drawn: one 64-bit output per double, so the
+                # range and k step uniforms.  Holding a generator per
+                # episode instead would cost 1.6 kB each.
+                for i in rows.tolist():
+                    g = np.random.default_rng(seeds[i])
+                    g.bit_generator.advance(1 + k)
+                    u[i] = g.random(draws)
+            return u[rows, k % draws] < p_r
+
+        cut = walk(initial_states(r1, init), cfg, fires, stay=False)
+        found.append(cut._replace(rows=len(out) + cut.rows))
+        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NDE,
+                              accident=0, weight=1.0)
+                   for j, seed in enumerate(seeds))
+    # One rollout for every cut-in of the batch; few of them crash.
+    cut = CutIns.concat(found)
+    for j in cut.rows[cutin_crashes(cut.state, cut.budget, cfg)].tolist():
+        out[j] = replace(out[j], accident=1)
     return out
 
 
 def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
                       evaluator: Optional[CriticalityEvaluator] = None,
                       max_control_steps: int = 10) -> List[TestRecord]:
+    """Accelerated episodes ``start .. start+n-1``; all cut-ins are resolved
+    together in one rollout after the pre-cut-in walks."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
-    out = []
+    walks = []
     for i in range(start, start + n):
         seed = episode_seed(root_seed, ENV_NADE, i)
         rng = np.random.default_rng(seed)
-        out.append(sample_nade_episode(rng, cfg, evaluator=evaluator,
-                                       max_control_steps=max_control_steps,
-                                       index=i, seed=seed))
-    return out
+        walks.append((i, seed) + _nade_walk(rng, cfg, evaluator,
+                                            max_control_steps))
+    cut_ins = [w[4] for w in walks if w[4]]
+    states = np.array([c[0] for c in cut_ins], dtype=float).reshape(-1, 5).T
+    crashed = iter(cutin_crashes(states, [c[1] for c in cut_ins], cfg).tolist())
+    return [TestRecord(index=i, seed=seed, env=ENV_NADE,
+                       accident=int(next(crashed)) if cut_in else 0,
+                       weight=weight, critical_log=tuple(log))
+            for i, seed, weight, log, cut_in in walks]

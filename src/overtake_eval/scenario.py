@@ -11,13 +11,18 @@ where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
 ranges and the dotted quantities are their rates.  Before the cut-in the
 BV either tracks the LV or changes into the right lane; afterwards the
 AV reacts to the BV while LV and BV hold speed.
+
+The functions here are the scalar forms of the dynamics.  The criticality
+evaluator and the accelerated sampler's pre-cut-in walk use them; the
+naturalistic sampler, the oracle and every cut-in rollout of the vehicle
+under test run on their array forms in ``kernel``, which agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 
 class Phase(Enum):
@@ -29,27 +34,6 @@ class Termination(Enum):
     ACCIDENT = "accident"
     PASSED = "passed"
     MAX_STEPS = "max_steps"
-
-
-class IllegalAction(ValueError):
-    """Raised when a lane change is requested after the cut-in happened."""
-
-
-class NotTerminated(ValueError):
-    """Raised when a terminal-only query is made on a running trajectory."""
-
-
-LEFT_LANE = 1
-RIGHT_LANE = 0
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Longitudinal position (m), lane index and speed (m/s) of one vehicle."""
-
-    x: float
-    y: int
-    v: float
 
 
 @dataclass(frozen=True)
@@ -85,35 +69,6 @@ class ScenarioState:
         return (self.v_bv, self.r1, self.r1_dot, self.r2, self.r2_dot)
 
 
-@dataclass
-class Trajectory:
-    """Rolled-out episode: states s_0..s_m, actions a_0..a_{m-1}, outcome."""
-
-    states: List[ScenarioState]
-    actions: List[Action]
-    termination: Optional[Termination] = None
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def steps(self):
-        return list(zip(self.states[:-1], self.actions))
-
-
-def derive_state(lv: VehicleState, bv: VehicleState, av: VehicleState,
-                 phase: Phase = Phase.BEFORE_CUT_IN) -> ScenarioState:
-    """Build the reduced 5-tuple from the three vehicle states."""
-    return ScenarioState(
-        v_bv=bv.v,
-        r1=lv.x - bv.x,
-        r1_dot=lv.v - bv.v,
-        r2=bv.x - av.x,
-        r2_dot=bv.v - av.v,
-        phase=phase,
-    )
-
-
 def advance(x: float, v: float, a: float, dt: float) -> Tuple[float, float]:
     """Constant-acceleration update with the speed clamped at zero."""
     x = x + v * dt + 0.5 * a * dt * dt
@@ -139,27 +94,6 @@ def step_raw(v_bv: float, r1: float, r1_dot: float, r2: float, r2_dot: float,
     return (v_bv, x_lv - x_bv, v_lv - v_bv, x_bv - x_av, v_bv - v_av)
 
 
-def step(s: ScenarioState, a_bv: Action, a_av: Action, cfg) -> ScenarioState:
-    """Advance the scenario one time step of ``cfg.dt`` seconds.
-
-    A lane change is kinematically a zero-acceleration step that flips
-    the phase; it completes within the single step.  After the cut-in
-    the BV holds speed and only the AV accelerates.
-    """
-    if a_bv.is_lane_change():
-        if s.phase is Phase.AFTER_CUT_IN:
-            raise IllegalAction("lane change requested after the cut-in")
-        accel_bv = 0.0
-        phase = Phase.AFTER_CUT_IN
-    else:
-        accel_bv = a_bv.a if s.phase is Phase.BEFORE_CUT_IN else 0.0
-        phase = s.phase
-    accel_av = 0.0 if s.phase is Phase.BEFORE_CUT_IN else a_av.a
-    raw = step_raw(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                   accel_bv, accel_av, cfg.dt)
-    return ScenarioState(*raw, phase=phase)
-
-
 def bumper_gap(s: ScenarioState, cfg) -> float:
     """AV-to-BV gap used by the accident predicate."""
     return s.r2 - cfg.vehicle_length
@@ -177,13 +111,6 @@ def check_termination(s: ScenarioState, step_index: int, cfg) -> Optional[Termin
     if step_index >= cfg.max_steps:
         return Termination.MAX_STEPS
     return None
-
-
-def is_accident(traj: Trajectory) -> int:
-    """Accident indicator of a finished trajectory (0 or 1)."""
-    if traj.termination is None:
-        raise NotTerminated("trajectory has no terminal outcome yet")
-    return 1 if traj.termination is Termination.ACCIDENT else 0
 
 
 def cutin_outcome(v_bv: float, r1: float, r1_dot: float, r2: float,
@@ -210,29 +137,3 @@ def cutin_outcome(v_bv: float, r1: float, r1_dot: float, r2: float,
         v_bv, r1, r1_dot, r2, r2_dot = step_raw(
             v_bv, r1, r1_dot, r2, r2_dot, 0.0, a_av, dt)
     return False
-
-
-def run_trajectory(s0: ScenarioState, bv_policy, av_policy, cfg) -> Trajectory:
-    """Roll a full trajectory with explicit state/action bookkeeping.
-
-    ``bv_policy(state, k)`` supplies the BV action before the cut-in;
-    ``av_policy(state, k)`` supplies the AV acceleration after it.  Used
-    by diagnostics and tests; the samplers use the scalar fast path.
-    """
-    states = [s0]
-    actions: List[Action] = []
-    s = s0
-    for k in range(cfg.max_steps + 1):
-        outcome = check_termination(s, k, cfg)
-        if outcome is not None:
-            return Trajectory(states, actions, outcome)
-        if s.phase is Phase.BEFORE_CUT_IN:
-            a_bv = bv_policy(s, k)
-            a_av = Action.accel(0.0)
-        else:
-            a_bv = Action.accel(0.0)
-            a_av = av_policy(s, k)
-        actions.append(a_bv)
-        s = step(s, a_bv, a_av, cfg)
-        states.append(s)
-    raise AssertionError("unreachable: step budget enforced by check_termination")

@@ -13,6 +13,7 @@ from overtake_eval.config import (
     load_config,
     write_default_config,
 )
+from overtake_eval.models import IdmParams
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -135,6 +136,8 @@ def test_campaign_validation_messages(field, value, message):
     ("vehicle_length", -1.0, "vehicle_length"),
     ("epsilon", 0.0, "epsilon"),
     ("surrogates", (), "surrogate"),
+    ("bv_idm", IdmParams(v0=0.0), "bv_idm"),
+    ("av_idm", IdmParams(b=0.0), "av_idm"),
 ])
 def test_scenario_validation_messages(field, value, message):
     sc = dataclasses.replace(ScenarioConfig(), **{field: value})

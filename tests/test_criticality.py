@@ -9,18 +9,12 @@ import numpy as np
 import pytest
 
 from overtake_eval.config import ScenarioConfig
-from overtake_eval.criticality import (
-    CriticalityEvaluator,
-    criticality,
-    importance_fn,
-    maneuver_challenge,
-    mixture_importance,
-)
+from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import (
     MobilParams,
     WrongPhase,
+    bv_car_following_accel,
     mobil_right_lc_prob,
-    nde_action_dist,
 )
 from overtake_eval.scenario import LANE_CHANGE, Action, Phase, ScenarioState
 
@@ -243,16 +237,22 @@ def test_evaluation_order_does_not_change_results(scen):
 
 
 # ---------------------------------------------------------------------------
-# module-level helpers
+# per-surrogate views of a profile
 # ---------------------------------------------------------------------------
 
 def test_maneuver_challenge_selects_action_component(scen):
+    # The profile carries the cached challenges per surrogate and hands out
+    # the densities of whichever action was drawn.
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     lc, fol = ev.challenges(s)
-    for j, sm in enumerate(scen.surrogates):
-        assert maneuver_challenge(s, LANE_CHANGE, sm, scen, ev) == lc[j]
-        assert maneuver_challenge(s, Action.accel(0.7), sm, scen, ev) == fol[j]
+    prof = ev.profile(s)
+    assert prof.lane_change_challenge == lc
+    assert prof.follow_challenge == fol
+    assert prof.components(LANE_CHANGE) == (
+        prof.p_lane_change, prof.q_alpha_lane_change, prof.q_lane_change)
+    assert prof.components(Action.accel(0.7)) == (
+        1.0 - prof.p_lane_change, prof.q_alpha_follow, prof.q_follow)
 
 
 def test_criticality_combines_challenges_with_exposure(scen):
@@ -260,8 +260,9 @@ def test_criticality_combines_challenges_with_exposure(scen):
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     lc, fol = ev.challenges(s)
     p = mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
-    for j, sm in enumerate(scen.surrogates):
-        assert criticality(s, sm, scen, ev) == pytest.approx(
+    prof = ev.profile(s)
+    for j in range(len(scen.surrogates)):
+        assert prof.criticalities[j] == pytest.approx(
             lc[j] * p + fol[j] * (1 - p), abs=1e-15)
 
 
@@ -269,23 +270,32 @@ def test_importance_fn_matches_profile(scen):
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     prof = ev.profile(s)
-    for j, sm in enumerate(scen.surrogates):
-        assert importance_fn(s, sm, scen, ev).entries == \
-            prof.surrogate_importance(j).entries
-    assert mixture_importance(s, scen, ev).entries == prof.importance().entries
+    follow = Action.accel(bv_car_following_accel(s, scen))
+    assert prof.follow_action == follow
+    for j in range(len(scen.surrogates)):
+        q = prof.surrogate_importance(j)
+        assert q.prob(LANE_CHANGE) == prof.q_lane_change[j]
+        assert q.prob(follow) == prof.q_follow[j]
+    mix = prof.importance()
+    assert mix.prob(LANE_CHANGE) == prof.q_alpha_lane_change
+    assert mix.prob(follow) == prof.q_alpha_follow
+    assert mix.support() == [LANE_CHANGE, follow]
 
 
 def test_out_of_panel_surrogate_gets_own_panel(scen):
-    # A surrogate that is not part of the configured panel is evaluated as
-    # if it were the whole panel.
+    # A surrogate's challenges do not depend on the rest of its panel: alone
+    # or appended to the configured panel, it scores a state the same.
     custom = dataclasses.replace(scen.surrogates[0], name="idm_soft")
     custom = dataclasses.replace(
         custom, idm=dataclasses.replace(custom.idm, hard_decel=2.0))
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
-    solo_cfg = dataclasses.replace(scen, surrogates=(custom,))
-    want = maneuver_challenge(s, LANE_CHANGE, custom, solo_cfg)
-    got = maneuver_challenge(s, LANE_CHANGE, custom, scen)
-    assert got == want
+    solo = CriticalityEvaluator(dataclasses.replace(scen, surrogates=(custom,)))
+    wide = CriticalityEvaluator(dataclasses.replace(
+        scen, surrogates=scen.surrogates + (custom,)))
+    lc_solo, fol_solo = solo.challenges(s)
+    lc_wide, fol_wide = wide.challenges(s)
+    assert (lc_solo[0], fol_solo[0]) == (lc_wide[-1], fol_wide[-1])
+    assert lc_wide[:-1] == CriticalityEvaluator(scen).challenges(s)[0]
 
 
 def test_surrogates_disagree_somewhere(scen):

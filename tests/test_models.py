@@ -21,8 +21,8 @@ from overtake_eval.models import (
     idm_accel_raw,
     idm_follower,
     mobil_right_lc_prob,
-    nde_action_dist,
 )
+from overtake_eval import kernel
 from overtake_eval.scenario import LANE_CHANGE, Action, Phase, ScenarioState
 
 from conftest import idm_ref
@@ -210,33 +210,51 @@ def test_lc_prob_bounded_everywhere():
 # behaviour distribution
 # ---------------------------------------------------------------------------
 
+# The naturalistic law is two atoms: cut in with probability p_R, else
+# follow the LV.  The lockstep kernel evaluates both and cuts in iff the
+# step's uniform is below p_R.
+
+def kernel_cols(s):
+    return [np.array([x]) for x in s.raw()]
+
+
 def test_nde_action_dist_two_atoms(scen):
     s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    dist = nde_action_dist(s, scen)
     p_lc = mobil_right_lc_prob(s, scen.mobil, scen.bv_idm,
                                scen.vehicle_length)
     assert p_lc > 0.0
-    acts = dist.support()
-    assert acts[0] == LANE_CHANGE  # lane change listed first
-    assert len(acts) == 2
-    assert dist.prob(LANE_CHANGE) == p_lc
-    follow = acts[1]
-    assert follow.a == bv_car_following_accel(s, scen)
-    assert dist.prob(follow) == 1.0 - p_lc
-    assert dist.total() == pytest.approx(1.0, abs=1e-15)
+    cols = kernel_cols(s)
+    assert kernel.mobil_right_lc_prob(cols, scen.mobil, scen.bv_idm,
+                                      scen.vehicle_length)[0] == p_lc
+    assert kernel.idm_accel(cols[0], cols[1] - scen.vehicle_length, -cols[2],
+                            scen.bv_idm)[0] == bv_car_following_accel(s, scen)
+    # "u < p_R" draws the same atom as sampling the two-atom law, for
+    # any p_R including the rounding of 1 - p_R and the endpoints
+    follow = Action.accel(bv_car_following_accel(s, scen))
+    for p in (p_lc, 0.0, 0.3, float(np.nextafter(1.0, 0.0)), 1.0):
+        dist = ActionDistribution.from_pairs([(LANE_CHANGE, p),
+                                              (follow, 1.0 - p)])
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(300):
+            assert (dist.sample(a) == LANE_CHANGE) == (b.random() < p)
 
 
 def test_nde_action_dist_drops_impossible_lane_change(scen):
     s = mk(8.0, 3000.0, 0.0, 30.0, 0.0)  # no incentive at free flow
-    dist = nde_action_dist(s, scen)
-    assert dist.support() == [Action.accel(bv_car_following_accel(s, scen))]
-    assert dist.total() == 1.0
+    p_r = kernel.mobil_right_lc_prob(kernel_cols(s), scen.mobil, scen.bv_idm,
+                                     scen.vehicle_length)
+    assert p_r.tolist() == [0.0]
+    # even the smallest uniform never fires a cut-in
+    cut = kernel.walk(kernel_cols(s), scen,
+                      lambda k, rows, p_r: 0.0 < p_r, stay=False)
+    assert cut.rows.size == 0
 
 
 def test_nde_action_dist_rejects_post_cutin_state(scen):
+    # the lane-change law is a pre-cut-in quantity
     s = mk(8.0, 30.0, -5.0, 5.0, -5.0, phase=Phase.AFTER_CUT_IN)
     with pytest.raises(WrongPhase):
-        nde_action_dist(s, scen)
+        mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
 
 
 def test_distribution_from_pairs_drops_nonpositive_mass():

@@ -15,9 +15,7 @@ from overtake_eval.sampling import (
     episode_seed,
     sample_initial_state,
     sample_nade_batch,
-    sample_nade_episode,
     sample_nde_batch,
-    sample_nde_episode,
 )
 from overtake_eval.scenario import Phase
 
@@ -52,9 +50,10 @@ def test_initial_state_distribution(scen):
 
 
 def test_nde_episode_shape(scen):
-    r = sample_nde_episode(np.random.default_rng(7), scen, index=42, seed=99)
+    [r] = sample_nde_batch(7, scen, 1, start=42)
     assert isinstance(r, TestRecord)
-    assert r.index == 42 and r.seed == 99 and r.env == ENV_NDE
+    assert r.index == 42 and r.seed == episode_seed(7, ENV_NDE, 42)
+    assert r.env == ENV_NDE
     assert r.accident in (0, 1)
     assert r.weight == 1.0
     assert r.critical_log == ()

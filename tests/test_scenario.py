@@ -1,32 +1,32 @@
-"""Kinematics, phase handling, and termination of the three-vehicle episode."""
+"""Kinematics, phase handling, and termination of the three-vehicle episode.
+
+Phase handling lives in the lockstep kernel: ``kernel.walk`` advances
+pre-cut-in states (the AV coasts, the BV car-follows) and
+``kernel.cutin_crashes`` rolls a cut-in out (the BV holds speed, the AV
+follows).  Both are checked against the absolute-position references in
+conftest.py.
+"""
 import dataclasses
 
 import numpy as np
 import pytest
 
+from overtake_eval import kernel
 from overtake_eval.scenario import (
     LANE_CHANGE,
     Action,
-    IllegalAction,
-    NotTerminated,
     Phase,
     ScenarioState,
     Termination,
-    Trajectory,
-    VehicleState,
     advance,
     bumper_gap,
     check_termination,
     cutin_outcome,
-    derive_state,
-    is_accident,
-    run_trajectory,
-    step,
     step_raw,
 )
 from overtake_eval.models import idm_follower
 
-from conftest import abs_cutin_crash, advance_abs
+from conftest import abs_cutin_crash, abs_no_cutin_walk, advance_abs
 
 
 def mk(v_bv, r1, r1_dot, r2, r2_dot, phase=Phase.BEFORE_CUT_IN):
@@ -34,28 +34,24 @@ def mk(v_bv, r1, r1_dot, r2, r2_dot, phase=Phase.BEFORE_CUT_IN):
                          r2_dot=r2_dot, phase=phase)
 
 
+def cols(states):
+    """Kernel arrays from a list of ScenarioStates."""
+    return [np.array(c, dtype=float) for c in zip(*(s.raw() for s in states))]
+
+
+def visited(states, cfg):
+    """Every pre-cut-in state the kernel walk visits, as (row, state) pairs
+    in step order: each state fires a cut-in candidate and keeps walking."""
+    cut = kernel.walk(cols(states), cfg,
+                      lambda k, rows, p_r: np.ones(len(rows), dtype=bool),
+                      stay=True)
+    rows = zip(*(c.tolist() for c in cut.state))
+    return [(r, mk(*row)) for r, row in zip(cut.rows.tolist(), rows)]
+
+
 # ---------------------------------------------------------------------------
 # state derivation and single-step kinematics
 # ---------------------------------------------------------------------------
-
-def test_derive_state_from_vehicle_positions():
-    # LV at 35 m doing 3 m/s, BV at 5 m doing 8 m/s, AV at origin doing 13 m/s:
-    # ranges 30 and 5, closing speeds -5 and -5.
-    lv = VehicleState(x=35.0, y=1, v=3.0)
-    bv = VehicleState(x=5.0, y=1, v=8.0)
-    av = VehicleState(x=0.0, y=0, v=13.0)
-    s = derive_state(lv, bv, av)
-    assert s == mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    assert s.phase is Phase.BEFORE_CUT_IN
-
-
-def test_derive_state_keeps_requested_phase():
-    lv = VehicleState(x=10.0, y=0, v=3.0)
-    bv = VehicleState(x=5.0, y=0, v=8.0)
-    av = VehicleState(x=0.0, y=0, v=13.0)
-    s = derive_state(lv, bv, av, phase=Phase.AFTER_CUT_IN)
-    assert s.phase is Phase.AFTER_CUT_IN
-
 
 def test_advance_constant_speed():
     assert advance(1.0, 4.0, 0.0, 0.5) == (3.0, 4.0)
@@ -74,13 +70,13 @@ def test_advance_speed_floor_keeps_substep_displacement():
 def test_step_coasting_example(scen):
     # dt = 0.1, everyone coasting: ranges shrink by 0.5 m each.
     s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    nxt = step(s, Action.accel(0.0), Action.accel(0.0), scen)
-    assert nxt.r1 == pytest.approx(29.5, abs=1e-12)
-    assert nxt.r2 == pytest.approx(4.5, abs=1e-12)
-    assert nxt.v_bv == 8.0
-    assert nxt.r1_dot == -5.0
-    assert nxt.r2_dot == -5.0
-    assert nxt.phase is Phase.BEFORE_CUT_IN
+    v_bv, r1, r1_dot, r2, r2_dot = (
+        float(c[0]) for c in kernel.step(cols([s]), 0.0, 0.0, scen.dt))
+    assert r1 == pytest.approx(29.5, abs=1e-12)
+    assert r2 == pytest.approx(4.5, abs=1e-12)
+    assert v_bv == 8.0
+    assert r1_dot == -5.0
+    assert r2_dot == -5.0
 
 
 def test_step_raw_matches_absolute_position_update():
@@ -104,17 +100,38 @@ def test_step_raw_matches_absolute_position_update():
 
 
 def test_bv_acceleration_ignored_after_cut_in(scen):
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0, phase=Phase.AFTER_CUT_IN)
-    braking = step(s, Action.accel(-4.0), Action.accel(0.0), scen)
-    coasting = step(s, Action.accel(0.0), Action.accel(0.0), scen)
-    assert braking == coasting
+    # Right behind a slow leader the BV's car-following law would brake
+    # hard; after the cut-in it holds speed regardless, as in the
+    # absolute-position rollout.
+    rng = np.random.default_rng(4711)
+    states = [mk(rng.uniform(6.0, 12.0), rng.uniform(0.5, 3.0),
+                 rng.uniform(-6.0, -2.0), rng.uniform(0.5, 8.0),
+                 rng.uniform(-8.0, 0.0)) for _ in range(120)]
+    got = kernel.cutin_crashes(cols(states), np.full(120, scen.max_steps),
+                               scen).tolist()
+    follower = idm_follower(scen.av_idm)
+    want = [abs_cutin_crash(*s.raw(), follower, scen, scen.max_steps)
+            for s in states]
+    assert got == want
+    assert 0 < sum(got) < 120
 
 
 def test_av_acceleration_ignored_before_cut_in(scen):
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    braking = step(s, Action.accel(0.0), Action.accel(-4.0), scen)
-    coasting = step(s, Action.accel(0.0), Action.accel(0.0), scen)
-    assert braking == coasting
+    # Before the cut-in the follower coasts while the BV car-follows: the
+    # walk visits the states of the absolute-position walk.
+    rng = np.random.default_rng(6174)
+    roots = [mk(rng.uniform(4.0, 12.0), rng.uniform(8.0, 40.0),
+                rng.uniform(-6.0, 2.0), rng.uniform(1.0, 10.0),
+                rng.uniform(-8.0, 0.0)) for _ in range(40)]
+    walked = visited(roots, scen)
+    for i, root in enumerate(roots):
+        mine = [t for r, t in walked if r == i]
+        assert mine[0] == root
+        # the walk counts the root among its max_steps states
+        ref = abs_no_cutin_walk(root, scen, use_library_idm=True)
+        assert len(mine) - 1 == min(len(ref), scen.max_steps - 1)
+        for got, want in zip(mine[1:], ref):
+            assert got.raw() == pytest.approx(want.raw(), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +139,31 @@ def test_av_acceleration_ignored_before_cut_in(scen):
 # ---------------------------------------------------------------------------
 
 def test_lane_change_is_zero_accel_step_with_phase_flip(scen):
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    lc = step(s, LANE_CHANGE, Action.accel(0.0), scen)
-    coast = step(s, Action.accel(0.0), Action.accel(0.0), scen)
-    assert lc.phase is Phase.AFTER_CUT_IN
-    assert (lc.v_bv, lc.r1, lc.r1_dot, lc.r2, lc.r2_dot) == \
-        (coast.v_bv, coast.r1, coast.r1_dot, coast.r2, coast.r2_dot)
+    # With a budget of one state the rollout only sees the state the cut-in
+    # step lands on: everyone coasts through it, and contact is then judged
+    # on the post-cut-in (bumper-gap) rule.
+    cfg = dataclasses.replace(scen, vehicle_length=1.0, d_accid=0.5)
+    rng = np.random.default_rng(31)
+    states = [mk(rng.uniform(2.0, 12.0), rng.uniform(5.0, 40.0),
+                 rng.uniform(-6.0, 2.0), rng.uniform(1.0, 2.5),
+                 rng.uniform(-8.0, 2.0)) for _ in range(200)]
+    got = kernel.cutin_crashes(cols(states), np.ones(200, dtype=int),
+                               cfg).tolist()
+    coasted = [step_raw(*s.raw(), 0.0, 0.0, cfg.dt) for s in states]
+    want = [c[3] <= cfg.vehicle_length + cfg.d_accid for c in coasted]
+    assert got == want
+    assert 0 < sum(got) < 200
 
 
 def test_second_lane_change_rejected(scen):
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0, phase=Phase.AFTER_CUT_IN)
-    with pytest.raises(IllegalAction):
-        step(s, LANE_CHANGE, Action.accel(0.0), scen)
+    # A sampled episode ends at its cut-in: a walk row that fires leaves
+    # the walk and never fires again.
+    s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
+    cut = kernel.walk(cols([s] * 5), scen,
+                      lambda k, rows, p_r: np.ones(len(rows), dtype=bool),
+                      stay=False)
+    assert cut.rows.tolist() == [0, 1, 2, 3, 4]
+    assert cut.budget.tolist() == [scen.max_steps] * 5
 
 
 def test_action_helpers():
@@ -180,18 +210,6 @@ def test_accident_threshold_uses_vehicle_length(scen):
     assert check_termination(clear, 0, cfg) is None
 
 
-def test_is_accident_requires_finished_trajectory():
-    t = Trajectory(states=[mk(8, 30, -5, 5, -5)], actions=[])
-    with pytest.raises(NotTerminated):
-        is_accident(t)
-    t2 = Trajectory(states=[mk(8, 30, -5, 5, -5)], actions=[],
-                    termination=Termination.ACCIDENT)
-    assert is_accident(t2) == 1
-    t3 = Trajectory(states=[mk(8, 30, -5, 5, -5)], actions=[],
-                    termination=Termination.PASSED)
-    assert is_accident(t3) == 0
-
-
 # ---------------------------------------------------------------------------
 # rollouts
 # ---------------------------------------------------------------------------
@@ -223,44 +241,46 @@ def test_cutin_outcome_horizon_zero_means_no_contact_observed(scen):
 
 
 def test_cutin_outcome_agrees_with_run_trajectory(scen):
+    # The batched rollout, the scalar rollout and the absolute-position
+    # rollout agree for any remaining budget, including none.
     follower = idm_follower(scen.av_idm)
     rng = np.random.default_rng(1984)
-    for _ in range(50):
-        s0 = mk(rng.uniform(2.0, 12.0), rng.uniform(5.0, 40.0),
-                rng.uniform(-6.0, 2.0), rng.uniform(0.3, 10.0),
-                rng.uniform(-8.0, 2.0))
-        n = int(rng.integers(1, 80))
-        fast = cutin_outcome(s0.v_bv, s0.r1, s0.r1_dot, s0.r2, s0.r2_dot,
-                             follower, scen, n)
-        # the bookkeeping rollout starts from the completed cut-in and may
-        # visit the same n states before running out of budget
-        s1 = step(s0, LANE_CHANGE, Action.accel(0.0), scen)
-        cfg = dataclasses.replace(scen, max_steps=n - 1)
-        av_policy = lambda s, k: Action.accel(
-            follower(s.v_bv - s.r2_dot, s.r2 - cfg.vehicle_length, -s.r2_dot))
-        traj = run_trajectory(s1, lambda s, k: Action.accel(0.0), av_policy, cfg)
-        assert bool(is_accident(traj)) == fast
+    states = [mk(rng.uniform(2.0, 12.0), rng.uniform(5.0, 40.0),
+                 rng.uniform(-6.0, 2.0), rng.uniform(0.3, 10.0),
+                 rng.uniform(-8.0, 2.0)) for _ in range(50)]
+    budgets = rng.integers(0, 80, 50)
+    got = kernel.cutin_crashes(cols(states), budgets, scen).tolist()
+    for s, n, batched in zip(states, budgets.tolist(), got):
+        assert batched == cutin_outcome(*s.raw(), follower, scen, n)
+        assert batched == abs_cutin_crash(*s.raw(), follower, scen, n)
+    assert 0 < sum(got) < 50
 
 
 def test_run_trajectory_passed_episode(scen):
-    # BV coasts at 8, AV closes at 13: the follower passes within ~1 s.
+    # BV car-follows at about 8, AV closes at 13: the follower passes
+    # within about 1 s, and the walk stops at the last state before that.
     s0 = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    traj = run_trajectory(s0, lambda s, k: Action.accel(0.0),
-                          lambda s, k: Action.accel(0.0), scen)
-    assert traj.termination is Termination.PASSED
-    assert is_accident(traj) == 0
-    assert traj.states[-1].r2 < 0.0
-    assert all(t.phase is Phase.BEFORE_CUT_IN for t in traj.states)
-    assert len(traj.states) == len(traj.actions) + 1
-    assert len(traj) == len(traj.states)
-    assert len(traj.steps) == len(traj.actions)
+    walked = [t for _, t in visited([s0], scen)]
+    assert 1 < len(walked) < scen.max_steps
+    assert all(t.r2 >= 0.0 for t in walked)
+    last = walked[-1]
+    nxt = kernel.step(cols([last]), kernel.idm_accel(
+        np.array([last.v_bv]), np.array([last.r1]), np.array([-last.r1_dot]),
+        scen.bv_idm), 0.0, scen.dt)
+    assert check_termination(mk(*(float(c[0]) for c in nxt)), len(walked),
+                             scen) is Termination.PASSED
+    # alongside (r2 == 0) is not passed yet: the walk still visits it
+    alongside = mk(8.0, 30.0, -5.0, 0.0, -5.0)
+    assert [t for _, t in visited([alongside], scen)] == [alongside]
 
 
 def test_run_trajectory_stops_at_budget(scen):
-    # LV crawls far ahead, AV far behind: nothing ever happens.
+    # LV crawls far ahead, AV far behind: nothing ever happens, and the
+    # walk visits exactly max_steps states, with budgets counting down.
     cfg = dataclasses.replace(scen, max_steps=40)
     s0 = mk(8.0, 500.0, 0.0, 5.0, 0.0)
-    traj = run_trajectory(s0, lambda s, k: Action.accel(0.0),
-                          lambda s, k: Action.accel(0.0), cfg)
-    assert traj.termination is Termination.MAX_STEPS
-    assert len(traj.states) == cfg.max_steps + 1
+    cut = kernel.walk(cols([s0]), cfg,
+                      lambda k, rows, p_r: np.ones(len(rows), dtype=bool),
+                      stay=True)
+    assert cut.budget.tolist() == list(range(cfg.max_steps, 0, -1))
+    assert check_termination(s0, cfg.max_steps, cfg) is Termination.MAX_STEPS
