@@ -5,37 +5,20 @@ scenario three ways: plain naturalistic Monte Carlo, criticality-driven
 importance sampling, and a regression-adjusted variant that shrinks the
 variance with sparse control variates built from the logged importance
 densities.  A brute-force enumeration oracle provides the reference value
-the estimators are checked against.  Naturalistic episodes, cut-in rollouts
-and the oracle run on one lockstep array kernel (``kernel``).
+the estimators are checked against.  Both samplers, the criticality
+evaluator and the oracle run on one lockstep array kernel (``kernel``).
 """
 
 __version__ = "0.1.0"
 
-from .scenario import (
-    Action,
-    LANE_CHANGE,
-    Phase,
-    ScenarioState,
-    Termination,
-    check_termination,
-    cutin_outcome,
-    step_raw,
-)
 from .models import (
-    ActionDistribution,
     FvdmParams,
     IdmParams,
     MobilParams,
     NonPositiveGap,
     SurrogateModel,
-    WrongPhase,
     ZeroDensity,
-    bv_car_following_accel,
     default_surrogates,
-    fvdm_accel,
-    idm_accel,
-    idm_follower,
-    mobil_right_lc_prob,
 )
 from .criticality import CriticalityEvaluator, CriticalityProfile
 from .config import (
@@ -50,7 +33,6 @@ from .sampling import (
     CriticalMoment,
     TestRecord,
     episode_seed,
-    sample_initial_state,
     sample_nade_batch,
     sample_nde_batch,
 )

@@ -19,79 +19,67 @@ importance distributions is what the accelerated sampler draws from.
 
 Challenge evaluation snaps the query state to a 0.1 m / 0.1 m/s grid and
 evaluates the snapped representative, so that repeated queries hit a cache
-whose values depend only on the grid cell, never on visit order.  The
-naturalistic probabilities entering criticalities and importance weights are
-always evaluated at the exact state.
+whose values depend only on the grid cell, never on visit order or on which
+other cells are filled alongside.  The naturalistic probabilities entering
+criticalities and importance weights are always evaluated at the exact state.
 
-This module stays scalar: the panel includes FVDM surrogates, and
-``np.tanh`` does not match ``math.tanh`` bit for bit, so the lockstep
-kernel cannot reproduce these rollouts exactly.
+Everything runs on the lockstep kernel: a profile covers a batch of states,
+and the cells a batch sees for the first time are filled together, their
+no-cut-in walks in lockstep and every surrogate's cut-in rollouts in one
+``kernel.cutin_crashes`` call per surrogate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .models import (
-    ActionDistribution,
-    WrongPhase,
-    bv_car_following_accel,
+import numpy as np
+
+from .kernel import (
+    State,
+    bv_law,
+    cutin_crashes,
     idm_accel,
     mobil_right_lc_prob,
+    step,
+    surrogate_accel,
 )
-from .scenario import LANE_CHANGE, Action, Phase, ScenarioState, cutin_outcome, step_raw
 
 __all__ = ["CriticalityProfile", "CriticalityEvaluator"]
 
 
-@dataclass(frozen=True)
-class CriticalityProfile:
-    """Everything the accelerated sampler needs to know about one moment.
+class CriticalityProfile(NamedTuple):
+    """Everything the accelerated sampler needs to know about a batch of
+    moments, one column per queried state.
 
-    Challenge and criticality entries are ordered like the surrogate panel in
-    the configuration.  ``p_lane_change`` and ``follow_action`` are exact for
-    the queried state; the challenge values come from the grid representative.
+    Per-surrogate arrays have one row per surrogate, ordered like the panel
+    in the configuration.  ``p_lane_change`` and ``a_follow`` (the BV's
+    car-following acceleration, the other atom) are exact for the queried
+    state; the challenges come from its grid representative.
     """
 
-    state: ScenarioState
-    follow_action: Action
-    p_lane_change: float
-    lane_change_challenge: Tuple[float, ...]
-    follow_challenge: Tuple[float, ...]
-    criticalities: Tuple[float, ...]
-    q_lane_change: Tuple[float, ...]
-    q_follow: Tuple[float, ...]
-    q_alpha_lane_change: float
-    q_alpha_follow: float
+    p_lane_change: np.ndarray          # (m,)
+    a_follow: np.ndarray               # (m,)
+    lane_change_challenge: np.ndarray  # (J, m)
+    follow_challenge: np.ndarray       # (J, m)
+    criticalities: np.ndarray          # (J, m)
+    q_lane_change: np.ndarray          # (J, m)
+    q_follow: np.ndarray               # (J, m)
+    q_alpha_lane_change: np.ndarray    # (m,)
+    q_alpha_follow: np.ndarray         # (m,)
 
     @property
-    def is_critical(self) -> bool:
-        return any(c > 0.0 for c in self.criticalities)
+    def is_critical(self) -> np.ndarray:
+        return (self.criticalities > 0.0).any(axis=0)
 
-    def naturalistic(self) -> ActionDistribution:
-        return ActionDistribution.from_pairs([
-            (LANE_CHANGE, self.p_lane_change),
-            (self.follow_action, 1.0 - self.p_lane_change),
-        ])
 
-    def importance(self) -> ActionDistribution:
-        return ActionDistribution.from_pairs([
-            (LANE_CHANGE, self.q_alpha_lane_change),
-            (self.follow_action, self.q_alpha_follow),
-        ])
-
-    def surrogate_importance(self, j: int) -> ActionDistribution:
-        return ActionDistribution.from_pairs([
-            (LANE_CHANGE, self.q_lane_change[j]),
-            (self.follow_action, self.q_follow[j]),
-        ])
-
-    def components(self, action: Action) -> Tuple[float, float, Tuple[float, ...]]:
-        """Return ``(p, q_alpha, per-surrogate q)`` evaluated at ``action``."""
-        if action.is_lane_change():
-            return self.p_lane_change, self.q_alpha_lane_change, self.q_lane_change
-        return (1.0 - self.p_lane_change, self.q_alpha_follow, self.q_follow)
+def _panel_mean(q: np.ndarray) -> np.ndarray:
+    """Equal-weight mixture over the panel, added left to right: Python's
+    float ``sum`` is compensated from 3.12 on, which moves the last bit."""
+    total = 0.0
+    for row in q:
+        total = total + row
+    return total / len(q)
 
 
 class CriticalityEvaluator:
@@ -100,131 +88,115 @@ class CriticalityEvaluator:
     Cache values are pure functions of the grid key (they are computed from
     the snapped representative state with exact dynamics inside), so results
     do not depend on query order and the evaluator can be shared freely
-    across episodes, replications, and workers.
+    across episodes, replications, and workers.  ``_entry_cache`` maps each
+    key seen so far to its column of ``_table``, which stacks the
+    lane-change and follow challenge vectors: one entry per cache miss.
     """
 
     def __init__(self, cfg) -> None:
         self.cfg = cfg
-        self._entry_cache: Dict[Tuple[int, ...], Tuple[Tuple[float, ...], Tuple[float, ...]]] = {}
-
-    # -- grid handling ----------------------------------------------------
-
-    @staticmethod
-    def _quantize(s: ScenarioState) -> Tuple[int, ...]:
-        return (
-            round(s.v_bv * 10.0),
-            round(s.r1 * 10.0),
-            round(s.r1_dot * 10.0),
-            round(s.r2 * 10.0),
-            round(s.r2_dot * 10.0),
-        )
-
-    @staticmethod
-    def _representative(key: Tuple[int, ...]) -> ScenarioState:
-        return ScenarioState(
-            v_bv=key[0] / 10.0,
-            r1=key[1] / 10.0,
-            r1_dot=key[2] / 10.0,
-            r2=key[3] / 10.0,
-            r2_dot=key[4] / 10.0,
-            phase=Phase.BEFORE_CUT_IN,
-        )
+        self._accels = [surrogate_accel(sm) for sm in cfg.surrogates]
+        self._entry_cache: Dict[Tuple[int, ...], int] = {}
+        self._table = np.empty((2, len(cfg.surrogates), 0))
 
     # -- challenge machinery ----------------------------------------------
 
-    def _crash_vector(self, s: ScenarioState) -> Tuple[float, ...]:
-        """Per-surrogate contact indicator for a cut-in at ``s``."""
-        cfg = self.cfg
-        return tuple(
-            1.0 if cutin_outcome(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                                 sm.accel, cfg, cfg.max_steps) else 0.0
-            for sm in cfg.surrogates
-        )
+    def _crashes(self, s: State) -> np.ndarray:
+        """(J, m) contact indicators for a cut-in at each state, one row per
+        surrogate driving the follower, with the full step budget."""
+        budget = np.full(len(s[0]), self.cfg.max_steps)
+        return np.array([cutin_crashes(s, budget, self.cfg, accel)
+                         for accel in self._accels], dtype=float)
 
-    def _compute_challenges(self, key: Tuple[int, ...]):
+    def _compute_challenges(self, keys: List[Tuple[int, ...]]) -> np.ndarray:
+        """(2, J, n) lane-change and follow challenges of the grid keys."""
         cfg = self.cfg
-        rep = self._representative(key)
-        lane_change = self._crash_vector(rep)
+        L = cfg.vehicle_length
+        rep = list(np.array(keys, dtype=float).T / 10.0)
 
-        # Walk the no-cut-in continuation.  The follower keeps its speed
-        # until a cut-in happens, so the walk only carries the background
-        # vehicle's car-following response.  It ends when the follower has
-        # passed (no cut-in is possible any more) or the step budget runs out.
+        # Walk the no-cut-in continuations in lockstep.  The follower keeps
+        # its speed until a cut-in happens, so a walk only carries the
+        # background vehicle's car-following response.  It ends when the
+        # follower has passed (no cut-in is possible any more), when the
+        # discrete step overshoots into leader contact (following is no
+        # longer modeled), or when the step budget runs out.
+        live = ~(rep[1] - L <= 0.0)
+        rows, t = np.flatnonzero(live), [x[live] for x in rep]
         suffix = []
-        t = rep
         for _ in range(cfg.max_steps):
-            gap_lv = t.r1 - cfg.vehicle_length
-            if gap_lv <= 0.0:
+            if not rows.size:
                 break
-            a_bv = idm_accel(t.v_bv, gap_lv, -t.r1_dot, cfg.bv_idm)
-            raw = step_raw(t.v_bv, t.r1, t.r1_dot, t.r2, t.r2_dot,
-                           a_bv, 0.0, cfg.dt)
-            t = ScenarioState(*raw, phase=Phase.BEFORE_CUT_IN)
-            if t.r2 < 0.0 or t.r1 - cfg.vehicle_length <= 0.0:
-                # the follower has passed, or the discrete step overshot
-                # into leader contact: following is no longer modeled
-                break
-            suffix.append(t)
+            a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
+            t = step(t, a_bv, 0.0, cfg.dt)
+            keep = ~(t[3] < 0.0) & ~(t[1] - L <= 0.0)
+            rows, t = rows[keep], [x[keep] for x in t]
+            suffix.append((rows, t))
+
+        # Cut-ins along the walks: moments with zero lane-change probability
+        # contribute nothing, so only the others are rolled out, together
+        # with the cut-ins at the representatives themselves.
+        at = np.cumsum([0] + [r.size for r, _ in suffix])
+        later = [np.concatenate(c) for c in zip(*(t for _, t in suffix))] \
+            if suffix else [np.empty(0)] * 5
+        p_r = mobil_right_lc_prob(later, cfg.mobil, cfg.bv_idm, L)
+        hot = p_r > 0.0
+        crash = self._crashes([np.concatenate([x, y[hot]])
+                               for x, y in zip(rep, later)])
+        lane_change = crash[:, :len(keys)]
+        crash_later = np.zeros((len(self._accels), len(p_r)))
+        crash_later[:, hot] = crash[:, len(keys):]
 
         # Accumulate backwards: at each later moment the lane change either
-        # fires (and crashes or not) or the walk continues.  Moments with
-        # zero lane-change probability contribute nothing, so their crash
-        # rollouts are skipped outright.
-        follow = [0.0] * len(cfg.surrogates)
-        for t in reversed(suffix):
-            p_r = mobil_right_lc_prob(t, cfg.mobil, cfg.bv_idm,
-                                      cfg.vehicle_length)
-            if p_r <= 0.0:
-                continue
-            crash = self._crash_vector(t)
-            follow = [p_r * cr + (1.0 - p_r) * ch
-                      for cr, ch in zip(crash, follow)]
-        return lane_change, tuple(follow)
+        # fires (and crashes or not) or the walk continues.
+        follow = np.zeros((len(self._accels), len(keys)))
+        for i in reversed(range(len(suffix))):
+            span = slice(at[i], at[i + 1])
+            fire = hot[span]
+            r, p = suffix[i][0][fire], p_r[span][fire]
+            cr = crash_later[:, span][:, fire]
+            follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
+        return np.stack([lane_change, follow])
 
-    def challenges(self, s: ScenarioState):
-        """Cached ``(lane-change, follow)`` challenge vectors for ``s``."""
-        key = self._quantize(s)
-        cached = self._entry_cache.get(key)
-        if cached is None:
-            cached = self._compute_challenges(key)
-            self._entry_cache[key] = cached
-        return cached
+    def challenges(self, s: State) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached ``(lane-change, follow)`` challenges of the states ``s``,
+        each (J, m).  Keys not seen before are computed in one batch."""
+        grid = np.rint(np.array(s).T * 10.0).astype(np.int64)
+        keys = list(map(tuple, grid.tolist()))
+        cache = self._entry_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        if missing:
+            base = self._table.shape[2]
+            self._table = np.concatenate(
+                [self._table, self._compute_challenges(missing)], axis=2)
+            cache.update((k, base + i) for i, k in enumerate(missing))
+        lane_change, follow = self._table[:, :, [cache[k] for k in keys]]
+        return lane_change, follow
 
     # -- profile assembly ---------------------------------------------------
 
-    def profile(self, s: ScenarioState) -> CriticalityProfile:
+    def profile(self, s: State) -> CriticalityProfile:
+        """Profiles of the pre-cut-in states ``s``, in one batch."""
         cfg = self.cfg
-        if s.phase is not Phase.BEFORE_CUT_IN:
-            raise WrongPhase("criticality is defined for pre-cut-in states only")
-        p_lc = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
+        p_lc, a_follow = bv_law(s, cfg)
         p_follow = 1.0 - p_lc
-        follow_action = Action.accel(bv_car_following_accel(s, cfg))
-
         ch_lc, ch_follow = self.challenges(s)
-        crits = tuple(cl * p_lc + cf * p_follow
-                      for cl, cf in zip(ch_lc, ch_follow))
+        crits = ch_lc * p_lc + ch_follow * p_follow
 
         eps = cfg.epsilon
-        q_lc = []
-        q_follow = []
-        for cl, cf, c in zip(ch_lc, ch_follow, crits):
-            if c > 0.0:
-                q_lc.append(eps * p_lc + (1.0 - eps) * (cl * p_lc) / c)
-                q_follow.append(eps * p_follow + (1.0 - eps) * (cf * p_follow) / c)
-            else:
-                q_lc.append(p_lc)
-                q_follow.append(p_follow)
-
-        n = len(crits)
+        tilt = crits > 0.0
+        c = np.where(tilt, crits, 1.0)
+        q_lc = np.where(tilt, eps * p_lc + (1.0 - eps) * (ch_lc * p_lc) / c, p_lc)
+        q_follow = np.where(
+            tilt, eps * p_follow + (1.0 - eps) * (ch_follow * p_follow) / c,
+            p_follow)
         return CriticalityProfile(
-            state=s,
-            follow_action=follow_action,
             p_lane_change=p_lc,
+            a_follow=a_follow,
             lane_change_challenge=ch_lc,
             follow_challenge=ch_follow,
             criticalities=crits,
-            q_lane_change=tuple(q_lc),
-            q_follow=tuple(q_follow),
-            q_alpha_lane_change=sum(q_lc) / n,
-            q_alpha_follow=sum(q_follow) / n,
+            q_lane_change=q_lc,
+            q_follow=q_follow,
+            q_alpha_lane_change=_panel_mean(q_lc),
+            q_alpha_follow=_panel_mean(q_follow),
         )

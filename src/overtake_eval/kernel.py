@@ -1,34 +1,52 @@
-"""Lockstep array kernel for the naturalistic dynamics.
+"""Lockstep array kernel for the scenario dynamics.
 
-Many episodes (or oracle bins) advance together on numpy arrays of the
-reduced state ``(v_bv, r1, r1_dot, r2, r2_dot)``: IDM, stochastic MOBIL,
-the kinematic step, the pre-cut-in walk and the post-cut-in rollout of the
-vehicle under test.  Each function is the elementwise form of a scalar one
-in ``models`` or ``scenario`` and reproduces it bit for bit: the operation
-order is the same, ``**`` becomes ``np.float_power`` (``np.power`` takes a
-SIMD path on some hosts that rounds differently from C ``pow``), and
-Python's ``max``/``min``/``if`` become ``np.where`` on the same comparison,
-so ties, signed zeros and NaNs resolve alike.  Errors match too: any live
+The scenario holds three vehicles.  A lead vehicle (LV) and a behind
+vehicle (BV) travel in the left lane; the vehicle under test (AV)
+approaches in the right lane.  Everything relevant to the dynamics is
+captured by the reduced state
+
+    (v_bv, r1, r1_dot, r2, r2_dot)
+
+where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
+ranges and the dotted quantities are their rates.  Before the cut-in the
+BV either tracks the LV or changes into the right lane while the AV
+coasts; afterwards the AV reacts to the BV while LV and BV hold speed.
+
+Many rows (episodes, oracle bins or criticality grid keys) advance
+together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
+kinematic step, the pre-cut-in walk and the post-cut-in rollout.  The
+arithmetic is that of plain scalar code, kept bit for bit: the operation
+order is fixed, ``**`` is ``np.float_power`` (``np.power`` takes a SIMD
+path on some hosts that rounds differently from C ``pow``), FVDM's
+``tanh`` calls ``math.tanh`` itself (``np.tanh`` differs in the last bit
+on about a quarter of inputs), and ``max``/``min``/``if`` are ``np.where``
+on the same comparison, so ties, signed zeros and NaNs resolve alike.  Any
 row with a closed gap raises ``NonPositiveGap``.
-
-FVDM has no array form, because ``np.tanh`` and ``math.tanh`` disagree in
-the last bit on about a quarter of inputs; the criticality evaluator,
-which drives the surrogate panel, therefore stays scalar.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Sequence
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .models import IdmParams, MobilParams, NonPositiveGap
+from .models import (
+    FvdmParams,
+    IdmParams,
+    MobilParams,
+    NonPositiveGap,
+    SurrogateModel,
+)
 
 State = Sequence[np.ndarray]  # (v_bv, r1, r1_dot, r2, r2_dot), equal lengths
+# accel(v, gap, dv) of a follower; ``dv`` is the closing speed
+# ``v_follower - v_leader``, positive while approaching.
+Accel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
+    """Unclipped IDM acceleration; ``gap`` may be ``math.inf`` for free flow."""
     if np.any(gap <= 0.0):
         raise NonPositiveGap(f"IDM requires gap > 0, got {np.min(gap)}")
     push = v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
@@ -38,17 +56,53 @@ def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
 
 
 def idm_accel(v, gap, dv, p: IdmParams) -> np.ndarray:
+    """IDM acceleration clipped to the physical range [-hard_decel, a_max]."""
     a = idm_accel_raw(v, gap, dv, p)
     return np.where(a > p.a_max, p.a_max,
                     np.where(a < -p.hard_decel, -p.hard_decel, a))
 
 
+_tanh = np.frompyfunc(math.tanh, 1, 1)
+
+
+def fvdm_opt_velocity(gap, p: FvdmParams) -> np.ndarray:
+    """``V(gap) = v_cap/2 * (tanh(gap/b_f - c_f) + tanh(c_f))``."""
+    t = np.asarray(_tanh(gap / p.b_f - p.c_f), dtype=float)
+    return 0.5 * p.v_cap * (t + math.tanh(p.c_f))
+
+
+def fvdm_accel(v, gap, dv, p: FvdmParams) -> np.ndarray:
+    """FVDM acceleration ``kappa*(V_opt(gap) - v) - lam*dv``, clipped to
+    [-hard_decel, hard_accel]."""
+    if np.any(gap <= 0.0):
+        raise NonPositiveGap(f"FVDM requires gap > 0, got {np.min(gap)}")
+    a = p.kappa * (fvdm_opt_velocity(gap, p) - v) - p.lam * dv
+    return np.where(a > p.hard_accel, p.hard_accel,
+                    np.where(a < -p.hard_decel, -p.hard_decel, a))
+
+
+def surrogate_accel(sm: SurrogateModel) -> Accel:
+    """The car-following law of a surrogate model, bound to its parameters."""
+    if sm.kind == "idm":
+        return lambda v, gap, dv: idm_accel(v, gap, dv, sm.idm)
+    if sm.kind == "fvdm":
+        return lambda v, gap, dv: fvdm_accel(v, gap, dv, sm.fvdm)
+    raise ValueError(f"unknown surrogate kind {sm.kind!r}")
+
+
 def mobil_right_lc_prob(s: State, mobil: MobilParams, idm: IdmParams,
                         vehicle_length: float) -> np.ndarray:
-    """Pre-cut-in lane-change probability p_R of every row.
+    """Probability p_R that the BV starts the right lane change this step.
 
-    Rows whose branch the scalar form never reaches get a harmless gap of
-    1.0, so only a gap the scalar form would evaluate can raise.
+    Stochastic MOBIL: the acceleration-gain incentive is mapped linearly
+    to a probability and clamped to [0, p_max].  The move is vetoed when
+    it would place the BV on top of the AV or when the AV's braking,
+    clipped at what its brakes can deliver, would exceed ``b_safe``.  The
+    politeness term uses the unclipped demand, so deep cut-ins into a
+    fast-closing AV are increasingly unattractive.
+
+    Vetoed rows get a harmless gap of 1.0 in the branches they skip, so
+    only a gap the decision actually reads can raise.
     """
     v_bv, r1, r1_dot, r2, r2_dot = s
     gap_av = r2 - vehicle_length
@@ -65,14 +119,28 @@ def mobil_right_lc_prob(s: State, mobil: MobilParams, idm: IdmParams,
     return np.where(ok & ~(p <= 0.0), p, 0.0)
 
 
+def bv_law(s: State, cfg) -> Tuple[np.ndarray, np.ndarray]:
+    """The naturalistic BV law of every row: the lane-change probability
+    p_R and, for the other atom, the BV's IDM response to the LV."""
+    L = cfg.vehicle_length
+    return (mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, L),
+            idm_accel(s[0], s[1] - L, -s[2], cfg.bv_idm))
+
+
 def _advance(x, v, a, dt):
+    """Constant-acceleration update; only the carried-over speed is floored
+    at zero, the position integrates ``a`` over the whole step."""
     x = x + v * dt + 0.5 * a * dt * dt
     v = v + a * dt
     return x, np.where(v < 0.0, 0.0, v)
 
 
 def step(s: State, a_bv, a_av, dt: float) -> List[np.ndarray]:
-    """Array form of ``scenario.step_raw``."""
+    """One kinematic step of the reduced state.
+
+    The three vehicles are reconstructed with the AV anchored at x = 0,
+    advanced individually, and the ranges re-derived.
+    """
     v_bv, r1, r1_dot, r2, r2_dot = s
     v_av = v_bv - r2_dot
     v_lv = v_bv + r1_dot
@@ -82,29 +150,41 @@ def step(s: State, a_bv, a_av, dt: float) -> List[np.ndarray]:
     return [v_bv, x_lv - x_bv, v_lv - v_bv, x_bv - x_av, v_bv - v_av]
 
 
-def cutin_crashes(s: State, n_states, cfg) -> np.ndarray:
-    """``scenario.cutin_outcome`` with ``idm_follower(cfg.av_idm)``, per row.
+def cutin_crashes(s: State, n_states, cfg, accel: Accel = None) -> np.ndarray:
+    """Contact outcome of a cut-in fired from each row's pre-cut-in state.
 
-    Row i fires its cut-in from ``s[:, i]`` and may visit ``n_states[i]``
-    states after it.  Rows leave the batch at contact or when their budget
-    runs out, so the batch shrinks as it goes.
+    The cut-in step lets every vehicle coast; then ``accel`` drives the AV
+    while the BV holds speed.  It defaults to the tested vehicle,
+    ``cfg.av_idm``; the criticality evaluator passes each surrogate model.
+    Row i may visit ``n_states[i]`` states after the cut-in, and contact is
+    judged on each of them before the next control step.  Rows leave the
+    batch at contact or when their budget runs out, so it shrinks as it
+    goes.  The LV no longer matters, so only the AV and BV are advanced,
+    exactly as ``step`` advances them.
     """
+    if accel is None:
+        def accel(v, gap, dv):
+            return idm_accel(v, gap, dv, cfg.av_idm)
+    L, dt = cfg.vehicle_length, cfg.dt
     n_states = np.asarray(n_states)
     crashed = np.zeros(len(n_states), dtype=bool)
     rows = np.flatnonzero(n_states > 0)
     n = n_states[rows]
-    s = step([x[rows] for x in s], 0.0, 0.0, cfg.dt)
-    contact = cfg.vehicle_length + cfg.d_accid
+    v_bv, r2, r2_dot = (np.asarray(s[c])[rows] for c in (0, 3, 4))
+    a_av = 0.0  # the cut-in step
+    contact = L + cfg.d_accid
     i = 0
     while rows.size:
-        hit = s[3] <= contact
+        x_av, v_av = _advance(0.0, v_bv - r2_dot, a_av, dt)
+        x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
+        r2, r2_dot = x_bv - x_av, v_bv - v_av
+        hit = r2 <= contact
         crashed[rows[hit]] = True
         keep = ~hit & (n - 1 > i)
-        rows, n, s = rows[keep], n[keep], [x[keep] for x in s]
-        v_bv, _, _, r2, r2_dot = s
-        a_av = idm_accel(v_bv - r2_dot, r2 - cfg.vehicle_length, -r2_dot,
-                         cfg.av_idm)
-        s = step(s, 0.0, a_av, cfg.dt)
+        if not keep.all():
+            rows, n, v_bv, r2, r2_dot = (
+                x[keep] for x in (rows, n, v_bv, r2, r2_dot))
+        a_av = accel(v_bv - r2_dot, r2 - L, -r2_dot)
         i += 1
     return crashed
 
@@ -125,17 +205,21 @@ class CutIns(NamedTuple):
         return CutIns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
 
 
-def walk(s: State, cfg, fires: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-         stay: bool) -> CutIns:
+Decide = Callable[[int, np.ndarray, List[np.ndarray]],
+                  Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
     """Walk pre-cut-in rows in lockstep and collect the cut-ins they fire.
 
-    A row stops once it has passed (``r2 < 0``) or reached
-    ``cfg.max_steps``.  At step k the live rows get p_R and the BV's IDM
-    response to the LV; ``fires(k, rows, p_r)`` marks which of them cut
-    in.  With ``stay`` the firing rows keep walking (the oracle enumerates
-    every cut-in time); otherwise they end there (a sampled episode).
+    A row stops once the AV has passed it (``r2 < 0``) or it has visited
+    ``cfg.max_steps`` states.  At step k, ``decide(k, rows, s)`` gets the
+    live rows and their states and returns which of them cut in, with p_R
+    and the BV's car-following acceleration of every live row (``bv_law``
+    or a criticality profile).  With ``stay`` the firing rows keep walking
+    (the oracle enumerates every cut-in time); otherwise they end there (a
+    sampled episode).
     """
-    L = cfg.vehicle_length
     rows = np.arange(len(s[0]))
     found = []
     for k in range(cfg.max_steps):
@@ -143,9 +227,7 @@ def walk(s: State, cfg, fires: Callable[[int, np.ndarray, np.ndarray], np.ndarra
         rows, s = rows[run], [x[run] for x in s]
         if not rows.size:
             break
-        p_r = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, L)
-        a_bv = idm_accel(s[0], s[1] - L, -s[2], cfg.bv_idm)
-        fire = fires(k, rows, p_r)
+        fire, p_r, a_bv = decide(k, rows, s)
         found.append(CutIns(rows[fire], p_r[fire],
                             np.array([x[fire] for x in s]),
                             np.full(np.count_nonzero(fire), cfg.max_steps - k)))

@@ -24,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from .kernel import cutin_crashes, initial_states, walk
+from .kernel import bv_law, cutin_crashes, initial_states, walk
 
 __all__ = ["BudgetExceeded", "brute_force_mu", "bin_midpoints"]
 
@@ -51,8 +51,12 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
             f"{bins} bins x {cfg.max_steps + 1} states = {leaves} leaf "
             f"evaluations exceeds the budget of {budget}")
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
-    cut = walk(initial_states(mids, cfg.init), cfg,
-               lambda k, rows, p_r: p_r > 0.0, stay=True)
+
+    def decide(k, rows, s):
+        p_r, a_bv = bv_law(s, cfg)
+        return p_r > 0.0, p_r, a_bv
+
+    cut = walk(initial_states(mids, cfg.init), cfg, decide, stay=True)
     crashed = cutin_crashes(cut.state, cut.budget, cfg)
     mu = np.zeros(bins)
     survive = np.ones(bins)
@@ -63,4 +67,9 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
         b, p_r = cut.rows[at], cut.p_r[at]
         mu[b] = np.where(crashed[at], mu[b] + survive[b] * p_r, mu[b])
         survive[b] = survive[b] * (1.0 - p_r)
-    return sum(mu.tolist()) / bins
+    # Added left to right: Python's float ``sum`` is compensated from 3.12
+    # on, which moves the last bit.
+    total = 0.0
+    for x in mu.tolist():
+        total += x
+    return total / bins

@@ -1,47 +1,43 @@
 """Episode generation for the naturalistic and accelerated environments.
 
-Both samplers roll the two-phase scenario forward from a random initial gap.
-The naturalistic sampler draws every background-vehicle action from the
-behavior model.  The accelerated sampler consults the criticality evaluator
-at each pre-cut-in step: at critical moments it draws from the mixture
-importance distribution instead, logs the densities needed by the estimators,
-and accumulates the likelihood-ratio weight; everywhere else it behaves
-exactly like the naturalistic sampler.
+Both samplers roll the scenario forward from a random initial gap on the
+lockstep array kernel: ``kernel.walk`` advances blocks of ``NDE_BLOCK``
+episodes together up to their cut-ins, and one ``kernel.cutin_crashes``
+rollout resolves every cut-in of the call.  Before its cut-in the
+background vehicle's law has two atoms, the lane change and following the
+leader, and an episode cuts in at a step iff that step's uniform is below
+the lane-change mass of the law in force.
 
-Naturalistic episodes run on the lockstep array kernel (``kernel.walk``)
-in blocks of ``NDE_BLOCK``.  Accelerated episodes walk one at a time up to
-their cut-in, because the criticality profile is scalar; their cut-ins are
-then resolved together by ``kernel.cutin_crashes``.  Both reproduce the
-scalar per-episode samplers bit for bit.
+The naturalistic sampler always uses the behaviour model's p_R.  The
+accelerated sampler asks the criticality evaluator for a profile of the
+live episodes at every step: at critical moments, up to the control-step
+cap, the law is the mixture importance distribution q_alpha, the densities
+at the drawn atom are logged, and the likelihood-ratio weight picks up one
+p/q_alpha factor; everywhere else it is p_R.  The cap keeps logs short
+without affecting unbiasedness.
 
-Episodes are deterministic functions of ``(root seed, environment, index)``;
-the per-episode seed is derived through a counter-based spawn so campaigns
-are invariant to worker count and scheduling order.
+Episodes are deterministic functions of ``(root seed, environment, index)``:
+the per-episode seed is derived through a counter-based spawn, and each
+episode draws from its own generator, so campaigns are invariant to worker
+count, scheduling order and block layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .criticality import CriticalityEvaluator
-from .kernel import CutIns, cutin_crashes, initial_states, walk
+from .kernel import CutIns, bv_law, cutin_crashes, initial_states, walk
 from .models import ZeroDensity
-from .scenario import (
-    Action,
-    Phase,
-    ScenarioState,
-    check_termination,
-    step_raw,
-)
 
 ENV_NDE = "nde"
 ENV_NADE = "nade"
 _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 
-# Naturalistic episodes advanced together; bounds the arrays held at once.
+# Episodes advanced together; bounds the arrays held at once.
 NDE_BLOCK = 1024
 # Per-step uniforms drawn from an episode's generator at a time.
 _DRAW_BLOCK = 16
@@ -56,8 +52,6 @@ class CriticalMoment:
     p: float
     q_alpha: float
     q: Tuple[float, ...]
-    step: Optional[int] = None
-    action: Optional[Action] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,127 +84,131 @@ def episode_seed(root_seed: int, env: str, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_initial_state(rng: np.random.Generator, cfg) -> ScenarioState:
-    """Initial reduced state; only the BV-LV range is random."""
-    init = cfg.init
-    return ScenarioState(
-        v_bv=init.v_bv,
-        r1=rng.uniform(init.r1_low, init.r1_high),
-        r1_dot=init.r1_dot,
-        r2=init.r2,
-        r2_dot=init.r2_dot,
-        phase=Phase.BEFORE_CUT_IN,
-    )
+class EpisodeDraws:
+    """The random inputs of a block of episodes.
 
-
-def _advance(s: ScenarioState, a_bv: float, cfg) -> ScenarioState:
-    raw = step_raw(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot, a_bv, 0.0, cfg.dt)
-    return ScenarioState(*raw, phase=Phase.BEFORE_CUT_IN)
-
-
-def _nade_walk(rng: np.random.Generator, cfg, evaluator: CriticalityEvaluator,
-               max_control_steps: int):
-    """Roll one accelerated episode up to its cut-in.
-
-    At critical moments (some surrogate sees positive criticality) the action
-    comes from the mixture importance distribution and the densities at the
-    chosen action are logged; the likelihood-ratio weight accumulates one
-    p/q_alpha factor per logged moment.  After ``max_control_steps`` logged
-    moments the sampler reverts to the naturalistic law, which caps the log
-    length without affecting unbiasedness.
-
-    Returns ``(weight, log, cut_in)``; ``cut_in`` is the pre-cut-in state and
-    the remaining step budget, or None when the episode ended without one.
+    Each episode draws from its own generator: one uniform for the initial
+    BV-LV range (the only random part of the initial state), then one per
+    step, taken ``_DRAW_BLOCK`` at a time.  A row still walking at step 16,
+    32, ... rebuilds its generator and advances it past what it has drawn
+    (one 64-bit output per double: the range and k step uniforms), so no
+    generator is held; one per episode would cost 1.6 kB each.
     """
-    s = sample_initial_state(rng, cfg)
-    k = 0
-    weight = 1.0
-    log: List[CriticalMoment] = []
-    while check_termination(s, k, cfg) is None:
-        prof = evaluator.profile(s)
-        if prof.is_critical and len(log) < max_control_steps:
-            a = prof.importance().sample(rng)
-            p_a, q_a, q_js = prof.components(a)
-            if q_a <= 0.0:
-                raise ZeroDensity(
-                    "drawn action has zero mixture density; the importance "
-                    "distribution lost absolute continuity")
-            weight *= p_a / q_a
-            log.append(CriticalMoment(p=p_a, q_alpha=q_a, q=q_js,
-                                      step=k, action=a))
-        else:
-            a = prof.naturalistic().sample(rng)
-        if a.is_lane_change():
-            return weight, log, (s.raw(), cfg.max_steps - k)
-        s = _advance(s, a.a, cfg)
-        k += 1
-    return weight, log, None
 
-
-def sample_nde_batch(root_seed: int, cfg, n: int, start: int = 0) -> List[TestRecord]:
-    """Naturalistic episodes ``start .. start+n-1``, advanced in lockstep.
-
-    Every BV action is drawn from the behaviour model: episode i cuts in at
-    step k iff its k-th uniform is below p_R, which is what sampling the
-    two-atom law amounts to.  Each episode draws from its own generator
-    (one uniform for the initial range, then one per step, taken in blocks
-    of ``_DRAW_BLOCK``), so records do not depend on the block layout.
-    """
-    out: List[TestRecord] = []
-    found = []
-    init = cfg.init
-    draws = min(cfg.max_steps, _DRAW_BLOCK)
-    for lo in range(start, start + n, NDE_BLOCK):
-        seeds = [episode_seed(root_seed, ENV_NDE, i)
-                 for i in range(lo, min(lo + NDE_BLOCK, start + n))]
-        r1 = np.empty(len(seeds))
-        u = np.empty((len(seeds), draws))
+    def __init__(self, seeds: Sequence[int], cfg) -> None:
+        self.seeds = seeds
+        self.width = min(cfg.max_steps, _DRAW_BLOCK)
+        init = cfg.init
+        self.r1 = np.empty(len(seeds))
+        self.u = np.empty((len(seeds), self.width))
         for j, seed in enumerate(seeds):
             g = np.random.default_rng(seed)
-            r1[j] = g.uniform(init.r1_low, init.r1_high)
-            u[j] = g.random(draws)
+            self.r1[j] = g.uniform(init.r1_low, init.r1_high)
+            self.u[j] = g.random(self.width)
+        self.states = initial_states(self.r1, init)
 
-        def fires(k, rows, p_r):
-            if k and k % draws == 0:
-                # Rebuild the generator of each row still walking and skip
-                # what it has drawn: one 64-bit output per double, so the
-                # range and k step uniforms.  Holding a generator per
-                # episode instead would cost 1.6 kB each.
-                for i in rows.tolist():
-                    g = np.random.default_rng(seeds[i])
-                    g.bit_generator.advance(1 + k)
-                    u[i] = g.random(draws)
-            return u[rows, k % draws] < p_r
+    def at(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Step k's uniform of each of ``rows``; steps are read in order."""
+        w = self.width
+        if k and k % w == 0:
+            for i in rows.tolist():
+                g = np.random.default_rng(self.seeds[i])
+                g.bit_generator.advance(1 + k)
+                self.u[i] = g.random(w)
+        return self.u[rows, k % w]
 
-        cut = walk(initial_states(r1, init), cfg, fires, stay=False)
-        found.append(cut._replace(rows=len(out) + cut.rows))
-        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NDE,
-                              accident=0, weight=1.0)
-                   for j, seed in enumerate(seeds))
-    # One rollout for every cut-in of the batch; few of them crash.
+
+def _blocks(root_seed: int, env: str, cfg, n: int,
+            start: int) -> Iterator[Tuple[int, EpisodeDraws]]:
+    for lo in range(start, start + n, NDE_BLOCK):
+        hi = min(lo + NDE_BLOCK, start + n)
+        yield lo, EpisodeDraws([episode_seed(root_seed, env, i)
+                                for i in range(lo, hi)], cfg)
+
+
+def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
+                      m_f: np.ndarray) -> np.ndarray:
+    """Rows whose uniform ``u`` draws the lane change from the two-atom law
+    with masses ``(m_lc, m_f)``, lane change first.
+
+    That is ``u < m_lc``, except that an atom without positive mass is
+    never drawn: when the follow atom has none, the lane change is drawn
+    even if rounding leaves ``u >= m_lc``.  A law with no positive mass at
+    all raises ZeroDensity.
+    """
+    lc, follow = m_lc > 0.0, m_f > 0.0
+    if np.any(~lc & ~follow):
+        raise ZeroDensity("cannot sample from a law without positive mass")
+    return (u < m_lc) | (lc & ~follow)
+
+
+def _resolve(out: List[TestRecord], found: Sequence[CutIns],
+             cfg) -> List[TestRecord]:
+    """Mark the records whose cut-ins crash, in one rollout; few do."""
     cut = CutIns.concat(found)
     for j in cut.rows[cutin_crashes(cut.state, cut.budget, cfg)].tolist():
         out[j] = replace(out[j], accident=1)
     return out
 
 
+def sample_nde_batch(root_seed: int, cfg, n: int,
+                     start: int = 0) -> List[TestRecord]:
+    """Naturalistic episodes ``start .. start+n-1``, advanced in lockstep."""
+    out: List[TestRecord] = []
+    found = []
+    for lo, draws in _blocks(root_seed, ENV_NDE, cfg, n, start):
+        def decide(k, rows, s):
+            p_r, a_bv = bv_law(s, cfg)
+            fire = draws_lane_change(draws.at(k, rows), p_r, 1.0 - p_r)
+            return fire, p_r, a_bv
+
+        cut = walk(draws.states, cfg, decide, stay=False)
+        found.append(cut._replace(rows=len(out) + cut.rows))
+        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NDE,
+                              accident=0, weight=1.0)
+                   for j, seed in enumerate(draws.seeds))
+    return _resolve(out, found, cfg)
+
+
 def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
                       evaluator: Optional[CriticalityEvaluator] = None,
                       max_control_steps: int = 10) -> List[TestRecord]:
-    """Accelerated episodes ``start .. start+n-1``; all cut-ins are resolved
-    together in one rollout after the pre-cut-in walks."""
+    """Accelerated episodes ``start .. start+n-1``, advanced in lockstep."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
-    walks = []
-    for i in range(start, start + n):
-        seed = episode_seed(root_seed, ENV_NADE, i)
-        rng = np.random.default_rng(seed)
-        walks.append((i, seed) + _nade_walk(rng, cfg, evaluator,
-                                            max_control_steps))
-    cut_ins = [w[4] for w in walks if w[4]]
-    states = np.array([c[0] for c in cut_ins], dtype=float).reshape(-1, 5).T
-    crashed = iter(cutin_crashes(states, [c[1] for c in cut_ins], cfg).tolist())
-    return [TestRecord(index=i, seed=seed, env=ENV_NADE,
-                       accident=int(next(crashed)) if cut_in else 0,
-                       weight=weight, critical_log=tuple(log))
-            for i, seed, weight, log, cut_in in walks]
+    out: List[TestRecord] = []
+    found = []
+    for lo, draws in _blocks(root_seed, ENV_NADE, cfg, n, start):
+        weight = np.ones(len(draws.seeds))
+        logged = np.zeros(len(draws.seeds), dtype=int)
+        moments = []  # (rows, p, q_alpha, q) of each step, in step order
+
+        def decide(k, rows, s):
+            prof = evaluator.profile(s)
+            p_lc = prof.p_lane_change
+            ctl = prof.is_critical & (logged[rows] < max_control_steps)
+            m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
+            m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
+            fire = draws_lane_change(draws.at(k, rows), m_lc, m_f)
+            if ctl.any():
+                r, f = rows[ctl], fire[ctl]
+                p = np.where(f, p_lc[ctl], 1.0 - p_lc[ctl])
+                q_alpha = np.where(f, m_lc[ctl], m_f[ctl])
+                q = np.where(f, prof.q_lane_change[:, ctl], prof.q_follow[:, ctl])
+                weight[r] = weight[r] * (p / q_alpha)
+                logged[r] += 1
+                moments.append((r, p, q_alpha, q))
+            return fire, p_lc, prof.a_follow
+
+        cut = walk(draws.states, cfg, decide, stay=False)
+        found.append(cut._replace(rows=len(out) + cut.rows))
+        logs = [[] for _ in draws.seeds]
+        for r, p, q_alpha, q in moments:
+            for i, m in zip(r.tolist(), zip(p.tolist(), q_alpha.tolist(),
+                                            map(tuple, q.T.tolist()))):
+                logs[i].append(CriticalMoment(*m))
+        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NADE,
+                              accident=0, weight=w, critical_log=tuple(log))
+                   for j, (seed, w, log) in enumerate(
+                       zip(draws.seeds, weight.tolist(), logs)))
+    return _resolve(out, found, cfg)

@@ -13,10 +13,11 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 import pytest
 
+from overtake_eval import kernel
 from overtake_eval.config import CampaignConfig, ScenarioConfig
-from overtake_eval.models import IdmParams, mobil_right_lc_prob
-from overtake_eval.scenario import Phase, ScenarioState
+from overtake_eval.models import IdmParams
 from overtake_eval.sampling import CriticalMoment, TestRecord
+from scalar_reference import State, mobil_right_lc_prob
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +68,22 @@ def abs_cutin_crash(v_bv: float, r1: float, r1_dot: float, r2: float,
     return False
 
 
-def abs_no_cutin_walk(s: ScenarioState, cfg: ScenarioConfig,
-                      use_library_idm: bool = False) -> List[ScenarioState]:
+def _library_idm(v: float, gap: float, dv: float, p: IdmParams) -> float:
+    return float(kernel.idm_accel(np.array([v]), np.array([gap]),
+                                  np.array([dv]), p)[0])
+
+
+def abs_no_cutin_walk(s: State, cfg: ScenarioConfig,
+                      use_library_idm: bool = False) -> List[State]:
     """States reached while the slow vehicle keeps its lane: the background
     vehicle car-follows the leader, the follower coasts.  The returned list
     excludes the root state; it stops before a state where the follower has
     already passed, and never exceeds the step budget."""
-    if use_library_idm:
-        from overtake_eval.models import idm_accel as accel
-    else:
-        accel = idm_ref
+    accel = _library_idm if use_library_idm else idm_ref
     v_bv, v_av, v_lv = s.v_bv, s.v_bv - s.r2_dot, s.v_bv + s.r1_dot
     x_av, x_bv = 0.0, s.r2
     x_lv = s.r2 + s.r1
-    out: List[ScenarioState] = []
+    out: List[State] = []
     for _ in range(cfg.max_steps):
         gap_lv = (x_lv - x_bv) - cfg.vehicle_length
         if gap_lv <= 0.0:
@@ -92,15 +95,13 @@ def abs_no_cutin_walk(s: ScenarioState, cfg: ScenarioConfig,
         r2 = x_bv - x_av
         if r2 < 0.0 or (x_lv - x_bv) - cfg.vehicle_length <= 0.0:
             break  # follower passed, or the step overshot into the leader
-        out.append(ScenarioState(v_bv=v_bv, r1=x_lv - x_bv,
-                                 r1_dot=v_lv - v_bv, r2=r2,
-                                 r2_dot=v_bv - v_av,
-                                 phase=Phase.BEFORE_CUT_IN))
+        out.append(State(v_bv=v_bv, r1=x_lv - x_bv, r1_dot=v_lv - v_bv,
+                         r2=r2, r2_dot=v_bv - v_av))
     return out
 
 
-def follow_hazard_recursive(states: Sequence[ScenarioState],
-                            crash_fn: Callable[[ScenarioState], float],
+def follow_hazard_recursive(states: Sequence[State],
+                            crash_fn: Callable[[State], float],
                             cfg: ScenarioConfig) -> float:
     """Probability that a lane change eventually fires somewhere along the
     walk *and* ends in contact, by forward recursion over the cut-in time."""
@@ -117,12 +118,11 @@ def follow_hazard_recursive(states: Sequence[ScenarioState],
 
 
 def grid_state(v_bv: float, r1: float, r1_dot: float, r2: float,
-               r2_dot: float) -> ScenarioState:
+               r2_dot: float) -> State:
     """A state whose coordinates sit exactly on the 0.1-resolution grid."""
     snap = lambda x: round(x * 10.0) / 10.0
-    return ScenarioState(v_bv=snap(v_bv), r1=snap(r1), r1_dot=snap(r1_dot),
-                         r2=snap(r2), r2_dot=snap(r2_dot),
-                         phase=Phase.BEFORE_CUT_IN)
+    return State(v_bv=snap(v_bv), r1=snap(r1), r1_dot=snap(r1_dot),
+                 r2=snap(r2), r2_dot=snap(r2_dot))
 
 
 # ---------------------------------------------------------------------------

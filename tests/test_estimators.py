@@ -469,3 +469,40 @@ def test_tests_to_threshold_not_reached_and_validation():
     assert time_to_threshold([], 0.1, method="nde") is None
     with pytest.raises(ValueError):
         time_to_threshold(recs, 0.0, method="nde")
+
+
+# ---------------------------------------------------------------------------
+# the normal quantile
+
+
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri as scipy_ndtri
+
+    from overtake_eval.estimators import _quantile, ndtri
+
+    rng = np.random.default_rng(1969)
+    ys = np.concatenate([rng.uniform(0.5, 1.0, 100_000),
+                         1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 10_000),
+                         10.0 ** rng.uniform(-300.0, -0.31, 10_000),
+                         [0.5, 1.0 - 0.13533528323661269189,
+                          np.nextafter(1.0, 0.0), 5e-324]])
+    got = [ndtri(y) for y in ys.tolist()]
+    assert got == scipy_ndtri(ys).tolist()
+    for gamma in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9):
+        assert _quantile(gamma) == float(scipy_ndtri(1.0 - gamma / 2.0))
+    assert _quantile(0.1) == Z90
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+    assert math.isnan(ndtri(1.5))
+
+
+def test_cli_import_leaves_scipy_out():
+    # Importing scipy.special costs about 0.3 s; the program needs none of it.
+    import subprocess
+    import sys
+
+    code = ("import sys, overtake_eval.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

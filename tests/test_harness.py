@@ -3,7 +3,7 @@ import dataclasses
 import os
 
 from overtake_eval.config import CampaignConfig
-from overtake_eval.harness import emit_outputs, run_campaign
+from overtake_eval.harness import emit_outputs, load_campaign_records, run_campaign
 from overtake_eval.sampling import NDE_BLOCK
 
 
@@ -27,3 +27,17 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     for name in one:
         assert one[name] == two[name], name
     assert one["records.csv"].count(b"\n") == 1 + cfg.episodes_nde + 60
+
+
+def test_emitted_records_load_back_field_for_field(tmp_path):
+    # records.csv and critical_log.csv carry every field of a sampled
+    # record, critical moments included, with floats written by repr.
+    cfg = CampaignConfig(seed=7, episodes_nde=200, episodes_nade=200,
+                         environment="both")
+    result = run_campaign(cfg)
+    emit_outputs(result, str(tmp_path))
+    loaded = load_campaign_records(str(tmp_path))
+    assert sorted(loaded) == ["nade", "nde"]
+    for env in ("nde", "nade"):
+        assert loaded[env] == result.records[env]
+    assert any(r.critical_log for r in loaded["nade"])

@@ -1,52 +1,30 @@
-"""The lockstep array kernel against the scalar code it replaced.
+"""The lockstep array kernel against the scalar references.
 
-The reference samplers and oracle below are copies of the per-episode,
-per-bin scalar implementations the kernel superseded.  They are kept here
-so that the batched paths can be required to reproduce them exactly:
-same records, same critical logs, same oracle value, same errors.
+``scalar_reference`` holds per-state, per-episode and per-bin scalar
+implementations of the driver models, the criticality evaluator, both
+samplers and the oracle.  The batched paths are required to reproduce them
+exactly: same values, same records, same critical logs, same oracle value,
+same errors.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from overtake_eval import kernel
 from overtake_eval.config import ScenarioConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import (
-    ActionDistribution,
+    FvdmParams,
     IdmParams,
     MobilParams,
     NonPositiveGap,
     ZeroDensity,
-    bv_car_following_accel,
-    idm_accel,
-    idm_accel_raw,
-    idm_follower,
-    mobil_right_lc_prob,
 )
 from overtake_eval.oracle import bin_midpoints, brute_force_mu
-from overtake_eval.sampling import (
-    ENV_NADE,
-    ENV_NDE,
-    NDE_BLOCK,
-    CriticalMoment,
-    TestRecord,
-    episode_seed,
-    sample_initial_state,
-    sample_nade_batch,
-    sample_nde_batch,
-)
-from overtake_eval.scenario import (
-    LANE_CHANGE,
-    Action,
-    Phase,
-    ScenarioState,
-    Termination,
-    check_termination,
-    cutin_outcome,
-    step_raw,
-)
+from overtake_eval.sampling import NDE_BLOCK, sample_nade_batch, sample_nde_batch
 
 # Small step budget (MAX_STEPS endings, truncated cut-in rollouts), a
 # physical vehicle length and accident margin, and a lane-change law hot
@@ -59,123 +37,6 @@ STRESSED = dataclasses.replace(
 LONG = dataclasses.replace(
     ScenarioConfig(), init=dataclasses.replace(ScenarioConfig().init, r2=20.0))
 CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
-
-
-# ---------------------------------------------------------------------------
-# scalar reference implementations
-# ---------------------------------------------------------------------------
-
-def _ref_advance(s, a_bv, cfg):
-    raw = step_raw(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot, a_bv, 0.0, cfg.dt)
-    return ScenarioState(*raw, phase=Phase.BEFORE_CUT_IN)
-
-
-def _ref_resolve_cutin(s, step_index, cfg):
-    crashed = cutin_outcome(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                            idm_follower(cfg.av_idm), cfg,
-                            cfg.max_steps - step_index)
-    return 1 if crashed else 0
-
-
-def _ref_nde_action_dist(s, cfg):
-    p_r = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
-    accel = Action.accel(bv_car_following_accel(s, cfg))
-    return ActionDistribution.from_pairs([(LANE_CHANGE, p_r),
-                                          (accel, 1.0 - p_r)])
-
-
-def _ref_nde_episode(rng, cfg, index, seed):
-    """Returns the record, how the episode ended and at which step."""
-    s = sample_initial_state(rng, cfg)
-    k = 0
-    accident = 0
-    while True:
-        end = check_termination(s, k, cfg)
-        if end is not None:
-            break
-        a = _ref_nde_action_dist(s, cfg).sample(rng)
-        if a.is_lane_change():
-            accident = _ref_resolve_cutin(s, k, cfg)
-            end = "cut_in"
-            break
-        s = _ref_advance(s, a.a, cfg)
-        k += 1
-    return TestRecord(index=index, seed=seed, env=ENV_NDE,
-                      accident=accident, weight=1.0), end, k
-
-
-def _ref_nde_batch(root_seed, cfg, n, start=0):
-    out = []
-    for i in range(start, start + n):
-        seed = episode_seed(root_seed, ENV_NDE, i)
-        out.append(_ref_nde_episode(np.random.default_rng(seed), cfg, i, seed))
-    return out
-
-
-def _ref_nade_episode(rng, cfg, evaluator, max_control_steps, index, seed):
-    s = sample_initial_state(rng, cfg)
-    k = 0
-    accident = 0
-    weight = 1.0
-    log = []
-    while True:
-        if check_termination(s, k, cfg) is not None:
-            break
-        prof = evaluator.profile(s)
-        if prof.is_critical and len(log) < max_control_steps:
-            a = prof.importance().sample(rng)
-            p_a, q_a, q_js = prof.components(a)
-            if q_a <= 0.0:
-                raise ZeroDensity("zero mixture density")
-            weight *= p_a / q_a
-            log.append(CriticalMoment(p=p_a, q_alpha=q_a, q=q_js,
-                                      step=k, action=a))
-        else:
-            a = prof.naturalistic().sample(rng)
-        if a.is_lane_change():
-            accident = _ref_resolve_cutin(s, k, cfg)
-            break
-        s = _ref_advance(s, a.a, cfg)
-        k += 1
-    return TestRecord(index=index, seed=seed, env=ENV_NADE,
-                      accident=accident, weight=weight,
-                      critical_log=tuple(log))
-
-
-def _ref_nade_batch(root_seed, cfg, n, evaluator, max_control_steps=10):
-    out = []
-    for i in range(n):
-        seed = episode_seed(root_seed, ENV_NADE, i)
-        out.append(_ref_nade_episode(np.random.default_rng(seed), cfg,
-                                     evaluator, max_control_steps, i, seed))
-    return out
-
-
-def _ref_conditional_mu(r1, cfg):
-    init = cfg.init
-    s = ScenarioState(v_bv=init.v_bv, r1=r1, r1_dot=init.r1_dot,
-                      r2=init.r2, r2_dot=init.r2_dot)
-    follower = idm_follower(cfg.av_idm)
-    mu = 0.0
-    survive = 1.0
-    k = 0
-    while check_termination(s, k, cfg) is None:
-        p_r = mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
-        if p_r > 0.0:
-            if cutin_outcome(s.v_bv, s.r1, s.r1_dot, s.r2, s.r2_dot,
-                             follower, cfg, cfg.max_steps - k):
-                mu += survive * p_r
-            survive *= 1.0 - p_r
-        a_bv = idm_accel(s.v_bv, s.r1 - cfg.vehicle_length, -s.r1_dot,
-                         cfg.bv_idm)
-        s = _ref_advance(s, a_bv, cfg)
-        k += 1
-    return mu
-
-
-def _ref_brute_force_mu(cfg, bins):
-    mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
-    return sum(_ref_conditional_mu(r, cfg) for r in mids) / bins
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +60,7 @@ def test_array_forms_match_scalar_forms_bit_for_bit():
     rng = np.random.default_rng(271828)
     n = 6000
     s = _random_states(rng, n)
-    # the scalar forms get Python floats, as in the library
+    # the scalar forms get Python floats
     v_bv, r1, r1_dot, r2, r2_dot = (c.tolist() for c in s)
     p = IdmParams()
     a_bv = rng.uniform(-4.0, 2.0, n)
@@ -211,10 +72,40 @@ def test_array_forms_match_scalar_forms_bit_for_bit():
     stepped = [c.tolist() for c in kernel.step(s, a_bv, a_av, 0.1)]
     gap, a_bv, a_av = gap.tolist(), a_bv.tolist(), a_av.tolist()
     for i in range(n):
-        assert raw[i] == idm_accel_raw(v_bv[i], gap[i], -r1_dot[i], p)
-        assert clipped[i] == idm_accel(v_bv[i], gap[i], -r1_dot[i], p)
-        assert tuple(c[i] for c in stepped) == step_raw(
+        assert raw[i] == ref.idm_accel_raw(v_bv[i], gap[i], -r1_dot[i], p)
+        assert clipped[i] == ref.idm_accel(v_bv[i], gap[i], -r1_dot[i], p)
+        assert tuple(c[i] for c in stepped) == ref.step_raw(
             v_bv[i], r1[i], r1_dot[i], r2[i], r2_dot[i], a_bv[i], a_av[i], 0.1)
+
+
+def test_fvdm_array_form_matches_scalar_form_bit_for_bit():
+    # np.tanh and math.tanh disagree in the last bit on about a quarter of
+    # inputs; the array form must agree with math.tanh everywhere.
+    rng = np.random.default_rng(577215)
+    n = 20000
+    v = rng.uniform(0.0, 20.0, n)
+    gap = np.concatenate([rng.uniform(1e-3, 80.0, n - 4),
+                          [1e-300, 20.0, 1e6, 0.1]])
+    dv = rng.uniform(-12.0, 12.0, n)
+    for p in (FvdmParams(), FvdmParams(kappa=6.0, hard_decel=4.6),
+              FvdmParams(kappa=2.0, lam=0.9, b_f=7.0, c_f=1.3)):
+        got = kernel.fvdm_accel(v, gap, dv, p).tolist()
+        v_opt = kernel.fvdm_opt_velocity(gap, p).tolist()
+        want = [ref.fvdm_accel(a, b, c, p)
+                for a, b, c in zip(v.tolist(), gap.tolist(), dv.tolist())]
+        assert got == want
+        assert v_opt == [ref.fvdm_opt_velocity(g, p) for g in gap.tolist()]
+        # both clip bounds bind somewhere, and interior values occur
+        assert p.hard_accel in got and -p.hard_decel in got
+        assert sum(-p.hard_decel < a < p.hard_accel for a in got) > 1000
+    assert sum(math.tanh(x) != y for x, y in zip(
+        (gap / 10.0 - 2.0).tolist(), np.tanh(gap / 10.0 - 2.0).tolist())) > 100
+    for bad in (0.0, -1.0):
+        with pytest.raises(NonPositiveGap):
+            ref.fvdm_accel(5.0, bad, 0.0, FvdmParams())
+        with pytest.raises(NonPositiveGap):
+            kernel.fvdm_accel(np.array([5.0, 5.0]), np.array([3.0, bad]),
+                              np.zeros(2), FvdmParams())
 
 
 # b_safe = 4.0 equals the IDM braking floor, so clipped demands tie with the
@@ -224,15 +115,13 @@ def test_mobil_array_form_matches_scalar_form(b_safe):
     rng = np.random.default_rng(314159)
     n = 3000
     s = _random_states(rng, n)
-    rows = list(zip(*(c.tolist() for c in s)))
     p = IdmParams()
     mob = MobilParams(gamma_p=0.3, p_max=0.4, b_safe=b_safe)
     length = 0.5
     open_rows, closed_rows, p_want = [], [], []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(ref.rows(s)):
         try:
-            p_want.append(mobil_right_lc_prob(ScenarioState(*row), mob, p,
-                                              length))
+            p_want.append(ref.mobil_right_lc_prob(row, mob, p, length))
             open_rows.append(i)
         except NonPositiveGap:
             closed_rows.append(i)
@@ -255,13 +144,77 @@ def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
              rng.uniform(-6.0, 2.0, n), rng.uniform(0.3, 10.0, n),
              rng.uniform(-8.0, 2.0, n)]
         budget = rng.integers(0, 40, n)
-        got = kernel.cutin_crashes(s, budget, cfg).tolist()
-        follower = idm_follower(cfg.av_idm)
-        rows = list(zip(*(c.tolist() for c in s)))
-        want = [cutin_outcome(*rows[i], follower, cfg, int(budget[i]))
-                for i in range(n)]
-        assert got == want
-        assert 0 < sum(got) < n
+        states = ref.rows(s)
+        followers = [(None, ref.idm_follower(cfg.av_idm))] + [
+            (kernel.surrogate_accel(sm), ref.surrogate_accel(sm))
+            for sm in cfg.surrogates]
+        for accel, scalar in followers:
+            got = kernel.cutin_crashes(s, budget, cfg, accel).tolist()
+            want = [ref.cutin_outcome(*states[i], scalar, cfg, int(budget[i]))
+                    for i in range(n)]
+            assert got == want
+            assert 0 < sum(got) < n
+
+
+# ---------------------------------------------------------------------------
+# the criticality evaluator against the scalar reference
+# ---------------------------------------------------------------------------
+
+# Wide boxes: long no-cut-in suffixes, many of them hot, where the FVDM
+# surrogates decide the follow challenges.
+WIDE = [(0.0, 20.0), (2.0, 90.0), (-10.0, 5.0), (0.1, 30.0), (-12.0, 5.0)]
+
+
+def _wide_states(rng, n):
+    return [rng.uniform(lo, hi, n) for lo, hi in WIDE]
+
+
+def test_batched_challenges_match_scalar_reference():
+    rng = np.random.default_rng(8675309)
+    cfg = ScenarioConfig()
+    n = 16
+    s = _wide_states(rng, n)
+    scalar = ref.ScalarEvaluator(cfg)
+    want = [scalar.challenges(t) for t in ref.rows(s)]
+
+    def entries(ev, order):
+        lc, fol = ev.challenges([c[order] for c in s])
+        got = {}
+        for i, j in enumerate(order):
+            got[j] = (tuple(lc[:, i].tolist()), tuple(fol[:, i].tolist()))
+        return got
+
+    whole = entries(CriticalityEvaluator(cfg), np.arange(n))
+    assert [whole[i] for i in range(n)] == want
+    # batches of different composition and order fill identical entries
+    ev = CriticalityEvaluator(cfg)
+    perm = rng.permutation(n)
+    pieces = {}
+    for part in (perm[:5], perm[5:6], perm[6:11], perm[11:]):
+        pieces.update(entries(ev, part))
+    assert pieces == whole
+    assert len(ev._entry_cache) == len(scalar.cache) == n
+    # the suffixes carry hazard, and the three surrogates weigh it apart
+    assert sum(w[0][0] for w in want) > 0
+    assert any(len(set(w[1])) == 3 for w in want)
+
+
+def test_batched_profile_matches_scalar_reference():
+    # A shorter horizon keeps the scalar reference affordable.
+    rng = np.random.default_rng(1729)
+    cfg = dataclasses.replace(ScenarioConfig(), max_steps=80,
+                              mobil=MobilParams(gamma_p=0.05))
+    s = [rng.uniform(lo, hi, 80) for lo, hi in
+         [(2, 14), (2, 40), (-8, 2), (0.5, 10), (-8, 2)]]
+    prof = CriticalityEvaluator(cfg).profile(s)
+    scalar = ref.ScalarEvaluator(cfg)
+    for i, t in enumerate(ref.rows(s)):
+        want = scalar.profile(t)
+        for name, value in zip(prof._fields, prof):
+            got = value[..., i].tolist()
+            assert (tuple(got) if isinstance(got, list) else got) == \
+                getattr(want, name), name
+    assert prof.is_critical.any() and not prof.is_critical.all()
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +226,79 @@ def test_nde_batch_matches_scalar_reference(name):
     cfg = CONFIGS[name]
     n = 300 if name == "long" else 800
     start = NDE_BLOCK - 150  # the batch crosses a block boundary
-    ref = _ref_nde_batch(4242, cfg, n, start=start)
-    assert sample_nde_batch(4242, cfg, n, start=start) == [r for r, _, _ in ref]
+    want = ref.nde_batch(4242, cfg, n, start=start)
+    assert sample_nde_batch(4242, cfg, n, start=start) == [r for r, _, _ in want]
     for r in sample_nde_batch(4242, cfg, 5, start=start):
         assert type(r.index) is int and type(r.seed) is int
         assert type(r.accident) is int and type(r.weight) is float
-    ends = {e for _, e, _ in ref}
-    assert "cut_in" in ends and sum(r.accident for r, _, _ in ref) > 0
+    ends = {e for _, e, _ in want}
+    assert "cut_in" in ends and sum(r.accident for r, _, _ in want) > 0
     if name == "stressed":
-        assert Termination.MAX_STEPS in ends
+        assert "max_steps" in ends
     if name == "long":
-        assert max(k for _, _, k in ref) > 2 * 16
+        assert max(k for _, _, k in want) > 2 * 16
 
 
-@pytest.mark.parametrize("name", ["default", "stressed"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_nade_batch_matches_scalar_reference(name):
     cfg = CONFIGS[name]
+    n = 150
+    if name == "long":
+        # every visited cell costs the scalar reference its full horizon
+        cfg = dataclasses.replace(cfg, max_steps=40)
+        n = 12
+    scalar = ref.ScalarEvaluator(cfg)
     ev = CriticalityEvaluator(cfg)
-    ref = _ref_nade_batch(1717, cfg, 150, ev)
-    got = sample_nade_batch(1717, cfg, 150, evaluator=ev)
-    assert got == ref
-    assert sum(r.accident for r in got) > 0
+    cap = 2 if name == "default" else 10
+    want = ref.nade_batch(1717, cfg, n, scalar, max_control_steps=cap)
+    got = sample_nade_batch(1717, cfg, n, evaluator=ev, max_control_steps=cap)
+    assert got == [r for r, _ in want]
+    for r in got[:5]:
+        assert type(r.weight) is float and type(r.accident) is int
+        assert all(type(m.p) is float and type(m.q_alpha) is float
+                   and all(type(q) is float for q in m.q)
+                   for m in r.critical_log)
+    # the same keys were visited, so the caches hold the same cells
+    assert set(ev._entry_cache) == set(scalar.cache)
     assert any(r.critical_log for r in got)
+    steps = [k for _, k in want]
+    if name != "long":  # whose truncated rollouts never reach contact
+        assert sum(r.accident for r in got) > 0
+    if name == "default":
+        assert max(r.control_steps for r in got) == cap  # the cap binds
+    if name == "stressed":
+        assert 0 in steps  # a cut-in at step 0
+    if name == "long":
+        assert max(steps) > 16  # the uniforms are refilled
+
+
+def test_nade_batch_lane_change_certain():
+    # p_max = 1 puts the whole naturalistic mass on the lane change at some
+    # critical moments, so both laws meet follow atoms without positive mass.
+    cfg = dataclasses.replace(ScenarioConfig(), mobil=MobilParams(
+        politeness=0.0, gamma_p=1.0, p_max=1.0))
+    scalar = ref.ScalarEvaluator(cfg)
+    want = ref.nade_batch(31, cfg, 120, scalar)
+    assert sample_nade_batch(31, cfg, 120) == [r for r, _ in want]
+    moments = [m for r, _ in want for m in r.critical_log]
+    assert any(m.p == 1.0 for m in moments)
+
+
+def test_nade_zero_density_raises_on_both_paths():
+    # A NaN floor leaves the importance law without positive mass at the
+    # first critical moment.
+    cfg = dataclasses.replace(ScenarioConfig(), epsilon=math.nan)
+    with pytest.raises(ZeroDensity):
+        ref.nade_batch(5, cfg, 20, ref.ScalarEvaluator(cfg))
+    with pytest.raises(ZeroDensity):
+        sample_nade_batch(5, cfg, 20)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_oracle_matches_scalar_reference(name):
     cfg = CONFIGS[name]
     bins = 16 if name == "long" else 64  # long walks cost the reference most
-    assert brute_force_mu(cfg, bins) == _ref_brute_force_mu(cfg, bins)
+    assert brute_force_mu(cfg, bins) == ref.brute_force_mu(cfg, bins)
 
 
 def test_stressed_config_truncates_cutin_rollouts():
@@ -310,7 +307,12 @@ def test_stressed_config_truncates_cutin_rollouts():
     cfg = STRESSED
     init = kernel.initial_states(
         bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, 64), cfg.init)
-    cut = kernel.walk(init, cfg, lambda k, rows, p_r: p_r > 0.0, stay=True)
+
+    def every_cut_in(k, rows, s):
+        p_r, a_bv = kernel.bv_law(s, cfg)
+        return p_r > 0.0, p_r, a_bv
+
+    cut = kernel.walk(init, cfg, every_cut_in, stay=True)
     truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
     full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
     assert (truncated != full).any()
@@ -321,11 +323,15 @@ def test_closed_initial_gap_raises_on_both_paths():
         ScenarioConfig(), init=dataclasses.replace(ScenarioConfig().init,
                                                    r1_low=-1.0, r1_high=0.0))
     with pytest.raises(NonPositiveGap):
-        _ref_nde_batch(1, cfg, 3)
+        ref.nde_batch(1, cfg, 3)
     with pytest.raises(NonPositiveGap):
         sample_nde_batch(1, cfg, 3)
     with pytest.raises(NonPositiveGap):
-        _ref_brute_force_mu(cfg, 4)
+        ref.nade_batch(1, cfg, 3, ref.ScalarEvaluator(cfg))
+    with pytest.raises(NonPositiveGap):
+        sample_nade_batch(1, cfg, 3)
+    with pytest.raises(NonPositiveGap):
+        ref.brute_force_mu(cfg, 4)
     with pytest.raises(NonPositiveGap):
         brute_force_mu(cfg, 4)
 

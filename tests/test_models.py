@@ -1,38 +1,51 @@
 """Car-following models, the stochastic lane-change model, and the
-behaviour distribution built from them."""
+two-atom behaviour law built from them."""
 import math
 
 import numpy as np
 import pytest
 
+import scalar_reference as ref
+from overtake_eval import kernel
+from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import (
-    ActionDistribution,
     FvdmParams,
     IdmParams,
     MobilParams,
     NonPositiveGap,
-    WrongPhase,
+    SurrogateModel,
     ZeroDensity,
-    bv_car_following_accel,
     default_surrogates,
-    fvdm_accel,
-    fvdm_opt_velocity,
-    idm_accel,
-    idm_accel_raw,
-    idm_follower,
-    mobil_right_lc_prob,
 )
-from overtake_eval import kernel
-from overtake_eval.scenario import LANE_CHANGE, Action, Phase, ScenarioState
+from overtake_eval.sampling import draws_lane_change
 
-from conftest import idm_ref
+from conftest import grid_state, idm_ref
 
 BV_IDM = IdmParams()  # v0=15, T=1, a=2, b=2, s0=2, delta=4
 
 
-def mk(v_bv, r1, r1_dot, r2, r2_dot, phase=Phase.BEFORE_CUT_IN):
-    return ScenarioState(v_bv=v_bv, r1=r1, r1_dot=r1_dot, r2=r2,
-                         r2_dot=r2_dot, phase=phase)
+def one(fn, *args):
+    """Evaluate an array function of the kernel on one row."""
+    arrays = [np.array([a], dtype=float) if isinstance(a, (int, float)) else a
+              for a in args]
+    return float(fn(*arrays)[0])
+
+
+def idm_accel(v, gap, dv, p):
+    return one(lambda *a: kernel.idm_accel(*a, p), v, gap, dv)
+
+
+def idm_accel_raw(v, gap, dv, p):
+    return one(lambda *a: kernel.idm_accel_raw(*a, p), v, gap, dv)
+
+
+def fvdm_accel(v, gap, dv, p):
+    return one(lambda *a: kernel.fvdm_accel(*a, p), v, gap, dv)
+
+
+def lc_prob(state, mob, idm=BV_IDM, length=0.0):
+    return float(kernel.mobil_right_lc_prob(ref.cols([state]), mob, idm,
+                                            length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +85,27 @@ def test_idm_rejects_contact():
 
 def test_idm_matches_reference_transcription():
     rng = np.random.default_rng(8128)
-    for _ in range(500):
-        v = rng.uniform(0.0, 20.0)
-        gap = rng.uniform(0.05, 80.0)
-        dv = rng.uniform(-10.0, 10.0)
-        assert idm_accel(v, gap, dv, BV_IDM) == pytest.approx(
-            idm_ref(v, gap, dv, BV_IDM), rel=1e-12, abs=1e-12)
+    v = rng.uniform(0.0, 20.0, 500)
+    gap = rng.uniform(0.05, 80.0, 500)
+    dv = rng.uniform(-10.0, 10.0, 500)
+    got = kernel.idm_accel(v, gap, dv, BV_IDM).tolist()
+    for a, x, y, z in zip(got, v.tolist(), gap.tolist(), dv.tolist()):
+        assert a == pytest.approx(idm_ref(x, y, z, BV_IDM), rel=1e-12, abs=1e-12)
 
 
-def test_idm_follower_binds_parameters():
-    f = idm_follower(BV_IDM)
-    assert f(8.0, 10.0, 0.0) == idm_accel(8.0, 10.0, 0.0, BV_IDM)
+def test_idm_follower_binds_parameters(scen):
+    # An IDM surrogate drives the follower with its own parameters; with the
+    # tested vehicle's, it is the tested vehicle.
+    f = kernel.surrogate_accel(SurrogateModel("x", "idm", idm=BV_IDM))
+    assert one(f, 8.0, 10.0, 0.0) == idm_accel(8.0, 10.0, 0.0, BV_IDM)
+    rng = np.random.default_rng(12)
+    s = [rng.uniform(2.0, 12.0, 200), rng.uniform(5.0, 40.0, 200),
+         rng.uniform(-6.0, 2.0, 200), rng.uniform(0.3, 10.0, 200),
+         rng.uniform(-8.0, 2.0, 200)]
+    budget = np.full(200, scen.max_steps)
+    av = kernel.surrogate_accel(SurrogateModel("av", "idm", idm=scen.av_idm))
+    assert (kernel.cutin_crashes(s, budget, scen, av)
+            == kernel.cutin_crashes(s, budget, scen)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +114,11 @@ def test_idm_follower_binds_parameters():
 
 def test_fvdm_optimal_velocity_examples():
     p = FvdmParams()  # v_cap=15, b_f=10, c_f=2
+    v_opt = kernel.fvdm_opt_velocity(np.array([20.0, 1e6]), p).tolist()
     # gap = 2*b_f makes the first tanh vanish
-    assert fvdm_opt_velocity(20.0, p) == pytest.approx(7.5 * math.tanh(2.0),
-                                                       rel=1e-14)
+    assert v_opt[0] == pytest.approx(7.5 * math.tanh(2.0), rel=1e-14)
     # very large gap: both tanh terms saturate near 1 + tanh(2)
-    assert fvdm_opt_velocity(1e6, p) == pytest.approx(
-        7.5 * (1.0 + math.tanh(2.0)), rel=1e-12)
+    assert v_opt[1] == pytest.approx(7.5 * (1.0 + math.tanh(2.0)), rel=1e-12)
 
 
 def test_fvdm_accel_example():
@@ -134,10 +156,12 @@ def test_default_surrogate_panel():
 
 def test_surrogate_accel_dispatch():
     panel = default_surrogates()
-    assert panel[0].accel(8.0, 10.0, 0.0) == idm_accel(8.0, 10.0, 0.0,
-                                                       panel[0].idm)
-    assert panel[1].accel(7.0, 20.0, -1.0) == fvdm_accel(7.0, 20.0, -1.0,
-                                                         panel[1].fvdm)
+    assert one(kernel.surrogate_accel(panel[0]), 8.0, 10.0, 0.0) == \
+        idm_accel(8.0, 10.0, 0.0, panel[0].idm)
+    assert one(kernel.surrogate_accel(panel[1]), 7.0, 20.0, -1.0) == \
+        fvdm_accel(7.0, 20.0, -1.0, panel[1].fvdm)
+    with pytest.raises(ValueError):
+        kernel.surrogate_accel(SurrogateModel("x", "gipps"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +170,7 @@ def test_surrogate_accel_dispatch():
 
 # Hand-worked point used throughout: v_bv=8, r1=30 (so dv=5 against the
 # leader), follower 0.3 m behind at 13 m/s.
-HAND_STATE = (8.0, 30.0, -5.0, 0.3, -5.0)
+HAND_STATE = ref.State(8.0, 30.0, -5.0, 0.3, -5.0)
 
 
 def test_lc_prob_incentive_saturates_at_p_max():
@@ -155,13 +179,13 @@ def test_lc_prob_incentive_saturates_at_p_max():
     # gain 1.0 pushes the probability onto the cap.
     mob = MobilParams(politeness=0.0, delta_a_th=0.1, b_safe=5.0,
                       gamma_p=1.0, p_max=0.1)
-    assert mobil_right_lc_prob(mk(*HAND_STATE), mob, BV_IDM) == 0.1
+    assert lc_prob(HAND_STATE, mob) == 0.1
 
 
 def test_lc_prob_linear_in_gain_below_cap():
     mob = MobilParams(politeness=0.0, delta_a_th=0.1, b_safe=5.0,
                       gamma_p=0.01, p_max=0.1)
-    p = mobil_right_lc_prob(mk(*HAND_STATE), mob, BV_IDM)
+    p = lc_prob(HAND_STATE, mob)
     assert p == pytest.approx(0.01 * (8.0 / 9.0 - 0.1), rel=1e-12)
 
 
@@ -170,22 +194,22 @@ def test_lc_prob_safety_veto():
     # a 3 m/s^2 comfort bound.
     mob = MobilParams(politeness=0.0, delta_a_th=0.1, b_safe=3.0,
                       gamma_p=1.0, p_max=0.1)
-    assert mobil_right_lc_prob(mk(*HAND_STATE), mob, BV_IDM) == 0.0
+    assert lc_prob(HAND_STATE, mob) == 0.0
 
 
 def test_lc_prob_zero_when_follower_alongside():
     mob = MobilParams(politeness=0.0, delta_a_th=0.1, b_safe=5.0,
                       gamma_p=1.0, p_max=0.1)
-    s = mk(8.0, 30.0, -5.0, 0.0, -5.0)  # zero gap to the follower
-    assert mobil_right_lc_prob(s, mob, BV_IDM) == 0.0
+    s = ref.State(8.0, 30.0, -5.0, 0.0, -5.0)  # zero gap to the follower
+    assert lc_prob(s, mob) == 0.0
 
 
 def test_lc_prob_zero_without_incentive():
     # Already at free flow: changing lane gains nothing.
     mob = MobilParams(politeness=0.0, delta_a_th=0.1, b_safe=5.0,
                       gamma_p=1.0, p_max=0.1)
-    s = mk(8.0, 3000.0, 0.0, 30.0, 0.0)
-    assert mobil_right_lc_prob(s, mob, BV_IDM) == 0.0
+    s = ref.State(8.0, 3000.0, 0.0, 30.0, 0.0)
+    assert lc_prob(s, mob) == 0.0
 
 
 def test_lc_prob_politeness_discounts_follower_braking():
@@ -193,106 +217,127 @@ def test_lc_prob_politeness_discounts_follower_braking():
     # a tiny politeness wipes out the gain at this squeeze.
     mob = MobilParams(politeness=0.01, delta_a_th=0.1, b_safe=5.0,
                       gamma_p=1.0, p_max=0.1)
-    assert mobil_right_lc_prob(mk(*HAND_STATE), mob, BV_IDM) == 0.0
+    assert lc_prob(HAND_STATE, mob) == 0.0
 
 
 def test_lc_prob_bounded_everywhere():
     mob = MobilParams()
     rng = np.random.default_rng(424242)
-    for _ in range(500):
-        s = mk(rng.uniform(0, 20), rng.uniform(0.2, 60), rng.uniform(-12, 6),
-               rng.uniform(0.2, 12), rng.uniform(-12, 6))
-        p = mobil_right_lc_prob(s, mob, BV_IDM)
-        assert 0.0 <= p <= mob.p_max
+    s = [rng.uniform(0, 20, 500), rng.uniform(0.2, 60, 500),
+         rng.uniform(-12, 6, 500), rng.uniform(0.2, 12, 500),
+         rng.uniform(-12, 6, 500)]
+    p = kernel.mobil_right_lc_prob(s, mob, BV_IDM, 0.0)
+    assert ((0.0 <= p) & (p <= mob.p_max)).all()
 
 
 # ---------------------------------------------------------------------------
-# behaviour distribution
+# the two-atom behaviour law
 # ---------------------------------------------------------------------------
 
-# The naturalistic law is two atoms: cut in with probability p_R, else
-# follow the LV.  The lockstep kernel evaluates both and cuts in iff the
-# step's uniform is below p_R.
+# Before the cut-in the BV's law is two atoms: cut in, or follow the LV.
+# Both samplers draw an episode's step from one uniform with
+# ``draws_lane_change``; ``scalar_reference.ActionDistribution`` is the
+# inverse-CDF sampler it must agree with.
 
-def kernel_cols(s):
-    return [np.array([x]) for x in s.raw()]
+def _scalar_draws(u, m_lc, m_f):
+    """Lane change or not, per row, from the scalar law with the given
+    uniforms."""
+    class Fixed:
+        def __init__(self, x):
+            self.x = x
+
+        def random(self):
+            return self.x
+
+    return [ref.ActionDistribution.from_pairs(
+        [(ref.LANE_CHANGE, a), ("follow", b)]).sample(Fixed(x)) == ref.LANE_CHANGE
+        for x, a, b in zip(u, m_lc, m_f)]
 
 
 def test_nde_action_dist_two_atoms(scen):
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0)
-    p_lc = mobil_right_lc_prob(s, scen.mobil, scen.bv_idm,
-                               scen.vehicle_length)
+    s = ref.State(8.0, 30.0, -5.0, 5.0, -5.0)
+    p_lc = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm,
+                                   scen.vehicle_length)
     assert p_lc > 0.0
-    cols = kernel_cols(s)
-    assert kernel.mobil_right_lc_prob(cols, scen.mobil, scen.bv_idm,
-                                      scen.vehicle_length)[0] == p_lc
-    assert kernel.idm_accel(cols[0], cols[1] - scen.vehicle_length, -cols[2],
-                            scen.bv_idm)[0] == bv_car_following_accel(s, scen)
+    p_r, a_bv = kernel.bv_law(ref.cols([s]), scen)
+    assert p_r.tolist() == [p_lc]
+    assert a_bv.tolist() == [ref.bv_car_following_accel(s, scen)]
     # "u < p_R" draws the same atom as sampling the two-atom law, for
     # any p_R including the rounding of 1 - p_R and the endpoints
-    follow = Action.accel(bv_car_following_accel(s, scen))
     for p in (p_lc, 0.0, 0.3, float(np.nextafter(1.0, 0.0)), 1.0):
-        dist = ActionDistribution.from_pairs([(LANE_CHANGE, p),
-                                              (follow, 1.0 - p)])
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(300):
-            assert (dist.sample(a) == LANE_CHANGE) == (b.random() < p)
+        u = np.random.default_rng(5).random(300)
+        m = np.full(300, p)
+        assert draws_lane_change(u, m, 1.0 - m).tolist() == \
+            _scalar_draws(u.tolist(), m.tolist(), (1.0 - m).tolist())
+        assert draws_lane_change(u, m, 1.0 - m).tolist() == (u < p).tolist()
 
 
 def test_nde_action_dist_drops_impossible_lane_change(scen):
-    s = mk(8.0, 3000.0, 0.0, 30.0, 0.0)  # no incentive at free flow
-    p_r = kernel.mobil_right_lc_prob(kernel_cols(s), scen.mobil, scen.bv_idm,
-                                     scen.vehicle_length)
+    s = ref.State(8.0, 3000.0, 0.0, 30.0, 0.0)  # no incentive at free flow
+    p_r, _ = kernel.bv_law(ref.cols([s]), scen)
     assert p_r.tolist() == [0.0]
     # even the smallest uniform never fires a cut-in
-    cut = kernel.walk(kernel_cols(s), scen,
-                      lambda k, rows, p_r: 0.0 < p_r, stay=False)
-    assert cut.rows.size == 0
-
-
-def test_nde_action_dist_rejects_post_cutin_state(scen):
-    # the lane-change law is a pre-cut-in quantity
-    s = mk(8.0, 30.0, -5.0, 5.0, -5.0, phase=Phase.AFTER_CUT_IN)
-    with pytest.raises(WrongPhase):
-        mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
+    assert not draws_lane_change(np.zeros(1), p_r, 1.0 - p_r).any()
 
 
 def test_distribution_from_pairs_drops_nonpositive_mass():
-    a, b, c = Action.accel(1.0), Action.accel(2.0), Action.accel(3.0)
-    d = ActionDistribution.from_pairs([(a, 0.3), (b, 0.0), (c, -0.1)])
-    assert d.support() == [a]
-    assert d.prob(b) == 0.0
+    # An atom without positive mass is never drawn, whatever the uniform.
+    u = np.linspace(0.0, 1.0, 101, endpoint=False)
+    zero, neg = np.zeros(101), np.full(101, -0.1)
+    assert not draws_lane_change(u, zero, np.ones(101)).any()
+    assert not draws_lane_change(u, neg, np.full(101, 1.1)).any()
+    assert draws_lane_change(u, np.ones(101), zero).all()
 
 
 def test_distribution_sampling_is_seed_deterministic():
-    d = ActionDistribution.from_pairs([(LANE_CHANGE, 0.1),
-                                       (Action.accel(1.0), 0.9)])
-    draws1 = [d.sample(np.random.default_rng(37)) for _ in range(20)]
-    draws2 = [d.sample(np.random.default_rng(37)) for _ in range(20)]
-    assert draws1 == draws2
+    # On any masses, including the fallback of a law whose follow atom has
+    # no mass (the lane change is drawn even above its own mass), the draw
+    # is the scalar inverse-CDF draw with the same uniform.
+    rng = np.random.default_rng(37)
+    n = 2000
+    u = rng.random(n)
+    m_lc = rng.choice([0.0, 0.05, 0.3, 0.7, 1.0], n)
+    m_f = rng.choice([0.0, 0.2, 0.95, 1.0], n)
+    m_f[m_lc == 0.0] = np.maximum(m_f[m_lc == 0.0], 0.2)  # never empty
+    got = draws_lane_change(u, m_lc, m_f).tolist()
+    assert got == _scalar_draws(u.tolist(), m_lc.tolist(), m_f.tolist())
+    fallback = (m_f == 0.0) & (u >= m_lc)
+    assert fallback.any() and all(g for g, f in zip(got, fallback) if f)
 
 
 def test_distribution_sampling_frequencies():
-    d = ActionDistribution.from_pairs([(LANE_CHANGE, 0.1),
-                                       (Action.accel(1.0), 0.9)])
     rng = np.random.default_rng(11)
     n = 4000
-    hits = sum(d.sample(rng) == LANE_CHANGE for _ in range(n))
+    hits = draws_lane_change(rng.random(n), np.full(n, 0.1), np.full(n, 0.9))
     # 3.5 sigma around 0.1 with sigma = sqrt(.1*.9/4000) ~ 0.0047
-    assert abs(hits / n - 0.1) < 3.5 * math.sqrt(0.1 * 0.9 / n)
+    assert abs(hits.mean() - 0.1) < 3.5 * math.sqrt(0.1 * 0.9 / n)
 
 
 def test_distribution_sampling_empty_support():
-    d = ActionDistribution.from_pairs([(LANE_CHANGE, 0.0)])
     with pytest.raises(ZeroDensity):
-        d.sample(np.random.default_rng(0))
+        _scalar_draws([0.5], [0.0], [0.0])
+    for m in (0.0, math.nan):
+        with pytest.raises(ZeroDensity):
+            draws_lane_change(np.array([0.5, 0.5]), np.array([0.3, m]),
+                              np.array([0.7, m]))
 
 
-def test_distribution_mixture():
-    a, b = LANE_CHANGE, Action.accel(1.0)
-    d1 = ActionDistribution.from_pairs([(a, 0.2), (b, 0.8)])
-    d2 = ActionDistribution.from_pairs([(a, 0.6), (b, 0.4)])
-    mix = ActionDistribution.mixture([d1, d2], [0.5, 0.5])
-    assert mix.prob(a) == pytest.approx(0.4, abs=1e-15)
-    assert mix.prob(b) == pytest.approx(0.6, abs=1e-15)
-    assert mix.total() == pytest.approx(1.0, abs=1e-15)
+def test_distribution_mixture(scen):
+    # The sampler's importance law is the equal-weight mixture of the
+    # per-surrogate laws.
+    ev = CriticalityEvaluator(scen)
+    states = [grid_state(8.0, 10.0, -3.0, 2.0, -4.0),
+              grid_state(6.0, 14.0, -4.0, 3.0, -5.0)]
+    prof = ev.profile(ref.cols(states))
+    assert prof.is_critical.all()
+    for i in range(len(states)):
+        dists = [ref.ActionDistribution.from_pairs(
+            [(ref.LANE_CHANGE, prof.q_lane_change[j, i]),
+             ("follow", prof.q_follow[j, i])])
+            for j in range(len(scen.surrogates))]
+        mix = ref.ActionDistribution.mixture(dists, [1.0 / 3] * 3)
+        assert mix.prob(ref.LANE_CHANGE) == pytest.approx(
+            prof.q_alpha_lane_change[i], abs=1e-15)
+        assert mix.prob("follow") == pytest.approx(
+            prof.q_alpha_follow[i], abs=1e-15)
+        assert mix.total() == pytest.approx(1.0, abs=1e-15)

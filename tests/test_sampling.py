@@ -11,13 +11,12 @@ from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
     ENV_NADE,
     ENV_NDE,
+    EpisodeDraws,
     TestRecord,
     episode_seed,
-    sample_initial_state,
     sample_nade_batch,
     sample_nde_batch,
 )
-from overtake_eval.scenario import Phase
 
 
 def test_episode_seed_separates_index_and_environment():
@@ -32,21 +31,18 @@ def test_episode_seed_separates_index_and_environment():
 
 
 def test_initial_state_distribution(scen):
-    rng = np.random.default_rng(3)
+    draws = EpisodeDraws([episode_seed(3, ENV_NDE, i) for i in range(500)], scen)
     init = scen.init
-    lows, highs = [], []
-    for _ in range(500):
-        s = sample_initial_state(rng, scen)
-        assert s.phase is Phase.BEFORE_CUT_IN
-        assert s.v_bv == init.v_bv
-        assert s.r1_dot == init.r1_dot
-        assert s.r2 == init.r2
-        assert s.r2_dot == init.r2_dot
-        assert init.r1_low <= s.r1 < init.r1_high
-        lows.append(s.r1 < 30.5)
-        highs.append(s.r1 > 31.5)
+    v_bv, r1, r1_dot, r2, r2_dot = draws.states
+    # only the BV-LV range is random
+    assert (v_bv == init.v_bv).all() and (r1_dot == init.r1_dot).all()
+    assert (r2 == init.r2).all() and (r2_dot == init.r2_dot).all()
+    assert ((init.r1_low <= r1) & (r1 < init.r1_high)).all()
     # both quartile tails populated -> actually uniform-ish, not clumped
-    assert sum(lows) > 50 and sum(highs) > 50
+    assert (r1 < 30.5).sum() > 50 and (r1 > 31.5).sum() > 50
+    # each episode's first draw from its own generator
+    g = np.random.default_rng(draws.seeds[7])
+    assert r1[7] == g.uniform(init.r1_low, init.r1_high)
 
 
 def test_nde_episode_shape(scen):
@@ -117,8 +113,6 @@ def test_nade_log_densities_are_proper(scen):
             assert all(q >= 0.0 for q in m.q)
             assert m.q_alpha == pytest.approx(sum(m.q) / len(m.q), abs=1e-12)
             assert m.p / m.q_alpha <= cap  # epsilon floor caps the weight
-            assert m.step is not None and m.step >= 0
-            assert m.action is not None
 
 
 def test_nade_respects_control_step_cap(scen):
