@@ -8,7 +8,11 @@ Verbs:
 * ``replicate``  seeded replication study
 * ``report``     pretty-print a summary.json
 
-Exit codes: 0 success, 2 configuration error, 3 oracle budget exceeded.
+Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
+error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
+critical-log or summary file, or records the estimators or samplers cannot
+use: a ``ValueError`` such as ``EmptyInput``, ``ZeroEstimate`` or
+``NonPositiveGap``, or ``ZeroDensity``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Optional
 
 from . import __version__
 from .config import CampaignConfig, ConfigError, load_config
+from .models import ZeroDensity
 from .harness import (
     CampaignResult,
     build_summary,
@@ -39,29 +44,24 @@ from .oracle import BudgetExceeded, brute_force_mu
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_DATA = 4
+
+
+# (argument, CampaignConfig field) pairs a verb's flags override.
+_OVERRIDES = (("seed", "seed"), ("workers", "workers"), ("gamma", "gamma"),
+              ("rhw_threshold", "rhw_threshold"),
+              ("replications", "replications"), ("env", "environment"))
 
 
 def _load_base_config(args) -> CampaignConfig:
     cfg = load_config(args.config) if args.config else CampaignConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "gamma", None) is not None:
-        overrides["gamma"] = args.gamma
-    if getattr(args, "rhw_threshold", None) is not None:
-        overrides["rhw_threshold"] = args.rhw_threshold
-    if getattr(args, "replications", None) is not None:
-        overrides["replications"] = args.replications
-    if getattr(args, "env", None) is not None:
-        overrides["environment"] = args.env
+    overrides = {name: getattr(args, arg) for arg, name in _OVERRIDES
+                 if getattr(args, arg, None) is not None}
     if getattr(args, "episodes", None) is not None:
         env = overrides.get("environment", cfg.environment)
-        if env in ("nde", "both"):
-            overrides["episodes_nde"] = args.episodes
-        if env in ("nade", "both"):
-            overrides["episodes_nade"] = args.episodes
+        for budget in ("nde", "nade"):
+            if env in (budget, "both"):
+                overrides[f"episodes_{budget}"] = args.episodes
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -89,9 +89,7 @@ def _print_methods(methods: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_base_config(args)
-    env = args.env or "nde"
-    cfg = dataclasses.replace(cfg, environment=env)
-    cfg.validate()
+    env = cfg.environment
     records = sample_env(cfg, env)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "records.csv"), records)
@@ -160,7 +158,10 @@ def _cmd_replicate(args) -> int:
 def _cmd_report(args) -> int:
     path = os.path.join(args.out, "summary.json")
     with open(path) as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     print(f"campaign summary (version {summary.get('version', '?')})")
     if summary.get("oracle_mu") is not None:
         print(f"oracle_mu: {_fmt(summary['oracle_mu'])}")
@@ -243,6 +244,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ValueError, ZeroDensity) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,12 @@ dataclasses below::
     [sm_idm]      IDM surrogate overrides (same keys as bv_idm)
     [sm_fvdm1]    kappa, lam, v_cap, b_f, c_f, hard_decel, hard_accel
     [sm_fvdm2]    same keys as sm_fvdm1
+
+One table, ``_SECTIONS``, maps each section to the dataclass it sets and to
+its keys; loading, the unknown-key check and :func:`write_default_config`
+all read it.  A value is cast by the type of the field's default.  The
+surrogate panel is the one special case: ``surrogates`` picks the panel,
+and ``sm_<name>`` sets the parameter block of the model of that name.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .models import FvdmParams, IdmParams, MobilParams, SurrogateModel
 
@@ -148,50 +154,55 @@ class CampaignConfig:
         self.scenario.validate()
 
 
-_SURROGATE_SECTIONS = {"idm": "sm_idm", "fvdm1": "sm_fvdm1", "fvdm2": "sm_fvdm2"}
-
-# Sections mapped to None carry dataclass parameter blocks whose keys are
-# checked against the dataclass fields when they are applied.
-_KNOWN_SECTIONS = {
-    "campaign": {"seed", "episodes_nde", "episodes_nade", "environment",
-                 "replications", "workers"},
-    "estimator": {"gamma", "rhw_threshold", "confirm_window",
-                  "max_control_steps", "oracle_bins", "oracle_budget"},
-    "scenario": {"dt", "max_steps", "d_accid", "vehicle_length"},
-    "initial": {"v_bv", "r1_low", "r1_high", "r1_dot", "r2", "r2_dot"},
-    "criticality": {"epsilon", "surrogates"},
-    "bv_idm": None,
-    "av_idm": None,
-    "mobil": None,
-    "sm_idm": None,
-    "sm_fvdm1": None,
-    "sm_fvdm2": None,
+# INI section -> (attribute path from CampaignConfig to the dataclass it
+# sets, its keys in file order; None means every field).  The panel's
+# ``sm_<name>`` sections set the parameter block its ``kind`` names.
+_SECTIONS = {
+    "campaign": ((), ("seed", "episodes_nde", "episodes_nade", "environment",
+                      "replications", "workers")),
+    "estimator": ((), ("gamma", "rhw_threshold", "confirm_window",
+                       "max_control_steps", "oracle_bins", "oracle_budget")),
+    "scenario": (("scenario",), ("dt", "max_steps", "d_accid",
+                                 "vehicle_length")),
+    "initial": (("scenario", "init"), None),
+    "criticality": (("scenario",), ("epsilon", "surrogates")),
+    "bv_idm": (("scenario", "bv_idm"), None),
+    "av_idm": (("scenario", "av_idm"), None),
+    "mobil": (("scenario", "mobil"), None),
 }
 
 
-def _update_from_section(params, section) -> object:
-    """Overwrite dataclass fields from one INI section, type-checked."""
-    kwargs = {}
-    valid = {f.name: f.type for f in dataclasses.fields(params)}
+def _at(obj, path):
+    for name in path:
+        obj = getattr(obj, name)
+    return obj
+
+
+def _replace_at(obj, path, values):
+    if not path:
+        return replace(obj, **values)
+    inner = _replace_at(getattr(obj, path[0]), path[1:], values)
+    return replace(obj, **{path[0]: inner})
+
+
+def _keys(target, keys):
+    return keys or tuple(f.name for f in dataclasses.fields(target))
+
+
+def _read(section, target, keys=None) -> dict:
+    """One section's values, each cast by the type of its current value."""
+    keys = _keys(target, keys)
+    values = {}
     for key in section:
-        if key not in valid:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in section [{section.name}]")
+        if key == "surrogates":
+            continue
         try:
-            kwargs[key] = float(section[key])
+            values[key] = type(getattr(target, key))(section[key])
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
-    return replace(params, **kwargs)
-
-
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    try:
-        if cast is bool:
-            return section.getboolean(key)
-        return cast(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
+    return values
 
 
 def load_config(path: str) -> CampaignConfig:
@@ -204,91 +215,28 @@ def load_config(path: str) -> CampaignConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
+    cfg = CampaignConfig()
+    surrogates = {m.name: m for m in cfg.scenario.surrogates}
     for name in parser.sections():
-        if name not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown section [{name}]")
-        keys = _KNOWN_SECTIONS[name]
-        if keys is None:
-            continue
-        for key in parser[name]:
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in section [{name}]")
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else None
-
-    base = CampaignConfig()
-    sc = base.scenario
-
-    if section("scenario") is not None:
-        sc = replace(
-            sc,
-            dt=_get(section("scenario"), "dt", float, sc.dt),
-            max_steps=_get(section("scenario"), "max_steps", int, sc.max_steps),
-            d_accid=_get(section("scenario"), "d_accid", float, sc.d_accid),
-            vehicle_length=_get(section("scenario"), "vehicle_length", float,
-                                sc.vehicle_length),
-        )
-    if section("initial") is not None:
-        sec = section("initial")
-        init = sc.init
-        init = replace(
-            init,
-            v_bv=_get(sec, "v_bv", float, init.v_bv),
-            r1_low=_get(sec, "r1_low", float, init.r1_low),
-            r1_high=_get(sec, "r1_high", float, init.r1_high),
-            r1_dot=_get(sec, "r1_dot", float, init.r1_dot),
-            r2=_get(sec, "r2", float, init.r2),
-            r2_dot=_get(sec, "r2_dot", float, init.r2_dot),
-        )
-        sc = replace(sc, init=init)
-    if section("bv_idm") is not None:
-        sc = replace(sc, bv_idm=_update_from_section(sc.bv_idm, section("bv_idm")))
-    if section("av_idm") is not None:
-        sc = replace(sc, av_idm=_update_from_section(sc.av_idm, section("av_idm")))
-    if section("mobil") is not None:
-        sc = replace(sc, mobil=_update_from_section(sc.mobil, section("mobil")))
-
-    surrogates = {m.name: m for m in sc.surrogates}
-    for name, sect_name in _SURROGATE_SECTIONS.items():
-        sect = section(sect_name)
-        if sect is None or name not in surrogates:
-            continue
-        sm = surrogates[name]
-        if sm.kind == "idm":
-            surrogates[name] = replace(sm, idm=_update_from_section(sm.idm, sect))
+        if name in _SECTIONS:
+            at, keys = _SECTIONS[name]
+            cfg = _replace_at(cfg, at, _read(parser[name], _at(cfg, at), keys))
+        elif name.startswith("sm_") and name[3:] in surrogates:
+            sm = surrogates[name[3:]]
+            surrogates[sm.name] = _replace_at(
+                sm, (sm.kind,), _read(parser[name], getattr(sm, sm.kind)))
         else:
-            surrogates[name] = replace(sm, fvdm=_update_from_section(sm.fvdm, sect))
+            raise ConfigError(f"unknown section [{name}]")
 
-    crit = section("criticality")
     chosen = tuple(surrogates.values())
-    if crit is not None and "surrogates" in crit:
-        names = [n.strip() for n in crit["surrogates"].split(",") if n.strip()]
+    if parser.has_option("criticality", "surrogates"):
+        names = [n.strip() for n in parser["criticality"]["surrogates"].split(",")
+                 if n.strip()]
         missing = [n for n in names if n not in surrogates]
         if missing:
             raise ConfigError(f"unknown surrogate model(s): {missing}")
         chosen = tuple(surrogates[n] for n in names)
-    sc = replace(sc, surrogates=chosen,
-                 epsilon=_get(crit, "epsilon", float, sc.epsilon))
-
-    camp = section("campaign")
-    est = section("estimator")
-    cfg = CampaignConfig(
-        seed=_get(camp, "seed", int, base.seed),
-        episodes_nde=_get(camp, "episodes_nde", int, base.episodes_nde),
-        episodes_nade=_get(camp, "episodes_nade", int, base.episodes_nade),
-        environment=_get(camp, "environment", str, base.environment),
-        scenario=sc,
-        gamma=_get(est, "gamma", float, base.gamma),
-        rhw_threshold=_get(est, "rhw_threshold", float, base.rhw_threshold),
-        confirm_window=_get(est, "confirm_window", int, base.confirm_window),
-        max_control_steps=_get(est, "max_control_steps", int,
-                               base.max_control_steps),
-        oracle_bins=_get(est, "oracle_bins", int, base.oracle_bins),
-        oracle_budget=_get(est, "oracle_budget", int, base.oracle_budget),
-        replications=_get(camp, "replications", int, base.replications),
-        workers=_get(camp, "workers", int, base.workers),
-    )
+    cfg = _replace_at(cfg, ("scenario",), {"surrogates": chosen})
     cfg.validate()
     return cfg
 
@@ -296,43 +244,16 @@ def load_config(path: str) -> CampaignConfig:
 def write_default_config(path: str) -> None:
     """Emit a fully-populated INI file with the stock defaults."""
     cfg = CampaignConfig()
-    sc = cfg.scenario
     parser = configparser.ConfigParser()
-    parser["campaign"] = {
-        "seed": str(cfg.seed),
-        "episodes_nde": str(cfg.episodes_nde),
-        "episodes_nade": str(cfg.episodes_nade),
-        "environment": cfg.environment,
-        "replications": str(cfg.replications),
-        "workers": str(cfg.workers),
-    }
-    parser["estimator"] = {
-        "gamma": str(cfg.gamma),
-        "rhw_threshold": str(cfg.rhw_threshold),
-        "confirm_window": str(cfg.confirm_window),
-        "max_control_steps": str(cfg.max_control_steps),
-        "oracle_bins": str(cfg.oracle_bins),
-        "oracle_budget": str(cfg.oracle_budget),
-    }
-    parser["scenario"] = {
-        "dt": str(sc.dt),
-        "max_steps": str(sc.max_steps),
-        "d_accid": str(sc.d_accid),
-        "vehicle_length": str(sc.vehicle_length),
-    }
-    parser["initial"] = {k: str(v) for k, v in dataclasses.asdict(sc.init).items()}
-    parser["criticality"] = {
-        "epsilon": str(sc.epsilon),
-        "surrogates": ", ".join(m.name for m in sc.surrogates),
-    }
-    parser["bv_idm"] = {k: str(v) for k, v in dataclasses.asdict(sc.bv_idm).items()}
-    parser["av_idm"] = {k: str(v) for k, v in dataclasses.asdict(sc.av_idm).items()}
-    parser["mobil"] = {k: str(v) for k, v in dataclasses.asdict(sc.mobil).items()}
-    for sm in sc.surrogates:
-        sect = _SURROGATE_SECTIONS.get(sm.name)
-        if sect is None:
-            continue
-        block = sm.idm if sm.kind == "idm" else sm.fvdm
-        parser[sect] = {k: str(v) for k, v in dataclasses.asdict(block).items()}
+    for name, (at, keys) in _SECTIONS.items():
+        target = _at(cfg, at)
+        parser[name] = {k: str(getattr(target, k))
+                        for k in _keys(target, keys) if k != "surrogates"}
+    parser["criticality"]["surrogates"] = ", ".join(
+        m.name for m in cfg.scenario.surrogates)
+    for sm in cfg.scenario.surrogates:
+        block = getattr(sm, sm.kind)
+        parser["sm_" + sm.name] = {k: str(getattr(block, k))
+                                   for k in _keys(block, None)}
     with open(path, "w") as fh:
         parser.write(fh)

@@ -194,13 +194,12 @@ class GroupedRegression:
         return self.eta + (self.Y - self.eta - self.Z @ self.beta)
 
 
-def fit_atscv(records: Sequence[TestRecord], max_control_steps: int = 10,
-              force_zero_beta: bool = False) -> List[GroupedRegression]:
+def fit_atscv(records: Sequence[TestRecord],
+              max_control_steps: int = 10) -> List[GroupedRegression]:
     """Group records by control-moment count and fit each group once.
 
     Groups beyond ``max_control_steps`` are merged into one unadjusted
-    overflow group, labeled ``max_control_steps + 1``; ``force_zero_beta``
-    makes every group mean-only and builds no design at all.
+    overflow group, labeled ``max_control_steps + 1``.
     """
     if not records:
         raise EmptyInput("no records")
@@ -208,7 +207,7 @@ def fit_atscv(records: Sequence[TestRecord], max_control_steps: int = 10,
     groups = []
     for label, members in _members_by_label(records, cap).items():
         Y = np.array([_response(records[i]) for i in members], dtype=float)
-        if force_zero_beta or not 0 < label <= cap:
+        if not 0 < label <= cap:
             Z = np.zeros((len(members), 0))
         else:
             Z = np.vstack([control_row(records[i]) for i in members])
@@ -288,9 +287,7 @@ def estimate_nade(records: Sequence[TestRecord],
     return _pooled_estimate("nade", records, max_control_steps)
 
 
-def estimate_atscv(records: Sequence[TestRecord], cfg=None,
-                   force_zero_beta: bool = False,
-                   max_control_steps: Optional[int] = None,
+def estimate_atscv(records: Sequence[TestRecord], max_control_steps: int = 10,
                    groups: Optional[Sequence[GroupedRegression]] = None
                    ) -> Estimate:
     """Regression-adjusted estimate over the same grouped decomposition.
@@ -300,15 +297,17 @@ def estimate_atscv(records: Sequence[TestRecord], cfg=None,
     groups' ``count * residual variance`` over ``n^2``, which is where the
     adjustment pays off.  ``groups`` reuses the result of :func:`fit_atscv`.
     """
-    if max_control_steps is None:
-        max_control_steps = getattr(cfg, "max_control_steps", 10)
     _require_env(records, "nade")
     n = len(records)
     if groups is None:
-        groups = fit_atscv(records, max_control_steps, force_zero_beta)
+        groups = fit_atscv(records, max_control_steps)
     mu, per_group = _grouped_point(((g.exposures, g.Y) for g in groups), n)
-    variance = sum(g.spread for g in groups) / n ** 2
-    return Estimate(method="atscv", mu=mu, variance=variance,
+    # Added left to right from 0.0: ``sum`` of floats is compensated from
+    # Python 3.12 on, which would tie the bytes to the interpreter.
+    spread = 0.0
+    for g in groups:
+        spread += g.spread
+    return Estimate(method="atscv", mu=mu, variance=spread / n ** 2,
                     n=n, per_group=per_group)
 
 

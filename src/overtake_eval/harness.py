@@ -11,6 +11,13 @@ permits, and emits a fixed set of files:
 * ``summary.json``         estimates, stopping counts, acceleration factors
 * ``replications.csv``     per-replication table (replication studies only)
 
+One path serves every entry point.  ``_sample`` draws one environment's
+episodes; :func:`estimate_from_records` runs the estimators, the stopping
+rule and the acceleration ratios over a record set; :func:`run_campaign` is
+that on freshly sampled records plus the oracle, and a replication row is
+the same estimate at seed root+rep, without the oracle and on one warm
+criticality evaluator per worker chunk.
+
 Episodes fan out to a worker pool in contiguous index chunks; every record is
 a pure function of (root seed, environment, index), so output bytes do not
 depend on the worker count.  The worker count is deliberately left out of the
@@ -89,38 +96,39 @@ def _chunk_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _nde_chunk(args):
-    root, sc, start, count = args
-    return sample_nde_batch(root, sc, count, start=start)
+def _budgets(cfg: CampaignConfig) -> Dict[str, int]:
+    """Episodes per environment the campaign runs, in sampling order."""
+    return {env: n for env, n in (("nde", cfg.episodes_nde),
+                                  ("nade", cfg.episodes_nade))
+            if cfg.environment in (env, "both") and n > 0}
 
 
-def _nade_chunk(args):
-    root, sc, start, count, cap = args
-    return sample_nade_batch(root, sc, count, start=start,
-                             max_control_steps=cap)
+def _sample(env: str, cfg: CampaignConfig, n: int, start: int = 0,
+            evaluator: Optional[CriticalityEvaluator] = None
+            ) -> List[TestRecord]:
+    if env == "nde":
+        return sample_nde_batch(cfg.seed, cfg.scenario, n, start=start)
+    return sample_nade_batch(cfg.seed, cfg.scenario, n, start=start,
+                             evaluator=evaluator,
+                             max_control_steps=cfg.max_control_steps)
+
+
+def _pool(workers: int, fn, args) -> list:
+    """``fn(*a)`` for each ``a`` in a worker pool, results concatenated."""
+    with multiprocessing.Pool(workers) as pool:
+        parts = pool.starmap(fn, args)
+    return [x for part in parts for x in part]
 
 
 def sample_env(cfg: CampaignConfig, env: str) -> List[TestRecord]:
     n = cfg.episodes_nde if env == "nde" else cfg.episodes_nade
-    sc = cfg.scenario
     if n == 0:
         return []
     if cfg.workers <= 1 or n < 2 * cfg.workers:
-        if env == "nde":
-            return sample_nde_batch(cfg.seed, sc, n)
-        return sample_nade_batch(cfg.seed, sc, n,
-                                 max_control_steps=cfg.max_control_steps)
-    if env == "nde":
-        args = [(cfg.seed, sc, start, count)
-                for start, count in _chunk_bounds(n, cfg.workers)]
-        worker = _nde_chunk
-    else:
-        args = [(cfg.seed, sc, start, count, cfg.max_control_steps)
-                for start, count in _chunk_bounds(n, cfg.workers)]
-        worker = _nade_chunk
-    with multiprocessing.Pool(cfg.workers) as pool:
-        parts = pool.map(worker, args)
-    return [r for part in parts for r in part]
+        return _sample(env, cfg, n)
+    return _pool(cfg.workers, _sample,
+                 [(env, cfg, count, start)
+                  for start, count in _chunk_bounds(n, cfg.workers)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +143,22 @@ def _safe_rhw(est: Estimate, gamma: float) -> Optional[float]:
 
 
 def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]):
-    methods: Dict[str, MethodResult] = {}
-    groups = None
+    """Every applicable method's result, and the ATSCV group fits."""
+    cap = cfg.max_control_steps
+    runs, groups = [], None
     if records.get("nde"):
-        est = estimate_nde(records["nde"])
-        methods["nde"] = MethodResult(
-            est, _safe_rhw(est, cfg.gamma),
-            tests_to_threshold(records["nde"], cfg.rhw_threshold, cfg.gamma,
-                               "nde", cfg.confirm_window))
+        runs.append(("nde", records["nde"], estimate_nde(records["nde"])))
     if records.get("nade"):
-        nade_recs = records["nade"]
-        est = estimate_nade(nade_recs, cfg.max_control_steps)
-        methods["nade"] = MethodResult(
-            est, _safe_rhw(est, cfg.gamma),
-            tests_to_threshold(nade_recs, cfg.rhw_threshold, cfg.gamma,
-                               "nade", cfg.confirm_window,
-                               cfg.max_control_steps))
-        groups = fit_atscv(nade_recs, cfg.max_control_steps)
-        est = estimate_atscv(nade_recs, cfg, groups=groups)
-        methods["atscv"] = MethodResult(
-            est, _safe_rhw(est, cfg.gamma),
-            tests_to_threshold(nade_recs, cfg.rhw_threshold, cfg.gamma,
-                               "atscv", cfg.confirm_window,
-                               cfg.max_control_steps))
+        nade = records["nade"]
+        est = estimate_nade(nade, cap)
+        groups = fit_atscv(nade, cap)
+        runs += [("nade", nade, est),
+                 ("atscv", nade, estimate_atscv(nade, cap, groups=groups))]
+    methods = {
+        m: MethodResult(est, _safe_rhw(est, cfg.gamma),
+                        tests_to_threshold(recs, cfg.rhw_threshold, cfg.gamma,
+                                           m, cfg.confirm_window, cap))
+        for m, recs, est in runs}
     return methods, groups
 
 
@@ -186,78 +187,46 @@ def _attempt_oracle(cfg: CampaignConfig) -> Optional[float]:
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Sample the configured environments, estimate, and collect results."""
     cfg.validate()
-    records: Dict[str, List[TestRecord]] = {}
-    if cfg.environment in ("nde", "both") and cfg.episodes_nde > 0:
-        records["nde"] = sample_env(cfg, "nde")
-    if cfg.environment in ("nade", "both") and cfg.episodes_nade > 0:
-        records["nade"] = sample_env(cfg, "nade")
-    methods, groups = _method_results(cfg, records)
-    return CampaignResult(
-        config=cfg,
-        records=records,
-        methods=methods,
-        groups=groups,
-        oracle_mu=_attempt_oracle(cfg),
-        acceleration=_acceleration(methods),
-    )
+    records = {env: sample_env(cfg, env) for env in _budgets(cfg)}
+    result = estimate_from_records(cfg, records)
+    result.oracle_mu = _attempt_oracle(cfg)
+    return result
 
 
 def estimate_from_records(cfg: CampaignConfig,
                           records: Dict[str, List[TestRecord]]) -> CampaignResult:
-    """Re-run the estimators over previously emitted records."""
+    """Run the estimators over sampled or previously emitted records."""
     methods, groups = _method_results(cfg, records)
     return CampaignResult(config=cfg, records=records, methods=methods,
-                          groups=groups, oracle_mu=None,
-                          acceleration=_acceleration(methods))
+                          groups=groups, acceleration=_acceleration(methods))
 
 
 # ---------------------------------------------------------------------------
 # replication studies
 
 
-def _run_one_replication(cfg: CampaignConfig, rep: int,
-                         evaluator: Optional[CriticalityEvaluator]) -> dict:
-    sc = cfg.scenario
-    seed = cfg.seed + rep
-    row: Dict[str, object] = {"replication": rep, "seed": seed}
-    for m in METHODS:
-        row[f"{m}_mu"] = None
-        row[f"{m}_rhw"] = None
-        row[f"{m}_tests"] = None
-    if cfg.environment in ("nde", "both") and cfg.episodes_nde > 0:
-        recs = sample_nde_batch(seed, sc, cfg.episodes_nde)
-        est = estimate_nde(recs)
-        row["nde_mu"] = est.mu
-        row["nde_rhw"] = _safe_rhw(est, cfg.gamma)
-        row["nde_tests"] = tests_to_threshold(
-            recs, cfg.rhw_threshold, cfg.gamma, "nde", cfg.confirm_window)
-    if cfg.environment in ("nade", "both") and cfg.episodes_nade > 0:
-        recs = sample_nade_batch(seed, sc, cfg.episodes_nade,
-                                 evaluator=evaluator,
-                                 max_control_steps=cfg.max_control_steps)
-        est = estimate_nade(recs, cfg.max_control_steps)
-        row["nade_mu"] = est.mu
-        row["nade_rhw"] = _safe_rhw(est, cfg.gamma)
-        row["nade_tests"] = tests_to_threshold(
-            recs, cfg.rhw_threshold, cfg.gamma, "nade", cfg.confirm_window,
-            cfg.max_control_steps)
-        est = estimate_atscv(recs, cfg)
-        row["atscv_mu"] = est.mu
-        row["atscv_rhw"] = _safe_rhw(est, cfg.gamma)
-        row["atscv_tests"] = tests_to_threshold(
-            recs, cfg.rhw_threshold, cfg.gamma, "atscv", cfg.confirm_window,
-            cfg.max_control_steps)
-    row["accel_nde_nade"] = _ratio(row["nde_tests"], row["nade_tests"])
-    row["accel_nade_atscv"] = _ratio(row["nade_tests"], row["atscv_tests"])
-    return row
-
-
-def _replication_chunk(args) -> List[dict]:
-    cfg, reps = args
-    evaluator = None
-    if cfg.environment in ("nade", "both") and cfg.episodes_nade > 0:
-        evaluator = CriticalityEvaluator(cfg.scenario)
-    return [_run_one_replication(cfg, rep, evaluator) for rep in reps]
+def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
+    """Replication rows: the campaign's estimates at seed root+rep, without
+    the oracle, on one warm evaluator for the whole chunk."""
+    budgets = _budgets(cfg)
+    evaluator = CriticalityEvaluator(cfg.scenario) if "nade" in budgets else None
+    rows = []
+    for rep in reps:
+        seeded = dataclasses.replace(cfg, seed=cfg.seed + rep)
+        methods, _ = _method_results(seeded, {
+            env: _sample(env, seeded, n, evaluator=evaluator)
+            for env, n in budgets.items()})
+        row: Dict[str, object] = {"replication": rep, "seed": seeded.seed}
+        for m in METHODS:
+            mr = methods.get(m)
+            row[f"{m}_mu"], row[f"{m}_rhw"], row[f"{m}_tests"] = (
+                (mr.estimate.mu, mr.rhw, mr.tests_to_threshold) if mr
+                else (None, None, None))
+        acc = _acceleration(methods)
+        row["accel_nde_nade"] = acc["nde_over_nade"]
+        row["accel_nade_atscv"] = acc["nade_over_atscv"]
+        rows.append(row)
+    return rows
 
 
 def run_replications(cfg: CampaignConfig) -> List[dict]:
@@ -265,12 +234,10 @@ def run_replications(cfg: CampaignConfig) -> List[dict]:
     cfg.validate()
     reps = list(range(1, cfg.replications + 1))
     if cfg.workers <= 1 or len(reps) == 1:
-        return _replication_chunk((cfg, reps))
-    chunks = [reps[start:start + count]
-              for start, count in _chunk_bounds(len(reps), cfg.workers)]
-    with multiprocessing.Pool(cfg.workers) as pool:
-        parts = pool.map(_replication_chunk, [(cfg, c) for c in chunks])
-    return [row for part in parts for row in part]
+        return _replicate(cfg, reps)
+    return _pool(cfg.workers, _replicate,
+                 [(cfg, reps[start:start + count])
+                  for start, count in _chunk_bounds(len(reps), cfg.workers)])
 
 
 def _aggregate_replications(rows: List[dict]) -> dict:
@@ -406,44 +373,31 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
     """Write the full output file set; returns the manifest of paths."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    all_records = list(result.records.get("nde", [])) + \
-        list(result.records.get("nade", []))
+    records = result.records
     manifest = []
 
-    path = os.path.join(out_dir, "records.csv")
-    write_records(path, all_records)
-    manifest.append(path)
+    def out(name):
+        manifest.append(os.path.join(out_dir, name))
+        return manifest[-1]
 
-    path = os.path.join(out_dir, "critical_log.csv")
-    write_critical_log(path, result.records.get("nade", []),
+    write_records(out("records.csv"),
+                  list(records.get("nde", [])) + list(records.get("nade", [])))
+    write_critical_log(out("critical_log.csv"), records.get("nade", []),
                        len(cfg.scenario.surrogates))
-    manifest.append(path)
-
     for method in METHODS:
-        path = os.path.join(out_dir, f"convergence_{method}.csv")
-        source = result.records.get("nde" if method == "nde" else "nade", [])
+        source = records.get("nde" if method == "nde" else "nade", [])
+        table = []
         if method in result.methods and source:
             table = convergence_series(source, cfg.gamma, method,
                                        cfg.max_control_steps)
-        else:
-            table = []
-        write_convergence(path, table)
-        manifest.append(path)
-
-    path = os.path.join(out_dir, "adjusted_points.csv")
-    write_adjusted_points(path, result.records.get("nade", []), result.groups)
-    manifest.append(path)
-
+        write_convergence(out(f"convergence_{method}.csv"), table)
+    write_adjusted_points(out("adjusted_points.csv"), records.get("nade", []),
+                          result.groups)
     if result.replication_rows:
-        path = os.path.join(out_dir, "replications.csv")
-        write_replications(path, result.replication_rows)
-        manifest.append(path)
-
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
+        write_replications(out("replications.csv"), result.replication_rows)
+    with open(out("summary.json"), "w") as fh:
         json.dump(build_summary(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest.append(path)
     return manifest
 
 
@@ -452,12 +406,22 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 
 
 def read_records(path: str) -> List[TestRecord]:
+    """Records from a ``records.csv``; ``ValueError`` names the file and line
+    of a header other than ``RECORD_COLUMNS`` or of a malformed row."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(TestRecord(
-                index=int(row["id"]), seed=int(row["seed"]), env=row["env"],
-                accident=int(row["accident"]), weight=float(row["w"])))
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header != RECORD_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {RECORD_COLUMNS}")
+        for row in rows:
+            try:
+                index, seed, env, accident, _, weight = row
+                out.append(TestRecord(index=int(index), seed=int(seed), env=env,
+                                      accident=int(accident),
+                                      weight=float(weight)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {rows.line_num}: {exc}") from exc
     return out
 
 
@@ -471,11 +435,14 @@ def read_critical_log(path: str) -> Dict[int, List[CriticalMoment]]:
         q_cols = [i for i, name in enumerate(header) if name.startswith("q_")
                   and name != "q_alpha"]
         for row in reader:
-            rid = int(row[0])
-            moment = CriticalMoment(
-                p=float(row[2]), q_alpha=float(row[3]),
-                q=tuple(float(row[i]) for i in q_cols))
-            logs.setdefault(rid, []).append((int(row[1]), moment))
+            try:
+                rid = int(row[0])
+                moment = CriticalMoment(
+                    p=float(row[2]), q_alpha=float(row[3]),
+                    q=tuple(float(row[i]) for i in q_cols))
+                logs.setdefault(rid, []).append((int(row[1]), moment))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return {rid: [m for _, m in sorted(entries, key=lambda t: t[0])]
             for rid, entries in logs.items()}
 

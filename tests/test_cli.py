@@ -1,0 +1,146 @@
+"""The command-line verbs and their exit codes, driven through ``main``."""
+import json
+
+import pytest
+
+from overtake_eval import harness
+from overtake_eval.cli import main
+from overtake_eval.config import CampaignConfig
+from overtake_eval.estimators import EmptyInput, ZeroEstimate
+from overtake_eval.models import NonPositiveGap, ZeroDensity
+from overtake_eval.oracle import brute_force_mu
+
+
+def run(capsys, *argv):
+    rc = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_simulate_nade_writes_records_and_log(tmp_path, capsys):
+    rc, out, _ = run(capsys, "simulate", "--env", "nade", "--episodes", 40,
+                     "--seed", 3, "--out", tmp_path)
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "critical_log.csv", "records.csv"]
+    records = (tmp_path / "records.csv").read_text().splitlines()
+    assert records[0] == "id,seed,env,accident,l,w"
+    assert len(records) == 41
+    assert all(line.split(",")[2] == "nade" for line in records[1:])
+    assert (tmp_path / "critical_log.csv").read_text().startswith(
+        "record_id,moment,p,q_alpha,q_1,q_2,q_3\n")
+    assert "nade: 40 episodes" in out
+
+
+def test_oracle_writes_brute_force_value(tmp_path, capsys):
+    rc, out, _ = run(capsys, "oracle", "--out", tmp_path)
+    assert rc == 0
+    cfg = CampaignConfig()
+    mu = brute_force_mu(cfg.scenario, cfg.oracle_bins, cfg.oracle_budget)
+    written = json.loads((tmp_path / "oracle.json").read_text())
+    assert written["oracle_mu"] == mu
+    assert written["bins"] == cfg.oracle_bins
+    assert f"oracle_mu {mu!r}" in out
+
+
+def test_oracle_budget_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[estimator]\noracle_budget = 10\n")
+    rc, _, err = run(capsys, "oracle", "--config", cfg)
+    assert rc == 3
+    assert err.startswith("oracle budget exceeded")
+
+
+def test_report_prints_methods_table(tmp_path, capsys):
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 150,
+               "--out", tmp_path)[0] == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rc, out, _ = run(capsys, "report", "--out", tmp_path)
+    assert rc == 0
+    lines = out.splitlines()
+    header = lines.index(next(l for l in lines if l.startswith("method")))
+    assert lines[header].split() == ["method", "n", "mu", "rhw", "tests"]
+    rows = [l.split() for l in lines[header + 1:header + 3]]
+    assert [r[0] for r in rows] == ["nade", "atscv"]
+    assert [int(r[1]) for r in rows] == [150, 150]
+    assert float(rows[0][2]) == pytest.approx(summary["methods"]["nade"]["mu"],
+                                              rel=1e-5)
+
+
+def test_estimate_from_records_reproduces_every_method(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(capsys, "estimate", "--episodes", 300, "--seed", 8,
+               "--out", first)[0] == 0
+    assert run(capsys, "estimate", "--records", first, "--episodes", 300,
+               "--out", again)[0] == 0
+    first_summary = json.loads((first / "summary.json").read_text())
+    again_summary = json.loads((again / "summary.json").read_text())
+    # A campaign adds the oracle; re-estimation from records does not.
+    scenario = CampaignConfig().scenario
+    assert first_summary["oracle_mu"] == brute_force_mu(scenario)
+    assert again_summary["oracle_mu"] is None
+    original, reloaded = first_summary["methods"], again_summary["methods"]
+    assert sorted(original) == sorted(reloaded) == ["atscv", "nade", "nde"]
+    for name, m in original.items():
+        assert reloaded[name]["mu"] == m["mu"]
+        assert reloaded[name]["variance"] == m["variance"]
+
+
+# ---------------------------------------------------------------------------
+# bad input data: exit 4 with one stderr line
+
+
+def _records_dir(tmp_path, text):
+    d = tmp_path / "records"
+    d.mkdir()
+    (d / "records.csv").write_text(text)
+    return d
+
+
+@pytest.mark.parametrize("text,message", [
+    ("id,seed,env,accident,l,w\n0,5,nde,x,0,1.0\n", "line 2"),
+    ("id,seed,env,accident,l,w\n0,5,nde,0,0,1.0\n1,6\n", "line 3"),
+    ("id,seed\n", "header"),
+    ("", "header"),
+])
+def test_malformed_records_exit_code(tmp_path, capsys, text, message):
+    d = _records_dir(tmp_path, text)
+    rc, _, err = run(capsys, "estimate", "--records", d,
+                     "--out", tmp_path / "out")
+    assert rc == 4
+    assert err.count("\n") == 1
+    assert err.startswith("data error: ")
+    assert str(d / "records.csv") in err and message in err
+
+
+def test_malformed_critical_log_exit_code(tmp_path, capsys):
+    d = _records_dir(tmp_path, "id,seed,env,accident,l,w\n0,5,nade,1,1,2.0\n")
+    (d / "critical_log.csv").write_text(
+        "record_id,moment,p,q_alpha,q_1,q_2,q_3\n0,0,0.1\n")
+    rc, _, err = run(capsys, "estimate", "--records", d,
+                     "--out", tmp_path / "out")
+    assert rc == 4
+    assert "critical_log.csv, line 2" in err
+
+
+def test_truncated_summary_exit_code(tmp_path, capsys):
+    assert run(capsys, "estimate", "--env", "nde", "--episodes", 50,
+               "--out", tmp_path)[0] == 0
+    path = tmp_path / "summary.json"
+    path.write_text(path.read_text()[:40])
+    rc, out, err = run(capsys, "report", "--out", tmp_path)
+    assert rc == 4
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {path}: ")
+
+
+@pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, ZeroEstimate,
+                                   NonPositiveGap])
+def test_library_data_errors_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("raised by the sampler")
+    monkeypatch.setattr(harness, "sample_nade_batch", fail)
+    rc, _, err = run(capsys, "estimate", "--env", "nade", "--episodes", 5,
+                     "--out", tmp_path)
+    assert rc == 4
+    assert err == "data error: raised by the sampler\n"

@@ -9,11 +9,12 @@ from overtake_eval.config import (
     MAX_DESIGN_WIDTH,
     CampaignConfig,
     ConfigError,
+    InitialStateParams,
     ScenarioConfig,
     load_config,
     write_default_config,
 )
-from overtake_eval.models import IdmParams
+from overtake_eval.models import FvdmParams, IdmParams, MobilParams, SurrogateModel
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -176,3 +177,142 @@ def test_inverted_initial_range_rejected():
     sc = dataclasses.replace(sc, init=dataclasses.replace(sc.init, r1_high=29.0))
     with pytest.raises(ConfigError, match="r1"):
         dataclasses.replace(CampaignConfig(), scenario=sc).validate()
+
+
+EVERY_KEY = """
+[campaign]
+seed = 7
+episodes_nde = 11
+episodes_nade = 13
+environment = nade
+replications = 3
+workers = 2
+
+[estimator]
+gamma = 0.2
+rhw_threshold = 0.3
+confirm_window = 5
+max_control_steps = 4
+oracle_bins = 8
+oracle_budget = 999
+
+[scenario]
+dt = 0.2
+max_steps = 50
+d_accid = 0.5
+vehicle_length = 4.5
+
+[initial]
+v_bv = 9.0
+r1_low = 20.0
+r1_high = 25.0
+r1_dot = -4.0
+r2 = 6.0
+r2_dot = -3.0
+
+[criticality]
+epsilon = 0.2
+surrogates = fvdm2, idm, fvdm1
+
+[bv_idm]
+v0 = 16.0
+headway = 1.1
+a_max = 2.1
+b = 2.2
+s0 = 2.3
+delta = 3.5
+hard_decel = 5.0
+
+[av_idm]
+v0 = 13.0
+headway = 1.3
+a_max = 1.4
+b = 2.6
+s0 = 2.7
+delta = 3.0
+hard_decel = 4.5
+
+[mobil]
+politeness = 0.01
+delta_a_th = 0.2
+b_safe = 5.0
+gamma_p = 0.02
+p_max = 0.2
+
+[sm_idm]
+v0 = 17.0
+headway = 0.9
+a_max = 1.9
+b = 1.8
+s0 = 1.7
+delta = 2.0
+hard_decel = 3.9
+
+[sm_fvdm1]
+kappa = 2.5
+lam = 0.6
+v_cap = 16.0
+b_f = 11.0
+c_f = 2.1
+hard_decel = 3.5
+hard_accel = 4.1
+
+[sm_fvdm2]
+kappa = 6.5
+lam = 0.7
+v_cap = 17.0
+b_f = 12.0
+c_f = 2.2
+hard_decel = 4.7
+hard_accel = 4.2
+"""
+
+
+def test_every_key_of_every_section_is_read(tmp_path):
+    expected = CampaignConfig(
+        seed=7, episodes_nde=11, episodes_nade=13, environment="nade",
+        replications=3, workers=2, gamma=0.2, rhw_threshold=0.3,
+        confirm_window=5, max_control_steps=4, oracle_bins=8,
+        oracle_budget=999,
+        scenario=ScenarioConfig(
+            dt=0.2, max_steps=50, d_accid=0.5, vehicle_length=4.5,
+            epsilon=0.2,
+            init=InitialStateParams(v_bv=9.0, r1_low=20.0, r1_high=25.0,
+                                    r1_dot=-4.0, r2=6.0, r2_dot=-3.0),
+            bv_idm=IdmParams(v0=16.0, headway=1.1, a_max=2.1, b=2.2, s0=2.3,
+                             delta=3.5, hard_decel=5.0),
+            av_idm=IdmParams(v0=13.0, headway=1.3, a_max=1.4, b=2.6, s0=2.7,
+                             delta=3.0, hard_decel=4.5),
+            mobil=MobilParams(politeness=0.01, delta_a_th=0.2, b_safe=5.0,
+                              gamma_p=0.02, p_max=0.2),
+            surrogates=(
+                SurrogateModel("fvdm2", "fvdm", fvdm=FvdmParams(
+                    kappa=6.5, lam=0.7, v_cap=17.0, b_f=12.0, c_f=2.2,
+                    hard_decel=4.7, hard_accel=4.2)),
+                SurrogateModel("idm", "idm", idm=IdmParams(
+                    v0=17.0, headway=0.9, a_max=1.9, b=1.8, s0=1.7,
+                    delta=2.0, hard_decel=3.9)),
+                SurrogateModel("fvdm1", "fvdm", fvdm=FvdmParams(
+                    kappa=2.5, lam=0.6, v_cap=16.0, b_f=11.0, c_f=2.1,
+                    hard_decel=3.5, hard_accel=4.1)),
+            )))
+    loaded = load_config(write(tmp_path, EVERY_KEY))
+    assert loaded == expected
+    assert all(isinstance(getattr(loaded, f.name), type(getattr(expected, f.name)))
+               for f in dataclasses.fields(CampaignConfig))
+
+    # The file above must keep touching every field, so a field added to a
+    # block without a key shows up here.
+    stock = CampaignConfig()
+    stock_sm = {m.name: m for m in stock.scenario.surrogates}
+    pairs = [(loaded, stock), (loaded.scenario, stock.scenario),
+             (loaded.scenario.init, stock.scenario.init),
+             (loaded.scenario.bv_idm, stock.scenario.bv_idm),
+             (loaded.scenario.av_idm, stock.scenario.av_idm),
+             (loaded.scenario.mobil, stock.scenario.mobil)]
+    for sm in loaded.scenario.surrogates:
+        block = "idm" if sm.kind == "idm" else "fvdm"
+        pairs.append((getattr(sm, block), getattr(stock_sm[sm.name], block)))
+    for got, default in pairs:
+        for f in dataclasses.fields(got):
+            assert getattr(got, f.name) != getattr(default, f.name), f.name

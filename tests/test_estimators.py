@@ -320,17 +320,33 @@ def test_estimators_reject_empty_input():
 
 def test_atscv_point_identical_to_nade_point():
     # The regression columns are centered, so the grouped adjustment moves
-    # variance only: the point estimate must match exactly, both with the
-    # fitted slopes and with slopes forced to zero.
+    # variance only: the point estimate must match exactly.
     rng = np.random.default_rng(404)
     for trial in range(20):
         recs = random_nade_records(rng, 200, max_l=5)
         nade = estimate_nade(recs)
-        forced = estimate_atscv(recs, force_zero_beta=True)
         fitted = estimate_atscv(recs)
-        assert forced.mu == nade.mu  # bit-for-bit
         assert fitted.mu == nade.mu  # bit-for-bit
         assert fitted.n == nade.n == len(recs)
+
+
+def test_atscv_variance_is_left_to_right_fold_of_group_spreads():
+    # Python's float ``sum`` is compensated from 3.12 on; the variance must
+    # not depend on the interpreter, so it is the plain left fold from 0.0.
+    rng = np.random.default_rng(405)
+    recs = random_nade_records(rng, 300, max_l=5)
+    groups = fit_atscv(recs, 3)
+    total = 0.0
+    for g in groups:
+        total = total + g.spread
+    assert len(groups) > 2
+    assert estimate_atscv(recs, 3).variance == total / len(recs) ** 2
+    assert estimate_atscv(recs, 3, groups=groups).variance == \
+        total / len(recs) ** 2
+    # Spreads whose compensated sum (2.0) differs from the fold (0.0).
+    spreads = [1e16, 1.0, 1.0, -1e16] + [0.0] * (len(groups) - 4)
+    crafted = [dataclasses.replace(g, spread=v) for g, v in zip(groups, spreads)]
+    assert estimate_atscv(recs, 3, groups=crafted).variance == 0.0
 
 
 def test_atscv_group_contributions_sum_to_point():

@@ -1,9 +1,20 @@
 """Campaign-level contracts of the harness."""
 import dataclasses
+import json
 import os
 
+import jsonschema
+import pytest
+
 from overtake_eval.config import CampaignConfig
-from overtake_eval.harness import emit_outputs, load_campaign_records, run_campaign
+from overtake_eval.harness import (
+    SUMMARY_SCHEMA,
+    CampaignResult,
+    emit_outputs,
+    load_campaign_records,
+    run_campaign,
+    run_replications,
+)
 from overtake_eval.sampling import NDE_BLOCK
 
 
@@ -41,3 +52,57 @@ def test_emitted_records_load_back_field_for_field(tmp_path):
     for env in ("nde", "nade"):
         assert loaded[env] == result.records[env]
     assert any(r.critical_log for r in loaded["nade"])
+
+
+def _replication_files(cfg, out_dir):
+    rows = run_replications(cfg)
+    result = CampaignResult(config=cfg, records={}, methods={},
+                            replication_rows=rows)
+    emit_outputs(result, str(out_dir))
+    return rows, {name: (out_dir / name).read_bytes()
+                  for name in ("replications.csv", "summary.json")}
+
+
+def test_replication_row_is_the_campaign_at_its_seed(tmp_path):
+    # A replication is the campaign at seed root+rep, oracle aside.  The
+    # loose threshold gives every method a stopping count and a ratio.
+    cfg = CampaignConfig(seed=40, episodes_nde=300, episodes_nade=120,
+                         environment="both", replications=2,
+                         rhw_threshold=2.0, confirm_window=5)
+    rows = run_replications(cfg)
+    assert [r["replication"] for r in rows] == [1, 2]
+    for row in rows:
+        assert row["seed"] == cfg.seed + row["replication"]
+        result = run_campaign(dataclasses.replace(cfg, seed=row["seed"],
+                                                  replications=1))
+        for m in ("nde", "nade", "atscv"):
+            mr = result.methods[m]
+            assert row[f"{m}_mu"] == mr.estimate.mu
+            assert row[f"{m}_rhw"] == mr.rhw
+            assert row[f"{m}_tests"] == mr.tests_to_threshold
+        assert row["accel_nde_nade"] == result.acceleration["nde_over_nade"]
+        assert row["accel_nade_atscv"] == result.acceleration["nade_over_atscv"]
+        assert None not in (row["accel_nde_nade"], row["accel_nade_atscv"])
+
+
+def test_replication_files_do_not_depend_on_worker_count(tmp_path):
+    cfg = CampaignConfig(seed=41, episodes_nde=200, episodes_nade=100,
+                         environment="both", replications=3)
+    rows, one = _replication_files(cfg, tmp_path / "one")
+    _, two = _replication_files(dataclasses.replace(cfg, workers=2),
+                                tmp_path / "two")
+    assert one == two
+    assert one["replications.csv"].count(b"\n") == 1 + len(rows)
+
+
+def test_summaries_match_schema(tmp_path):
+    cfg = CampaignConfig(seed=42, episodes_nde=200, episodes_nade=100,
+                         environment="both", replications=2)
+    emit_outputs(run_campaign(cfg), str(tmp_path / "campaign"))
+    _replication_files(cfg, tmp_path / "replications")
+    for name in ("campaign", "replications"):
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        jsonschema.validate(summary, SUMMARY_SCHEMA)
+    bad = dict(summary, methods={"nde": {"n": -1}})
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, SUMMARY_SCHEMA)
