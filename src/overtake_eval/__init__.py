@@ -6,7 +6,9 @@ importance sampling, and a regression-adjusted variant that shrinks the
 variance with sparse control variates built from the logged importance
 densities.  A brute-force enumeration oracle provides the reference value
 the estimators are checked against.  Both samplers, the criticality
-evaluator and the oracle run on one lockstep array kernel (``kernel``).
+evaluator and the oracle run on one lockstep array kernel (``kernel``),
+and the samplers seed and draw whole blocks of episodes at once
+(``stream``), bit for bit as numpy's ``default_rng`` would.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +34,7 @@ from .config import (
 from .sampling import (
     CriticalMoment,
     TestRecord,
-    episode_seed,
+    episode_seeds,
     sample_nade_batch,
     sample_nde_batch,
 )

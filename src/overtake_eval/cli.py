@@ -83,8 +83,8 @@ def _print_methods(methods: dict) -> None:
         if name not in methods:
             continue
         m = methods[name]
-        print(f"{name:<8}{m['n']:>10}{_fmt(m['mu']):>14}"
-              f"{_fmt(m['rhw']):>12}{_fmt(m['tests_to_threshold']):>10}")
+        print(f"{name:<8}{_fmt(m.get('n')):>10}{_fmt(m.get('mu')):>14}"
+              f"{_fmt(m.get('rhw')):>12}{_fmt(m.get('tests_to_threshold')):>10}")
 
 
 def _cmd_simulate(args) -> int:
@@ -155,6 +155,20 @@ def _cmd_replicate(args) -> int:
     return EXIT_OK
 
 
+def _is_summary(summary) -> bool:
+    """The shape ``report`` reads: an object whose ``methods``,
+    ``acceleration`` and ``aggregates`` are objects where present, and whose
+    methods are objects too."""
+    if not isinstance(summary, dict):
+        return False
+    methods, *rest = [summary.get(key)
+                      for key in ("methods", "acceleration", "aggregates")]
+    methods = {} if methods is None else methods
+    return (isinstance(methods, dict)
+            and all(isinstance(m, dict) for m in methods.values())
+            and all(p is None or isinstance(p, dict) for p in rest))
+
+
 def _cmd_report(args) -> int:
     path = os.path.join(args.out, "summary.json")
     with open(path) as fh:
@@ -162,6 +176,10 @@ def _cmd_report(args) -> int:
             summary = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+    if not _is_summary(summary):
+        raise ValueError(f"{path}: not a campaign summary: expected an object "
+                         f"whose methods, acceleration and aggregates are "
+                         f"objects")
     print(f"campaign summary (version {summary.get('version', '?')})")
     if summary.get("oracle_mu") is not None:
         print(f"oracle_mu: {_fmt(summary['oracle_mu'])}")

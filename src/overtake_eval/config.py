@@ -128,6 +128,8 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.environment not in ("nde", "nade", "both"):
             raise ConfigError(f"unknown environment {self.environment!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.episodes_nde < 0 or self.episodes_nade < 0:
             raise ConfigError("episode budgets must be non-negative")
         if not 0.0 < self.gamma < 1.0:

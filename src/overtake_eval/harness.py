@@ -405,8 +405,9 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 # loading emitted records back
 
 
-def read_records(path: str) -> List[TestRecord]:
-    """Records from a ``records.csv``; ``ValueError`` names the file and line
+def read_records(path: str) -> List[Tuple[TestRecord, int]]:
+    """Records from a ``records.csv``, each with its ``l`` column (the count
+    of critical moments it logged); ``ValueError`` names the file and line
     of a header other than ``RECORD_COLUMNS`` or of a malformed row."""
     out = []
     with open(path, newline="") as fh:
@@ -416,10 +417,10 @@ def read_records(path: str) -> List[TestRecord]:
             raise ValueError(f"{path}: header {header} is not {RECORD_COLUMNS}")
         for row in rows:
             try:
-                index, seed, env, accident, _, weight = row
-                out.append(TestRecord(index=int(index), seed=int(seed), env=env,
-                                      accident=int(accident),
-                                      weight=float(weight)))
+                index, seed, env, accident, logged, weight = row
+                out.append((TestRecord(index=int(index), seed=int(seed),
+                                       env=env, accident=int(accident),
+                                       weight=float(weight)), int(logged)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {rows.line_num}: {exc}") from exc
     return out
@@ -448,14 +449,22 @@ def read_critical_log(path: str) -> Dict[int, List[CriticalMoment]]:
 
 
 def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
-    """Rebuild the per-environment record lists from an output directory."""
-    records = read_records(os.path.join(out_dir, "records.csv"))
+    """Rebuild the per-environment record lists from an output directory.
+
+    A NADE record takes its moments from ``critical_log.csv``; a record whose
+    ``l`` differs from the moments it gets (as every NADE record with
+    moments does when the log is missing) raises ``ValueError``."""
+    path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
     logs = read_critical_log(log_path) if os.path.exists(log_path) else {}
     by_env: Dict[str, List[TestRecord]] = {}
-    for r in records:
-        if r.env == "nade" and r.index in logs:
-            r = dataclasses.replace(r, critical_log=tuple(logs[r.index]))
+    for r, logged in read_records(path):
+        if r.env == "nade":
+            r = dataclasses.replace(r, critical_log=tuple(logs.get(r.index, ())))
+        if logged != r.control_steps:
+            raise ValueError(
+                f"{path}: episode {r.index} ({r.env}) has l = {logged} but "
+                f"the critical log holds {r.control_steps}")
         by_env.setdefault(r.env, []).append(r)
     return by_env
 

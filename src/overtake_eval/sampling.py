@@ -17,9 +17,12 @@ p/q_alpha factor; everywhere else it is p_R.  The cap keeps logs short
 without affecting unbiasedness.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``:
-the per-episode seed is derived through a counter-based spawn, and each
-episode draws from its own generator, so campaigns are invariant to worker
-count, scheduling order and block layout.
+an episode's seed is ``SeedSequence((root, env code, index))``'s first
+64-bit word, and it draws from ``np.random.default_rng(seed)``: one uniform
+for the initial gap, then one per step.  ``stream`` computes both for a
+whole block on uint64 arrays, bit for bit as numpy does; a row holds one
+128-bit PCG64 state and increment (32 bytes) and is never rebuilt.  So
+campaigns are invariant to worker count, scheduling order and block layout.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import stream
 from .criticality import CriticalityEvaluator
 from .kernel import CutIns, bv_law, cutin_crashes, initial_states, walk
 from .models import ZeroDensity
@@ -39,8 +43,6 @@ _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 
 # Episodes advanced together; bounds the arrays held at once.
 NDE_BLOCK = 1024
-# Per-step uniforms drawn from an episode's generator at a time.
-_DRAW_BLOCK = 16
 
 
 # Records are slotted: a campaign holds one per episode, and the per-instance
@@ -78,52 +80,42 @@ class TestRecord:
         return w
 
 
-def episode_seed(root_seed: int, env: str, index: int) -> int:
-    """Per-episode seed from a counter-based derivation; order-independent."""
-    ss = np.random.SeedSequence((root_seed, _ENV_CODES[env], index))
-    return int(ss.generate_state(1, np.uint64)[0])
+def episode_seeds(root_seed: int, env: str, idx) -> np.ndarray:
+    """Seeds of episodes ``idx``: each is
+    ``SeedSequence((root_seed, env code, i)).generate_state(1, np.uint64)[0]``,
+    so order-independent."""
+    return stream.seeds((root_seed, _ENV_CODES[env]), idx)
 
 
 class EpisodeDraws:
     """The random inputs of a block of episodes.
 
-    Each episode draws from its own generator: one uniform for the initial
-    BV-LV range (the only random part of the initial state), then one per
-    step, taken ``_DRAW_BLOCK`` at a time.  A row still walking at step 16,
-    32, ... rebuilds its generator and advances it past what it has drawn
-    (one 64-bit output per double: the range and k step uniforms), so no
-    generator is held; one per episode would cost 1.6 kB each.
+    Row j draws what ``np.random.default_rng(seeds[j])`` would: the initial
+    BV-LV range (the only random part of the initial state), then one
+    uniform per step.  A row holds one 128-bit PCG64 state and increment
+    (32 bytes) and nothing is rebuilt: :meth:`at` advances just the rows it
+    is given, one step each, so a row must be read exactly once at every
+    step it walks, as ``kernel.walk`` does.
     """
 
-    def __init__(self, seeds: Sequence[int], cfg) -> None:
+    def __init__(self, seeds: np.ndarray, cfg) -> None:
         self.seeds = seeds
-        self.width = min(cfg.max_steps, _DRAW_BLOCK)
+        self._rng = stream.Pcg64(seeds)
         init = cfg.init
-        self.r1 = np.empty(len(seeds))
-        self.u = np.empty((len(seeds), self.width))
-        for j, seed in enumerate(seeds):
-            g = np.random.default_rng(seed)
-            self.r1[j] = g.uniform(init.r1_low, init.r1_high)
-            self.u[j] = g.random(self.width)
-        self.states = initial_states(self.r1, init)
+        r1 = init.r1_low + (init.r1_high - init.r1_low) * self._rng.random()
+        self.states = initial_states(r1, init)
 
-    def at(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Step k's uniform of each of ``rows``; steps are read in order."""
-        w = self.width
-        if k and k % w == 0:
-            for i in rows.tolist():
-                g = np.random.default_rng(self.seeds[i])
-                g.bit_generator.advance(1 + k)
-                self.u[i] = g.random(w)
-        return self.u[rows, k % w]
+    def at(self, rows: np.ndarray) -> np.ndarray:
+        """The next step uniform of each of ``rows``."""
+        return self._rng.random(rows)
 
 
 def _blocks(root_seed: int, env: str, cfg, n: int,
             start: int) -> Iterator[Tuple[int, EpisodeDraws]]:
     for lo in range(start, start + n, NDE_BLOCK):
         hi = min(lo + NDE_BLOCK, start + n)
-        yield lo, EpisodeDraws([episode_seed(root_seed, env, i)
-                                for i in range(lo, hi)], cfg)
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        yield lo, EpisodeDraws(episode_seeds(root_seed, env, idx), cfg)
 
 
 def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
@@ -159,14 +151,14 @@ def sample_nde_batch(root_seed: int, cfg, n: int,
     for lo, draws in _blocks(root_seed, ENV_NDE, cfg, n, start):
         def decide(k, rows, s):
             p_r, a_bv = bv_law(s, cfg)
-            fire = draws_lane_change(draws.at(k, rows), p_r, 1.0 - p_r)
+            fire = draws_lane_change(draws.at(rows), p_r, 1.0 - p_r)
             return fire, p_r, a_bv
 
         cut = walk(draws.states, cfg, decide, stay=False)
         found.append(cut._replace(rows=len(out) + cut.rows))
         out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NDE,
                               accident=0, weight=1.0)
-                   for j, seed in enumerate(draws.seeds))
+                   for j, seed in enumerate(draws.seeds.tolist()))
     return _resolve(out, found, cfg)
 
 
@@ -189,7 +181,7 @@ def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
             ctl = prof.is_critical & (logged[rows] < max_control_steps)
             m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
             m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
-            fire = draws_lane_change(draws.at(k, rows), m_lc, m_f)
+            fire = draws_lane_change(draws.at(rows), m_lc, m_f)
             if ctl.any():
                 r, f = rows[ctl], fire[ctl]
                 p = np.where(f, p_lc[ctl], 1.0 - p_lc[ctl])
@@ -210,5 +202,5 @@ def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
         out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NADE,
                               accident=0, weight=w, critical_log=tuple(log))
                    for j, (seed, w, log) in enumerate(
-                       zip(draws.seeds, weight.tolist(), logs)))
+                       zip(draws.seeds.tolist(), weight.tolist(), logs)))
     return _resolve(out, found, cfg)

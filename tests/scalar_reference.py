@@ -30,7 +30,6 @@ from overtake_eval.sampling import (
     ENV_NDE,
     CriticalMoment,
     TestRecord,
-    episode_seed,
 )
 
 
@@ -364,6 +363,13 @@ def nde_episode(rng, cfg, index, seed):
         end = "passed" if s.r2 < 0.0 else "max_steps"
     return TestRecord(index=index, seed=seed, env=ENV_NDE,
                       accident=accident, weight=1.0), end, k
+
+
+def episode_seed(root_seed, env, index):
+    """An episode's seed, straight from numpy's ``SeedSequence``."""
+    code = {ENV_NDE: 0, ENV_NADE: 1}[env]
+    ss = np.random.SeedSequence((root_seed, code, index))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def nde_batch(root_seed, cfg, n, start=0):

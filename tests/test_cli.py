@@ -134,6 +134,52 @@ def test_truncated_summary_exit_code(tmp_path, capsys):
     assert err.startswith(f"data error: {path}: ")
 
 
+def test_records_without_their_critical_log_exit_code(tmp_path, capsys):
+    # Without the log, every NADE record would be re-estimated as if it had
+    # logged no critical moments.
+    d = tmp_path / "run"
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 200,
+               "--out", d)[0] == 0
+    lines = (d / "records.csv").read_text().splitlines()[1:]
+    first = next(line.split(",") for line in lines if line.split(",")[4] != "0")
+    (d / "critical_log.csv").unlink()
+    rc, _, err = run(capsys, "estimate", "--records", d, "--env", "nade",
+                     "--out", tmp_path / "again")
+    assert rc == 4
+    assert err == (f"data error: {d / 'records.csv'}: episode {first[0]} "
+                   f"(nade) has l = {first[4]} but the critical log holds 0\n")
+
+
+def test_record_moment_count_must_match_its_log(tmp_path, capsys):
+    d = _records_dir(tmp_path, "id,seed,env,accident,l,w\n"
+                               "0,5,nade,1,2,2.0\n")
+    (d / "critical_log.csv").write_text(
+        "record_id,moment,p,q_alpha,q_1,q_2,q_3\n0,0,0.1,0.2,0.1,0.2,0.3\n")
+    rc, _, err = run(capsys, "estimate", "--records", d,
+                     "--out", tmp_path / "out")
+    assert rc == 4
+    assert "episode 0 (nade) has l = 2 but the critical log holds 1" in err
+
+
+@pytest.mark.parametrize("text", ['[]', '"x"', '{"methods": []}',
+                                  '{"methods": {"nade": 3}}',
+                                  '{"acceleration": [1]}'])
+def test_summary_of_the_wrong_shape_exit_code(tmp_path, capsys, text):
+    (tmp_path / "summary.json").write_text(text)
+    rc, out, err = run(capsys, "report", "--out", tmp_path)
+    assert rc == 4
+    assert out == ""
+    assert err.startswith(f"data error: {tmp_path / 'summary.json'}: not a "
+                          f"campaign summary")
+
+
+def test_report_prints_missing_method_fields_as_dashes(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text('{"methods": {"nade": {"n": 7}}}')
+    rc, out, _ = run(capsys, "report", "--out", tmp_path)
+    assert rc == 0
+    assert out.splitlines()[-1].split() == ["nade", "7", "-", "-", "-"]
+
+
 @pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, ZeroEstimate,
                                    NonPositiveGap])
 def test_library_data_errors_exit_code(tmp_path, capsys, monkeypatch, error):

@@ -123,6 +123,7 @@ def test_loaded_config_is_validated(tmp_path):
     ("replications", 0, "replications"),
     ("workers", 0, "workers"),
     ("environment", "street", "environment"),
+    ("seed", -1, "seed"),
 ])
 def test_campaign_validation_messages(field, value, message):
     cfg = dataclasses.replace(CampaignConfig(), **{field: value})
@@ -169,6 +170,21 @@ def test_design_width_guard_exit_code(tmp_path, capsys):
                "--episodes", "5", "--out", out])
     assert rc == 2
     assert "max_control_steps" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--seed", "-1"],
+    ["replicate", "--seed", "-5"],
+    ["estimate", "--config", "seed_file"],
+])
+def test_negative_seed_exit_code(tmp_path, capsys, argv):
+    path = write(tmp_path, "[campaign]\nseed = -1\n")
+    out = str(tmp_path / "out")
+    argv = [path if a == "seed_file" else a for a in argv]
+    rc = main(argv + ["--env", "nade", "--episodes", "5", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: seed must be non-negative\n"
     assert not os.path.exists(out)
 
 

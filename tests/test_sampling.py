@@ -13,25 +13,78 @@ from overtake_eval.sampling import (
     ENV_NDE,
     EpisodeDraws,
     TestRecord,
-    episode_seed,
+    episode_seeds,
     sample_nade_batch,
     sample_nde_batch,
 )
+from scalar_reference import episode_seed
+
+# Roots of one to four 32-bit words; 10**40 takes five, so its entropy
+# reaches SeedSequence's mixing loop for words past the pool.
+ROOTS = (0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 + 5, 10**40)
+INDICES = np.array(list(range(3000)) + [2**31, 2**32 - 1], dtype=np.uint64)
 
 
-def test_episode_seed_separates_index_and_environment():
+@pytest.mark.parametrize("root", ROOTS)
+def test_episode_seeds_equal_numpy_seed_sequence(root):
+    for env in (ENV_NDE, ENV_NADE):
+        want = [episode_seed(root, env, i) for i in INDICES.tolist()]
+        assert episode_seeds(root, env, INDICES).tolist() == want
+
+
+def test_episode_seeds_take_two_words_for_wide_indices():
+    idx = np.array([5, 2**32, 2**40 + 3, 7, 2**64 - 1], dtype=np.uint64)
+    want = [episode_seed(9, ENV_NADE, i) for i in idx.tolist()]
+    assert episode_seeds(9, ENV_NADE, idx).tolist() == want
+
+
+def test_episode_seeds_separate_index_and_environment():
+    idx = np.arange(200, dtype=np.uint64)
     seen = set()
     for env in (ENV_NDE, ENV_NADE):
-        for i in range(200):
-            s = episode_seed(12345, env, i)
-            assert s == episode_seed(12345, env, i)  # stable
-            seen.add(s)
+        seen.update(episode_seeds(12345, env, idx).tolist())
     assert len(seen) == 400
-    assert episode_seed(12345, ENV_NDE, 0) != episode_seed(54321, ENV_NDE, 0)
+    assert (episode_seeds(12345, ENV_NDE, idx[:1])
+            != episode_seeds(54321, ENV_NDE, idx[:1]))
+
+
+def test_episode_seeds_reject_a_negative_root():
+    with pytest.raises(ValueError):
+        episode_seeds(-1, ENV_NDE, np.arange(3, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("root", ROOTS)
+def test_draws_equal_numpy_default_rng(scen, root):
+    # 40 steps: past the 16- and 32-step refills of a block-drawing stream.
+    steps = 40
+    seeds = episode_seeds(root, ENV_NADE, INDICES[::15])
+    seeds = np.concatenate([np.array([0], dtype=np.uint64), seeds])
+    draws = EpisodeDraws(seeds, scen)
+    got = np.stack([draws.at(np.arange(len(seeds))) for _ in range(steps)],
+                   axis=1)
+    init = scen.init
+    for j, seed in enumerate(seeds.tolist()):
+        g = np.random.default_rng(seed)
+        assert draws.states[1][j] == g.uniform(init.r1_low, init.r1_high)
+        assert got[j].tolist() == g.random(steps).tolist()
+
+
+def test_draws_advance_only_the_rows_given(scen):
+    seeds = episode_seeds(3, ENV_NDE, np.arange(6, dtype=np.uint64))
+    draws = EpisodeDraws(seeds, scen)
+    live = [np.arange(6), np.array([0, 2, 3, 5]), np.array([2, 5]),
+            np.array([5])]
+    got = [draws.at(rows) for rows in live]
+    for j, seed in enumerate(seeds.tolist()):
+        g = np.random.default_rng(seed)
+        g.random()  # the initial range
+        mine = [u[rows.tolist().index(j)] for u, rows in zip(got, live)
+                if j in rows]
+        assert mine == g.random(len(mine)).tolist()
 
 
 def test_initial_state_distribution(scen):
-    draws = EpisodeDraws([episode_seed(3, ENV_NDE, i) for i in range(500)], scen)
+    draws = EpisodeDraws(episode_seeds(3, ENV_NDE, np.arange(500)), scen)
     init = scen.init
     v_bv, r1, r1_dot, r2, r2_dot = draws.states
     # only the BV-LV range is random
@@ -40,15 +93,13 @@ def test_initial_state_distribution(scen):
     assert ((init.r1_low <= r1) & (r1 < init.r1_high)).all()
     # both quartile tails populated -> actually uniform-ish, not clumped
     assert (r1 < 30.5).sum() > 50 and (r1 > 31.5).sum() > 50
-    # each episode's first draw from its own generator
-    g = np.random.default_rng(draws.seeds[7])
-    assert r1[7] == g.uniform(init.r1_low, init.r1_high)
 
 
 def test_nde_episode_shape(scen):
     [r] = sample_nde_batch(7, scen, 1, start=42)
     assert isinstance(r, TestRecord)
     assert r.index == 42 and r.seed == episode_seed(7, ENV_NDE, 42)
+    assert type(r.seed) is int
     assert r.env == ENV_NDE
     assert r.accident in (0, 1)
     assert r.weight == 1.0
