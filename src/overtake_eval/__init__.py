@@ -41,7 +41,6 @@ from .sampling import (
 from .estimators import (
     EmptyInput,
     Estimate,
-    GroupedRegression,
     ZeroEstimate,
     convergence_series,
     estimate_atscv,

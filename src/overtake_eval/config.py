@@ -18,6 +18,9 @@ dataclasses below::
     [sm_fvdm1]    kappa, lam, v_cap, b_f, c_f, hard_decel, hard_accel
     [sm_fvdm2]    same keys as sm_fvdm1
 
+``max_control_steps`` caps the critical moments a NADE episode samples from
+the importance distribution and logs; the estimators use every logged one.
+
 One table, ``_SECTIONS``, maps each section to the dataclass it sets and to
 its keys; loading, the unknown-key check and :func:`write_default_config`
 all read it.  A value is cast by the type of the field's default.  The
@@ -37,12 +40,6 @@ from .models import FvdmParams, IdmParams, MobilParams, SurrogateModel
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
-
-
-# Widest regression design a campaign may ask for.  The group with l control
-# moments has (J-1)^l columns for J surrogate models; the stock 3-model panel
-# at the default cap of 10 needs 1024.
-MAX_DESIGN_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,9 @@ class CampaignConfig:
     gamma: float = 0.1
     rhw_threshold: float = 0.1
     confirm_window: int = 50
+    # Critical moments a NADE episode samples from q_alpha and logs; later
+    # ones follow p_R.  It caps the sampler's log only: the estimators use
+    # every logged moment, whatever its count.
     max_control_steps: int = 10
     oracle_bins: int = 64
     oracle_budget: int = 10_000_000
@@ -140,13 +140,6 @@ class CampaignConfig:
             raise ConfigError("confirm_window must be at least 1")
         if self.max_control_steps < 0:
             raise ConfigError("max_control_steps must be non-negative")
-        width = (len(self.scenario.surrogates) - 1) ** self.max_control_steps
-        if width > MAX_DESIGN_WIDTH:
-            raise ConfigError(
-                f"max_control_steps = {self.max_control_steps} with "
-                f"{len(self.scenario.surrogates)} surrogate models needs "
-                f"{width} regression columns; at most {MAX_DESIGN_WIDTH} "
-                f"are allowed")
         if self.oracle_bins < 1:
             raise ConfigError("oracle_bins must be at least 1")
         if self.replications < 1:

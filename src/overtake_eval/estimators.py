@@ -1,33 +1,51 @@
-"""Accident-rate estimators and the stopping-rule machinery.
+"""Accident-rate estimators and the stopping rule, on one least-squares core.
 
-Three estimators share one grouped decomposition:
+Every method is an ordinary least-squares fit of a per-record response
+``y = accident * weight`` (the weight is 1 for naturalistic records) on
+``[1, Z]``.  Its point estimate is
+``mu = mean(y - Z beta)`` and the variance of that estimate is
+``RSS / (n - rank) / n``, so the fitted degrees of freedom are counted:
 
-* the naturalistic estimator averages raw accident indicators;
-* the accelerated estimator averages weighted indicators, grouped by the
-  number of logged control moments;
-* the regression-adjusted estimator additionally fits, per group, a linear
-  model of the weighted indicators on products of per-surrogate density
-  ratios, which leaves the point estimate untouched (the design is centered)
-  but shrinks the residual variance.
+* the naturalistic estimator (NDE) and the accelerated estimator (NADE)
+  are the width-0 case: ``mu`` is the mean of the accident indicators or
+  of the weighted indicators, and the variance is their sample variance
+  over n;
+* the regression-adjusted estimator (ATSCV) has one control per surrogate
+  model j of the panel, ``z_j = prod over the record's logged critical
+  moments of (q_j / q_alpha) - 1``, which is 0 for an empty log.  At a
+  logged moment the action is drawn from q_alpha, so each factor has
+  conditional mean 1 and ``z_j`` has mean exactly 0: subtracting
+  ``Z beta`` removes what the density ratios explain of the weighted
+  indicator and leaves the estimate consistent.  These are the multi-step
+  form of the mixture-component control variates of Owen & Zhou ("Safe
+  and effective importance sampling", JASA 2000); only the logged critical
+  moments enter.
 
-Groups are indexed by the control-moment count ``l``; records beyond the
-configured cap land in a single overflow group that is never adjusted.  The
-group-``l`` design has ``(J-1)^l`` columns for a panel of J surrogate models;
-nothing anywhere allocates the exponential full-product structure.
+The fit is taken on ``[1, Zc]``, the controls centred on their mean over
+the records fitted: the column space of ``[1, Z]``, with the intercept
+left out of the minimum-norm choice of ``beta``.  The rank rule: a control
+direction counts when its eigenvalue in ``Zc^T Zc`` exceeds
+``RANK_TOLERANCE`` times the largest eigenvalue of the Gram matrix of
+``[1, Zc]`` (n and those of ``Zc^T Zc``), that is, when its singular value
+exceeds ``sqrt(RANK_TOLERANCE)`` times the largest, as ``lstsq``'s
+``rcond`` counts them.  The rank never exceeds n: n centred rows span at
+most n - 1 directions, and with rows taken relative to the first one the
+rounding of the others stays far below the cut.
+A prefix with no residual degree of freedom (n <= rank; n < 2 at width 0)
+has no interval: its variance and relative half-width are infinite.
 
-Every regression goes through one streaming core, :class:`GroupAccumulator`.
-It keeps the upper-triangular R factor of the group's rows ``[1, z, y]`` and
-folds new rows into it, so the fit at any prefix of the record stream costs
-one small factorisation instead of a refit of the whole group.  The
-per-prefix convergence table and the stopping rule add one record at a time;
-the batch estimate feeds each group's whole block at once.
+One pass serves every output.  The cumulative Gram matrix of the rows
+``[1, z, y]`` (at most 5x5 with the stock three-model panel) holds the fit
+at every prefix of the record sequence, and one stacked ``eigh`` call
+solves them all: the last prefix is the point estimate, every prefix is a
+row of the convergence table, and the stopping rule scans those rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,19 +54,20 @@ from .sampling import TestRecord
 __all__ = [
     "EmptyInput",
     "ZeroEstimate",
-    "GroupedRegression",
+    "PooledFit",
     "Estimate",
     "fit_atscv",
     "estimate_nde",
     "estimate_nade",
     "estimate_atscv",
-    "atscv_adjusted",
     "rhw",
     "convergence_series",
     "tests_to_threshold",
 ]
 
 RANK_TOLERANCE = 1e-10
+
+METHODS = ("nde", "nade", "atscv")
 
 
 class EmptyInput(ValueError):
@@ -60,165 +79,93 @@ class ZeroEstimate(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the regression core
-
-
-class GroupAccumulator:
-    """Least squares of one group's responses on its centered control design,
-    grown one block of rows at a time; width 0 is the mean-only case.
-
-    The state is the R factor of the rows ``[1, z, y]``, an exact sufficient
-    statistic (``R^T R`` is their Gram matrix).  Eliminating the column of
-    ones centers the rest, so ``R[1:, 1:]`` is an R factor of the centered
-    ``[Zc, yc]`` and its first ``width`` columns have the singular values of
-    ``Zc``: ``lstsq`` on them at ``RANK_TOLERANCE`` gives the minimum-norm
-    slopes of a direct fit, without the squared condition number of
-    ``Zc^T Zc``.  Rows are factored relative to the group's first row, which
-    the intercept absorbs, so a constant column factors to exact zeros
-    rather than to rounding noise that a relative tolerance would keep.
-
-    Lazy: a group of at most ``width + 1`` rows is too small to fit and keeps
-    zero slopes, so until then rows are only appended.  The first fit factors
-    them; every later :meth:`extend` folds its block into R with one more
-    factorisation.
-    """
-
-    __slots__ = ("width", "ys", "rows", "factored", "origin", "R")
-
-    def __init__(self, width: int = 0):
-        self.width = width
-        self.ys: List[float] = []
-        self.rows: List[np.ndarray] = []  # row blocks not yet folded into R
-        self.factored = 0  # rows folded into R
-        self.origin: Optional[np.ndarray] = None  # [z0, y0]
-        self.R: Optional[np.ndarray] = None
-
-    def extend(self, ys: Iterable[float], rows=None) -> None:
-        """Append responses and, for a group of nonzero width, the matching
-        ``(k, width)`` block of raw control rows, in arrival order."""
-        self.ys.extend(ys)
-        if self.width:
-            self.rows.append(np.asarray(rows, dtype=float))
-        m = len(self.ys)
-        if m <= self.width + 1:
-            return
-        block = np.empty((m - self.factored, self.width + 2))
-        block[:, 0] = 1.0
-        if self.width:
-            block[:, 1:-1] = np.concatenate(self.rows)
-        block[:, -1] = self.ys[self.factored:]
-        if self.origin is None:
-            self.origin = block[0, 1:].copy()
-        block[:, 1:] -= self.origin
-        if self.R is not None:
-            block = np.vstack([self.R, block])
-        self.R = np.linalg.qr(block, mode="r")
-        self.rows = []
-        self.factored = m
-
-    def fit(self) -> Tuple[np.ndarray, float]:
-        """Slopes and ``count * residual variance`` at the current prefix.
-
-        The second value is the group's share of ``n^2`` times the variance
-        of the grouped point estimate; it is 0 for fewer than two rows.
-        """
-        w = self.width
-        m = len(self.ys)
-        beta = np.zeros(w)
-        if m < 2:
-            return beta, 0.0
-        if self.R is None:
-            y = np.asarray(self.ys)
-            d = y - np.mean(y)
-            rss = float(d @ d)
-        else:
-            tail = self.R[w + 1, w + 1]
-            rss = float(tail * tail)
-            if w:
-                T = self.R[1:w + 1, 1:w + 1]
-                c = self.R[1:w + 1, w + 1]
-                beta = np.linalg.lstsq(T, c, rcond=RANK_TOLERANCE)[0]
-                r = c - T @ beta
-                rss += float(r @ r)
-        return beta, m * rss / (m - 1)
-
-
-def _response(record: TestRecord) -> float:
-    return record.accident * record.weight
-
-
-def control_row(record: TestRecord) -> np.ndarray:
-    """Control features for one record: the outer product, over its logged
-    moments, of the first J-1 per-surrogate density ratios q_j/q_alpha."""
-    row = np.ones(1)
-    for m in record.critical_log:
-        u = np.asarray(m.q[:-1], dtype=float) / m.q_alpha
-        row = np.outer(row, u).ravel()
-    return row
-
-
-def _members_by_label(records: Sequence[TestRecord],
-                      cap: int) -> Dict[int, List[int]]:
-    """Record positions per group label, ascending: the control-moment count,
-    or ``cap + 1`` for the overflow group."""
-    groups: Dict[int, List[int]] = {}
-    for i, r in enumerate(records):
-        groups.setdefault(min(r.control_steps, cap + 1), []).append(i)
-    return dict(sorted(groups.items()))
+# the least-squares core
 
 
 @dataclass(frozen=True)
-class GroupedRegression:
-    """One group's batch fit.
+class PooledFit:
+    """Least squares of ``y`` on ``[1, Z]`` at every prefix of a record
+    sequence: entry k-1 of ``mu``, ``variance``, ``rank`` and ``beta`` (the
+    slopes on Z) belongs to the first k records."""
 
-    ``members`` holds positions into the source record sequence so adjusted
-    values can be scattered back in input order.  ``Z`` is the centered
-    design (zero columns for a mean-only group), ``eta`` the group mean and
-    ``spread`` the accumulator's ``count * residual variance``.
-    """
-
-    exposures: int
-    members: np.ndarray
-    Y: np.ndarray
+    y: np.ndarray
     Z: np.ndarray
-    eta: float
+    mu: np.ndarray
+    variance: np.ndarray
+    rank: np.ndarray
     beta: np.ndarray
-    spread: float
-
-    @property
-    def count(self) -> int:
-        return len(self.Y)
 
     def adjusted(self) -> np.ndarray:
-        """Per-record adjusted values: fitted intercept plus residual."""
-        return self.eta + (self.Y - self.eta - self.Z @ self.beta)
+        """Per-record values ``y - Z beta`` of the full fit; their mean is
+        its point estimate."""
+        return self.y - self.Z @ self.beta[-1]
 
 
-def fit_atscv(records: Sequence[TestRecord],
-              max_control_steps: int = 10) -> List[GroupedRegression]:
-    """Group records by control-moment count and fit each group once.
+def _solve(y: np.ndarray, Z: np.ndarray) -> PooledFit:
+    """The fit at every prefix, from the cumulative Gram of ``[1, Z, y]``.
 
-    Groups beyond ``max_control_steps`` are merged into one unadjusted
-    overflow group, labeled ``max_control_steps + 1``.
+    Eliminating the column of ones leaves the centred cross products of
+    ``[Z, y]``.  Z is taken relative to its first row, which the intercept
+    absorbs, so a constant column centres to exact zeros rather than to
+    rounding noise.
     """
+    n, w = Z.shape
+    rows = np.column_stack([np.ones(n), Z - Z[:1], y])
+    G = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    k = np.arange(1.0, n + 1.0)
+    s = G[:, 0, 1:]  # sums of the shifted z and of y
+    C = G[:, 1:, 1:] - s[:, :, None] * s[:, None, :] / k[:, None, None]
+    lam, V = (np.linalg.eigh(C[:, :-1, :-1]) if w
+              else (np.zeros((n, 0)), np.zeros((n, 0, 0))))
+    scale = np.maximum(k, lam.max(axis=1, initial=0.0))
+    keep = lam > RANK_TOLERANCE * scale[:, None]
+    proj = np.einsum("kji,kj->ki", V, C[:, :-1, -1])
+    scaled = np.divide(proj, lam, out=np.zeros_like(proj), where=keep)
+    beta = np.einsum("kij,kj->ki", V, scaled)
+    rss = np.maximum(C[:, -1, -1] - np.einsum("ki,ki->k", proj, scaled), 0.0)
+    zbar = Z[:1] + s[:, :-1] / k[:, None]
+    mu = s[:, -1] / k - np.einsum("ki,ki->k", zbar, beta)
+    rank = 1 + keep.sum(axis=1)
+    dof = k - rank
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = np.where(dof > 0, rss / dof / k, np.inf)
+    return PooledFit(y=y, Z=Z, mu=mu, variance=variance, rank=rank, beta=beta)
+
+
+def _controls(records: Sequence[TestRecord]) -> np.ndarray:
+    """ATSCV controls, one row per record and one column per surrogate:
+    the product over the record's logged moments of ``q_j / q_alpha``,
+    minus 1.  No logged moment anywhere gives no columns."""
+    logged = [m for r in records for m in r.critical_log]
+    if not logged:
+        return np.zeros((len(records), 0))
+    ratios = (np.array([m.q for m in logged])
+              / np.array([m.q_alpha for m in logged])[:, None])
+    owner = np.repeat(np.arange(len(records)),
+                      [r.control_steps for r in records])
+    Z = np.ones((len(records), ratios.shape[1]))
+    np.multiply.at(Z, owner, ratios)  # in log order
+    return Z - 1.0
+
+
+def _fit(records: Sequence[TestRecord], method: str) -> PooledFit:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    env = "nde" if method == "nde" else "nade"
     if not records:
         raise EmptyInput("no records")
-    cap = max_control_steps
-    groups = []
-    for label, members in _members_by_label(records, cap).items():
-        Y = np.array([_response(records[i]) for i in members], dtype=float)
-        if not 0 < label <= cap:
-            Z = np.zeros((len(members), 0))
-        else:
-            Z = np.vstack([control_row(records[i]) for i in members])
-        acc = GroupAccumulator(Z.shape[1])
-        acc.extend(Y, Z)
-        beta, spread = acc.fit()
-        groups.append(GroupedRegression(
-            exposures=label, members=np.asarray(members, dtype=int), Y=Y,
-            Z=Z - Z.mean(axis=0), eta=float(np.mean(Y)), beta=beta,
-            spread=spread))
-    return groups
+    for r in records:
+        if r.env != env:
+            raise ValueError(f"expected {env!r} records, found {r.env!r}")
+    y = np.array([r.accident * r.weight for r in records], dtype=float)
+    Z = (_controls(records) if method == "atscv"
+         else np.zeros((len(records), 0)))
+    return _solve(y, Z)
+
+
+def fit_atscv(records: Sequence[TestRecord]) -> PooledFit:
+    """The pooled ATSCV regression of NADE records on their controls."""
+    return _fit(records, "atscv")
 
 
 # ---------------------------------------------------------------------------
@@ -227,97 +174,35 @@ def fit_atscv(records: Sequence[TestRecord],
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with its variance and per-group decomposition."""
+    """Point estimate and its variance; the variance is infinite when the
+    fit leaves no residual degree of freedom."""
 
     method: str
     mu: float
     variance: float
     n: int
-    per_group: Tuple[Tuple[int, float], ...] = ()
 
 
-def _require_env(records: Sequence[TestRecord], env: str) -> None:
-    if not records:
-        raise EmptyInput("no records")
-    for r in records:
-        if r.env != env:
-            raise ValueError(f"expected {env!r} records, found {r.env!r}")
-
-
-def _grouped_point(blocks: Iterable[Tuple[int, np.ndarray]], n: int):
-    """Sum of per-group mean contributions ``count * mean / n``."""
-    mu = 0.0
-    per_group = []
-    for label, y in blocks:
-        contribution = len(y) * float(np.mean(y)) / n
-        per_group.append((label, contribution))
-        mu += contribution
-    return mu, tuple(per_group)
-
-
-def _pooled_values(records: Sequence[TestRecord], method: str) -> np.ndarray:
-    if method == "nde":
-        return np.array([float(r.accident) for r in records])
-    return np.array([_response(r) for r in records])
-
-
-def _pooled_estimate(method: str, records: Sequence[TestRecord],
-                     cap: int) -> Estimate:
-    _require_env(records, method)
-    y = _pooled_values(records, method)
-    n = len(y)
-    mu, per_group = _grouped_point(
-        ((label, y[members]) for label, members
-         in _members_by_label(records, cap).items()), n)
-    d = y - y.mean()
-    s2 = float(d @ d) / (n - 1) if n >= 2 else 0.0
-    return Estimate(method=method, mu=mu, variance=s2 / n, n=n,
-                    per_group=per_group)
+def _estimate(method: str, fit: PooledFit) -> Estimate:
+    return Estimate(method=method, mu=float(fit.mu[-1]),
+                    variance=float(fit.variance[-1]), n=len(fit.y))
 
 
 def estimate_nde(records: Sequence[TestRecord]) -> Estimate:
     """Mean accident indicator; variance is the sample variance over n."""
-    return _pooled_estimate("nde", records, 10)
+    return _estimate("nde", _fit(records, "nde"))
 
 
-def estimate_nade(records: Sequence[TestRecord],
-                  max_control_steps: int = 10) -> Estimate:
-    """Mean weighted indicator; variance is the pooled sample variance
-    of the weighted indicators over n."""
-    return _pooled_estimate("nade", records, max_control_steps)
+def estimate_nade(records: Sequence[TestRecord]) -> Estimate:
+    """Mean weighted indicator; variance is the sample variance over n."""
+    return _estimate("nade", _fit(records, "nade"))
 
 
-def estimate_atscv(records: Sequence[TestRecord], max_control_steps: int = 10,
-                   groups: Optional[Sequence[GroupedRegression]] = None
-                   ) -> Estimate:
-    """Regression-adjusted estimate over the same grouped decomposition.
-
-    The point estimate coincides with the unadjusted grouped mean (centered
-    designs leave the intercept alone); the variance is the sum of the
-    groups' ``count * residual variance`` over ``n^2``, which is where the
-    adjustment pays off.  ``groups`` reuses the result of :func:`fit_atscv`.
-    """
-    _require_env(records, "nade")
-    n = len(records)
-    if groups is None:
-        groups = fit_atscv(records, max_control_steps)
-    mu, per_group = _grouped_point(((g.exposures, g.Y) for g in groups), n)
-    # Added left to right from 0.0: ``sum`` of floats is compensated from
-    # Python 3.12 on, which would tie the bytes to the interpreter.
-    spread = 0.0
-    for g in groups:
-        spread += g.spread
-    return Estimate(method="atscv", mu=mu, variance=spread / n ** 2,
-                    n=n, per_group=per_group)
-
-
-def atscv_adjusted(records: Sequence[TestRecord],
-                   groups: Sequence[GroupedRegression]) -> np.ndarray:
-    """Adjusted values scattered back into record order."""
-    out = np.empty(len(records))
-    for g in groups:
-        out[g.members] = g.adjusted()
-    return out
+def estimate_atscv(records: Sequence[TestRecord],
+                   fit: Optional[PooledFit] = None) -> Estimate:
+    """Control-variate adjusted estimate; ``fit`` reuses the result of
+    :func:`fit_atscv` on the same records."""
+    return _estimate("atscv", fit_atscv(records) if fit is None else fit)
 
 
 # Cephes ``ndtri`` (S. L. Moshier), the inverse of the standard normal
@@ -402,7 +287,8 @@ def _quantile(gamma: float) -> float:
 
 
 def rhw(e: Estimate, gamma: float = 0.1) -> float:
-    """Relative half-width of the two-sided confidence interval."""
+    """Relative half-width of the two-sided confidence interval; infinite
+    without a residual degree of freedom."""
     if e.mu <= 0.0:
         raise ZeroEstimate("relative half-width is undefined when the "
                            "point estimate is zero")
@@ -413,93 +299,32 @@ def rhw(e: Estimate, gamma: float = 0.1) -> float:
 # per-prefix convergence
 
 
-def _pooled_rhw_series(records: Sequence[TestRecord], gamma: float,
-                       method: str):
-    """Vectorised ``(mu, rhw)`` per prefix for the pooled methods."""
-    if method not in ("nde", "nade"):
-        raise ValueError(f"unknown method {method!r}")
-    y = _pooled_values(records, method)
-    n = np.arange(1, len(y) + 1, dtype=float)
-    s = np.cumsum(y)
-    ss = np.cumsum(y * y)
-    mu = s / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s2 = (ss - s * s / n) / (n - 1.0)
-    s2 = np.where(n >= 2.0, np.maximum(s2, 0.0), 0.0)
-    var = s2 / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = _quantile(gamma) * np.sqrt(var) / mu
-    return mu, np.where(mu > 0.0, r, np.inf)
-
-
-def _atscv_prefixes(records: Sequence[TestRecord], z: float,
-                    cap: int) -> Iterator[Tuple[float, float]]:
-    """Yield ``(prefix mean, prefix relative half-width)`` one arrival at a
-    time, folding each record into its group's accumulator."""
-    groups: Dict[int, GroupAccumulator] = {}
-    spread: Dict[int, float] = {}
-    total = 0.0
-    s = 0.0
-    for i, r in enumerate(records):
-        y = _response(r)
-        s += y
-        mu = s / (i + 1)
-        label = min(r.control_steps, cap + 1)
-        row = control_row(r) if 0 < label <= cap else None
-        acc = groups.get(label)
-        if acc is None:
-            acc = groups[label] = GroupAccumulator(0 if row is None else len(row))
-        acc.extend([y], [row])
-        _, fresh = acc.fit()
-        total += fresh - spread.get(label, 0.0)
-        spread[label] = fresh
-        var = max(total, 0.0) / (i + 1) ** 2
-        yield mu, (z * math.sqrt(var) / mu if mu > 0.0 else math.inf)
-
-
-def _rhw_prefixes(records: Sequence[TestRecord], gamma: float, method: str,
-                  max_control_steps: int) -> Iterator[float]:
-    """Relative half-width per prefix, lazily: the pooled methods are one
-    vectorised pass, ATSCV fits as it goes."""
-    if method == "atscv":
-        return (r for _, r in _atscv_prefixes(records, _quantile(gamma),
-                                               max_control_steps))
-    return iter(_pooled_rhw_series(records, gamma, method)[1])
-
-
 def convergence_series(records: Sequence[TestRecord], gamma: float,
-                       method: str, max_control_steps: int = 10) -> np.ndarray:
-    """Per-prefix table ``(n, point estimate, relative half-width)``."""
+                       method: str) -> np.ndarray:
+    """Per-prefix table ``(n, point estimate, relative half-width)``; the
+    half-width is infinite while the point estimate is not positive or the
+    fit has no residual degree of freedom."""
     if not records:
         return np.zeros((0, 3))
-    if method == "atscv":
-        mu, r = np.array(list(_atscv_prefixes(
-            records, _quantile(gamma), max_control_steps))).T
-    else:
-        mu, r = _pooled_rhw_series(records, gamma, method)
+    fit = _fit(records, method)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = _quantile(gamma) * np.sqrt(fit.variance) / fit.mu
     n = np.arange(1, len(records) + 1, dtype=float)
-    return np.column_stack([n, mu, r])
+    return np.column_stack([n, fit.mu, np.where(fit.mu > 0.0, r, np.inf)])
 
 
 def tests_to_threshold(records: Sequence[TestRecord], threshold: float,
                        gamma: float = 0.1, method: str = "nade",
-                       confirm_window: int = 50,
-                       max_control_steps: int = 10) -> Optional[int]:
+                       confirm_window: int = 50) -> Optional[int]:
     """Smallest prefix length whose relative half-width stays at or below
-    ``threshold`` for ``confirm_window`` consecutive prefixes.
-
-    Reads the prefixes lazily, so an ATSCV scan that stops early never pays
-    for fits beyond its stopping point.  Returns None when no fully observed
-    window qualifies.
-    """
+    ``threshold`` for ``confirm_window`` consecutive prefixes; None when no
+    fully observed window qualifies."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if not records:
         return None
-    run = 0
-    for i, value in enumerate(
-            _rhw_prefixes(records, gamma, method, max_control_steps)):
-        run = run + 1 if value <= threshold else 0
-        if run == confirm_window:
-            return i - confirm_window + 2
-    return None
+    ok = convergence_series(records, gamma, method)[:, 2] <= threshold
+    runs = np.concatenate([[0], np.cumsum(ok)])
+    full = np.flatnonzero(runs[confirm_window:] - runs[:-confirm_window]
+                          == confirm_window)
+    return int(full[0]) + 1 if full.size else None

@@ -7,7 +7,8 @@ permits, and emits a fixed set of files:
 * ``records.csv``          one row per episode (id, seed, env, accident, l, w)
 * ``critical_log.csv``     sidecar with one row per logged critical moment
 * ``convergence_<m>.csv``  per-prefix (n, mu, rhw) for each method
-* ``adjusted_points.csv``  unadjusted vs regression-adjusted value per record
+* ``adjusted_points.csv``  weighted indicator and its control-variate adjusted
+                           value ``y - z . beta`` per NADE record
 * ``summary.json``         estimates, stopping counts, acceleration factors
 * ``replications.csv``     per-replication table (replication studies only)
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import statistics
@@ -39,10 +41,11 @@ from . import __version__
 from .config import CampaignConfig
 from .criticality import CriticalityEvaluator
 from .estimators import (
+    METHODS,
+    EmptyInput,
     Estimate,
-    GroupedRegression,
+    PooledFit,
     ZeroEstimate,
-    atscv_adjusted,
     convergence_series,
     estimate_atscv,
     estimate_nade,
@@ -59,8 +62,6 @@ from .sampling import (
     sample_nde_batch,
 )
 
-METHODS = ("nde", "nade", "atscv")
-
 
 @dataclass
 class MethodResult:
@@ -74,7 +75,7 @@ class CampaignResult:
     config: CampaignConfig
     records: Dict[str, List[TestRecord]]
     methods: Dict[str, MethodResult]
-    groups: Optional[List[GroupedRegression]] = None
+    atscv_fit: Optional[PooledFit] = None
     oracle_mu: Optional[float] = None
     acceleration: Dict[str, Optional[float]] = field(default_factory=dict)
     replication_rows: List[dict] = field(default_factory=list)
@@ -135,31 +136,35 @@ def sample_env(cfg: CampaignConfig, env: str) -> List[TestRecord]:
 # campaigns
 
 
+def _finite(x: float) -> Optional[float]:
+    return x if math.isfinite(x) else None
+
+
 def _safe_rhw(est: Estimate, gamma: float) -> Optional[float]:
+    """The relative half-width, or None where there is no interval."""
     try:
-        return rhw(est, gamma)
+        return _finite(rhw(est, gamma))
     except ZeroEstimate:
         return None
 
 
 def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]):
-    """Every applicable method's result, and the ATSCV group fits."""
-    cap = cfg.max_control_steps
-    runs, groups = [], None
+    """Every applicable method's result, and the ATSCV fit."""
+    runs, fit = [], None
     if records.get("nde"):
         runs.append(("nde", records["nde"], estimate_nde(records["nde"])))
     if records.get("nade"):
         nade = records["nade"]
-        est = estimate_nade(nade, cap)
-        groups = fit_atscv(nade, cap)
+        est = estimate_nade(nade)
+        fit = fit_atscv(nade)
         runs += [("nade", nade, est),
-                 ("atscv", nade, estimate_atscv(nade, cap, groups=groups))]
+                 ("atscv", nade, estimate_atscv(nade, fit))]
     methods = {
         m: MethodResult(est, _safe_rhw(est, cfg.gamma),
                         tests_to_threshold(recs, cfg.rhw_threshold, cfg.gamma,
-                                           m, cfg.confirm_window, cap))
+                                           m, cfg.confirm_window))
         for m, recs, est in runs}
-    return methods, groups
+    return methods, fit
 
 
 def _ratio(a: Optional[int], b: Optional[int]) -> Optional[float]:
@@ -196,9 +201,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 def estimate_from_records(cfg: CampaignConfig,
                           records: Dict[str, List[TestRecord]]) -> CampaignResult:
     """Run the estimators over sampled or previously emitted records."""
-    methods, groups = _method_results(cfg, records)
+    methods, fit = _method_results(cfg, records)
     return CampaignResult(config=cfg, records=records, methods=methods,
-                          groups=groups, acceleration=_acceleration(methods))
+                          atscv_fit=fit, acceleration=_acceleration(methods))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +322,13 @@ def write_convergence(path: str, table) -> None:
 
 
 def write_adjusted_points(path: str, records: Sequence[TestRecord],
-                          groups: Optional[Sequence[GroupedRegression]]) -> None:
+                          fit: Optional[PooledFit]) -> None:
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(ADJUSTED_COLUMNS)
-        if not records or groups is None:
+        if not records or fit is None:
             return
-        adjusted = atscv_adjusted(records, groups)
+        adjusted = fit.adjusted()
         for i, r in enumerate(records):
             w.writerow([r.index, r.control_steps,
                         repr(r.accident * r.weight), repr(float(adjusted[i]))])
@@ -351,10 +356,9 @@ def build_summary(result: CampaignResult) -> dict:
         methods[name] = {
             "n": mr.estimate.n,
             "mu": mr.estimate.mu,
-            "variance": mr.estimate.variance,
+            "variance": _finite(mr.estimate.variance),
             "rhw": mr.rhw,
             "tests_to_threshold": mr.tests_to_threshold,
-            "per_group": [[l, c] for l, c in mr.estimate.per_group],
         }
     summary = {
         "version": __version__,
@@ -388,11 +392,10 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
         source = records.get("nde" if method == "nde" else "nade", [])
         table = []
         if method in result.methods and source:
-            table = convergence_series(source, cfg.gamma, method,
-                                       cfg.max_control_steps)
+            table = convergence_series(source, cfg.gamma, method)
         write_convergence(out(f"convergence_{method}.csv"), table)
     write_adjusted_points(out("adjusted_points.csv"), records.get("nade", []),
-                          result.groups)
+                          result.atscv_fit)
     if result.replication_rows:
         write_replications(out("replications.csv"), result.replication_rows)
     with open(out("summary.json"), "w") as fh:
@@ -453,7 +456,8 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
 
     A NADE record takes its moments from ``critical_log.csv``; a record whose
     ``l`` differs from the moments it gets (as every NADE record with
-    moments does when the log is missing) raises ``ValueError``."""
+    moments does when the log is missing) raises ``ValueError``, and a
+    ``records.csv`` without a row raises ``EmptyInput``."""
     path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
     logs = read_critical_log(log_path) if os.path.exists(log_path) else {}
@@ -466,6 +470,8 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
                 f"{path}: episode {r.index} ({r.env}) has l = {logged} but "
                 f"the critical log holds {r.control_steps}")
         by_env.setdefault(r.env, []).append(r)
+    if not by_env:
+        raise EmptyInput(f"{path}: no records")
     return by_env
 
 
@@ -479,18 +485,9 @@ _METHOD_SCHEMA = {
     "properties": {
         "n": {"type": "integer", "minimum": 0},
         "mu": {"type": "number"},
-        "variance": {"type": "number", "minimum": 0},
+        "variance": {"type": ["number", "null"], "minimum": 0},
         "rhw": {"type": ["number", "null"]},
         "tests_to_threshold": {"type": ["integer", "null"]},
-        "per_group": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": [{"type": "integer"}, {"type": "number"}],
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
     },
 }
 

@@ -84,6 +84,26 @@ def test_estimate_from_records_reproduces_every_method(tmp_path, capsys):
     for name, m in original.items():
         assert reloaded[name]["mu"] == m["mu"]
         assert reloaded[name]["variance"] == m["variance"]
+    # the per-record and per-prefix files come back byte for byte
+    for name in ("convergence_nde.csv", "convergence_nade.csv",
+                 "convergence_atscv.csv", "adjusted_points.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_single_episode_has_no_interval(tmp_path, capsys):
+    # One record leaves no residual degree of freedom for either method.
+    rc, out, _ = run(capsys, "estimate", "--env", "nade", "--episodes", 1,
+                     "--out", tmp_path)
+    assert rc == 0
+    rows = {cells[0]: cells for cells in map(str.split, out.splitlines())
+            if cells[:1] in (["nade"], ["atscv"])}
+    assert rows["nade"][3] == rows["atscv"][3] == "-"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for name in ("nade", "atscv"):
+        assert summary["methods"][name]["rhw"] is None
+        assert summary["methods"][name]["variance"] is None
+        table = (tmp_path / f"convergence_{name}.csv").read_text()
+        assert table.splitlines()[1].endswith(",inf")
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +131,15 @@ def test_malformed_records_exit_code(tmp_path, capsys, text, message):
     assert err.count("\n") == 1
     assert err.startswith("data error: ")
     assert str(d / "records.csv") in err and message in err
+
+
+def test_records_holding_only_their_header_exit_code(tmp_path, capsys):
+    d = _records_dir(tmp_path, "id,seed,env,accident,l,w\n")
+    rc, out, err = run(capsys, "estimate", "--records", d,
+                       "--out", tmp_path / "out")
+    assert rc == 4
+    assert out == ""
+    assert err == f"data error: {d / 'records.csv'}: no records\n"
 
 
 def test_malformed_critical_log_exit_code(tmp_path, capsys):
