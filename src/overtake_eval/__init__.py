@@ -41,13 +41,8 @@ from .sampling import (
 from .estimators import (
     EmptyInput,
     Estimate,
-    ZeroEstimate,
-    convergence_series,
-    estimate_atscv,
-    estimate_nade,
-    estimate_nde,
-    fit_atscv,
-    rhw,
+    PooledFit,
+    fit,
     tests_to_threshold,
 )
 from .oracle import BudgetExceeded, brute_force_mu

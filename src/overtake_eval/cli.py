@@ -8,11 +8,14 @@ Verbs:
 * ``replicate``  seeded replication study
 * ``report``     pretty-print a summary.json
 
+``estimate --records DIR`` re-estimates the records of ``DIR`` that
+``--env`` (or the configured environment) selects.
+
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
 error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
-critical-log or summary file, or records the estimators or samplers cannot
-use: a ``ValueError`` such as ``EmptyInput``, ``ZeroEstimate`` or
-``NonPositiveGap``, or ``ZeroDensity``).
+critical-log or summary file, a value in them the samplers never write, or
+records the estimators or samplers cannot use: a ``ValueError`` such as
+``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
 """
 
 from __future__ import annotations

@@ -55,13 +55,12 @@ class CriticalityProfile(NamedTuple):
     Per-surrogate arrays have one row per surrogate, ordered like the panel
     in the configuration.  ``p_lane_change`` and ``a_follow`` (the BV's
     car-following acceleration, the other atom) are exact for the queried
-    state; the challenges come from its grid representative.
+    state; the criticalities come from the challenges of its grid
+    representative (:meth:`CriticalityEvaluator.challenges`).
     """
 
     p_lane_change: np.ndarray          # (m,)
     a_follow: np.ndarray               # (m,)
-    lane_change_challenge: np.ndarray  # (J, m)
-    follow_challenge: np.ndarray       # (J, m)
     criticalities: np.ndarray          # (J, m)
     q_lane_change: np.ndarray          # (J, m)
     q_follow: np.ndarray               # (J, m)
@@ -192,8 +191,6 @@ class CriticalityEvaluator:
         return CriticalityProfile(
             p_lane_change=p_lc,
             a_follow=a_follow,
-            lane_change_challenge=ch_lc,
-            follow_challenge=ch_follow,
             criticalities=crits,
             q_lane_change=q_lc,
             q_follow=q_follow,

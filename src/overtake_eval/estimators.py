@@ -37,8 +37,12 @@ has no interval: its variance and relative half-width are infinite.
 One pass serves every output.  The cumulative Gram matrix of the rows
 ``[1, z, y]`` (at most 5x5 with the stock three-model panel) holds the fit
 at every prefix of the record sequence, and one stacked ``eigh`` call
-solves them all: the last prefix is the point estimate, every prefix is a
-row of the convergence table, and the stopping rule scans those rows.
+solves them all.  :func:`fit` makes that pass once per method and record
+set, and everything downstream reads off the :class:`PooledFit` it
+returns: :meth:`~PooledFit.estimate` is the last prefix,
+:meth:`~PooledFit.table` has a convergence-table row per prefix,
+:func:`tests_to_threshold` scans that table's half-width column, and
+:meth:`~PooledFit.adjusted` gives the adjusted points.
 """
 
 from __future__ import annotations
@@ -53,15 +57,9 @@ from .sampling import TestRecord
 
 __all__ = [
     "EmptyInput",
-    "ZeroEstimate",
     "PooledFit",
     "Estimate",
-    "fit_atscv",
-    "estimate_nde",
-    "estimate_nade",
-    "estimate_atscv",
-    "rhw",
-    "convergence_series",
+    "fit",
     "tests_to_threshold",
 ]
 
@@ -74,20 +72,28 @@ class EmptyInput(ValueError):
     """No records to estimate from."""
 
 
-class ZeroEstimate(ValueError):
-    """Relative half-width is undefined for a zero point estimate."""
-
-
 # ---------------------------------------------------------------------------
 # the least-squares core
 
 
 @dataclass(frozen=True)
-class PooledFit:
-    """Least squares of ``y`` on ``[1, Z]`` at every prefix of a record
-    sequence: entry k-1 of ``mu``, ``variance``, ``rank`` and ``beta`` (the
-    slopes on Z) belongs to the first k records."""
+class Estimate:
+    """Point estimate and its variance; the variance is infinite when the
+    fit leaves no residual degree of freedom."""
 
+    method: str
+    mu: float
+    variance: float
+    n: int
+
+
+@dataclass(frozen=True)
+class PooledFit:
+    """One method's least squares of ``y`` on ``[1, Z]`` at every prefix of
+    a record sequence: entry k-1 of ``mu``, ``variance``, ``rank`` and
+    ``beta`` (the slopes on Z) belongs to the first k records."""
+
+    method: str
     y: np.ndarray
     Z: np.ndarray
     mu: np.ndarray
@@ -95,13 +101,29 @@ class PooledFit:
     rank: np.ndarray
     beta: np.ndarray
 
+    def estimate(self) -> Estimate:
+        """The fit of every record."""
+        return Estimate(method=self.method, mu=float(self.mu[-1]),
+                        variance=float(self.variance[-1]), n=len(self.y))
+
+    def table(self, gamma: float) -> np.ndarray:
+        """Per-prefix rows ``(n, point estimate, relative half-width)`` of
+        the two-sided ``1 - gamma`` interval; the half-width is infinite
+        while the point estimate is not positive or the fit has no residual
+        degree of freedom."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = _quantile(gamma) * np.sqrt(self.variance) / self.mu
+        n = np.arange(1, len(self.y) + 1, dtype=float)
+        return np.column_stack([n, self.mu,
+                                np.where(self.mu > 0.0, r, np.inf)])
+
     def adjusted(self) -> np.ndarray:
         """Per-record values ``y - Z beta`` of the full fit; their mean is
         its point estimate."""
         return self.y - self.Z @ self.beta[-1]
 
 
-def _solve(y: np.ndarray, Z: np.ndarray) -> PooledFit:
+def _solve(method: str, y: np.ndarray, Z: np.ndarray) -> PooledFit:
     """The fit at every prefix, from the cumulative Gram of ``[1, Z, y]``.
 
     Eliminating the column of ones leaves the centred cross products of
@@ -129,7 +151,8 @@ def _solve(y: np.ndarray, Z: np.ndarray) -> PooledFit:
     dof = k - rank
     with np.errstate(divide="ignore", invalid="ignore"):
         variance = np.where(dof > 0, rss / dof / k, np.inf)
-    return PooledFit(y=y, Z=Z, mu=mu, variance=variance, rank=rank, beta=beta)
+    return PooledFit(method=method, y=y, Z=Z, mu=mu, variance=variance,
+                     rank=rank, beta=beta)
 
 
 def _controls(records: Sequence[TestRecord]) -> np.ndarray:
@@ -148,7 +171,10 @@ def _controls(records: Sequence[TestRecord]) -> np.ndarray:
     return Z - 1.0
 
 
-def _fit(records: Sequence[TestRecord], method: str) -> PooledFit:
+def fit(records: Sequence[TestRecord], method: str) -> PooledFit:
+    """``method``'s fit (one of ``METHODS``) of ``records``, all of the
+    environment the method estimates: NDE records for ``"nde"``, NADE
+    records otherwise."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     env = "nde" if method == "nde" else "nade"
@@ -160,49 +186,11 @@ def _fit(records: Sequence[TestRecord], method: str) -> PooledFit:
     y = np.array([r.accident * r.weight for r in records], dtype=float)
     Z = (_controls(records) if method == "atscv"
          else np.zeros((len(records), 0)))
-    return _solve(y, Z)
-
-
-def fit_atscv(records: Sequence[TestRecord]) -> PooledFit:
-    """The pooled ATSCV regression of NADE records on their controls."""
-    return _fit(records, "atscv")
+    return _solve(method, y, Z)
 
 
 # ---------------------------------------------------------------------------
-# estimates
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Point estimate and its variance; the variance is infinite when the
-    fit leaves no residual degree of freedom."""
-
-    method: str
-    mu: float
-    variance: float
-    n: int
-
-
-def _estimate(method: str, fit: PooledFit) -> Estimate:
-    return Estimate(method=method, mu=float(fit.mu[-1]),
-                    variance=float(fit.variance[-1]), n=len(fit.y))
-
-
-def estimate_nde(records: Sequence[TestRecord]) -> Estimate:
-    """Mean accident indicator; variance is the sample variance over n."""
-    return _estimate("nde", _fit(records, "nde"))
-
-
-def estimate_nade(records: Sequence[TestRecord]) -> Estimate:
-    """Mean weighted indicator; variance is the sample variance over n."""
-    return _estimate("nade", _fit(records, "nade"))
-
-
-def estimate_atscv(records: Sequence[TestRecord],
-                   fit: Optional[PooledFit] = None) -> Estimate:
-    """Control-variate adjusted estimate; ``fit`` reuses the result of
-    :func:`fit_atscv` on the same records."""
-    return _estimate("atscv", fit_atscv(records) if fit is None else fit)
+# the normal quantile
 
 
 # Cephes ``ndtri`` (S. L. Moshier), the inverse of the standard normal
@@ -286,44 +274,19 @@ def _quantile(gamma: float) -> float:
     return ndtri(1.0 - gamma / 2.0)
 
 
-def rhw(e: Estimate, gamma: float = 0.1) -> float:
-    """Relative half-width of the two-sided confidence interval; infinite
-    without a residual degree of freedom."""
-    if e.mu <= 0.0:
-        raise ZeroEstimate("relative half-width is undefined when the "
-                           "point estimate is zero")
-    return _quantile(gamma) * float(np.sqrt(e.variance)) / e.mu
-
-
 # ---------------------------------------------------------------------------
-# per-prefix convergence
+# the stopping rule
 
 
-def convergence_series(records: Sequence[TestRecord], gamma: float,
-                       method: str) -> np.ndarray:
-    """Per-prefix table ``(n, point estimate, relative half-width)``; the
-    half-width is infinite while the point estimate is not positive or the
-    fit has no residual degree of freedom."""
-    if not records:
-        return np.zeros((0, 3))
-    fit = _fit(records, method)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = _quantile(gamma) * np.sqrt(fit.variance) / fit.mu
-    n = np.arange(1, len(records) + 1, dtype=float)
-    return np.column_stack([n, fit.mu, np.where(fit.mu > 0.0, r, np.inf)])
-
-
-def tests_to_threshold(records: Sequence[TestRecord], threshold: float,
-                       gamma: float = 0.1, method: str = "nade",
-                       confirm_window: int = 50) -> Optional[int]:
-    """Smallest prefix length whose relative half-width stays at or below
-    ``threshold`` for ``confirm_window`` consecutive prefixes; None when no
-    fully observed window qualifies."""
+def tests_to_threshold(rhw: np.ndarray, threshold: float,
+                       confirm_window: int) -> Optional[int]:
+    """Smallest prefix length whose relative half-width (the column ``rhw``
+    of :meth:`PooledFit.table`) stays at or below ``threshold`` for
+    ``confirm_window`` consecutive prefixes; None when no fully observed
+    window qualifies."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if not records:
-        return None
-    ok = convergence_series(records, gamma, method)[:, 2] <= threshold
+    ok = np.asarray(rhw) <= threshold
     runs = np.concatenate([[0], np.cumsum(ok)])
     full = np.flatnonzero(runs[confirm_window:] - runs[:-confirm_window]
                           == confirm_window)

@@ -13,11 +13,15 @@ permits, and emits a fixed set of files:
 * ``replications.csv``     per-replication table (replication studies only)
 
 One path serves every entry point.  ``_sample`` draws one environment's
-episodes; :func:`estimate_from_records` runs the estimators, the stopping
-rule and the acceleration ratios over a record set; :func:`run_campaign` is
-that on freshly sampled records plus the oracle, and a replication row is
-the same estimate at seed root+rep, without the oracle and on one warm
-criticality evaluator per worker chunk.
+episodes; :func:`estimate_from_records` fits each method once over a record
+set and reads its estimate, convergence table, stopping count and (for
+ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`, then
+takes the acceleration ratios; :func:`run_campaign` is that on freshly
+sampled records plus the oracle, and a replication row is the same
+estimate at seed root+rep, without the oracle and on one warm criticality
+evaluator per worker chunk.  Records read back from an output directory
+are checked against what the samplers write, so a value they never write
+fails with its file and line.
 
 Episodes fan out to a worker pool in contiguous index chunks; every record is
 a pure function of (root seed, environment, index), so output bytes do not
@@ -35,7 +39,9 @@ import multiprocessing
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from . import __version__
 from .config import CampaignConfig
@@ -45,13 +51,7 @@ from .estimators import (
     EmptyInput,
     Estimate,
     PooledFit,
-    ZeroEstimate,
-    convergence_series,
-    estimate_atscv,
-    estimate_nade,
-    estimate_nde,
-    fit_atscv,
-    rhw,
+    fit,
     tests_to_threshold,
 )
 from .oracle import BudgetExceeded, brute_force_mu
@@ -65,9 +65,21 @@ from .sampling import (
 
 @dataclass
 class MethodResult:
-    estimate: Estimate
-    rhw: Optional[float]
+    """One method's fit of a record set, its convergence table and the
+    stopping count read off that table."""
+
+    fit: PooledFit
+    table: np.ndarray
     tests_to_threshold: Optional[int]
+
+    @property
+    def estimate(self) -> Estimate:
+        return self.fit.estimate()
+
+    @property
+    def rhw(self) -> Optional[float]:
+        """The relative half-width, or None where there is no interval."""
+        return _finite(float(self.table[-1, 2]))
 
 
 @dataclass
@@ -75,7 +87,6 @@ class CampaignResult:
     config: CampaignConfig
     records: Dict[str, List[TestRecord]]
     methods: Dict[str, MethodResult]
-    atscv_fit: Optional[PooledFit] = None
     oracle_mu: Optional[float] = None
     acceleration: Dict[str, Optional[float]] = field(default_factory=dict)
     replication_rows: List[dict] = field(default_factory=list)
@@ -140,31 +151,18 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _safe_rhw(est: Estimate, gamma: float) -> Optional[float]:
-    """The relative half-width, or None where there is no interval."""
-    try:
-        return _finite(rhw(est, gamma))
-    except ZeroEstimate:
-        return None
-
-
-def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]):
-    """Every applicable method's result, and the ATSCV fit."""
-    runs, fit = [], None
-    if records.get("nde"):
-        runs.append(("nde", records["nde"], estimate_nde(records["nde"])))
-    if records.get("nade"):
-        nade = records["nade"]
-        est = estimate_nade(nade)
-        fit = fit_atscv(nade)
-        runs += [("nade", nade, est),
-                 ("atscv", nade, estimate_atscv(nade, fit))]
-    methods = {
-        m: MethodResult(est, _safe_rhw(est, cfg.gamma),
-                        tests_to_threshold(recs, cfg.rhw_threshold, cfg.gamma,
-                                           m, cfg.confirm_window))
-        for m, recs, est in runs}
-    return methods, fit
+def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]
+                    ) -> Dict[str, MethodResult]:
+    """Every applicable method's result, from one fit each."""
+    methods = {}
+    for m in METHODS:
+        recs = records.get("nde" if m == "nde" else "nade")
+        if recs:
+            f = fit(recs, m)
+            table = f.table(cfg.gamma)
+            methods[m] = MethodResult(f, table, tests_to_threshold(
+                table[:, 2], cfg.rhw_threshold, cfg.confirm_window))
+    return methods
 
 
 def _ratio(a: Optional[int], b: Optional[int]) -> Optional[float]:
@@ -200,10 +198,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 
 def estimate_from_records(cfg: CampaignConfig,
                           records: Dict[str, List[TestRecord]]) -> CampaignResult:
-    """Run the estimators over sampled or previously emitted records."""
-    methods, fit = _method_results(cfg, records)
+    """Run the estimators over sampled or previously emitted records, of
+    the environments ``cfg.environment`` selects."""
+    records = {env: recs for env, recs in records.items()
+               if cfg.environment in (env, "both")}
+    methods = _method_results(cfg, records)
     return CampaignResult(config=cfg, records=records, methods=methods,
-                          atscv_fit=fit, acceleration=_acceleration(methods))
+                          acceleration=_acceleration(methods))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     rows = []
     for rep in reps:
         seeded = dataclasses.replace(cfg, seed=cfg.seed + rep)
-        methods, _ = _method_results(seeded, {
+        methods = _method_results(seeded, {
             env: _sample(env, seeded, n, evaluator=evaluator)
             for env, n in budgets.items()})
         row: Dict[str, object] = {"replication": rep, "seed": seeded.seed}
@@ -389,13 +390,12 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
     write_critical_log(out("critical_log.csv"), records.get("nade", []),
                        len(cfg.scenario.surrogates))
     for method in METHODS:
-        source = records.get("nde" if method == "nde" else "nade", [])
-        table = []
-        if method in result.methods and source:
-            table = convergence_series(source, cfg.gamma, method)
-        write_convergence(out(f"convergence_{method}.csv"), table)
+        mr = result.methods.get(method)
+        write_convergence(out(f"convergence_{method}.csv"),
+                          [] if mr is None else mr.table)
+    atscv = result.methods.get("atscv")
     write_adjusted_points(out("adjusted_points.csv"), records.get("nade", []),
-                          result.atscv_fit)
+                          None if atscv is None else atscv.fit)
     if result.replication_rows:
         write_replications(out("replications.csv"), result.replication_rows)
     with open(out("summary.json"), "w") as fh:
@@ -408,10 +408,33 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 # loading emitted records back
 
 
+def _check_record(r: TestRecord) -> None:
+    """Raise ``ValueError`` for a field value the samplers never write."""
+    if r.env not in ("nde", "nade"):
+        raise ValueError(f"env {r.env!r} is neither 'nde' nor 'nade'")
+    if r.accident not in (0, 1):
+        raise ValueError(f"accident {r.accident} is neither 0 nor 1")
+    if r.env == "nde" and r.weight != 1.0:
+        raise ValueError(f"nde weight {r.weight!r} is not 1")
+    if not (math.isfinite(r.weight) and r.weight >= 0.0):
+        raise ValueError(f"weight {r.weight!r} is not finite and >= 0")
+
+
+def _check_moment(m: CriticalMoment) -> None:
+    """Raise ``ValueError`` unless every density is finite and >= 0 and
+    ``q_alpha``, the density the action was drawn from, is positive."""
+    densities = (m.p, m.q_alpha) + m.q
+    if not (all(math.isfinite(d) and d >= 0.0 for d in densities)
+            and m.q_alpha > 0.0):
+        raise ValueError(f"densities {densities} are not finite and >= 0 "
+                         f"with q_alpha > 0")
+
+
 def read_records(path: str) -> List[Tuple[TestRecord, int]]:
     """Records from a ``records.csv``, each with its ``l`` column (the count
     of critical moments it logged); ``ValueError`` names the file and line
-    of a header other than ``RECORD_COLUMNS`` or of a malformed row."""
+    of a header other than ``RECORD_COLUMNS``, of a malformed row or of a
+    value the samplers never write."""
     out = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -421,15 +444,20 @@ def read_records(path: str) -> List[Tuple[TestRecord, int]]:
         for row in rows:
             try:
                 index, seed, env, accident, logged, weight = row
-                out.append((TestRecord(index=int(index), seed=int(seed),
-                                       env=env, accident=int(accident),
-                                       weight=float(weight)), int(logged)))
+                r = TestRecord(index=int(index), seed=int(seed), env=env,
+                               accident=int(accident), weight=float(weight))
+                _check_record(r)
+                out.append((r, int(logged)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {rows.line_num}: {exc}") from exc
     return out
 
 
-def read_critical_log(path: str) -> Dict[int, List[CriticalMoment]]:
+def read_critical_log(path: str, nade_ids: Set[int]
+                      ) -> Dict[int, List[CriticalMoment]]:
+    """Each NADE record's logged moments, in moment order; ``ValueError``
+    names the file and line of a malformed row, of a density the sampler
+    never writes or of a ``record_id`` outside ``nade_ids``."""
     logs: Dict[int, List[Tuple[int, CriticalMoment]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -444,6 +472,9 @@ def read_critical_log(path: str) -> Dict[int, List[CriticalMoment]]:
                 moment = CriticalMoment(
                     p=float(row[2]), q_alpha=float(row[3]),
                     q=tuple(float(row[i]) for i in q_cols))
+                if rid not in nade_ids:
+                    raise ValueError(f"record_id {rid} is no NADE record")
+                _check_moment(moment)
                 logs.setdefault(rid, []).append((int(row[1]), moment))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
@@ -456,13 +487,17 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
 
     A NADE record takes its moments from ``critical_log.csv``; a record whose
     ``l`` differs from the moments it gets (as every NADE record with
-    moments does when the log is missing) raises ``ValueError``, and a
-    ``records.csv`` without a row raises ``EmptyInput``."""
+    moments does when the log is missing) raises ``ValueError``, as does a
+    value either reader rejects, and a ``records.csv`` without a row raises
+    ``EmptyInput``."""
     path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
-    logs = read_critical_log(log_path) if os.path.exists(log_path) else {}
+    rows = read_records(path)
+    logs = (read_critical_log(log_path, {r.index for r, _ in rows
+                                         if r.env == "nade"})
+            if os.path.exists(log_path) else {})
     by_env: Dict[str, List[TestRecord]] = {}
-    for r, logged in read_records(path):
+    for r, logged in rows:
         if r.env == "nade":
             r = dataclasses.replace(r, critical_log=tuple(logs.get(r.index, ())))
         if logged != r.control_steps:

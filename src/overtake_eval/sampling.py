@@ -73,12 +73,6 @@ class TestRecord:
     def control_steps(self) -> int:
         return len(self.critical_log)
 
-    def recomputed_weight(self) -> float:
-        w = 1.0
-        for m in self.critical_log:
-            w *= m.p / m.q_alpha
-        return w
-
 
 def episode_seeds(root_seed: int, env: str, idx) -> np.ndarray:
     """Seeds of episodes ``idx``: each is

@@ -7,6 +7,7 @@ library is evidence of correctness rather than a tautology.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, List, Sequence, Tuple
 
@@ -133,14 +134,21 @@ def make_moment(p: float, q_alpha: float, q: Sequence[float]) -> CriticalMoment:
     return CriticalMoment(p=p, q_alpha=q_alpha, q=tuple(q))
 
 
+def recomputed_weight(record: TestRecord) -> float:
+    """The likelihood ratio of a record's log, p / q_alpha multiplied in
+    log order as the sampler multiplies it."""
+    w = 1.0
+    for m in record.critical_log:
+        w *= m.p / m.q_alpha
+    return w
+
+
 def make_nade_record(index: int, accident: int,
                      moments: Sequence[CriticalMoment],
                      seed: int = 0) -> TestRecord:
-    w = 1.0
-    for m in moments:
-        w *= m.p / m.q_alpha
-    return TestRecord(index=index, seed=seed, env="nade", accident=accident,
-                      weight=w, critical_log=tuple(moments))
+    r = TestRecord(index=index, seed=seed, env="nade", accident=accident,
+                   weight=1.0, critical_log=tuple(moments))
+    return dataclasses.replace(r, weight=recomputed_weight(r))
 
 
 def random_nade_records(rng: np.random.Generator, n: int, j: int = 3,

@@ -6,7 +6,7 @@ import pytest
 from overtake_eval import harness
 from overtake_eval.cli import main
 from overtake_eval.config import CampaignConfig
-from overtake_eval.estimators import EmptyInput, ZeroEstimate
+from overtake_eval.estimators import EmptyInput
 from overtake_eval.models import NonPositiveGap, ZeroDensity
 from overtake_eval.oracle import brute_force_mu
 
@@ -122,6 +122,13 @@ def _records_dir(tmp_path, text):
     ("id,seed,env,accident,l,w\n0,5,nde,0,0,1.0\n1,6\n", "line 3"),
     ("id,seed\n", "header"),
     ("", "header"),
+    # values the samplers never write
+    ("id,seed,env,accident,l,w\n0,5,nde,0,0,1.0\n1,6,xyz,0,0,1.0\n",
+     "line 3: env 'xyz'"),
+    ("id,seed,env,accident,l,w\n0,5,nde,7,0,1.0\n", "line 2: accident 7"),
+    ("id,seed,env,accident,l,w\n0,5,nade,1,0,nan\n", "line 2: weight nan"),
+    ("id,seed,env,accident,l,w\n0,5,nade,1,0,-0.5\n", "line 2: weight -0.5"),
+    ("id,seed,env,accident,l,w\n0,5,nde,1,0,2.0\n", "line 2: nde weight 2.0"),
 ])
 def test_malformed_records_exit_code(tmp_path, capsys, text, message):
     d = _records_dir(tmp_path, text)
@@ -150,6 +157,50 @@ def test_malformed_critical_log_exit_code(tmp_path, capsys):
                      "--out", tmp_path / "out")
     assert rc == 4
     assert "critical_log.csv, line 2" in err
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0,0,0.1,0.0,0.1,0.2,0.3\n", "line 2: densities"),       # q_alpha 0
+    ("0,0,0.1,0.2,nan,0.2,0.3\n", "line 2: densities"),
+    ("0,0,-0.1,0.2,0.1,0.2,0.3\n", "line 2: densities"),
+    ("0,0,0.1,0.2,0.1,0.2,0.3\n7,0,0.1,0.2,0.1,0.2,0.3\n",
+     "line 3: record_id 7 is no NADE record"),
+    ("0,0,0.1,0.2,0.1,0.2,0.3\n1,0,0.1,0.2,0.1,0.2,0.3\n",   # an NDE id
+     "line 3: record_id 1 is no NADE record"),
+])
+def test_critical_log_values_the_sampler_never_writes_exit_code(
+        tmp_path, capsys, rows, message):
+    d = _records_dir(tmp_path, "id,seed,env,accident,l,w\n"
+                               "0,5,nade,1,1,0.5\n1,6,nde,0,0,1.0\n")
+    log = d / "critical_log.csv"
+    log.write_text("record_id,moment,p,q_alpha,q_1,q_2,q_3\n" + rows)
+    rc, out, err = run(capsys, "estimate", "--records", d,
+                       "--out", tmp_path / "out")
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {log}, {message}")
+
+
+def test_estimate_from_records_keeps_only_the_selected_environment(
+        tmp_path, capsys):
+    both, nade = tmp_path / "both", tmp_path / "nade"
+    assert run(capsys, "estimate", "--episodes", 200, "--seed", 5,
+               "--out", both)[0] == 0
+    rc, out, _ = run(capsys, "estimate", "--records", both, "--env", "nade",
+                     "--out", nade)
+    assert rc == 0
+    assert not any(line.startswith("nde ") for line in out.splitlines())
+    summary = json.loads((nade / "summary.json").read_text())
+    assert summary["config"]["environment"] == "nade"
+    assert sorted(summary["methods"]) == ["atscv", "nade"]
+    records = (nade / "records.csv").read_text().splitlines()[1:]
+    assert len(records) == 200
+    assert {line.split(",")[2] for line in records} == {"nade"}
+    assert (nade / "convergence_nde.csv").read_text() == "n,mu,rhw\n"
+    for name in ("convergence_nade.csv", "convergence_atscv.csv",
+                 "adjusted_points.csv", "critical_log.csv"):
+        assert (nade / name).read_bytes() == (both / name).read_bytes(), name
 
 
 def test_truncated_summary_exit_code(tmp_path, capsys):
@@ -209,8 +260,7 @@ def test_report_prints_missing_method_fields_as_dashes(tmp_path, capsys):
     assert out.splitlines()[-1].split() == ["nade", "7", "-", "-", "-"]
 
 
-@pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, ZeroEstimate,
-                                   NonPositiveGap])
+@pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, NonPositiveGap])
 def test_library_data_errors_exit_code(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("raised by the sampler")

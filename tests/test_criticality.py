@@ -106,11 +106,13 @@ def test_profile_hand_example(scen):
     # staying in lane ends the episode without any cut-in opportunity.
     cfg = dataclasses.replace(scen, mobil=HOT_MOBIL)
     s = grid_state(8.0, 30.0, -5.0, 0.3, -5.0)
-    prof = CriticalityEvaluator(cfg).profile(cols([s]))
+    ev = CriticalityEvaluator(cfg)
+    prof = ev.profile(cols([s]))
+    lc, fol = ev.challenges(cols([s]))
 
     assert prof.p_lane_change.tolist() == [0.1]  # saturates the cap
-    assert column(prof, "lane_change_challenge", 0) == (1.0, 1.0, 1.0)
-    assert column(prof, "follow_challenge", 0) == (0.0, 0.0, 0.0)
+    assert lc[:, 0].tolist() == [1.0, 1.0, 1.0]
+    assert fol[:, 0].tolist() == [0.0, 0.0, 0.0]
     assert column(prof, "criticalities", 0) == pytest.approx((0.1,) * 3,
                                                              abs=1e-15)
     assert prof.is_critical.tolist() == [True]
@@ -136,14 +138,14 @@ def test_profile_exposure_formula_self_consistent(scen):
     box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
     states = random_grid_states(rng, 60, box)
     prof = ev.profile(cols(states))
+    lc, fol = ev.challenges(cols(states))
     eps = scen.epsilon
     checked_tilted = 0
     for i in range(len(states)):
         p_lc = prof.p_lane_change[i]
         p_f = 1.0 - p_lc
         for j in range(3):
-            cl = prof.lane_change_challenge[j, i]
-            cf = prof.follow_challenge[j, i]
+            cl, cf = lc[j, i], fol[j, i]
             c = prof.criticalities[j, i]
             assert c == pytest.approx(cl * p_lc + cf * p_f, abs=1e-15)
             if c > 0.0:
@@ -250,15 +252,17 @@ def test_evaluation_order_does_not_change_results(scen):
 # ---------------------------------------------------------------------------
 
 def test_maneuver_challenge_selects_action_component(scen):
-    # The profile carries the cached challenges per surrogate, and its
-    # per-surrogate densities line up with them row for row.
+    # The profile's criticalities combine the cached challenges per
+    # surrogate, and its per-surrogate densities line up with them row for
+    # row.
     ev = CriticalityEvaluator(scen)
     s = cols([grid_state(8.0, 10.0, -3.0, 2.0, -4.0),
               grid_state(8.0, 3000.0, 0.0, 30.0, 0.0)])
     lc, fol = ev.challenges(s)
     prof = ev.profile(s)
-    assert prof.lane_change_challenge.tolist() == lc.tolist()
-    assert prof.follow_challenge.tolist() == fol.tolist()
+    p = prof.p_lane_change
+    assert lc.shape == fol.shape == prof.criticalities.shape == (3, 2)
+    assert prof.criticalities.tolist() == (lc * p + fol * (1.0 - p)).tolist()
     assert prof.q_lane_change.shape == prof.q_follow.shape == (3, 2)
     assert prof.p_lane_change.shape == prof.q_alpha_follow.shape == (2,)
 

@@ -8,16 +8,11 @@ import pytest
 from overtake_eval.config import ScenarioConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.estimators import (
+    METHODS,
     RANK_TOLERANCE,
     EmptyInput,
-    Estimate,
-    ZeroEstimate,
-    convergence_series,
-    estimate_atscv,
-    estimate_nade,
-    estimate_nde,
-    fit_atscv,
-    rhw,
+    _solve,
+    fit,
 )
 from overtake_eval.estimators import tests_to_threshold as time_to_threshold
 from overtake_eval.oracle import brute_force_mu
@@ -32,6 +27,12 @@ def nde_rec(i, acc):
     return TestRecord(index=i, seed=i, env="nde", accident=acc, weight=1.0)
 
 
+def stops(records, method, threshold, confirm_window=50, gamma=0.1):
+    """The stopping count of one method on ``records``."""
+    return time_to_threshold(fit(records, method).table(gamma)[:, 2],
+                             threshold, confirm_window)
+
+
 # ---------------------------------------------------------------------------
 # the controls
 # ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ def test_controls_are_density_ratio_products_minus_one():
     m1 = make_moment(p=0.2, q_alpha=0.5, q=(0.4, 0.5, 0.6))
     m2 = make_moment(p=0.1, q_alpha=0.25, q=(0.1, 0.25, 0.4))
     recs = [make_nade_record(0, 1, [m1, m2]), make_nade_record(1, 0, [m2])]
-    Z = fit_atscv(recs).Z
+    Z = fit(recs, "atscv").Z
     # one column per surrogate, the product over the record's moments
     np.testing.assert_allclose(Z[0], [0.8 * 0.4 - 1, 1.0 * 1.0 - 1,
                                       1.2 * 1.6 - 1], rtol=1e-15, atol=1e-15)
@@ -51,12 +52,12 @@ def test_controls_are_density_ratio_products_minus_one():
 def test_controls_of_an_empty_log_are_zero():
     m = make_moment(p=0.2, q_alpha=0.5, q=(0.4, 0.5, 0.6))
     bare = TestRecord(index=0, seed=0, env="nade", accident=1, weight=1.0)
-    assert fit_atscv([bare, make_nade_record(1, 0, [m])]).Z[0].tolist() == \
+    assert fit([bare, make_nade_record(1, 0, [m])], "atscv").Z[0].tolist() == \
         [0.0, 0.0, 0.0]
     # without a logged moment anywhere there is nothing to adjust with
     pair = [bare, dataclasses.replace(bare, index=1, accident=0)]
-    assert fit_atscv(pair).Z.shape == (2, 0)
-    atscv, nade = estimate_atscv(pair), estimate_nade(pair)
+    assert fit(pair, "atscv").Z.shape == (2, 0)
+    atscv, nade = fit(pair, "atscv").estimate(), fit(pair, "nade").estimate()
     assert (atscv.mu, atscv.variance) == (nade.mu, nade.variance)
 
 
@@ -76,25 +77,25 @@ def test_mlr_fit_noiseless_affine_recovery():
         qa = float(np.mean(q))
         p = qa * (a + b * (q[0] / qa - 1.0))
         recs.append(make_nade_record(i, 1, [make_moment(p, qa, q)]))
-    fit = fit_atscv(recs)
-    assert fit.rank[-1] == 3
-    assert fit.mu[-1] == pytest.approx(a, rel=1e-12)
-    np.testing.assert_allclose(fit.adjusted(), a, rtol=1e-12)
-    assert fit.variance[-1] == pytest.approx(0.0, abs=1e-28)
+    f = fit(recs, "atscv")
+    assert f.rank[-1] == 3
+    assert f.mu[-1] == pytest.approx(a, rel=1e-12)
+    np.testing.assert_allclose(f.adjusted(), a, rtol=1e-12)
+    assert f.variance[-1] == pytest.approx(0.0, abs=1e-28)
     # the slopes reproduce b z_1, however they split across the panel
-    np.testing.assert_allclose(fit.Z @ fit.beta[-1], b * fit.Z[:, 0],
+    np.testing.assert_allclose(f.Z @ f.beta[-1], b * f.Z[:, 0],
                                rtol=0, atol=1e-15)
 
 
 def test_mlr_fit_constant_response_gives_zero_slope():
     m = make_moment(0.3, 0.6, (0.5, 0.6, 0.7))
     recs = [make_nade_record(i, 1, [m]) for i in range(12)]
-    fit = fit_atscv(recs)
+    f = fit(recs, "atscv")
     # identical controls centre to exact zeros: no direction to fit
-    assert fit.rank.tolist() == [1] * 12
-    assert not fit.beta.any()
-    assert fit.mu[-1] == recs[0].weight
-    assert fit.variance[-1] == 0.0
+    assert f.rank.tolist() == [1] * 12
+    assert not f.beta.any()
+    assert f.mu[-1] == recs[0].weight
+    assert f.variance[-1] == 0.0
 
 
 def test_mlr_fit_underdetermined_group_falls_back_to_mean():
@@ -103,29 +104,29 @@ def test_mlr_fit_underdetermined_group_falls_back_to_mean():
     rng = np.random.default_rng(9)
     recs = [r for r in random_nade_records(rng, 60, max_l=2)
             if r.control_steps][:8]
-    fit = fit_atscv(recs)
+    f = fit(recs, "atscv")
     n = np.arange(1, len(recs) + 1)
-    assert fit.rank[0] == 1 and fit.rank[-1] == 4
-    assert (fit.rank <= n).all()
-    assert fit.mu[0] == recs[0].weight * recs[0].accident
-    np.testing.assert_array_equal(np.isinf(fit.variance), n <= fit.rank)
-    s = convergence_series(recs, 0.1, "atscv")
-    assert np.isinf(s[n <= fit.rank, 2]).all()
-    assert np.isfinite(s[n > fit.rank, 2]).all()
+    assert f.rank[0] == 1 and f.rank[-1] == 4
+    assert (f.rank <= n).all()
+    assert f.mu[0] == recs[0].weight * recs[0].accident
+    np.testing.assert_array_equal(np.isinf(f.variance), n <= f.rank)
+    s = f.table(0.1)
+    assert np.isinf(s[n <= f.rank, 2]).all()
+    assert np.isfinite(s[n > f.rank, 2]).all()
     # ten-moment logs put one control near 3e4 with a spread of a few
     # hundred: rounding must not count as a direction
     deep = []
     for i in range(6):
         q = np.array([0.1, 0.1 + 0.01 * rng.random(), 2.8])
         deep.append(make_nade_record(i, 1, [make_moment(0.5, q.mean(), q)] * 10))
-    fit = fit_atscv(deep)
-    assert fit.Z[:, 2].min() > 2e4
-    assert fit.rank.tolist() == [1, 2, 2, 2, 2, 2]
+    f = fit(deep, "atscv")
+    assert f.Z[:, 2].min() > 2e4
+    assert f.rank.tolist() == [1, 2, 2, 2, 2, 2]
 
 
 def test_mlr_fit_rejects_empty_group():
     with pytest.raises(EmptyInput):
-        fit_atscv([])
+        fit([], "atscv")
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +186,17 @@ def test_streaming_series_matches_refit_reference():
     rng = np.random.default_rng(4242)
     sets = [awkward_records(rng) for _ in range(3)] + [near_collinear_records(rng)]
     for recs in sets:
-        fit = fit_atscv(recs)
+        f = fit(recs, "atscv")
         want = reference_fits(recs)
-        np.testing.assert_array_equal(fit.rank, want[:, 2])
-        fitted = np.arange(1, len(recs) + 1) > fit.rank + 1
-        np.testing.assert_allclose(fit.mu[fitted], want[fitted, 0],
+        np.testing.assert_array_equal(f.rank, want[:, 2])
+        fitted = np.arange(1, len(recs) + 1) > f.rank + 1
+        np.testing.assert_allclose(f.mu[fitted], want[fitted, 0],
                                    rtol=1e-9, atol=0)
-        np.testing.assert_allclose(np.sqrt(fit.variance[fitted]),
+        np.testing.assert_allclose(np.sqrt(f.variance[fitted]),
                                    np.sqrt(want[fitted, 1]), rtol=1e-9, atol=0)
-        np.testing.assert_array_equal(np.isinf(fit.variance),
+        np.testing.assert_array_equal(np.isinf(f.variance),
                                       np.isinf(want[:, 1]))
-    assert fit.rank[-1] == 2  # the near-collinear panel
+    assert f.rank[-1] == 2  # the near-collinear panel
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,8 @@ def test_streaming_series_matches_refit_reference():
 # ---------------------------------------------------------------------------
 
 def test_estimate_nde_hand_value():
-    e = estimate_nde([nde_rec(0, 1), nde_rec(1, 0), nde_rec(2, 0), nde_rec(3, 0)])
+    e = fit([nde_rec(0, 1), nde_rec(1, 0), nde_rec(2, 0), nde_rec(3, 0)],
+            "nde").estimate()
     assert e.method == "nde"
     assert e.mu == 0.25
     assert e.variance == 0.0625  # s^2 = 1/4, variance of the mean = s^2/4
@@ -214,7 +216,8 @@ def test_estimate_nade_hand_value():
     m = make_moment(0.25, 0.5, (0.4, 0.5, 0.6))
     recs = [make_nade_record(0, 1, [m]),        # weight 0.5, hit
             make_nade_record(1, 0, [m, m])]     # weight 0.25, miss
-    e = estimate_nade(recs)
+    e = fit(recs, "nade").estimate()
+    assert e.method == "nade"
     assert e.mu == 0.25  # mean of (0.5, 0.0)
     assert e.n == 2
 
@@ -224,21 +227,23 @@ def test_estimate_nade_with_unit_weights_matches_nde_mean():
     flags = rng.integers(0, 2, size=50)
     nade = [TestRecord(index=i, seed=i, env="nade", accident=int(f), weight=1.0)
             for i, f in enumerate(flags)]
-    assert estimate_nade(nade).mu == float(np.mean(flags))
+    assert fit(nade, "nade").estimate().mu == float(np.mean(flags))
 
 
 def test_estimators_reject_wrong_environment():
     with pytest.raises(ValueError, match="nade"):
-        estimate_nade([nde_rec(0, 1)])
+        fit([nde_rec(0, 1)], "nade")
     with pytest.raises(ValueError, match="nde"):
-        estimate_nde([TestRecord(index=0, seed=0, env="nade", accident=1,
-                                 weight=1.0)])
+        fit([TestRecord(index=0, seed=0, env="nade", accident=1, weight=1.0)],
+            "nde")
+    with pytest.raises(ValueError, match="unknown method"):
+        fit([nde_rec(0, 1)], "mc")
 
 
 def test_estimators_reject_empty_input():
-    for fn in (estimate_nde, estimate_nade, estimate_atscv):
+    for method in METHODS:
         with pytest.raises(EmptyInput):
-            fn([])
+            fit([], method)
 
 
 def test_atscv_residuals_never_spread_wider_than_nade():
@@ -247,16 +252,17 @@ def test_atscv_residuals_never_spread_wider_than_nade():
     rng = np.random.default_rng(112)
     for trial in range(10):
         recs = random_nade_records(rng, 250, max_l=4)
-        fit = fit_atscv(recs)
-        assert np.var(fit.adjusted()) <= np.var(fit.y) + 1e-12
+        f = fit(recs, "atscv")
+        assert np.var(f.adjusted()) <= np.var(f.y) + 1e-12
 
 
 def test_atscv_adjusted_points_mean_matches_estimate():
     rng = np.random.default_rng(33)
     recs = random_nade_records(rng, 200, max_l=4)
-    adj = fit_atscv(recs).adjusted()
+    f = fit(recs, "atscv")
+    adj = f.adjusted()
     assert adj.shape == (len(recs),)
-    e = estimate_atscv(recs)
+    e = f.estimate()
     assert float(np.mean(adj)) == pytest.approx(e.mu, abs=1e-12)
 
 
@@ -265,7 +271,8 @@ def test_atscv_beats_nade_variance_on_structured_data(scen):
     # just never hurt.
     recs = sample_nade_batch(321, scen, 3000,
                              evaluator=CriticalityEvaluator(scen))
-    assert estimate_atscv(recs).variance < 0.5 * estimate_nade(recs).variance
+    assert (fit(recs, "atscv").estimate().variance
+            < 0.5 * fit(recs, "nade").estimate().variance)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def replications():
 
 
 def test_control_means_are_zero_on_sampled_records(replications):
-    Z = fit_atscv([r for rep in replications for r in rep]).Z
+    Z = fit([r for rep in replications for r in rep], "atscv").Z
     assert Z.shape == (len(REPLICATION_SEEDS) * REPLICATION_EPISODES, 3)
     se = Z.std(axis=0, ddof=1) / math.sqrt(len(Z))
     assert (np.abs(Z.mean(axis=0)) <= 4.0 * se).all()
@@ -297,30 +304,31 @@ def test_atscv_interval_covers_the_oracle(replications, scen):
     oracle = brute_force_mu(scen)
     covered = []
     for recs in replications:
-        e = estimate_atscv(recs)
-        covered.append(abs(e.mu - oracle) <= rhw(e, 0.1) * e.mu)
+        _, mu, rhw = fit(recs, "atscv").table(0.1)[-1]
+        covered.append(abs(mu - oracle) <= rhw * mu)
     assert 0.84 <= np.mean(covered) <= 0.95
 
 
 def test_atscv_varies_less_across_seeds_than_nade(replications):
-    atscv = [estimate_atscv(recs).mu for recs in replications]
-    nade = [estimate_nade(recs).mu for recs in replications]
+    atscv = [fit(recs, "atscv").estimate().mu for recs in replications]
+    nade = [fit(recs, "nade").estimate().mu for recs in replications]
     assert np.var(atscv) <= np.var(nade)
 
 
 def test_atscv_point_differs_from_nade_point(replications):
     # The known-mean controls move the point estimate, not only its variance.
     for recs in replications[:10]:
-        assert estimate_atscv(recs).mu != estimate_nade(recs).mu
+        atscv, nade = fit(recs, "atscv"), fit(recs, "nade")
+        assert atscv.estimate().mu != nade.estimate().mu
 
 
 def test_first_prefixes_without_a_residual_dof_never_qualify():
     # n = 1 (NADE) or n <= rank (ATSCV) has no interval, so a window of
     # those prefixes cannot stop the test.
     recs = sample_nade_batch(2024, ScenarioConfig(), 200)
-    assert time_to_threshold(recs, 0.1, method="nade", confirm_window=1) > 1
-    rank = fit_atscv(recs).rank
-    first = time_to_threshold(recs, 0.1, method="atscv", confirm_window=3)
+    assert stops(recs, "nade", 0.1, confirm_window=1) > 1
+    rank = fit(recs, "atscv").rank
+    first = stops(recs, "atscv", 0.1, confirm_window=3)
     assert first > 1 and first > rank[first - 1]
 
 
@@ -329,48 +337,57 @@ def test_first_prefixes_without_a_residual_dof_never_qualify():
 # ---------------------------------------------------------------------------
 
 def test_rhw_hand_values():
-    e = Estimate(method="nde", mu=0.01, variance=1e-6, n=100)
-    assert rhw(e, gamma=0.1) == pytest.approx(Z90 * 0.1, rel=1e-12)
-    assert rhw(Estimate(method="nde", mu=0.5, variance=0.0, n=9),
-               gamma=0.1) == 0.0
-    assert rhw(Estimate(method="nde", mu=0.5, variance=math.inf, n=1)) == \
-        math.inf
-
-
-def test_rhw_rejects_nonpositive_mean():
-    with pytest.raises(ZeroEstimate):
-        rhw(Estimate(method="nde", mu=0.0, variance=1e-6, n=9))
-    with pytest.raises(ZeroEstimate):
-        rhw(Estimate(method="nade", mu=-0.1, variance=1e-6, n=9))
+    # accidents 1, 1, 0, 0: sample variances 0, 1/3, 1/3 from n = 2 on
+    f = fit([nde_rec(0, 1), nde_rec(1, 1), nde_rec(2, 0), nde_rec(3, 0)],
+            "nde")
+    t = f.table(0.1)
+    assert t[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert t[:, 1].tolist() == [1.0, 1.0, 2.0 / 3.0, 0.5]
+    assert math.isinf(t[0, 2])  # one test: no interval
+    assert t[1, 2] == 0.0
+    assert t[2, 2] == pytest.approx(Z90 / 2.0, rel=1e-12)
+    assert t[3, 2] == pytest.approx(Z90 / math.sqrt(3.0), rel=1e-12)
+    z95 = 1.959963984540054
+    assert f.table(0.05)[3, 2] == pytest.approx(z95 / math.sqrt(3.0),
+                                                rel=1e-12)
 
 
 def test_convergence_series_shapes_and_tail():
     rng = np.random.default_rng(2020)
     nde = random_nde_records(rng, 400)
-    s = convergence_series(nde, 0.1, "nde")
+    f = fit(nde, "nde")
+    s = f.table(0.1)
     assert s.shape == (400, 3)
     np.testing.assert_array_equal(s[:, 0], np.arange(1, 401))
-    e = estimate_nde(nde)
+    e = f.estimate()
+    assert (e.method, e.n) == ("nde", 400)
     assert s[-1, 1] == e.mu
-    assert s[-1, 2] == pytest.approx(rhw(e, 0.1), rel=1e-9)
-    assert convergence_series([], 0.1, "nde").shape == (0, 3)
+    assert s[-1, 2] == pytest.approx(Z90 * math.sqrt(e.variance) / e.mu,
+                                     rel=1e-12)
 
 
 def test_convergence_series_tail_matches_estimates_all_methods():
     rng = np.random.default_rng(2021)
     recs = random_nade_records(rng, 300, max_l=3)
-    for method, estimator in [("nade", estimate_nade), ("atscv", estimate_atscv)]:
-        s = convergence_series(recs, 0.1, method)
-        e = estimator(recs)
-        assert s[-1, 1] == pytest.approx(e.mu, rel=1e-12)
-        assert s[-1, 2] == pytest.approx(rhw(e, 0.1), rel=1e-9)
+    for method in ("nade", "atscv"):
+        f = fit(recs, method)
+        s, e = f.table(0.1), f.estimate()
+        assert e.method == method
+        assert s[-1, 1] == e.mu
+        assert s[-1, 2] == pytest.approx(Z90 * math.sqrt(e.variance) / e.mu,
+                                         rel=1e-12)
 
 
 def test_convergence_series_infinite_rhw_while_mean_nonpositive():
     recs = [nde_rec(0, 0), nde_rec(1, 0), nde_rec(2, 1), nde_rec(3, 1)]
-    s = convergence_series(recs, 0.1, "nde")
-    assert math.isinf(s[0, 2]) and math.isinf(s[1, 2])
+    s = fit(recs, "nde").table(0.1)
+    assert math.isinf(s[0, 2]) and math.isinf(s[1, 2])  # mu = 0
     assert math.isfinite(s[3, 2])
+    # a negative mean with a finite variance has no relative half-width
+    # either (a regression-adjusted mean can fall below zero)
+    neg = _solve("atscv", np.array([-1.0, -2.0, -4.0]), np.zeros((3, 0)))
+    assert (neg.mu < 0.0).all() and np.isfinite(neg.variance[1:]).all()
+    assert np.isinf(neg.table(0.1)[:, 2]).all()
 
 
 def test_tests_to_threshold_agrees_with_published_series():
@@ -388,11 +405,10 @@ def test_tests_to_threshold_agrees_with_published_series():
     recs = random_nade_records(rng, 600, max_l=3, p_accident=0.5)
     nde = random_nde_records(rng, 600, p_accident=0.5)
     for method, data in [("nde", nde), ("nade", recs), ("atscv", recs)]:
-        series = convergence_series(data, 0.1, method)
+        series = fit(data, method).table(0.1)
         for threshold in (0.05, 0.12, 0.3, 1e-9):
             for window in (1, 5, 50):
-                got = time_to_threshold(data, threshold, 0.1, method,
-                                         confirm_window=window)
+                got = time_to_threshold(series[:, 2], threshold, window)
                 assert got == reference(series, threshold, window), \
                     (method, threshold, window)
 
@@ -402,15 +418,16 @@ def test_tests_to_threshold_degenerate_stream():
     # leaves no degree of freedom to say so: two tests are enough at any
     # threshold.
     recs = [nde_rec(i, 1) for i in range(60)]
-    assert time_to_threshold(recs, 0.1, method="nde") == 2
+    assert stops(recs, "nde", 0.1) == 2
 
 
 def test_tests_to_threshold_not_reached_and_validation():
     recs = [nde_rec(i, i % 2) for i in range(80)]
-    assert time_to_threshold(recs, 1e-9, method="nde") is None
-    assert time_to_threshold([], 0.1, method="nde") is None
+    assert stops(recs, "nde", 1e-9) is None
+    assert time_to_threshold(np.zeros(0), 0.1, 50) is None
+    assert time_to_threshold(np.zeros(10), 0.1, 50) is None  # window unfilled
     with pytest.raises(ValueError):
-        time_to_threshold(recs, 0.0, method="nde")
+        stops(recs, "nde", 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import jsonschema
 import pytest
 
+from overtake_eval import estimators
 from overtake_eval.config import CampaignConfig
 from overtake_eval.harness import (
     SUMMARY_SCHEMA,
@@ -106,3 +107,23 @@ def test_summaries_match_schema(tmp_path):
     bad = dict(summary, methods={"nde": {"n": -1}})
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, SUMMARY_SCHEMA)
+
+
+def test_each_method_is_fitted_once_per_record_set(tmp_path, monkeypatch):
+    # The estimate, the convergence table, the stopping count and the
+    # adjusted points all read off one fit per method and record set.
+    solved = []
+    solve = estimators._solve
+
+    def counting(method, y, Z):
+        solved.append(method)
+        return solve(method, y, Z)
+
+    monkeypatch.setattr(estimators, "_solve", counting)
+    cfg = CampaignConfig(seed=43, episodes_nde=150, episodes_nade=60,
+                         environment="both", replications=2)
+    emit_outputs(run_campaign(cfg), str(tmp_path))
+    assert sorted(solved) == ["atscv", "nade", "nde"]
+    solved.clear()
+    run_replications(cfg)  # one worker: the fits run in this process
+    assert sorted(solved) == ["atscv"] * 2 + ["nade"] * 2 + ["nde"] * 2

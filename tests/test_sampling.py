@@ -19,6 +19,8 @@ from overtake_eval.sampling import (
 )
 from scalar_reference import episode_seed
 
+from conftest import recomputed_weight
+
 # Roots of one to four 32-bit words; 10**40 takes five, so its entropy
 # reaches SeedSequence's mixing loop for words past the pool.
 ROOTS = (0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 + 5, 10**40)
@@ -105,7 +107,7 @@ def test_nde_episode_shape(scen):
     assert r.weight == 1.0
     assert r.critical_log == ()
     assert r.control_steps == 0
-    assert r.recomputed_weight() == 1.0
+    assert recomputed_weight(r) == 1.0
 
 
 def test_nde_batch_deterministic_and_offsettable(scen):
@@ -143,11 +145,7 @@ def test_nade_weight_equals_density_ratio_product(scen):
     recs = sample_nade_batch(999, scen, 300, evaluator=ev)
     touched = 0
     for r in recs:
-        assert r.weight == r.recomputed_weight()  # exact, not approx
-        prod = 1.0
-        for m in r.critical_log:
-            prod *= m.p / m.q_alpha
-        assert r.weight == prod or (not r.critical_log and r.weight == 1.0)
+        assert r.weight == recomputed_weight(r)  # exact, not approx
         touched += bool(r.critical_log)
     assert touched > 100  # importance actually kicked in
 
