@@ -383,8 +383,15 @@ def test_convergence_series_infinite_rhw_while_mean_nonpositive():
     s = fit(recs, "nde").table(0.1)
     assert math.isinf(s[0, 2]) and math.isinf(s[1, 2])  # mu = 0
     assert math.isfinite(s[3, 2])
-    # a negative mean with a finite variance has no relative half-width
-    # either (a regression-adjusted mean can fall below zero)
+
+
+def test_rhw_rejects_nonpositive_mean():
+    # a zero mean has no relative half-width: the table reads infinity
+    zero = fit([nde_rec(0, 0), nde_rec(1, 0), nde_rec(2, 0)], "nde")
+    assert (zero.mu == 0.0).all()
+    assert np.isinf(zero.table(0.1)[:, 2]).all()
+    # nor has a negative mean with a finite variance (a regression-adjusted
+    # mean can fall below zero)
     neg = _solve("atscv", np.array([-1.0, -2.0, -4.0]), np.zeros((3, 0)))
     assert (neg.mu < 0.0).all() and np.isfinite(neg.variance[1:]).all()
     assert np.isinf(neg.table(0.1)[:, 2]).all()
