@@ -8,7 +8,10 @@ densities.  A brute-force enumeration oracle provides the reference value
 the estimators are checked against.  Both samplers, the criticality
 evaluator and the oracle run on one lockstep array kernel (``kernel``),
 and the samplers seed and draw whole blocks of episodes at once
-(``stream``), bit for bit as numpy's ``default_rng`` would.
+(``stream``), bit for bit as numpy's ``default_rng`` would.  A sampler call
+takes one or several root seeds, so a replication study walks the episodes
+of every replication that fits one block (``sampling.BLOCK``, 8192
+episodes) in one lockstep batch.
 """
 
 __version__ = "0.1.0"

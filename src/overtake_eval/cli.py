@@ -9,7 +9,8 @@ Verbs:
 * ``report``     pretty-print a summary.json
 
 ``estimate --records DIR`` re-estimates the records of ``DIR`` that
-``--env`` (or the configured environment) selects.
+``--env`` (or the configured environment) selects; it refuses ``--seed``
+and ``--episodes``, which would change nothing but the config echo.
 
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
 error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
@@ -106,6 +107,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.records:
+        given = [flag for flag in ("seed", "episodes")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(
+                f"--records re-estimates the records it reads; "
+                f"{' and '.join('--' + f for f in given)} would change "
+                f"nothing but the summary's config echo")
     cfg = _load_base_config(args)
     if args.records:
         result = estimate_from_records(cfg, load_campaign_records(args.records))

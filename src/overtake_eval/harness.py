@@ -13,15 +13,17 @@ permits, and emits a fixed set of files:
 * ``replications.csv``     per-replication table (replication studies only)
 
 One path serves every entry point.  ``_sample`` draws one environment's
-episodes; :func:`estimate_from_records` fits each method once over a record
-set and reads its estimate, convergence table, stopping count and (for
-ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`, then
-takes the acceleration ratios; :func:`run_campaign` is that on freshly
-sampled records plus the oracle, and a replication row is the same
-estimate at seed root+rep, without the oracle and on one warm criticality
-evaluator per worker chunk.  Records read back from an output directory
-are checked against what the samplers write, so a value they never write
-fails with its file and line.
+episodes for one or several root seeds; :func:`estimate_from_records` fits
+each method once over a record set and reads its estimate, convergence
+table, stopping count and (for ATSCV) adjusted points off that one
+:class:`~.estimators.PooledFit`, then takes the acceleration ratios;
+:func:`run_campaign` is that on freshly sampled records plus the oracle,
+and a replication row is the same estimate at seed root+rep, without the
+oracle and on one warm criticality evaluator per worker chunk.  A chunk's
+replications are sampled in groups that fit one sampler block, one sampler
+call per environment and group, and fitted one by one.  Records read back
+from an output directory are checked against what the samplers write, so a
+value they never write fails with its file and line.
 
 Episodes fan out to a worker pool in contiguous index chunks; every record is
 a pure function of (root seed, environment, index), so output bytes do not
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampling
 from .config import CampaignConfig
 from .criticality import CriticalityEvaluator
 from .estimators import (
@@ -57,6 +59,7 @@ from .estimators import (
 from .oracle import BudgetExceeded, brute_force_mu
 from .sampling import (
     CriticalMoment,
+    Roots,
     TestRecord,
     sample_nade_batch,
     sample_nde_batch,
@@ -115,12 +118,15 @@ def _budgets(cfg: CampaignConfig) -> Dict[str, int]:
             if cfg.environment in (env, "both") and n > 0}
 
 
-def _sample(env: str, cfg: CampaignConfig, n: int, start: int = 0,
-            evaluator: Optional[CriticalityEvaluator] = None
+def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
+            start: int = 0, evaluator: Optional[CriticalityEvaluator] = None
             ) -> List[TestRecord]:
+    """Episodes ``start .. start+n-1`` of each root seed, root-major.  The
+    samplers are read off this module at every call, so a wrapper set on
+    ``harness.sample_nde_batch`` or ``sample_nade_batch`` sees them all."""
     if env == "nde":
-        return sample_nde_batch(cfg.seed, cfg.scenario, n, start=start)
-    return sample_nade_batch(cfg.seed, cfg.scenario, n, start=start,
+        return sample_nde_batch(roots, cfg.scenario, n, start=start)
+    return sample_nade_batch(roots, cfg.scenario, n, start=start,
                              evaluator=evaluator,
                              max_control_steps=cfg.max_control_steps)
 
@@ -137,9 +143,9 @@ def sample_env(cfg: CampaignConfig, env: str) -> List[TestRecord]:
     if n == 0:
         return []
     if cfg.workers <= 1 or n < 2 * cfg.workers:
-        return _sample(env, cfg, n)
+        return _sample(env, cfg, cfg.seed, n)
     return _pool(cfg.workers, _sample,
-                 [(env, cfg, count, start)
+                 [(env, cfg, cfg.seed, count, start)
                   for start, count in _chunk_bounds(n, cfg.workers)])
 
 
@@ -213,16 +219,39 @@ def estimate_from_records(cfg: CampaignConfig,
 
 def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     """Replication rows: the campaign's estimates at seed root+rep, without
-    the oracle, on one warm evaluator for the whole chunk."""
+    the oracle, on one warm evaluator for the whole chunk.
+
+    Consecutive replications whose episodes fit in one sampler block
+    (``sampling.BLOCK``), and at least one, form a group: one sampler call
+    per environment walks all their episodes in lockstep, so their cut-ins
+    resolve in one rollout and each step's new grid cells fill in one
+    batch.  The records are split back per replication, which is fitted on
+    its own.  Every record is a pure function of (root, environment, index)
+    and every cache value of its grid key, so the rows do not depend on the
+    grouping.
+    """
     budgets = _budgets(cfg)
     evaluator = CriticalityEvaluator(cfg.scenario) if "nade" in budgets else None
+    size = max(1, sampling.BLOCK // max(budgets.values(), default=1))
     rows = []
-    for rep in reps:
-        seeded = dataclasses.replace(cfg, seed=cfg.seed + rep)
-        methods = _method_results(seeded, {
-            env: _sample(env, seeded, n, evaluator=evaluator)
-            for env, n in budgets.items()})
-        row: Dict[str, object] = {"replication": rep, "seed": seeded.seed}
+    for i in range(0, len(reps), size):
+        rows += _replicate_group(cfg, budgets, reps[i:i + size], evaluator)
+    return rows
+
+
+def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
+                     group: Sequence[int],
+                     evaluator: Optional[CriticalityEvaluator]) -> List[dict]:
+    """The rows of one replication group; its records die with the call."""
+    seeds = [cfg.seed + rep for rep in group]
+    drawn = {env: _sample(env, cfg, seeds, n, evaluator=evaluator)
+             for env, n in budgets.items()}
+    rows = []
+    for i, (rep, seed) in enumerate(zip(group, seeds)):
+        methods = _method_results(cfg, {
+            env: recs[i * budgets[env]:(i + 1) * budgets[env]]
+            for env, recs in drawn.items()})
+        row: Dict[str, object] = {"replication": rep, "seed": seed}
         for m in METHODS:
             mr = methods.get(m)
             row[f"{m}_mu"], row[f"{m}_rhw"], row[f"{m}_tests"] = (

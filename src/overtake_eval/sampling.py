@@ -1,9 +1,12 @@
 """Episode generation for the naturalistic and accelerated environments.
 
 Both samplers roll the scenario forward from a random initial gap on the
-lockstep array kernel: ``kernel.walk`` advances blocks of ``NDE_BLOCK``
-episodes together up to their cut-ins, and one ``kernel.cutin_crashes``
-rollout resolves every cut-in of the call.  Before its cut-in the
+lockstep array kernel.  A call takes one or several root seeds and returns
+episodes ``start .. start+n-1`` of each root, root-major.  ``kernel.walk``
+advances the call's episodes in blocks of ``BLOCK`` together up to their
+cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
+rollout resolves every cut-in of the call, so a replication study hands
+one call the episodes of many roots.  Before its cut-in the
 background vehicle's law has two atoms, the lane change and following the
 leader, and an episode cuts in at a step iff that step's uniform is below
 the lane-change mass of the law in force.
@@ -22,13 +25,14 @@ an episode's seed is ``SeedSequence((root, env code, index))``'s first
 for the initial gap, then one per step.  ``stream`` computes both for a
 whole block on uint64 arrays, bit for bit as numpy does; a row holds one
 128-bit PCG64 state and increment (32 bytes) and is never rebuilt.  So
-campaigns are invariant to worker count, scheduling order and block layout.
+campaigns are invariant to worker count, scheduling order, block layout and
+to which roots share a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +45,12 @@ ENV_NDE = "nde"
 ENV_NADE = "nade"
 _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 
-# Episodes advanced together; bounds the arrays held at once.
-NDE_BLOCK = 1024
+# Episodes advanced together by either sampler; bounds the arrays held at
+# once.  A step's cost is mostly numpy dispatch, not data, up to thousands
+# of rows.
+BLOCK = 8192
+
+Roots = Union[int, Sequence[int]]
 
 
 # Records are slotted: a campaign holds one per episode, and the per-instance
@@ -104,12 +112,19 @@ class EpisodeDraws:
         return self._rng.random(rows)
 
 
-def _blocks(root_seed: int, env: str, cfg, n: int,
-            start: int) -> Iterator[Tuple[int, EpisodeDraws]]:
-    for lo in range(start, start + n, NDE_BLOCK):
-        hi = min(lo + NDE_BLOCK, start + n)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        yield lo, EpisodeDraws(episode_seeds(root_seed, env, idx), cfg)
+def _blocks(roots: Roots, env: str, cfg, n: int,
+            start: int) -> Iterator[Tuple[np.ndarray, EpisodeDraws]]:
+    """Episodes ``start .. start+n-1`` of each root, root-major, as blocks
+    of up to ``BLOCK`` rows: each block's episode indices and draws."""
+    if isinstance(roots, (int, np.integer)):
+        roots = [roots]
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    seeds = np.array([episode_seeds(root, env, idx) for root in roots],
+                     dtype=np.uint64).reshape(-1)
+    idx = np.tile(idx, len(roots))
+    for lo in range(0, len(seeds), BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        yield idx[rows], EpisodeDraws(seeds[rows], cfg)
 
 
 def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
@@ -137,12 +152,13 @@ def _resolve(out: List[TestRecord], found: Sequence[CutIns],
     return out
 
 
-def sample_nde_batch(root_seed: int, cfg, n: int,
+def sample_nde_batch(roots: Roots, cfg, n: int,
                      start: int = 0) -> List[TestRecord]:
-    """Naturalistic episodes ``start .. start+n-1``, advanced in lockstep."""
+    """Naturalistic episodes ``start .. start+n-1`` of each root seed in
+    ``roots`` (one int or a sequence), root-major, advanced in lockstep."""
     out: List[TestRecord] = []
     found = []
-    for lo, draws in _blocks(root_seed, ENV_NDE, cfg, n, start):
+    for idx, draws in _blocks(roots, ENV_NDE, cfg, n, start):
         def decide(k, rows, s):
             p_r, a_bv = bv_law(s, cfg)
             fire = draws_lane_change(draws.at(rows), p_r, 1.0 - p_r)
@@ -150,21 +166,22 @@ def sample_nde_batch(root_seed: int, cfg, n: int,
 
         cut = walk(draws.states, cfg, decide, stay=False)
         found.append(cut._replace(rows=len(out) + cut.rows))
-        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NDE,
+        out.extend(TestRecord(index=i, seed=seed, env=ENV_NDE,
                               accident=0, weight=1.0)
-                   for j, seed in enumerate(draws.seeds.tolist()))
+                   for i, seed in zip(idx.tolist(), draws.seeds.tolist()))
     return _resolve(out, found, cfg)
 
 
-def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
+def sample_nade_batch(roots: Roots, cfg, n: int, start: int = 0,
                       evaluator: Optional[CriticalityEvaluator] = None,
                       max_control_steps: int = 10) -> List[TestRecord]:
-    """Accelerated episodes ``start .. start+n-1``, advanced in lockstep."""
+    """Accelerated episodes ``start .. start+n-1`` of each root seed in
+    ``roots`` (one int or a sequence), root-major, advanced in lockstep."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
     out: List[TestRecord] = []
     found = []
-    for lo, draws in _blocks(root_seed, ENV_NADE, cfg, n, start):
+    for idx, draws in _blocks(roots, ENV_NADE, cfg, n, start):
         weight = np.ones(len(draws.seeds))
         logged = np.zeros(len(draws.seeds), dtype=int)
         moments = []  # (rows, p, q_alpha, q) of each step, in step order
@@ -193,8 +210,8 @@ def sample_nade_batch(root_seed: int, cfg, n: int, start: int = 0,
             for i, m in zip(r.tolist(), zip(p.tolist(), q_alpha.tolist(),
                                             map(tuple, q.T.tolist()))):
                 logs[i].append(CriticalMoment(*m))
-        out.extend(TestRecord(index=lo + j, seed=seed, env=ENV_NADE,
+        out.extend(TestRecord(index=i, seed=seed, env=ENV_NADE,
                               accident=0, weight=w, critical_log=tuple(log))
-                   for j, (seed, w, log) in enumerate(
-                       zip(draws.seeds.tolist(), weight.tolist(), logs)))
+                   for i, seed, w, log in zip(idx.tolist(), draws.seeds.tolist(),
+                                              weight.tolist(), logs))
     return _resolve(out, found, cfg)

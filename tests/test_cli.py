@@ -71,8 +71,7 @@ def test_estimate_from_records_reproduces_every_method(tmp_path, capsys):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(capsys, "estimate", "--episodes", 300, "--seed", 8,
                "--out", first)[0] == 0
-    assert run(capsys, "estimate", "--records", first, "--episodes", 300,
-               "--out", again)[0] == 0
+    assert run(capsys, "estimate", "--records", first, "--out", again)[0] == 0
     first_summary = json.loads((first / "summary.json").read_text())
     again_summary = json.loads((again / "summary.json").read_text())
     # A campaign adds the oracle; re-estimation from records does not.
@@ -88,6 +87,25 @@ def test_estimate_from_records_reproduces_every_method(tmp_path, capsys):
     for name in ("convergence_nde.csv", "convergence_nade.csv",
                  "convergence_atscv.csv", "adjusted_points.csv"):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags", [
+    ("--seed", 77), ("--episodes", 5), ("--episodes", 5, "--seed", 77)])
+def test_estimate_from_records_refuses_seed_and_episodes(tmp_path, capsys,
+                                                         flags):
+    # Re-estimation reads its records; a seed or an episode budget would
+    # only be echoed in the summary's config beside records they never made.
+    d = tmp_path / "run"
+    assert run(capsys, "estimate", "--env", "nde", "--episodes", 50,
+               "--out", d)[0] == 0
+    rc, out, err = run(capsys, "estimate", "--records", d, *flags,
+                       "--out", tmp_path / "again")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: --records")
+    for flag in flags[::2]:
+        assert flag in err
+    assert not (tmp_path / "again").exists()
 
 
 def test_single_episode_has_no_interval(tmp_path, capsys):

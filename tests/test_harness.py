@@ -6,7 +6,7 @@ import os
 import jsonschema
 import pytest
 
-from overtake_eval import estimators
+from overtake_eval import estimators, harness, sampling
 from overtake_eval.config import CampaignConfig
 from overtake_eval.harness import (
     SUMMARY_SCHEMA,
@@ -16,7 +16,7 @@ from overtake_eval.harness import (
     run_campaign,
     run_replications,
 )
-from overtake_eval.sampling import NDE_BLOCK
+from overtake_eval.sampling import BLOCK
 
 
 def _emitted(cfg, out_dir):
@@ -31,7 +31,7 @@ def _emitted(cfg, out_dir):
 def test_worker_count_does_not_change_outputs(tmp_path):
     # Two workers split each environment into two chunks; the NDE chunks
     # start off the sampler's block grid, so block layout is covered too.
-    cfg = CampaignConfig(seed=99, episodes_nde=NDE_BLOCK + 300,
+    cfg = CampaignConfig(seed=99, episodes_nde=BLOCK + 300,
                          episodes_nade=60, environment="both")
     one = _emitted(cfg, tmp_path / "one")
     two = _emitted(dataclasses.replace(cfg, workers=2), tmp_path / "two")
@@ -127,3 +127,49 @@ def test_each_method_is_fitted_once_per_record_set(tmp_path, monkeypatch):
     solved.clear()
     run_replications(cfg)  # one worker: the fits run in this process
     assert sorted(solved) == ["atscv"] * 2 + ["nade"] * 2 + ["nde"] * 2
+
+
+def test_replications_are_sampled_in_groups_that_fit_a_block(monkeypatch):
+    calls = []
+
+    def counting(name):
+        sample = getattr(harness, name)
+
+        def hooked(roots, cfg, n, **kwargs):
+            calls.append((name, list(roots), n, kwargs.get("evaluator")))
+            return sample(roots, cfg, n, **kwargs)
+        monkeypatch.setattr(harness, name, hooked)
+
+    counting("sample_nde_batch")
+    counting("sample_nade_batch")
+
+    def groups(block, cfg):
+        calls.clear()
+        monkeypatch.setattr(sampling, "BLOCK", block)
+        return run_replications(cfg)
+
+    # Blocks of 100 episodes hold three replications of 30.
+    cfg = CampaignConfig(seed=50, episodes_nade=30, environment="nade",
+                         replications=5)
+    grouped = groups(100, cfg)
+    assert [(roots, n) for _, roots, n, _ in calls] == [
+        ([51, 52, 53], 30), ([54, 55], 30)]
+    evaluator = calls[0][3]
+    assert all(ev is evaluator for *_, ev in calls)
+
+    # A block of 30 holds one replication: the same rows and cache misses.
+    assert groups(30, cfg) == grouped
+    assert [roots for _, roots, _, _ in calls] == [[51 + i] for i in range(5)]
+    assert set(calls[0][3]._entry_cache) == set(evaluator._entry_cache)
+
+    # A replication larger than a block gets a group of its own.
+    assert groups(20, dataclasses.replace(cfg, replications=2)) == grouped[:2]
+    assert [roots for _, roots, _, _ in calls] == [[51], [52]]
+
+    # Both environments share the groups, sized by the larger budget.
+    both = dataclasses.replace(cfg, environment="both", episodes_nde=45,
+                               replications=3)
+    groups(100, both)
+    assert [(name, roots, n) for name, roots, n, _ in calls] == [
+        ("sample_nde_batch", [51, 52], 45), ("sample_nade_batch", [51, 52], 30),
+        ("sample_nde_batch", [53], 45), ("sample_nade_batch", [53], 30)]

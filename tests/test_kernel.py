@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from overtake_eval import kernel
+from overtake_eval import kernel, sampling
 from overtake_eval.config import ScenarioConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import (
@@ -24,7 +24,7 @@ from overtake_eval.models import (
     ZeroDensity,
 )
 from overtake_eval.oracle import bin_midpoints, brute_force_mu
-from overtake_eval.sampling import NDE_BLOCK, sample_nade_batch, sample_nde_batch
+from overtake_eval.sampling import sample_nade_batch, sample_nde_batch
 
 # Small step budget (MAX_STEPS endings, truncated cut-in rollouts), a
 # physical vehicle length and accident margin, and a lane-change law hot
@@ -222,10 +222,11 @@ def test_batched_profile_matches_scalar_reference():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_nde_batch_matches_scalar_reference(name):
+def test_nde_batch_matches_scalar_reference(name, monkeypatch):
     cfg = CONFIGS[name]
     n = 300 if name == "long" else 800
-    start = NDE_BLOCK - 150  # the batch crosses a block boundary
+    monkeypatch.setattr(sampling, "BLOCK", 256)  # the batch spans blocks
+    start = 874
     want = ref.nde_batch(4242, cfg, n, start=start)
     assert sample_nde_batch(4242, cfg, n, start=start) == [r for r, _, _ in want]
     for r in sample_nde_batch(4242, cfg, 5, start=start):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from overtake_eval import sampling
 from overtake_eval.config import CampaignConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
@@ -138,6 +139,46 @@ def test_nade_episode_ignores_evaluator_warmth(scen):
     b = sample_nade_batch(31337, scen, 20, evaluator=CriticalityEvaluator(scen))
     c = sample_nade_batch(31337, scen, 20, evaluator=None)
     assert a == b == c
+
+
+def _fields(records):
+    return [(r.index, r.seed, r.env, r.accident, r.weight, r.critical_log)
+            for r in records]
+
+
+# Four roots, walked in blocks that n does not divide: the second and the
+# fourth root's rows straddle a block boundary.
+MULTI_ROOTS = (5, 2**32 + 1, 0, 31337)
+
+
+def test_multi_root_nde_call_equals_one_root_calls(scen, monkeypatch):
+    n, start = 700, 11
+    singles = [r for root in MULTI_ROOTS
+               for r in sample_nde_batch(root, scen, n, start=start)]
+    monkeypatch.setattr(sampling, "BLOCK", 500)
+    multi = sample_nde_batch(list(MULTI_ROOTS), scen, n, start=start)
+    assert _fields(multi) == _fields(singles)
+    assert [r.index for r in multi] == list(range(start, start + n)) * 4
+    assert sum(r.accident for r in multi) > 0
+    assert sample_nde_batch([], scen, n) == []
+
+
+def test_multi_root_nade_call_equals_one_root_calls(scen, monkeypatch):
+    # The one-root calls share an evaluator warmed by another root; the
+    # multi-root call starts cold.
+    n, start = 30, 4
+    warm = CriticalityEvaluator(scen)
+    sample_nade_batch(77, scen, 30, evaluator=warm)
+    singles = [r for root in MULTI_ROOTS
+               for r in sample_nade_batch(root, scen, n, start=start,
+                                          evaluator=warm)]
+    monkeypatch.setattr(sampling, "BLOCK", 50)
+    multi = sample_nade_batch(list(MULTI_ROOTS), scen, n, start=start,
+                              evaluator=CriticalityEvaluator(scen))
+    assert _fields(multi) == _fields(singles)
+    assert [r.index for r in multi] == list(range(start, start + n)) * 4
+    assert any(r.accident for r in multi)
+    assert any(r.critical_log for r in multi)
 
 
 def test_nade_weight_equals_density_ratio_product(scen):
