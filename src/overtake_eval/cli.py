@@ -10,7 +10,9 @@ Verbs:
 
 ``estimate --records DIR`` re-estimates the records of ``DIR`` that
 ``--env`` (or the configured environment) selects; it refuses ``--seed``
-and ``--episodes``, which would change nothing but the config echo.
+and ``--episodes``, which would change nothing but the config echo.  Its
+summary echoes the records it estimated as the episode budgets, and a
+``null`` seed, since the root seed is not in the records.
 
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
 error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
@@ -118,6 +120,9 @@ def _cmd_estimate(args) -> int:
     cfg = _load_base_config(args)
     if args.records:
         result = estimate_from_records(cfg, load_campaign_records(args.records))
+        result.config = dataclasses.replace(cfg, seed=None, **{
+            f"episodes_{env}": len(result.records.get(env, ()))
+            for env in ("nde", "nade")})
     else:
         result = run_campaign(cfg)
     emit_outputs(result, args.out)
@@ -221,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--out", default=out_default, help="output directory")
-        p.add_argument("--workers", type=int, help="worker process count")
+        p.add_argument("--workers", type=int,
+                       help="worker processes that split replicate's "
+                            "replications")
 
     p = sub.add_parser("simulate", help="run one environment's episodes")
     common(p)

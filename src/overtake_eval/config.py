@@ -5,7 +5,7 @@ optional; anything omitted keeps its default.  Section names mirror the
 dataclasses below::
 
     [campaign]    seed, episodes_nde, episodes_nade, environment,
-                  replications, workers
+                  replications, workers (worker processes of ``replicate``)
     [estimator]   gamma, rhw_threshold, confirm_window, max_control_steps,
                   oracle_bins, oracle_budget
     [scenario]    dt, max_steps, d_accid, vehicle_length
@@ -22,10 +22,10 @@ dataclasses below::
 the importance distribution and logs; the estimators use every logged one.
 
 One table, ``_SECTIONS``, maps each section to the dataclass it sets and to
-its keys; loading, the unknown-key check and :func:`write_default_config`
-all read it.  A value is cast by the type of the field's default.  The
-surrogate panel is the one special case: ``surrogates`` picks the panel,
-and ``sm_<name>`` sets the parameter block of the model of that name.
+its keys; loading and the unknown-key check read it.  A value is cast by
+the type of the field's default.  The surrogate panel is the one special
+case: ``surrogates`` picks the panel, and ``sm_<name>`` sets the parameter
+block of the model of that name.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-from .models import FvdmParams, IdmParams, MobilParams, SurrogateModel
+from .models import IdmParams, MobilParams, SurrogateModel, default_surrogates
 
 
 class ConfigError(ValueError):
@@ -61,11 +61,6 @@ def _default_av_idm() -> IdmParams:
                      delta=4.0, hard_decel=4.0)
 
 
-def _default_surrogates() -> Tuple[SurrogateModel, ...]:
-    from .models import default_surrogates
-    return default_surrogates()
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything the dynamics, models and criticality machinery need."""
@@ -78,7 +73,7 @@ class ScenarioConfig:
     bv_idm: IdmParams = field(default_factory=IdmParams)
     av_idm: IdmParams = field(default_factory=_default_av_idm)
     mobil: MobilParams = field(default_factory=MobilParams)
-    surrogates: Tuple[SurrogateModel, ...] = field(default_factory=_default_surrogates)
+    surrogates: Tuple[SurrogateModel, ...] = field(default_factory=default_surrogates)
     epsilon: float = 0.1
 
     def validate(self) -> None:
@@ -180,13 +175,9 @@ def _replace_at(obj, path, values):
     return replace(obj, **{path[0]: inner})
 
 
-def _keys(target, keys):
-    return keys or tuple(f.name for f in dataclasses.fields(target))
-
-
 def _read(section, target, keys=None) -> dict:
     """One section's values, each cast by the type of its current value."""
-    keys = _keys(target, keys)
+    keys = keys or tuple(f.name for f in dataclasses.fields(target))
     values = {}
     for key in section:
         if key not in keys:
@@ -235,20 +226,3 @@ def load_config(path: str) -> CampaignConfig:
     cfg.validate()
     return cfg
 
-
-def write_default_config(path: str) -> None:
-    """Emit a fully-populated INI file with the stock defaults."""
-    cfg = CampaignConfig()
-    parser = configparser.ConfigParser()
-    for name, (at, keys) in _SECTIONS.items():
-        target = _at(cfg, at)
-        parser[name] = {k: str(getattr(target, k))
-                        for k in _keys(target, keys) if k != "surrogates"}
-    parser["criticality"]["surrogates"] = ", ".join(
-        m.name for m in cfg.scenario.surrogates)
-    for sm in cfg.scenario.surrogates:
-        block = getattr(sm, sm.kind)
-        parser["sm_" + sm.name] = {k: str(getattr(block, k))
-                                   for k in _keys(block, None)}
-    with open(path, "w") as fh:
-        parser.write(fh)

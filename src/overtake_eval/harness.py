@@ -13,22 +13,26 @@ permits, and emits a fixed set of files:
 * ``replications.csv``     per-replication table (replication studies only)
 
 One path serves every entry point.  ``_sample`` draws one environment's
-episodes for one or several root seeds; :func:`estimate_from_records` fits
-each method once over a record set and reads its estimate, convergence
-table, stopping count and (for ATSCV) adjusted points off that one
-:class:`~.estimators.PooledFit`, then takes the acceleration ratios;
-:func:`run_campaign` is that on freshly sampled records plus the oracle,
-and a replication row is the same estimate at seed root+rep, without the
-oracle and on one warm criticality evaluator per worker chunk.  A chunk's
-replications are sampled in groups that fit one sampler block, one sampler
-call per environment and group, and fitted one by one.  Records read back
-from an output directory are checked against what the samplers write, so a
-value they never write fails with its file and line.
+episodes ``0 .. n-1`` for one or several root seeds, in the calling
+process; :func:`estimate_from_records` fits each method once over a record
+set and reads its estimate, convergence table, stopping count and (for
+ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`, then
+takes the acceleration ratios; :func:`run_campaign` is that on freshly
+sampled records plus the oracle, and a replication row is the same
+estimate at seed root+rep, without the oracle and on one warm criticality
+evaluator per worker chunk.  A chunk's replications are sampled in groups
+that fit one sampler block, one sampler call per environment and group,
+and fitted one by one.  Records read back from an output directory are
+checked against what the samplers write, so a value they never write
+fails with its file and line.
 
-Episodes fan out to a worker pool in contiguous index chunks; every record is
-a pure function of (root seed, environment, index), so output bytes do not
-depend on the worker count.  The worker count is deliberately left out of the
-summary's config echo for the same reason.
+The worker pool serves replication studies only: :func:`run_replications`
+hands each worker a contiguous chunk of replications.  A campaign samples
+in one process, because shipping its records back from workers costs more
+than drawing them.  Every record is a pure function of (root seed,
+environment, index), so output bytes do not depend on the worker count,
+and the worker count is deliberately left out of the summary's config
+echo.
 """
 
 from __future__ import annotations
@@ -96,19 +100,7 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# sampling fan-out
-
-
-def _chunk_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
-    base, rem = divmod(n, parts)
-    bounds = []
-    start = 0
-    for i in range(parts):
-        count = base + (1 if i < rem else 0)
-        if count:
-            bounds.append((start, count))
-        start += count
-    return bounds
+# sampling
 
 
 def _budgets(cfg: CampaignConfig) -> Dict[str, int]:
@@ -119,34 +111,21 @@ def _budgets(cfg: CampaignConfig) -> Dict[str, int]:
 
 
 def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
-            start: int = 0, evaluator: Optional[CriticalityEvaluator] = None
+            evaluator: Optional[CriticalityEvaluator] = None
             ) -> List[TestRecord]:
-    """Episodes ``start .. start+n-1`` of each root seed, root-major.  The
-    samplers are read off this module at every call, so a wrapper set on
+    """Episodes ``0 .. n-1`` of each root seed, root-major.  The samplers
+    are read off this module at every call, so a wrapper set on
     ``harness.sample_nde_batch`` or ``sample_nade_batch`` sees them all."""
     if env == "nde":
-        return sample_nde_batch(roots, cfg.scenario, n, start=start)
-    return sample_nade_batch(roots, cfg.scenario, n, start=start,
-                             evaluator=evaluator,
+        return sample_nde_batch(roots, cfg.scenario, n)
+    return sample_nade_batch(roots, cfg.scenario, n, evaluator=evaluator,
                              max_control_steps=cfg.max_control_steps)
 
 
-def _pool(workers: int, fn, args) -> list:
-    """``fn(*a)`` for each ``a`` in a worker pool, results concatenated."""
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.starmap(fn, args)
-    return [x for part in parts for x in part]
-
-
 def sample_env(cfg: CampaignConfig, env: str) -> List[TestRecord]:
+    """Every episode of one environment at the campaign's seed."""
     n = cfg.episodes_nde if env == "nde" else cfg.episodes_nade
-    if n == 0:
-        return []
-    if cfg.workers <= 1 or n < 2 * cfg.workers:
-        return _sample(env, cfg, cfg.seed, n)
-    return _pool(cfg.workers, _sample,
-                 [(env, cfg, cfg.seed, count, start)
-                  for start, count in _chunk_bounds(n, cfg.workers)])
+    return _sample(env, cfg, cfg.seed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +244,18 @@ def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
 
 
 def run_replications(cfg: CampaignConfig) -> List[dict]:
-    """One campaign per replication, seeded root+1 ... root+R."""
+    """One campaign per replication, seeded root+1 ... root+R; with several
+    workers, each samples and fits a contiguous chunk of replications."""
     cfg.validate()
     reps = list(range(1, cfg.replications + 1))
-    if cfg.workers <= 1 or len(reps) == 1:
+    parts = min(cfg.workers, len(reps))
+    if parts == 1:
         return _replicate(cfg, reps)
-    return _pool(cfg.workers, _replicate,
-                 [(cfg, reps[start:start + count])
-                  for start, count in _chunk_bounds(len(reps), cfg.workers)])
+    chunks = [reps[i * len(reps) // parts:(i + 1) * len(reps) // parts]
+              for i in range(parts)]
+    with multiprocessing.Pool(parts) as pool:
+        rows = pool.starmap(_replicate, [(cfg, chunk) for chunk in chunks])
+    return [row for chunk in rows for row in chunk]
 
 
 def _aggregate_replications(rows: List[dict]) -> dict:

@@ -205,7 +205,7 @@ class CutIns(NamedTuple):
         return CutIns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
 
 
-Decide = Callable[[int, np.ndarray, List[np.ndarray]],
+Decide = Callable[[np.ndarray, List[np.ndarray]],
                   Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -213,7 +213,7 @@ def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
     """Walk pre-cut-in rows in lockstep and collect the cut-ins they fire.
 
     A row stops once the AV has passed it (``r2 < 0``) or it has visited
-    ``cfg.max_steps`` states.  At step k, ``decide(k, rows, s)`` gets the
+    ``cfg.max_steps`` states.  At every step, ``decide(rows, s)`` gets the
     live rows and their states and returns which of them cut in, with p_R
     and the BV's car-following acceleration of every live row (``bv_law``
     or a criticality profile).  With ``stay`` the firing rows keep walking
@@ -227,7 +227,7 @@ def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
         rows, s = rows[run], [x[run] for x in s]
         if not rows.size:
             break
-        fire, p_r, a_bv = decide(k, rows, s)
+        fire, p_r, a_bv = decide(rows, s)
         found.append(CutIns(rows[fire], p_r[fire],
                             np.array([x[fire] for x in s]),
                             np.full(np.count_nonzero(fire), cfg.max_steps - k)))

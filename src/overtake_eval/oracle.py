@@ -52,7 +52,7 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
             f"evaluations exceeds the budget of {budget}")
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
 
-    def decide(k, rows, s):
+    def decide(rows, s):
         p_r, a_bv = bv_law(s, cfg)
         return p_r > 0.0, p_r, a_bv
 

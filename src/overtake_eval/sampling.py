@@ -2,7 +2,7 @@
 
 Both samplers roll the scenario forward from a random initial gap on the
 lockstep array kernel.  A call takes one or several root seeds and returns
-episodes ``start .. start+n-1`` of each root, root-major.  ``kernel.walk``
+episodes ``0 .. n-1`` of each root, root-major.  ``kernel.walk``
 advances the call's episodes in blocks of ``BLOCK`` together up to their
 cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
 rollout resolves every cut-in of the call, so a replication study hands
@@ -25,8 +25,9 @@ an episode's seed is ``SeedSequence((root, env code, index))``'s first
 for the initial gap, then one per step.  ``stream`` computes both for a
 whole block on uint64 arrays, bit for bit as numpy does; a row holds one
 128-bit PCG64 state and increment (32 bytes) and is never rebuilt.  So
-campaigns are invariant to worker count, scheduling order, block layout and
-to which roots share a call.
+records are invariant to block layout and to which roots share a call, and
+a replication study's rows to how its replications are split among
+workers.
 """
 
 from __future__ import annotations
@@ -112,13 +113,13 @@ class EpisodeDraws:
         return self._rng.random(rows)
 
 
-def _blocks(roots: Roots, env: str, cfg, n: int,
-            start: int) -> Iterator[Tuple[np.ndarray, EpisodeDraws]]:
-    """Episodes ``start .. start+n-1`` of each root, root-major, as blocks
-    of up to ``BLOCK`` rows: each block's episode indices and draws."""
+def _blocks(roots: Roots, env: str, cfg,
+            n: int) -> Iterator[Tuple[np.ndarray, EpisodeDraws]]:
+    """Episodes ``0 .. n-1`` of each root, root-major, as blocks of up to
+    ``BLOCK`` rows: each block's episode indices and draws."""
     if isinstance(roots, (int, np.integer)):
         roots = [roots]
-    idx = np.arange(start, start + n, dtype=np.uint64)
+    idx = np.arange(n, dtype=np.uint64)
     seeds = np.array([episode_seeds(root, env, idx) for root in roots],
                      dtype=np.uint64).reshape(-1)
     idx = np.tile(idx, len(roots))
@@ -152,14 +153,13 @@ def _resolve(out: List[TestRecord], found: Sequence[CutIns],
     return out
 
 
-def sample_nde_batch(roots: Roots, cfg, n: int,
-                     start: int = 0) -> List[TestRecord]:
-    """Naturalistic episodes ``start .. start+n-1`` of each root seed in
-    ``roots`` (one int or a sequence), root-major, advanced in lockstep."""
+def sample_nde_batch(roots: Roots, cfg, n: int) -> List[TestRecord]:
+    """Naturalistic episodes ``0 .. n-1`` of each root seed in ``roots``
+    (one int or a sequence), root-major, advanced in lockstep."""
     out: List[TestRecord] = []
     found = []
-    for idx, draws in _blocks(roots, ENV_NDE, cfg, n, start):
-        def decide(k, rows, s):
+    for idx, draws in _blocks(roots, ENV_NDE, cfg, n):
+        def decide(rows, s):
             p_r, a_bv = bv_law(s, cfg)
             fire = draws_lane_change(draws.at(rows), p_r, 1.0 - p_r)
             return fire, p_r, a_bv
@@ -172,21 +172,21 @@ def sample_nde_batch(roots: Roots, cfg, n: int,
     return _resolve(out, found, cfg)
 
 
-def sample_nade_batch(roots: Roots, cfg, n: int, start: int = 0,
+def sample_nade_batch(roots: Roots, cfg, n: int,
                       evaluator: Optional[CriticalityEvaluator] = None,
                       max_control_steps: int = 10) -> List[TestRecord]:
-    """Accelerated episodes ``start .. start+n-1`` of each root seed in
-    ``roots`` (one int or a sequence), root-major, advanced in lockstep."""
+    """Accelerated episodes ``0 .. n-1`` of each root seed in ``roots``
+    (one int or a sequence), root-major, advanced in lockstep."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
     out: List[TestRecord] = []
     found = []
-    for idx, draws in _blocks(roots, ENV_NADE, cfg, n, start):
+    for idx, draws in _blocks(roots, ENV_NADE, cfg, n):
         weight = np.ones(len(draws.seeds))
         logged = np.zeros(len(draws.seeds), dtype=int)
         moments = []  # (rows, p, q_alpha, q) of each step, in step order
 
-        def decide(k, rows, s):
+        def decide(rows, s):
             prof = evaluator.profile(s)
             p_lc = prof.p_lane_change
             ctl = prof.is_critical & (logged[rows] < max_control_steps)

@@ -372,9 +372,9 @@ def episode_seed(root_seed, env, index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def nde_batch(root_seed, cfg, n, start=0):
+def nde_batch(root_seed, cfg, n):
     out = []
-    for i in range(start, start + n):
+    for i in range(n):
         seed = episode_seed(root_seed, ENV_NDE, i)
         out.append(nde_episode(np.random.default_rng(seed), cfg, i, seed))
     return out
@@ -406,9 +406,9 @@ def nade_episode(rng, cfg, evaluator, max_control_steps, index, seed):
                       weight=weight, critical_log=tuple(log)), k
 
 
-def nade_batch(root_seed, cfg, n, evaluator, max_control_steps=10, start=0):
+def nade_batch(root_seed, cfg, n, evaluator, max_control_steps=10):
     out = []
-    for i in range(start, start + n):
+    for i in range(n):
         seed = episode_seed(root_seed, ENV_NADE, i)
         out.append(nade_episode(np.random.default_rng(seed), cfg, evaluator,
                                 max_control_steps, i, seed))

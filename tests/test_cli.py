@@ -108,6 +108,32 @@ def test_estimate_from_records_refuses_seed_and_episodes(tmp_path, capsys,
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("ini, echoed", [
+    (None, (None, 300, 300)),
+    ("[campaign]\nseed = 77\nepisodes_nde = 5\nenvironment = nade\n",
+     (None, 0, 300))], ids=["no-config", "config"])
+def test_estimate_from_records_echoes_the_records_it_estimated(
+        tmp_path, capsys, ini, echoed):
+    # The echoed budgets count the records estimated per environment, and
+    # the seed is null: the records do not hold their root seed, and a
+    # config file's seed and budgets did not make them.
+    d = tmp_path / "run"
+    assert run(capsys, "estimate", "--episodes", 300, "--seed", 5,
+               "--out", d)[0] == 0
+    config = ()
+    if ini:
+        (tmp_path / "cfg.ini").write_text(ini)
+        config = ("--config", tmp_path / "cfg.ini")
+    assert run(capsys, "estimate", "--records", d, *config,
+               "--out", tmp_path / "again")[0] == 0
+    summary = json.loads((tmp_path / "again" / "summary.json").read_text())
+    echo = summary["config"]
+    assert (echo["seed"], echo["episodes_nde"], echo["episodes_nade"]) == echoed
+    assert {m: v["n"] for m, v in summary["methods"].items()} == {
+        m: n for m, n in (("nde", echoed[1]), ("nade", echoed[2]),
+                          ("atscv", echoed[2])) if n}
+
+
 def test_single_episode_has_no_interval(tmp_path, capsys):
     # One record leaves no residual degree of freedom for either method.
     rc, out, _ = run(capsys, "estimate", "--env", "nade", "--episodes", 1,

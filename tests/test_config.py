@@ -1,4 +1,4 @@
-"""Configuration loading, validation, and the written default file."""
+"""Configuration loading and validation."""
 import dataclasses
 import json
 import os
@@ -12,7 +12,6 @@ from overtake_eval.config import (
     InitialStateParams,
     ScenarioConfig,
     load_config,
-    write_default_config,
 )
 from overtake_eval.models import FvdmParams, IdmParams, MobilParams, SurrogateModel
 
@@ -25,12 +24,6 @@ def write(tmp_path, text, name="cfg.ini"):
 
 def test_defaults_validate(campaign):
     campaign.validate()
-
-
-def test_default_file_roundtrips(tmp_path):
-    p = str(tmp_path / "default.ini")
-    write_default_config(p)
-    assert load_config(p) == CampaignConfig()
 
 
 def test_partial_file_keeps_other_defaults(tmp_path):

@@ -29,8 +29,8 @@ def _emitted(cfg, out_dir):
 
 
 def test_worker_count_does_not_change_outputs(tmp_path):
-    # Two workers split each environment into two chunks; the NDE chunks
-    # start off the sampler's block grid, so block layout is covered too.
+    # The NDE episodes span two sampler blocks and end partway through the
+    # second, so a campaign larger than one block is covered too.
     cfg = CampaignConfig(seed=99, episodes_nde=BLOCK + 300,
                          episodes_nade=60, environment="both")
     one = _emitted(cfg, tmp_path / "one")
@@ -39,6 +39,19 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     for name in one:
         assert one[name] == two[name], name
     assert one["records.csv"].count(b"\n") == 1 + cfg.episodes_nde + 60
+
+
+def test_campaign_samples_in_one_process(tmp_path, monkeypatch):
+    # Shipping records back from workers costs more than drawing them, so
+    # a campaign starts no pool whatever its worker count.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a campaign started a process pool")
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+    cfg = CampaignConfig(seed=98, episodes_nde=400, episodes_nade=40,
+                         environment="both")
+    one = _emitted(cfg, tmp_path / "one")
+    assert _emitted(dataclasses.replace(cfg, workers=4), tmp_path / "four") == one
 
 
 def test_emitted_records_load_back_field_for_field(tmp_path):

@@ -225,11 +225,11 @@ def test_batched_profile_matches_scalar_reference():
 def test_nde_batch_matches_scalar_reference(name, monkeypatch):
     cfg = CONFIGS[name]
     n = 300 if name == "long" else 800
-    monkeypatch.setattr(sampling, "BLOCK", 256)  # the batch spans blocks
-    start = 874
-    want = ref.nde_batch(4242, cfg, n, start=start)
-    assert sample_nde_batch(4242, cfg, n, start=start) == [r for r, _, _ in want]
-    for r in sample_nde_batch(4242, cfg, 5, start=start):
+    # The batch spans blocks and ends partway through one.
+    monkeypatch.setattr(sampling, "BLOCK", 256)
+    want = ref.nde_batch(4242, cfg, n)
+    assert sample_nde_batch(4242, cfg, n) == [r for r, _, _ in want]
+    for r in sample_nde_batch(4242, cfg, 5):
         assert type(r.index) is int and type(r.seed) is int
         assert type(r.accident) is int and type(r.weight) is float
     ends = {e for _, e, _ in want}
@@ -309,7 +309,7 @@ def test_stressed_config_truncates_cutin_rollouts():
     init = kernel.initial_states(
         bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, 64), cfg.init)
 
-    def every_cut_in(k, rows, s):
+    def every_cut_in(rows, s):
         p_r, a_bv = kernel.bv_law(s, cfg)
         return p_r > 0.0, p_r, a_bv
 

@@ -99,7 +99,7 @@ def test_initial_state_distribution(scen):
 
 
 def test_nde_episode_shape(scen):
-    [r] = sample_nde_batch(7, scen, 1, start=42)
+    r = sample_nde_batch(7, scen, 43)[42]
     assert isinstance(r, TestRecord)
     assert r.index == 42 and r.seed == episode_seed(7, ENV_NDE, 42)
     assert type(r.seed) is int
@@ -111,22 +111,19 @@ def test_nde_episode_shape(scen):
     assert recomputed_weight(r) == 1.0
 
 
-def test_nde_batch_deterministic_and_offsettable(scen):
+def test_nde_batch_deterministic_and_prefix_stable(scen):
     full = sample_nde_batch(31337, scen, 12)
     again = sample_nde_batch(31337, scen, 12)
     assert full == again
-    head = sample_nde_batch(31337, scen, 7)
-    tail = sample_nde_batch(31337, scen, 5, start=7)
-    assert head + tail == full
+    assert sample_nde_batch(31337, scen, 7) == full[:7]
     assert [r.index for r in full] == list(range(12))
 
 
-def test_nade_batch_deterministic_and_offsettable(scen):
+def test_nade_batch_deterministic_and_prefix_stable(scen):
     ev = CriticalityEvaluator(scen)
     full = sample_nade_batch(31337, scen, 12, evaluator=ev)
-    head = sample_nade_batch(31337, scen, 7, evaluator=ev)
-    tail = sample_nade_batch(31337, scen, 5, start=7, evaluator=ev)
-    assert head + tail == full
+    assert sample_nade_batch(31337, scen, 12, evaluator=ev) == full
+    assert sample_nade_batch(31337, scen, 7, evaluator=ev) == full[:7]
     assert all(r.env == ENV_NADE for r in full)
 
 
@@ -152,13 +149,13 @@ MULTI_ROOTS = (5, 2**32 + 1, 0, 31337)
 
 
 def test_multi_root_nde_call_equals_one_root_calls(scen, monkeypatch):
-    n, start = 700, 11
+    n = 700
     singles = [r for root in MULTI_ROOTS
-               for r in sample_nde_batch(root, scen, n, start=start)]
+               for r in sample_nde_batch(root, scen, n)]
     monkeypatch.setattr(sampling, "BLOCK", 500)
-    multi = sample_nde_batch(list(MULTI_ROOTS), scen, n, start=start)
+    multi = sample_nde_batch(list(MULTI_ROOTS), scen, n)
     assert _fields(multi) == _fields(singles)
-    assert [r.index for r in multi] == list(range(start, start + n)) * 4
+    assert [r.index for r in multi] == list(range(n)) * 4
     assert sum(r.accident for r in multi) > 0
     assert sample_nde_batch([], scen, n) == []
 
@@ -166,17 +163,16 @@ def test_multi_root_nde_call_equals_one_root_calls(scen, monkeypatch):
 def test_multi_root_nade_call_equals_one_root_calls(scen, monkeypatch):
     # The one-root calls share an evaluator warmed by another root; the
     # multi-root call starts cold.
-    n, start = 30, 4
+    n = 30
     warm = CriticalityEvaluator(scen)
     sample_nade_batch(77, scen, 30, evaluator=warm)
     singles = [r for root in MULTI_ROOTS
-               for r in sample_nade_batch(root, scen, n, start=start,
-                                          evaluator=warm)]
+               for r in sample_nade_batch(root, scen, n, evaluator=warm)]
     monkeypatch.setattr(sampling, "BLOCK", 50)
-    multi = sample_nade_batch(list(MULTI_ROOTS), scen, n, start=start,
+    multi = sample_nade_batch(list(MULTI_ROOTS), scen, n,
                               evaluator=CriticalityEvaluator(scen))
     assert _fields(multi) == _fields(singles)
-    assert [r.index for r in multi] == list(range(start, start + n)) * 4
+    assert [r.index for r in multi] == list(range(n)) * 4
     assert any(r.accident for r in multi)
     assert any(r.critical_log for r in multi)
 

@@ -21,7 +21,7 @@ from conftest import abs_cutin_crash, abs_no_cutin_walk, advance_abs
 
 def always(cfg):
     """A walk decision that cuts in at every live row."""
-    def decide(k, rows, s):
+    def decide(rows, s):
         p_r, a_bv = kernel.bv_law(s, cfg)
         return np.ones(len(rows), dtype=bool), p_r, a_bv
     return decide
