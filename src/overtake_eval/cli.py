@@ -14,11 +14,17 @@ and ``--episodes``, which would change nothing but the config echo.  Its
 summary echoes the records it estimated as the episode budgets, and a
 ``null`` seed, since the root seed is not in the records.
 
+``--workers`` splits ``replicate``'s replications among processes;
+``estimate`` accepts it and runs in one process whatever its value.
+
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
 error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
-critical-log or summary file, a value in them the samplers never write, or
-records the estimators or samplers cannot use: a ``ValueError`` such as
-``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
+critical-log or summary file: a header other than the writer's, a row
+whose field count differs from its header's, a value the samplers never
+write, an ``id`` repeated within one environment, a log row whose
+``moment`` is not the next of its record; or records the estimators or
+samplers cannot use: a ``ValueError`` such as ``EmptyInput`` or
+``NonPositiveGap``, or ``ZeroDensity``).
 """
 
 from __future__ import annotations
@@ -37,13 +43,12 @@ from .harness import (
     CampaignResult,
     build_summary,
     emit_outputs,
+    emit_records,
     estimate_from_records,
     load_campaign_records,
     run_campaign,
     run_replications,
     sample_env,
-    write_critical_log,
-    write_records,
 )
 from .oracle import BudgetExceeded, brute_force_mu
 
@@ -97,11 +102,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_base_config(args)
     env = cfg.environment
     records = sample_env(cfg, env)
-    os.makedirs(args.out, exist_ok=True)
-    write_records(os.path.join(args.out, "records.csv"), records)
-    write_critical_log(os.path.join(args.out, "critical_log.csv"),
-                       records if env == "nade" else [],
-                       len(cfg.scenario.surrogates))
+    emit_records(args.out, records, len(cfg.scenario.surrogates))
     accidents = sum(r.accident for r in records)
     print(f"{env}: {len(records)} episodes, {accidents} accidents "
           f"-> {args.out}/records.csv")
@@ -226,6 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--out", default=out_default, help="output directory")
+
+    def campaign(p):
+        p.add_argument("--episodes", type=int, help="episode budget override")
+        p.add_argument("--env", choices=["nde", "nade"],
+                       help="restrict to one environment")
+        p.add_argument("--gamma", type=float, help="confidence complement")
+        p.add_argument("--rhw-threshold", dest="rhw_threshold", type=float,
+                       help="stopping threshold for the relative half-width")
         p.add_argument("--workers", type=int,
                        help="worker processes that split replicate's "
                             "replications")
@@ -240,13 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a campaign (or re-estimate --records) "
                             "and write all outputs")
     common(p)
-    p.add_argument("--episodes", type=int, help="episode budget override")
-    p.add_argument("--env", choices=["nde", "nade"],
-                   help="restrict to one environment")
+    campaign(p)
     p.add_argument("--records", help="directory with records.csv to re-estimate")
-    p.add_argument("--gamma", type=float, help="confidence complement")
-    p.add_argument("--rhw-threshold", dest="rhw_threshold", type=float,
-                   help="stopping threshold for the relative half-width")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="brute-force reference accident rate")
@@ -255,13 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate", help="seeded replication study")
     common(p)
-    p.add_argument("--episodes", type=int, help="episode budget override")
-    p.add_argument("--env", choices=["nde", "nade"],
-                   help="restrict to one environment")
+    campaign(p)
     p.add_argument("--replications", type=int, help="replication count")
-    p.add_argument("--gamma", type=float, help="confidence complement")
-    p.add_argument("--rhw-threshold", dest="rhw_threshold", type=float,
-                   help="stopping threshold for the relative half-width")
     p.set_defaults(func=_cmd_replicate)
 
     p = sub.add_parser("report", help="pretty-print a summary.json")

@@ -22,9 +22,13 @@ sampled records plus the oracle, and a replication row is the same
 estimate at seed root+rep, without the oracle and on one warm criticality
 evaluator per worker chunk.  A chunk's replications are sampled in groups
 that fit one sampler block, one sampler call per environment and group,
-and fitted one by one.  Records read back from an output directory are
-checked against what the samplers write, so a value they never write
-fails with its file and line.
+and fitted one by one.
+
+Every CSV table goes through one writer, ``_write_table``, and one
+reader, ``_read_table``, which checks the header and the field count of
+every row.  :func:`emit_records` and :func:`load_campaign_records` are the
+two ends of ``records.csv`` and ``critical_log.csv``; a value the samplers
+never write fails with its file and line.
 
 The worker pool serves replication studies only: :func:`run_replications`
 hands each worker a contiguous chunk of replications.  A campaign samples
@@ -37,7 +41,6 @@ echo.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -45,7 +48,8 @@ import multiprocessing
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set)
 
 import numpy as np
 
@@ -293,66 +297,43 @@ REPLICATION_COLUMNS = [
 ]
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
-
-
 def _log_columns(panel_size: int) -> List[str]:
     return ["record_id", "moment", "p", "q_alpha"] + [
         f"q_{j + 1}" for j in range(panel_size)]
 
 
-def write_records(path: str, records: Sequence[TestRecord]) -> None:
+def _write_table(path: str, columns: Sequence[str],
+                 rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then ``str`` of each cell (``repr``
+    for a float), ``None`` as an empty cell.  No cell holds a comma, a
+    quote or a line break, so nothing is quoted."""
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(RECORD_COLUMNS)
-        for r in records:
-            w.writerow([r.index, r.seed, r.env, r.accident,
-                        r.control_steps, repr(r.weight)])
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(["" if c is None else str(c) for c in row])
+                      + "\n" for row in rows)
 
 
-def write_critical_log(path: str, records: Sequence[TestRecord],
-                       panel_size: int) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(_log_columns(panel_size))
-        for r in records:
-            for k, m in enumerate(r.critical_log):
-                w.writerow([r.index, k, repr(m.p), repr(m.q_alpha)]
-                           + [repr(q) for q in m.q])
+def _rows(a) -> Iterator:
+    """The rows of array ``a`` as Python values, a block at a time, so a
+    long table is never held as Python objects all at once."""
+    for lo in range(0, len(a), sampling.BLOCK):
+        yield from a[lo:lo + sampling.BLOCK].tolist()
 
 
-def write_convergence(path: str, table) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(CONVERGENCE_COLUMNS)
-        for n, mu, r in table:
-            w.writerow([int(n), repr(float(mu)), repr(float(r))])
-
-
-def write_adjusted_points(path: str, records: Sequence[TestRecord],
-                          fit: Optional[PooledFit]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(ADJUSTED_COLUMNS)
-        if not records or fit is None:
-            return
-        adjusted = fit.adjusted()
-        for i, r in enumerate(records):
-            w.writerow([r.index, r.control_steps,
-                        repr(r.accident * r.weight), repr(float(adjusted[i]))])
-
-
-def write_replications(path: str, rows: List[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(REPLICATION_COLUMNS)
-        for row in rows:
-            w.writerow([_cell(row.get(col)) for col in REPLICATION_COLUMNS])
+def emit_records(out_dir: str, records: Sequence[TestRecord],
+                 panel_size: int) -> List[str]:
+    """Write ``records.csv`` and its ``critical_log.csv`` sidecar, which
+    :func:`load_campaign_records` reads back; returns their paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name)
+             for name in ("records.csv", "critical_log.csv")]
+    _write_table(paths[0], RECORD_COLUMNS, (
+        (r.index, r.seed, r.env, r.accident, r.control_steps, r.weight)
+        for r in records))
+    _write_table(paths[1], _log_columns(panel_size), (
+        (r.index, k, m.p, m.q_alpha, *m.q)
+        for r in records for k, m in enumerate(r.critical_log)))
+    return paths
 
 
 def config_echo(cfg: CampaignConfig) -> dict:
@@ -388,28 +369,29 @@ def build_summary(result: CampaignResult) -> dict:
 
 def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
     """Write the full output file set; returns the manifest of paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    cfg = result.config
     records = result.records
-    manifest = []
+    nade = records.get("nade", [])
+    manifest = emit_records(out_dir, records.get("nde", []) + nade,
+                            len(result.config.scenario.surrogates))
 
     def out(name):
         manifest.append(os.path.join(out_dir, name))
         return manifest[-1]
 
-    write_records(out("records.csv"),
-                  list(records.get("nde", [])) + list(records.get("nade", [])))
-    write_critical_log(out("critical_log.csv"), records.get("nade", []),
-                       len(cfg.scenario.surrogates))
     for method in METHODS:
         mr = result.methods.get(method)
-        write_convergence(out(f"convergence_{method}.csv"),
-                          [] if mr is None else mr.table)
+        table = [] if mr is None else mr.table
+        _write_table(out(f"convergence_{method}.csv"), CONVERGENCE_COLUMNS,
+                     ((int(n), mu, rhw) for n, mu, rhw in _rows(table)))
     atscv = result.methods.get("atscv")
-    write_adjusted_points(out("adjusted_points.csv"), records.get("nade", []),
-                          None if atscv is None else atscv.fit)
+    adjusted = [] if atscv is None else atscv.fit.adjusted()
+    _write_table(out("adjusted_points.csv"), ADJUSTED_COLUMNS, (
+        (r.index, r.control_steps, r.accident * r.weight, a)
+        for r, a in zip(nade, _rows(adjusted))))
     if result.replication_rows:
-        write_replications(out("replications.csv"), result.replication_rows)
+        _write_table(out("replications.csv"), REPLICATION_COLUMNS,
+                     ([row.get(col) for col in REPLICATION_COLUMNS]
+                      for row in result.replication_rows))
     with open(out("summary.json"), "w") as fh:
         json.dump(build_summary(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -420,98 +402,86 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 # loading emitted records back
 
 
-def _check_record(r: TestRecord) -> None:
-    """Raise ``ValueError`` for a field value the samplers never write."""
-    if r.env not in ("nde", "nade"):
-        raise ValueError(f"env {r.env!r} is neither 'nde' nor 'nade'")
-    if r.accident not in (0, 1):
-        raise ValueError(f"accident {r.accident} is neither 0 nor 1")
-    if r.env == "nde" and r.weight != 1.0:
-        raise ValueError(f"nde weight {r.weight!r} is not 1")
-    if not (math.isfinite(r.weight) and r.weight >= 0.0):
-        raise ValueError(f"weight {r.weight!r} is not finite and >= 0")
-
-
-def _check_moment(m: CriticalMoment) -> None:
-    """Raise ``ValueError`` unless every density is finite and >= 0 and
-    ``q_alpha``, the density the action was drawn from, is positive."""
-    densities = (m.p, m.q_alpha) + m.q
-    if not (all(math.isfinite(d) and d >= 0.0 for d in densities)
-            and m.q_alpha > 0.0):
-        raise ValueError(f"densities {densities} are not finite and >= 0 "
-                         f"with q_alpha > 0")
-
-
-def read_records(path: str) -> List[Tuple[TestRecord, int]]:
-    """Records from a ``records.csv``, each with its ``l`` column (the count
-    of critical moments it logged); ``ValueError`` names the file and line
-    of a header other than ``RECORD_COLUMNS``, of a malformed row or of a
-    value the samplers never write."""
-    out = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header != RECORD_COLUMNS:
-            raise ValueError(f"{path}: header {header} is not {RECORD_COLUMNS}")
-        for row in rows:
+def _read_table(path: str, header_ok: Callable[[List[str]], bool],
+                parse: Callable[[List[str]], object]) -> list:
+    """``parse`` of the fields of each row of a CSV table that
+    :func:`_write_table` wrote.  ``ValueError`` names the file and line of
+    a header ``header_ok`` rejects, of a row whose field count differs from
+    the header's and of any ``ValueError`` that ``parse`` raises."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if not header_ok(header):
+            raise ValueError(f"{path}, line 1: unexpected header {header}")
+        out = []
+        for line, text in enumerate(fh, start=2):
+            fields = text.rstrip("\n").split(",")
             try:
-                index, seed, env, accident, logged, weight = row
-                r = TestRecord(index=int(index), seed=int(seed), env=env,
-                               accident=int(accident), weight=float(weight))
-                _check_record(r)
-                out.append((r, int(logged)))
+                if len(fields) != len(header):
+                    raise ValueError(f"{len(fields)} fields, the header has "
+                                     f"{len(header)}")
+                out.append(parse(fields))
             except ValueError as exc:
-                raise ValueError(f"{path}, line {rows.line_num}: {exc}") from exc
+                raise ValueError(f"{path}, line {line}: {exc}") from exc
     return out
-
-
-def read_critical_log(path: str, nade_ids: Set[int]
-                      ) -> Dict[int, List[CriticalMoment]]:
-    """Each NADE record's logged moments, in moment order; ``ValueError``
-    names the file and line of a malformed row, of a density the sampler
-    never writes or of a ``record_id`` outside ``nade_ids``."""
-    logs: Dict[int, List[Tuple[int, CriticalMoment]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return {}
-        q_cols = [i for i, name in enumerate(header) if name.startswith("q_")
-                  and name != "q_alpha"]
-        for row in reader:
-            try:
-                rid = int(row[0])
-                moment = CriticalMoment(
-                    p=float(row[2]), q_alpha=float(row[3]),
-                    q=tuple(float(row[i]) for i in q_cols))
-                if rid not in nade_ids:
-                    raise ValueError(f"record_id {rid} is no NADE record")
-                _check_moment(moment)
-                logs.setdefault(rid, []).append((int(row[1]), moment))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return {rid: [m for _, m in sorted(entries, key=lambda t: t[0])]
-            for rid, entries in logs.items()}
 
 
 def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
     """Rebuild the per-environment record lists from an output directory.
 
-    A NADE record takes its moments from ``critical_log.csv``; a record whose
-    ``l`` differs from the moments it gets (as every NADE record with
-    moments does when the log is missing) raises ``ValueError``, as does a
-    value either reader rejects, and a ``records.csv`` without a row raises
-    ``EmptyInput``."""
+    ``ValueError`` names the file of a value the samplers never write, an
+    ``id`` repeated within an environment, a log row whose ``record_id`` is
+    no NADE record or whose ``moment`` is not its record's next (0, 1, ...)
+    and a record whose ``l`` differs from the moments its log holds (as
+    when ``critical_log.csv`` is missing); ``EmptyInput`` a ``records.csv``
+    without a row."""
     path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
-    rows = read_records(path)
-    logs = (read_critical_log(log_path, {r.index for r, _ in rows
-                                         if r.env == "nade"})
-            if os.path.exists(log_path) else {})
+    ids: Dict[str, Set[int]] = {"nde": set(), "nade": set()}
+
+    def record(fields):
+        index, seed, env, accident, logged, weight = fields
+        index, accident, weight = int(index), int(accident), float(weight)
+        if env not in ids:
+            raise ValueError(f"env {env!r} is neither 'nde' nor 'nade'")
+        if accident not in (0, 1):
+            raise ValueError(f"accident {accident} is neither 0 nor 1")
+        if env == "nde" and weight != 1.0:
+            raise ValueError(f"nde weight {weight!r} is not 1")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"weight {weight!r} is not finite and >= 0")
+        if index in ids[env]:
+            raise ValueError(f"{env} id {index} repeats")
+        ids[env].add(index)
+        return index, int(seed), env, accident, weight, int(logged)
+
+    rows = _read_table(path, RECORD_COLUMNS.__eq__, record)
+    logs: Dict[int, List[CriticalMoment]] = {i: [] for i in ids["nade"]}
+
+    def moment(fields):
+        rid, k = int(fields[0]), int(fields[1])
+        m = CriticalMoment(float(fields[2]), float(fields[3]),
+                           tuple(map(float, fields[4:])))
+        log = logs.get(rid)
+        if log is None:
+            raise ValueError(f"record_id {rid} is no NADE record")
+        if k != len(log):
+            raise ValueError(f"moment {k} of record_id {rid} should be "
+                             f"{len(log)}")
+        # q_alpha is the density the action was drawn from
+        densities = (m.p, m.q_alpha) + m.q
+        if not (all(math.isfinite(d) and d >= 0.0 for d in densities)
+                and m.q_alpha > 0.0):
+            raise ValueError(f"densities {densities} are not finite and >= 0 "
+                             f"with q_alpha > 0")
+        log.append(m)
+
+    if os.path.exists(log_path):
+        _read_table(log_path,
+                    lambda h: len(h) > 4 and h == _log_columns(len(h) - 4),
+                    moment)
     by_env: Dict[str, List[TestRecord]] = {}
-    for r, logged in rows:
-        if r.env == "nade":
-            r = dataclasses.replace(r, critical_log=tuple(logs.get(r.index, ())))
+    for *row, logged in rows:
+        r = TestRecord(*row, tuple(logs[row[0]]) if row[2] == "nade" else ())
         if logged != r.control_steps:
             raise ValueError(
                 f"{path}: episode {r.index} ({r.env}) has l = {logged} but "

@@ -6,7 +6,9 @@ episodes ``0 .. n-1`` of each root, root-major.  ``kernel.walk``
 advances the call's episodes in blocks of ``BLOCK`` together up to their
 cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
 rollout resolves every cut-in of the call, so a replication study hands
-one call the episodes of many roots.  Before its cut-in the
+one call the episodes of many roots.  The walks only collect each
+episode's cut-in, weight and critical log; every record is built once,
+after that rollout has marked the accidents.  Before its cut-in the
 background vehicle's law has two atoms, the lane change and following the
 leader, and an episode cuts in at a step iff that step's uniform is below
 the lane-change mass of the law in force.
@@ -32,8 +34,9 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,42 +93,33 @@ def episode_seeds(root_seed: int, env: str, idx) -> np.ndarray:
     return stream.seeds((root_seed, _ENV_CODES[env]), idx)
 
 
-class EpisodeDraws:
-    """The random inputs of a block of episodes.
-
-    Row j draws what ``np.random.default_rng(seeds[j])`` would: the initial
-    BV-LV range (the only random part of the initial state), then one
-    uniform per step.  A row holds one 128-bit PCG64 state and increment
-    (32 bytes) and nothing is rebuilt: :meth:`at` advances just the rows it
-    is given, one step each, so a row must be read exactly once at every
-    step it walks, as ``kernel.walk`` does.
-    """
-
-    def __init__(self, seeds: np.ndarray, cfg) -> None:
-        self.seeds = seeds
-        self._rng = stream.Pcg64(seeds)
-        init = cfg.init
-        r1 = init.r1_low + (init.r1_high - init.r1_low) * self._rng.random()
-        self.states = initial_states(r1, init)
-
-    def at(self, rows: np.ndarray) -> np.ndarray:
-        """The next step uniform of each of ``rows``."""
-        return self._rng.random(rows)
-
-
-def _blocks(roots: Roots, env: str, cfg,
-            n: int) -> Iterator[Tuple[np.ndarray, EpisodeDraws]]:
-    """Episodes ``0 .. n-1`` of each root, root-major, as blocks of up to
-    ``BLOCK`` rows: each block's episode indices and draws."""
+def _episodes(roots: Roots, env: str,
+              n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and seed of episodes ``0 .. n-1`` of each root, root-major."""
     if isinstance(roots, (int, np.integer)):
         roots = [roots]
     idx = np.arange(n, dtype=np.uint64)
     seeds = np.array([episode_seeds(root, env, idx) for root in roots],
                      dtype=np.uint64).reshape(-1)
-    idx = np.tile(idx, len(roots))
+    return np.tile(idx, len(roots)), seeds
+
+
+def _blocks(seeds: np.ndarray, cfg
+            ) -> Iterator[Tuple[int, stream.Pcg64, List[np.ndarray]]]:
+    """The episodes of ``seeds`` in blocks of up to ``BLOCK`` rows: each
+    block's first row, its generators and its initial states.
+
+    Row j draws what ``np.random.default_rng(seeds[j])`` would: the initial
+    BV-LV range (the only random part of the initial state), then one
+    uniform per step.  ``Pcg64.random(rows)`` advances just the rows it is
+    given, so a row must be read exactly once at every step it walks, as
+    ``kernel.walk`` does.
+    """
+    init = cfg.init
     for lo in range(0, len(seeds), BLOCK):
-        rows = slice(lo, lo + BLOCK)
-        yield idx[rows], EpisodeDraws(seeds[rows], cfg)
+        rng = stream.Pcg64(seeds[lo:lo + BLOCK])
+        r1 = init.r1_low + (init.r1_high - init.r1_low) * rng.random()
+        yield lo, rng, initial_states(r1, init)
 
 
 def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
@@ -144,32 +138,33 @@ def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
     return (u < m_lc) | (lc & ~follow)
 
 
-def _resolve(out: List[TestRecord], found: Sequence[CutIns],
+def _records(env: str, idx: np.ndarray, seeds: np.ndarray,
+             found: Sequence[CutIns], weights: Iterable[float],
+             logs: Iterable[Tuple[CriticalMoment, ...]],
              cfg) -> List[TestRecord]:
-    """Mark the records whose cut-ins crash, in one rollout; few do."""
+    """Each episode's record, built once: one rollout resolves every
+    cut-in of the call (few crash) and marks the accidents."""
     cut = CutIns.concat(found)
-    for j in cut.rows[cutin_crashes(cut.state, cut.budget, cfg)].tolist():
-        out[j] = replace(out[j], accident=1)
-    return out
+    accident = np.zeros(len(seeds), dtype=int)
+    accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)]] = 1
+    return list(map(TestRecord, idx.tolist(), seeds.tolist(), repeat(env),
+                    accident.tolist(), weights, logs))
 
 
 def sample_nde_batch(roots: Roots, cfg, n: int) -> List[TestRecord]:
     """Naturalistic episodes ``0 .. n-1`` of each root seed in ``roots``
     (one int or a sequence), root-major, advanced in lockstep."""
-    out: List[TestRecord] = []
+    idx, seeds = _episodes(roots, ENV_NDE, n)
     found = []
-    for idx, draws in _blocks(roots, ENV_NDE, cfg, n):
+    for lo, rng, states in _blocks(seeds, cfg):
         def decide(rows, s):
             p_r, a_bv = bv_law(s, cfg)
-            fire = draws_lane_change(draws.at(rows), p_r, 1.0 - p_r)
+            fire = draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
             return fire, p_r, a_bv
 
-        cut = walk(draws.states, cfg, decide, stay=False)
-        found.append(cut._replace(rows=len(out) + cut.rows))
-        out.extend(TestRecord(index=i, seed=seed, env=ENV_NDE,
-                              accident=0, weight=1.0)
-                   for i, seed in zip(idx.tolist(), draws.seeds.tolist()))
-    return _resolve(out, found, cfg)
+        cut = walk(states, cfg, decide, stay=False)
+        found.append(cut._replace(rows=lo + cut.rows))
+    return _records(ENV_NDE, idx, seeds, found, repeat(1.0), repeat(()), cfg)
 
 
 def sample_nade_batch(roots: Roots, cfg, n: int,
@@ -179,39 +174,32 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     (one int or a sequence), root-major, advanced in lockstep."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
-    out: List[TestRecord] = []
+    idx, seeds = _episodes(roots, ENV_NADE, n)
+    weight = np.ones(len(seeds))
+    logged = np.zeros(len(seeds), dtype=int)
+    logs: List[List[CriticalMoment]] = [[] for _ in range(len(seeds))]
     found = []
-    for idx, draws in _blocks(roots, ENV_NADE, cfg, n):
-        weight = np.ones(len(draws.seeds))
-        logged = np.zeros(len(draws.seeds), dtype=int)
-        moments = []  # (rows, p, q_alpha, q) of each step, in step order
-
+    for lo, rng, states in _blocks(seeds, cfg):
         def decide(rows, s):
             prof = evaluator.profile(s)
             p_lc = prof.p_lane_change
-            ctl = prof.is_critical & (logged[rows] < max_control_steps)
+            ctl = prof.is_critical & (logged[lo + rows] < max_control_steps)
             m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
             m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
-            fire = draws_lane_change(draws.at(rows), m_lc, m_f)
+            fire = draws_lane_change(rng.random(rows), m_lc, m_f)
             if ctl.any():
-                r, f = rows[ctl], fire[ctl]
+                r, f = lo + rows[ctl], fire[ctl]
                 p = np.where(f, p_lc[ctl], 1.0 - p_lc[ctl])
                 q_alpha = np.where(f, m_lc[ctl], m_f[ctl])
                 q = np.where(f, prof.q_lane_change[:, ctl], prof.q_follow[:, ctl])
                 weight[r] = weight[r] * (p / q_alpha)
                 logged[r] += 1
-                moments.append((r, p, q_alpha, q))
+                for i, m in zip(r.tolist(), zip(p.tolist(), q_alpha.tolist(),
+                                                map(tuple, q.T.tolist()))):
+                    logs[i].append(CriticalMoment(*m))
             return fire, p_lc, prof.a_follow
 
-        cut = walk(draws.states, cfg, decide, stay=False)
-        found.append(cut._replace(rows=len(out) + cut.rows))
-        logs = [[] for _ in draws.seeds]
-        for r, p, q_alpha, q in moments:
-            for i, m in zip(r.tolist(), zip(p.tolist(), q_alpha.tolist(),
-                                            map(tuple, q.T.tolist()))):
-                logs[i].append(CriticalMoment(*m))
-        out.extend(TestRecord(index=i, seed=seed, env=ENV_NADE,
-                              accident=0, weight=w, critical_log=tuple(log))
-                   for i, seed, w, log in zip(idx.tolist(), draws.seeds.tolist(),
-                                              weight.tolist(), logs))
-    return _resolve(out, found, cfg)
+        cut = walk(states, cfg, decide, stay=False)
+        found.append(cut._replace(rows=lo + cut.rows))
+    return _records(ENV_NADE, idx, seeds, found, weight.tolist(),
+                    map(tuple, logs), cfg)

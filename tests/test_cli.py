@@ -173,6 +173,11 @@ def _records_dir(tmp_path, text):
     ("id,seed,env,accident,l,w\n0,5,nade,1,0,nan\n", "line 2: weight nan"),
     ("id,seed,env,accident,l,w\n0,5,nade,1,0,-0.5\n", "line 2: weight -0.5"),
     ("id,seed,env,accident,l,w\n0,5,nde,1,0,2.0\n", "line 2: nde weight 2.0"),
+    # a row with a field the header does not name
+    ("id,seed,env,accident,l,w\n0,5,nde,0,0,1.0,9\n", "line 2: 7 fields"),
+    # an id is an episode index, unique within its environment
+    ("id,seed,env,accident,l,w\n0,5,nade,1,0,2.0\n1,5,nde,0,0,1.0\n"
+     "0,6,nade,0,0,1.0\n", "line 4: nade id 0 repeats"),
 ])
 def test_malformed_records_exit_code(tmp_path, capsys, text, message):
     d = _records_dir(tmp_path, text)
@@ -224,6 +229,35 @@ def test_critical_log_values_the_sampler_never_writes_exit_code(
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(f"data error: {log}, {message}")
+
+
+@pytest.mark.parametrize("log,logged,message", [
+    # columns by name, not by position
+    ("record_id,moment,q_alpha,p,q_2,q_1\n0,0,0.2,0.1,0.2,0.3\n", 1,
+     "line 1: unexpected header"),
+    ("record_id,moment,p,q_alpha\n0,0,0.1,0.2\n", 1,
+     "line 1: unexpected header"),
+    ("record_id,moment,p,q_alpha,q_1,q_2,q_3\n0,0,0.1,0.2,0.1,0.2,0.3,9\n",
+     1, "line 2: 8 fields, the header has 7"),
+    # moments are numbered 0, 1, ... in the order the sampler logged them
+    ("record_id,moment,p,q_alpha,q_1,q_2,q_3\n0,0,0.1,0.2,0.1,0.2,0.3\n"
+     "0,0,0.1,0.2,0.1,0.2,0.3\n", 2,
+     "line 3: moment 0 of record_id 0 should be 1"),
+    ("record_id,moment,p,q_alpha,q_1,q_2,q_3\n0,1,0.1,0.2,0.1,0.2,0.3\n"
+     "0,0,0.1,0.2,0.1,0.2,0.3\n", 2,
+     "line 2: moment 1 of record_id 0 should be 0"),
+], ids=["swapped", "no-q", "extra-field", "repeated-moment", "reordered"])
+def test_critical_log_layout_the_writer_never_writes_exit_code(
+        tmp_path, capsys, log, logged, message):
+    d = _records_dir(tmp_path, "id,seed,env,accident,l,w\n"
+                               f"0,5,nade,1,{logged},0.5\n1,6,nde,0,0,1.0\n")
+    (d / "critical_log.csv").write_text(log)
+    rc, out, err = run(capsys, "estimate", "--records", d,
+                       "--out", tmp_path / "out")
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {d / 'critical_log.csv'}, {message}")
 
 
 def test_estimate_from_records_keeps_only_the_selected_environment(
@@ -302,6 +336,16 @@ def test_report_prints_missing_method_fields_as_dashes(tmp_path, capsys):
     rc, out, _ = run(capsys, "report", "--out", tmp_path)
     assert rc == 0
     assert out.splitlines()[-1].split() == ["nade", "7", "-", "-", "-"]
+
+
+@pytest.mark.parametrize("verb", ["simulate", "oracle"])
+def test_workers_is_refused_where_it_changes_nothing(tmp_path, capsys, verb):
+    # Only replicate splits work among processes; estimate keeps the flag
+    # and runs in one process.
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, NonPositiveGap])

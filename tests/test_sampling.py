@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from overtake_eval import sampling
+from overtake_eval import sampling, stream
 from overtake_eval.config import CampaignConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
     ENV_NADE,
     ENV_NDE,
-    EpisodeDraws,
     TestRecord,
+    _blocks,
     episode_seeds,
     sample_nade_batch,
     sample_nde_batch,
@@ -62,34 +62,34 @@ def test_draws_equal_numpy_default_rng(scen, root):
     steps = 40
     seeds = episode_seeds(root, ENV_NADE, INDICES[::15])
     seeds = np.concatenate([np.array([0], dtype=np.uint64), seeds])
-    draws = EpisodeDraws(seeds, scen)
-    got = np.stack([draws.at(np.arange(len(seeds))) for _ in range(steps)],
+    (lo, rng, states), = _blocks(seeds, scen)
+    assert lo == 0
+    got = np.stack([rng.random(np.arange(len(seeds))) for _ in range(steps)],
                    axis=1)
     init = scen.init
     for j, seed in enumerate(seeds.tolist()):
         g = np.random.default_rng(seed)
-        assert draws.states[1][j] == g.uniform(init.r1_low, init.r1_high)
+        assert states[1][j] == g.uniform(init.r1_low, init.r1_high)
         assert got[j].tolist() == g.random(steps).tolist()
 
 
 def test_draws_advance_only_the_rows_given(scen):
     seeds = episode_seeds(3, ENV_NDE, np.arange(6, dtype=np.uint64))
-    draws = EpisodeDraws(seeds, scen)
+    rng = stream.Pcg64(seeds)
     live = [np.arange(6), np.array([0, 2, 3, 5]), np.array([2, 5]),
             np.array([5])]
-    got = [draws.at(rows) for rows in live]
+    got = [rng.random(rows) for rows in live]
     for j, seed in enumerate(seeds.tolist()):
         g = np.random.default_rng(seed)
-        g.random()  # the initial range
         mine = [u[rows.tolist().index(j)] for u, rows in zip(got, live)
                 if j in rows]
         assert mine == g.random(len(mine)).tolist()
 
 
 def test_initial_state_distribution(scen):
-    draws = EpisodeDraws(episode_seeds(3, ENV_NDE, np.arange(500)), scen)
+    (_, _, states), = _blocks(episode_seeds(3, ENV_NDE, np.arange(500)), scen)
     init = scen.init
-    v_bv, r1, r1_dot, r2, r2_dot = draws.states
+    v_bv, r1, r1_dot, r2, r2_dot = states
     # only the BV-LV range is random
     assert (v_bv == init.v_bv).all() and (r1_dot == init.r1_dot).all()
     assert (r2 == init.r2).all() and (r2_dot == init.r2_dot).all()
