@@ -8,10 +8,12 @@ densities.  A brute-force enumeration oracle provides the reference value
 the estimators are checked against.  Both samplers, the criticality
 evaluator and the oracle run on one lockstep array kernel (``kernel``),
 and the samplers seed and draw whole blocks of episodes at once
-(``stream``), bit for bit as numpy's ``default_rng`` would.  A campaign
-samples in one process.  A sampler call takes one or several root seeds,
-so a replication study walks the episodes of every replication that fits
-one block (``sampling.BLOCK``, 8192 episodes) in one lockstep batch, and a
+(``stream``), bit for bit as numpy's ``default_rng`` would.  The
+accelerated sampler fills the criticality cache once per block, from its
+episodes' no-cut-in walks, before it walks them.  A campaign samples in
+one process.  A sampler call takes one or several root seeds, so a
+replication study walks the episodes of every replication that fits one
+block (``sampling.BLOCK``, 8192 episodes) in one lockstep batch, and a
 worker pool splits its replications into chunks.
 """
 

@@ -25,13 +25,16 @@ criticalities and importance weights are always evaluated at the exact state.
 
 Everything runs on the lockstep kernel: a profile covers a batch of states,
 and the cells a batch sees for the first time are filled together, their
-no-cut-in walks in lockstep and every surrogate's cut-in rollouts in one
-``kernel.cutin_crashes`` call per surrogate.
+no-cut-in walks in lockstep (``kernel.no_cutin_walk``) and every
+surrogate's cut-in rollouts in one ``kernel.cutin_crashes`` call per
+surrogate per fill.  The accelerated sampler fills the cache once per
+block, before its walk: every cell the walk can query lies on its
+episodes' no-cut-in walks, so each profile it asks for is a cache hit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -39,13 +42,14 @@ from .kernel import (
     State,
     bv_law,
     cutin_crashes,
-    idm_accel,
     mobil_right_lc_prob,
-    step,
+    no_cutin_walk,
     surrogate_accel,
 )
 
 __all__ = ["CriticalityProfile", "CriticalityEvaluator"]
+
+Key = Tuple[int, ...]
 
 
 class CriticalityProfile(NamedTuple):
@@ -72,6 +76,13 @@ class CriticalityProfile(NamedTuple):
         return (self.criticalities > 0.0).any(axis=0)
 
 
+def grid_keys(s: State) -> List[Key]:
+    """The grid cell of each state: every coordinate in tenths, rounded
+    half to even."""
+    grid = np.rint(np.array(s).T * 10.0).astype(np.int64)
+    return list(map(tuple, grid.tolist()))
+
+
 def _panel_mean(q: np.ndarray) -> np.ndarray:
     """Equal-weight mixture over the panel, added left to right: Python's
     float ``sum`` is compensated from 3.12 on, which moves the last bit."""
@@ -88,14 +99,16 @@ class CriticalityEvaluator:
     the snapped representative state with exact dynamics inside), so results
     do not depend on query order and the evaluator can be shared freely
     across episodes, replications, and workers.  ``_entry_cache`` maps each
-    key seen so far to its column of ``_table``, which stacks the
+    key filled so far to its column of ``_table``, which stacks the
     lane-change and follow challenge vectors: one entry per cache miss.
+    A miss is a key filled, whether a profile asked for it or a sampler
+    block filled it ahead of its walk (:meth:`fill`).
     """
 
     def __init__(self, cfg) -> None:
         self.cfg = cfg
         self._accels = [surrogate_accel(sm) for sm in cfg.surrogates]
-        self._entry_cache: Dict[Tuple[int, ...], int] = {}
+        self._entry_cache: Dict[Key, int] = {}
         self._table = np.empty((2, len(cfg.surrogates), 0))
 
     # -- challenge machinery ----------------------------------------------
@@ -107,29 +120,17 @@ class CriticalityEvaluator:
         return np.array([cutin_crashes(s, budget, self.cfg, accel)
                          for accel in self._accels], dtype=float)
 
-    def _compute_challenges(self, keys: List[Tuple[int, ...]]) -> np.ndarray:
+    def _compute_challenges(self, keys: List[Key]) -> np.ndarray:
         """(2, J, n) lane-change and follow challenges of the grid keys."""
         cfg = self.cfg
         L = cfg.vehicle_length
         rep = list(np.array(keys, dtype=float).T / 10.0)
 
-        # Walk the no-cut-in continuations in lockstep.  The follower keeps
-        # its speed until a cut-in happens, so a walk only carries the
-        # background vehicle's car-following response.  It ends when the
-        # follower has passed (no cut-in is possible any more), when the
-        # discrete step overshoots into leader contact (following is no
-        # longer modeled), or when the step budget runs out.
-        live = ~(rep[1] - L <= 0.0)
-        rows, t = np.flatnonzero(live), [x[live] for x in rep]
-        suffix = []
-        for _ in range(cfg.max_steps):
-            if not rows.size:
-                break
-            a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
-            t = step(t, a_bv, 0.0, cfg.dt)
-            keep = ~(t[3] < 0.0) & ~(t[1] - L <= 0.0)
-            rows, t = rows[keep], [x[keep] for x in t]
-            suffix.append((rows, t))
+        # The moments after each representative on its no-cut-in walk: a
+        # cut-in is possible at each of them.
+        walks = no_cutin_walk(rep, cfg)
+        next(walks)
+        suffix = list(walks)
 
         # Cut-ins along the walks: moments with zero lane-change probability
         # contribute nothing, so only the others are rolled out, together
@@ -156,11 +157,9 @@ class CriticalityEvaluator:
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
         return np.stack([lane_change, follow])
 
-    def challenges(self, s: State) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(lane-change, follow)`` challenges of the states ``s``,
-        each (J, m).  Keys not seen before are computed in one batch."""
-        grid = np.rint(np.array(s).T * 10.0).astype(np.int64)
-        keys = list(map(tuple, grid.tolist()))
+    def fill(self, keys: Iterable[Key]) -> None:
+        """Cache the challenges of the grid keys not cached yet, computed
+        in one batch."""
         cache = self._entry_cache
         missing = [k for k in dict.fromkeys(keys) if k not in cache]
         if missing:
@@ -168,6 +167,13 @@ class CriticalityEvaluator:
             self._table = np.concatenate(
                 [self._table, self._compute_challenges(missing)], axis=2)
             cache.update((k, base + i) for i, k in enumerate(missing))
+
+    def challenges(self, s: State) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached ``(lane-change, follow)`` challenges of the states ``s``,
+        each (J, m).  Keys not seen before are computed in one batch."""
+        keys = grid_keys(s)
+        self.fill(keys)
+        cache = self._entry_cache
         lane_change, follow = self._table[:, :, [cache[k] for k in keys]]
         return lane_change, follow
 

@@ -27,7 +27,7 @@ row with a closed gap raises ``NonPositiveGap``.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -187,6 +187,32 @@ def cutin_crashes(s: State, n_states, cfg, accel: Accel = None) -> np.ndarray:
         a_av = accel(v_bv - r2_dot, r2 - L, -r2_dot)
         i += 1
     return crashed
+
+
+def no_cutin_walk(s: State, cfg
+                  ) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
+    """The no-cut-in continuations of the states ``s``, in lockstep.
+
+    Yields the rows still walking and their states: first the start, then
+    after each of up to ``cfg.max_steps`` steps.  The follower keeps its
+    speed until a cut-in happens, so a walk only carries the BV's IDM
+    response to the LV (``bv_law``'s other atom).  A row ends when the
+    discrete step overshoots into leader contact (``r1 - L <= 0``, where
+    following is no longer modeled; a start already there never walks) or,
+    after a step, when the AV has passed it (``r2 < 0``).
+    """
+    L = cfg.vehicle_length
+    live = ~(s[1] - L <= 0.0)
+    rows, t = np.flatnonzero(live), [x[live] for x in s]
+    yield rows, t
+    for _ in range(cfg.max_steps):
+        if not rows.size:
+            return
+        a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
+        t = step(t, a_bv, 0.0, cfg.dt)
+        keep = ~(t[3] < 0.0) & ~(t[1] - L <= 0.0)
+        rows, t = rows[keep], [x[keep] for x in t]
+        yield rows, t
 
 
 class CutIns(NamedTuple):

@@ -14,12 +14,16 @@ leader, and an episode cuts in at a step iff that step's uniform is below
 the lane-change mass of the law in force.
 
 The naturalistic sampler always uses the behaviour model's p_R.  The
-accelerated sampler asks the criticality evaluator for a profile of the
-live episodes at every step: at critical moments, up to the control-step
-cap, the law is the mixture importance distribution q_alpha, the densities
-at the drawn atom are logged, and the likelihood-ratio weight picks up one
+accelerated sampler decides from a criticality profile of the live
+episodes at every step: at critical moments, up to the control-step cap,
+the law is the mixture importance distribution q_alpha, the densities at
+the drawn atom are logged, and the likelihood-ratio weight picks up one
 p/q_alpha factor; everywhere else it is p_R.  The cap keeps logs short
-without affecting unbiasedness.
+without affecting unbiasedness.  An episode's pre-cut-in states do not
+depend on its draws: until it cuts in, it follows its no-cut-in walk
+(``kernel.no_cutin_walk``).  So the evaluator's cache is filled once per
+block, from those walks, before the block's walk starts, and every
+profile the walk asks for is a cache hit.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``:
 an episode's seed is ``SeedSequence((root, env code, index))``'s first
@@ -35,14 +39,21 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import stream
-from .criticality import CriticalityEvaluator
-from .kernel import CutIns, bv_law, cutin_crashes, initial_states, walk
+from .criticality import CriticalityEvaluator, grid_keys
+from .kernel import (
+    CutIns,
+    bv_law,
+    cutin_crashes,
+    initial_states,
+    no_cutin_walk,
+    walk,
+)
 from .models import ZeroDensity
 
 ENV_NDE = "nde"
@@ -122,6 +133,20 @@ def _blocks(seeds: np.ndarray, cfg
         yield lo, rng, initial_states(r1, init)
 
 
+def _walk_keys(s, cfg) -> set:
+    """Grid keys of every state the walk of a block with initial states
+    ``s`` can profile, deduplicated step by step: each row's no-cut-in walk
+    while the AV has not passed it, up to the step budget.  A walk that
+    reaches leader contact stops there; ``kernel.walk`` raises
+    ``NonPositiveGap`` if a live episode gets that far."""
+    run = ~(s[3] < 0.0)
+    keys = set()
+    for _, t in islice(no_cutin_walk([x[run] for x in s], cfg),
+                       cfg.max_steps):
+        keys.update(grid_keys(t))
+    return keys
+
+
 def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
                       m_f: np.ndarray) -> np.ndarray:
     """Rows whose uniform ``u`` draws the lane change from the two-atom law
@@ -180,6 +205,8 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     logs: List[List[CriticalMoment]] = [[] for _ in range(len(seeds))]
     found = []
     for lo, rng, states in _blocks(seeds, cfg):
+        evaluator.fill(_walk_keys(states, cfg))
+
         def decide(rows, s):
             prof = evaluator.profile(s)
             p_lc = prof.p_lane_change

@@ -348,6 +348,17 @@ def test_workers_is_refused_where_it_changes_nothing(tmp_path, capsys, verb):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+def test_leader_contact_exit_code(tmp_path, capsys):
+    # Without lane changes every NADE episode follows its BV into the LV.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[mobil]\np_max = 0\n[initial]\nr1_low = 5\nr1_high = 5.5\n"
+                   "r1_dot = -8\nr2 = 20\n")
+    rc, _, err = run(capsys, "estimate", "--env", "nade", "--episodes", 20,
+                     "--config", cfg, "--out", tmp_path / "out")
+    assert rc == 4
+    assert err.startswith("data error: IDM requires gap > 0")
+
+
 @pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, NonPositiveGap])
 def test_library_data_errors_exit_code(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):

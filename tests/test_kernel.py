@@ -259,8 +259,19 @@ def test_nade_batch_matches_scalar_reference(name):
         assert all(type(m.p) is float and type(m.q_alpha) is float
                    and all(type(q) is float for q in m.q)
                    for m in r.critical_log)
-    # the same keys were visited, so the caches hold the same cells
-    assert set(ev._entry_cache) == set(scalar.cache)
+    # The sampler fills the cache ahead of its walk with the cells of every
+    # episode's no-cut-in walk: a superset of the cells the episodes visit.
+    walked = set()
+    for i in range(n):
+        rng = np.random.default_rng(ref.episode_seed(1717, ref.ENV_NADE, i))
+        t, k = ref.initial_state(rng, cfg), 0
+        while ref.running(t, k, cfg):
+            walked.add(ref.ScalarEvaluator.quantize(t))
+            t = ref.step_raw(*t, ref.bv_car_following_accel(t, cfg), 0.0,
+                             cfg.dt)
+            k += 1
+    assert set(ev._entry_cache) == walked
+    assert set(scalar.cache) <= walked
     assert any(r.critical_log for r in got)
     steps = [k for _, k in want]
     if name != "long":  # whose truncated rollouts never reach contact
@@ -317,6 +328,36 @@ def test_stressed_config_truncates_cutin_rollouts():
     truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
     full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
     assert (truncated != full).any()
+
+
+def test_no_cutin_walk_stops_at_leader_contact():
+    # The BV brakes at its floor but cannot stop within 5 m of a standing LV.
+    cfg = ScenarioConfig()
+    s = ref.cols([(8.0, 5.0, -8.0, 20.0, -5.0)])
+    walked = list(kernel.no_cutin_walk(s, cfg))
+    assert [r.tolist() for r, _ in walked] == [[0]] * (len(walked) - 1) + [[]]
+    # the walked states are the scalar reference's, up to the contact
+    t = ref.rows(s)[0]
+    for _, u in walked[:-1]:
+        assert [x[0] for x in u] == list(t)
+        t = ref.step_raw(*t, ref.bv_car_following_accel(t, cfg), 0.0, cfg.dt)
+    assert t.r1 <= 0.0
+    with pytest.raises(NonPositiveGap):
+        kernel.bv_law(ref.cols([t]), cfg)
+
+
+def test_leader_contact_raises_in_the_nade_walk_not_its_fill():
+    # Without lane changes every episode follows its walk into the LV.
+    cfg = dataclasses.replace(
+        ScenarioConfig(), mobil=MobilParams(p_max=0.0),
+        init=dataclasses.replace(ScenarioConfig().init, r1_low=5.0,
+                                 r1_high=5.5, r1_dot=-8.0, r2=20.0))
+    ev = CriticalityEvaluator(cfg)
+    with pytest.raises(NonPositiveGap):
+        sample_nade_batch(3, cfg, 20, evaluator=ev)
+    assert ev._entry_cache  # filled up to the contact
+    with pytest.raises(NonPositiveGap):
+        ref.nade_batch(3, cfg, 20, ref.ScalarEvaluator(cfg))
 
 
 def test_closed_initial_gap_raises_on_both_paths():

@@ -242,3 +242,29 @@ def test_nade_importance_actually_oversamples_accidents(scen):
     # raw accident counts: the tilted environment should find an order of
     # magnitude more crashes than exposure sampling at this budget
     assert sum(r.accident for r in nade) > 5 * max(1, sum(r.accident for r in nde))
+
+
+def test_nade_sampler_fills_the_cache_once_per_block(monkeypatch):
+    fills = []
+    compute = CriticalityEvaluator._compute_challenges
+
+    def counted(self, keys):
+        fills.append(len(keys))
+        return compute(self, keys)
+
+    monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
+    cfg = CampaignConfig().scenario
+    ev = CriticalityEvaluator(cfg)
+    cold = sample_nade_batch(7, cfg, 300, evaluator=ev)
+    assert len(fills) == 1
+    # every profile of the walk was a cache hit, so a warm call fills nothing
+    fills.clear()
+    assert sample_nade_batch(7, cfg, 300, evaluator=ev) == cold
+    assert fills == []
+    # a call spanning five blocks fills at most once per block
+    monkeypatch.setattr(sampling, "BLOCK", 64)
+    fills.clear()
+    spanning = CriticalityEvaluator(cfg)
+    assert sample_nade_batch(7, cfg, 300, evaluator=spanning) == cold
+    assert 1 <= len(fills) <= 5
+    assert set(spanning._entry_cache) == set(ev._entry_cache)
