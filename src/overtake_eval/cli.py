@@ -16,13 +16,15 @@ summary echoes the records it estimated as the episode budgets, and a
 
 ``--workers`` splits ``replicate``'s replications among processes;
 ``estimate`` accepts it and runs in one process whatever its value.
+``oracle`` takes no ``--seed``: the brute-force value draws nothing.
 
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
 error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
 critical-log or summary file: a header other than the writer's, a row
 whose field count differs from its header's, a value the samplers never
 write, an ``id`` repeated within one environment, a log row whose
-``moment`` is not the next of its record; or records the estimators or
+``moment`` is not the next of its record; a ``--records`` directory with
+no record of the selected environment; or records the estimators or
 samplers cannot use: a ``ValueError`` such as ``EmptyInput`` or
 ``NonPositiveGap``, or ``ZeroDensity``).
 """
@@ -38,6 +40,7 @@ from typing import Optional
 
 from . import __version__
 from .config import CampaignConfig, ConfigError, load_config
+from .estimators import EmptyInput
 from .models import ZeroDensity
 from .harness import (
     CampaignResult,
@@ -121,6 +124,9 @@ def _cmd_estimate(args) -> int:
     cfg = _load_base_config(args)
     if args.records:
         result = estimate_from_records(cfg, load_campaign_records(args.records))
+        if not result.records:
+            raise EmptyInput(f"{os.path.join(args.records, 'records.csv')}: "
+                             f"no {cfg.environment} records")
         result.config = dataclasses.replace(cfg, seed=None, **{
             f"episodes_{env}": len(result.records.get(env, ()))
             for env in ("nde", "nade")})
@@ -223,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out_default="out"):
+    def common(p, out_default="out", seed=True):
         p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--seed", type=int, help="root seed override")
+        if seed:
+            p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--out", default=out_default, help="output directory")
 
     def campaign(p):
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="brute-force reference accident rate")
-    common(p, out_default=None)
+    common(p, out_default=None, seed=False)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("replicate", help="seeded replication study")

@@ -134,6 +134,19 @@ def test_estimate_from_records_echoes_the_records_it_estimated(
                           ("atscv", echoed[2])) if n}
 
 
+def test_gamma_below_the_last_quantile_has_no_interval(tmp_path, capsys):
+    # 1 - gamma/2 rounds to 1: the quantile is infinite, and so is every
+    # half-width of a run with accidents.
+    rc, _, _ = run(capsys, "estimate", "--env", "nade", "--episodes", 200,
+                   "--gamma", 1e-17, "--out", tmp_path)
+    assert rc == 0
+    methods = json.loads((tmp_path / "summary.json").read_text())["methods"]
+    assert sorted(methods) == ["atscv", "nade"]
+    for m in methods.values():
+        assert m["mu"] > 0
+        assert m["rhw"] is None
+
+
 def test_single_episode_has_no_interval(tmp_path, capsys):
     # One record leaves no residual degree of freedom for either method.
     rc, out, _ = run(capsys, "estimate", "--env", "nade", "--episodes", 1,
@@ -196,6 +209,19 @@ def test_records_holding_only_their_header_exit_code(tmp_path, capsys):
     assert rc == 4
     assert out == ""
     assert err == f"data error: {d / 'records.csv'}: no records\n"
+
+
+def test_records_without_the_selected_environment_exit_code(tmp_path,
+                                                            capsys):
+    d = tmp_path / "nade"
+    assert run(capsys, "simulate", "--env", "nade", "--episodes", 20,
+               "--out", d)[0] == 0
+    rc, out, err = run(capsys, "estimate", "--records", d, "--env", "nde",
+                       "--out", tmp_path / "out")
+    assert rc == 4
+    assert out == ""
+    assert err == f"data error: {d / 'records.csv'}: no nde records\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_critical_log_exit_code(tmp_path, capsys):
@@ -346,6 +372,14 @@ def test_workers_is_refused_where_it_changes_nothing(tmp_path, capsys, verb):
         main([verb, "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_seed_is_refused_by_the_oracle(tmp_path, capsys):
+    # The brute-force value draws nothing, so a seed would change nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_leader_contact_exit_code(tmp_path, capsys):

@@ -441,24 +441,17 @@ def test_tests_to_threshold_not_reached_and_validation():
 # the normal quantile
 
 
-def test_ndtri_port_matches_scipy_bit_for_bit():
-    from scipy.special import ndtri as scipy_ndtri
+def test_quantile_matches_scipy_within_rounding():
+    from scipy.special import ndtri
 
-    from overtake_eval.estimators import _quantile, ndtri
+    from overtake_eval.estimators import _quantile
 
-    rng = np.random.default_rng(1969)
-    ys = np.concatenate([rng.uniform(0.5, 1.0, 100_000),
-                         1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 10_000),
-                         10.0 ** rng.uniform(-300.0, -0.31, 10_000),
-                         [0.5, 1.0 - 0.13533528323661269189,
-                          np.nextafter(1.0, 0.0), 5e-324]])
-    got = [ndtri(y) for y in ys.tolist()]
-    assert got == scipy_ndtri(ys).tolist()
-    for gamma in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9):
-        assert _quantile(gamma) == float(scipy_ndtri(1.0 - gamma / 2.0))
-    assert _quantile(0.1) == Z90
-    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
-    assert math.isnan(ndtri(1.5))
+    gammas = np.append(np.geomspace(1e-15, 0.999, 499), 0.1)
+    want = ndtri(1.0 - gammas / 2.0)
+    got = np.array([_quantile(g) for g in gammas.tolist()])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # 1 - gamma/2 rounds to 1: no finite quantile, so no interval.
+    assert _quantile(1e-17) == math.inf
 
 
 def test_cli_import_leaves_scipy_out():
