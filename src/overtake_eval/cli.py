@@ -19,11 +19,13 @@ summary echoes the records it estimated as the episode budgets, and a
 ``oracle`` takes no ``--seed``: the brute-force value draws nothing.
 
 Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
-error, 3 oracle budget exceeded, 4 bad input data (a malformed records,
+error (among them a float value that is not finite, from a config file or
+a flag), 3 oracle budget exceeded, 4 bad input data (a malformed records,
 critical-log or summary file: a header other than the writer's, a row
 whose field count differs from its header's, a value the samplers never
 write, an ``id`` repeated within one environment, a log row whose
-``moment`` is not the next of its record; a ``--records`` directory with
+``moment`` is not the next of its record, a record whose ``w`` is not the
+likelihood ratio its critical log gives; a ``--records`` directory with
 no record of the selected environment; or records the estimators or
 samplers cannot use: a ``ValueError`` such as ``EmptyInput`` or
 ``NonPositiveGap``, or ``ZeroDensity``).

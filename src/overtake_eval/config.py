@@ -21,6 +21,11 @@ dataclasses below::
 ``max_control_steps`` caps the critical moments a NADE episode samples from
 the importance distribution and logs; the estimators use every logged one.
 
+Validation rejects, by name, any float that is not finite (NaN or
+infinite), in every section and surrogate block: the array kernel would
+carry it into every episode as NaN or as a certain outcome instead of
+failing.
+
 One table, ``_SECTIONS``, maps each section to the dataclass it sets and to
 its keys; loading and the unknown-key check read it.  A value is cast by
 the type of the field's default.  The surrogate panel is the one special
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -40,6 +46,15 @@ from .models import IdmParams, MobilParams, SurrogateModel, default_surrogates
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
+
+
+def _require_finite(block, prefix: str = "") -> None:
+    """Raise ConfigError naming the first float field of the dataclass
+    ``block`` that is NaN or infinite."""
+    for f in dataclasses.fields(block):
+        value = getattr(block, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,15 @@ class ScenarioConfig:
         for name, p in idm_blocks:
             if not (p.v0 > 0 and p.a_max > 0 and p.b > 0):
                 raise ConfigError(f"{name}: v0, a_max and b must be positive")
+        for sm in self.surrogates:
+            if sm.kind == "fvdm" and not sm.fvdm.b_f > 0:
+                raise ConfigError(f"{sm.name}: b_f must be positive")
+        blocks = [("", self), ("init.", self.init), ("bv_idm.", self.bv_idm),
+                  ("av_idm.", self.av_idm), ("mobil.", self.mobil)] + [
+            (f"{sm.name}.", p) for sm in self.surrogates
+            for p in (sm.idm, sm.fvdm) if p is not None]
+        for prefix, block in blocks:
+            _require_finite(block, prefix)
 
 
 @dataclass(frozen=True)
@@ -141,6 +165,7 @@ class CampaignConfig:
             raise ConfigError("replications must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        _require_finite(self)
         self.scenario.validate()
 
 

@@ -42,7 +42,6 @@ from .kernel import (
     State,
     bv_law,
     cutin_crashes,
-    mobil_right_lc_prob,
     no_cutin_walk,
     surrogate_accel,
 )
@@ -57,14 +56,13 @@ class CriticalityProfile(NamedTuple):
     moments, one column per queried state.
 
     Per-surrogate arrays have one row per surrogate, ordered like the panel
-    in the configuration.  ``p_lane_change`` and ``a_follow`` (the BV's
-    car-following acceleration, the other atom) are exact for the queried
+    in the configuration.  ``p_lane_change`` is exact for the queried
     state; the criticalities come from the challenges of its grid
-    representative (:meth:`CriticalityEvaluator.challenges`).
+    representative (:meth:`CriticalityEvaluator.challenges`).  A profile
+    holds densities only: the follow step is ``kernel.walk``'s own.
     """
 
     p_lane_change: np.ndarray          # (m,)
-    a_follow: np.ndarray               # (m,)
     criticalities: np.ndarray          # (J, m)
     q_lane_change: np.ndarray          # (J, m)
     q_follow: np.ndarray               # (J, m)
@@ -123,7 +121,6 @@ class CriticalityEvaluator:
     def _compute_challenges(self, keys: List[Key]) -> np.ndarray:
         """(2, J, n) lane-change and follow challenges of the grid keys."""
         cfg = self.cfg
-        L = cfg.vehicle_length
         rep = list(np.array(keys, dtype=float).T / 10.0)
 
         # The moments after each representative on its no-cut-in walk: a
@@ -138,7 +135,7 @@ class CriticalityEvaluator:
         at = np.cumsum([0] + [r.size for r, _ in suffix])
         later = [np.concatenate(c) for c in zip(*(t for _, t in suffix))] \
             if suffix else [np.empty(0)] * 5
-        p_r = mobil_right_lc_prob(later, cfg.mobil, cfg.bv_idm, L)
+        p_r = bv_law(later, cfg)
         hot = p_r > 0.0
         crash = self._crashes([np.concatenate([x, y[hot]])
                                for x, y in zip(rep, later)])
@@ -182,7 +179,7 @@ class CriticalityEvaluator:
     def profile(self, s: State) -> CriticalityProfile:
         """Profiles of the pre-cut-in states ``s``, in one batch."""
         cfg = self.cfg
-        p_lc, a_follow = bv_law(s, cfg)
+        p_lc = bv_law(s, cfg)
         p_follow = 1.0 - p_lc
         ch_lc, ch_follow = self.challenges(s)
         crits = ch_lc * p_lc + ch_follow * p_follow
@@ -196,7 +193,6 @@ class CriticalityEvaluator:
             p_follow)
         return CriticalityProfile(
             p_lane_change=p_lc,
-            a_follow=a_follow,
             criticalities=crits,
             q_lane_change=q_lc,
             q_follow=q_follow,

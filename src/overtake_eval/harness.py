@@ -69,6 +69,7 @@ from .sampling import (
     CriticalMoment,
     Roots,
     TestRecord,
+    likelihood_ratio,
     sample_nade_batch,
     sample_nde_batch,
 )
@@ -430,9 +431,10 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
 
     ``ValueError`` names the file of a value the samplers never write, an
     ``id`` repeated within an environment, a log row whose ``record_id`` is
-    no NADE record or whose ``moment`` is not its record's next (0, 1, ...)
-    and a record whose ``l`` differs from the moments its log holds (as
-    when ``critical_log.csv`` is missing); ``EmptyInput`` a ``records.csv``
+    no NADE record or whose ``moment`` is not its record's next (0, 1, ...),
+    a record whose ``l`` differs from the moments its log holds (as when
+    ``critical_log.csv`` is missing) and one whose ``w`` is not its log's
+    likelihood ratio, bit for bit; ``EmptyInput`` a ``records.csv``
     without a row."""
     path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
@@ -486,6 +488,11 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
             raise ValueError(
                 f"{path}: episode {r.index} ({r.env}) has l = {logged} but "
                 f"the critical log holds {r.control_steps}")
+        w = likelihood_ratio(r.critical_log)
+        if r.weight != w:
+            raise ValueError(
+                f"{path}: episode {r.index} ({r.env}) has w = {r.weight!r} "
+                f"but its critical log gives {w!r}")
         by_env.setdefault(r.env, []).append(r)
     if not by_env:
         raise EmptyInput(f"{path}: no records")

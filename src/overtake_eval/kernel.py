@@ -11,6 +11,8 @@ where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
 ranges and the dotted quantities are their rates.  Before the cut-in the
 BV either tracks the LV or changes into the right lane while the AV
 coasts; afterwards the AV reacts to the BV while LV and BV hold speed.
+``walk`` and ``no_cutin_walk`` take the tracking step with one function,
+``_follow``, so the states they visit agree by construction.
 
 Many rows (episodes, oracle bins or criticality grid keys) advance
 together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
@@ -119,12 +121,10 @@ def mobil_right_lc_prob(s: State, mobil: MobilParams, idm: IdmParams,
     return np.where(ok & ~(p <= 0.0), p, 0.0)
 
 
-def bv_law(s: State, cfg) -> Tuple[np.ndarray, np.ndarray]:
-    """The naturalistic BV law of every row: the lane-change probability
-    p_R and, for the other atom, the BV's IDM response to the LV."""
-    L = cfg.vehicle_length
-    return (mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, L),
-            idm_accel(s[0], s[1] - L, -s[2], cfg.bv_idm))
+def bv_law(s: State, cfg) -> np.ndarray:
+    """The naturalistic lane-change probability p_R of every row.  The
+    BV's other atom, following the LV, is the walk's own step."""
+    return mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
 
 
 def _advance(x, v, a, dt):
@@ -148,6 +148,12 @@ def step(s: State, a_bv, a_av, dt: float) -> List[np.ndarray]:
     x_bv, v_bv = _advance(r2, v_bv, a_bv, dt)
     x_lv, v_lv = _advance(r1 + r2, v_lv, 0.0, dt)
     return [v_bv, x_lv - x_bv, v_lv - v_bv, x_bv - x_av, v_bv - v_av]
+
+
+def _follow(s: State, cfg) -> List[np.ndarray]:
+    """One no-cut-in step: the BV follows the LV by IDM, the AV coasts."""
+    a_bv = idm_accel(s[0], s[1] - cfg.vehicle_length, -s[2], cfg.bv_idm)
+    return step(s, a_bv, 0.0, cfg.dt)
 
 
 def cutin_crashes(s: State, n_states, cfg, accel: Accel = None) -> np.ndarray:
@@ -194,12 +200,11 @@ def no_cutin_walk(s: State, cfg
     """The no-cut-in continuations of the states ``s``, in lockstep.
 
     Yields the rows still walking and their states: first the start, then
-    after each of up to ``cfg.max_steps`` steps.  The follower keeps its
-    speed until a cut-in happens, so a walk only carries the BV's IDM
-    response to the LV (``bv_law``'s other atom).  A row ends when the
-    discrete step overshoots into leader contact (``r1 - L <= 0``, where
-    following is no longer modeled; a start already there never walks) or,
-    after a step, when the AV has passed it (``r2 < 0``).
+    after each of up to ``cfg.max_steps`` steps of ``_follow``, the step
+    ``walk`` takes.  A row ends when the discrete step overshoots into
+    leader contact (``r1 - L <= 0``, where following is no longer modeled;
+    a start already there never walks) or, after a step, when the AV has
+    passed it (``r2 < 0``).
     """
     L = cfg.vehicle_length
     live = ~(s[1] - L <= 0.0)
@@ -208,8 +213,7 @@ def no_cutin_walk(s: State, cfg
     for _ in range(cfg.max_steps):
         if not rows.size:
             return
-        a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
-        t = step(t, a_bv, 0.0, cfg.dt)
+        t = _follow(t, cfg)
         keep = ~(t[3] < 0.0) & ~(t[1] - L <= 0.0)
         rows, t = rows[keep], [x[keep] for x in t]
         yield rows, t
@@ -219,20 +223,18 @@ class CutIns(NamedTuple):
     """Cut-ins fired during a walk, in step order."""
 
     rows: np.ndarray    # walk row that fired
-    p_r: np.ndarray     # its lane-change probability at that moment
     state: np.ndarray   # (5, m): the pre-cut-in states they fired from
     budget: np.ndarray  # states left before the step budget runs out
 
     @staticmethod
     def concat(parts: Sequence["CutIns"]) -> "CutIns":
         if not parts:
-            return CutIns(np.empty(0, dtype=int), np.empty(0),
-                          np.empty((5, 0)), np.empty(0, dtype=int))
+            return CutIns(np.empty(0, dtype=int), np.empty((5, 0)),
+                          np.empty(0, dtype=int))
         return CutIns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
 
 
-Decide = Callable[[np.ndarray, List[np.ndarray]],
-                  Tuple[np.ndarray, np.ndarray, np.ndarray]]
+Decide = Callable[[np.ndarray, List[np.ndarray]], np.ndarray]
 
 
 def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
@@ -240,11 +242,11 @@ def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
 
     A row stops once the AV has passed it (``r2 < 0``) or it has visited
     ``cfg.max_steps`` states.  At every step, ``decide(rows, s)`` gets the
-    live rows and their states and returns which of them cut in, with p_R
-    and the BV's car-following acceleration of every live row (``bv_law``
-    or a criticality profile).  With ``stay`` the firing rows keep walking
-    (the oracle enumerates every cut-in time); otherwise they end there (a
-    sampled episode).
+    live rows and their states and returns the mask of those that cut in.
+    With ``stay`` the firing rows keep walking (the oracle enumerates every
+    cut-in time); otherwise they end there (a sampled episode).  The rows
+    that walk on take one ``_follow`` step, so a row that never cuts in
+    visits exactly its ``no_cutin_walk`` states.
     """
     rows = np.arange(len(s[0]))
     found = []
@@ -253,13 +255,12 @@ def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
         rows, s = rows[run], [x[run] for x in s]
         if not rows.size:
             break
-        fire, p_r, a_bv = decide(rows, s)
-        found.append(CutIns(rows[fire], p_r[fire],
-                            np.array([x[fire] for x in s]),
+        fire = decide(rows, s)
+        found.append(CutIns(rows[fire], np.array([x[fire] for x in s]),
                             np.full(np.count_nonzero(fire), cfg.max_steps - k)))
         if not stay:
-            rows, s, a_bv = rows[~fire], [x[~fire] for x in s], a_bv[~fire]
-        s = step(s, a_bv, 0.0, cfg.dt)
+            rows, s = rows[~fire], [x[~fire] for x in s]
+        s = _follow(s, cfg)
     return CutIns.concat(found)
 
 

@@ -13,9 +13,10 @@ integrated by midpoint quadrature over equal-width bins, which is the sole
 approximation; the quoted value is exact up to that binning.
 
 All bins walk their no-cut-in trajectories in lockstep on the array kernel,
-every cut-in with ``p_R > 0`` is resolved in one batched rollout, and the
-sum is then accumulated per bin in step order, so each bin's ``mu(r)`` is
-the value a scalar walk of that bin produces.
+every cut-in with ``p_R > 0`` is resolved in one batched rollout and its
+``p_R`` in one call, and the sum is then accumulated per bin in step
+order, so each bin's ``mu(r)`` is the value a scalar walk of that bin
+produces.
 """
 
 from __future__ import annotations
@@ -52,11 +53,9 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
             f"evaluations exceeds the budget of {budget}")
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
 
-    def decide(rows, s):
-        p_r, a_bv = bv_law(s, cfg)
-        return p_r > 0.0, p_r, a_bv
-
-    cut = walk(initial_states(mids, cfg.init), cfg, decide, stay=True)
+    cut = walk(initial_states(mids, cfg.init), cfg,
+               lambda rows, s: bv_law(s, cfg) > 0.0, stay=True)
+    p_r = bv_law(cut.state, cfg)
     crashed = cutin_crashes(cut.state, cut.budget, cfg)
     mu = np.zeros(bins)
     survive = np.ones(bins)
@@ -64,9 +63,9 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     # fires at most once per step, so each bin sums in the scalar order.
     for left in sorted(set(cut.budget.tolist()), reverse=True):
         at = cut.budget == left
-        b, p_r = cut.rows[at], cut.p_r[at]
-        mu[b] = np.where(crashed[at], mu[b] + survive[b] * p_r, mu[b])
-        survive[b] = survive[b] * (1.0 - p_r)
+        b, p = cut.rows[at], p_r[at]
+        mu[b] = np.where(crashed[at], mu[b] + survive[b] * p, mu[b])
+        survive[b] = survive[b] * (1.0 - p)
     # Added left to right: Python's float ``sum`` is compensated from 3.12
     # on, which moves the last bit.
     total = 0.0

@@ -7,18 +7,21 @@ advances the call's episodes in blocks of ``BLOCK`` together up to their
 cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
 rollout resolves every cut-in of the call, so a replication study hands
 one call the episodes of many roots.  The walks only collect each
-episode's cut-in, weight and critical log; every record is built once,
-after that rollout has marked the accidents.  Before its cut-in the
-background vehicle's law has two atoms, the lane change and following the
-leader, and an episode cuts in at a step iff that step's uniform is below
-the lane-change mass of the law in force.
+episode's cut-in and critical log; every record is built once, after that
+rollout has marked the accidents.  Before its cut-in the background
+vehicle's law has two atoms, the lane change and following the leader,
+and an episode cuts in at a step iff that step's uniform is below the
+lane-change mass of the law in force; a sampler's ``decide`` says only
+that, and the walk takes the follow step of the others.
 
 The naturalistic sampler always uses the behaviour model's p_R.  The
 accelerated sampler decides from a criticality profile of the live
 episodes at every step: at critical moments, up to the control-step cap,
-the law is the mixture importance distribution q_alpha, the densities at
-the drawn atom are logged, and the likelihood-ratio weight picks up one
-p/q_alpha factor; everywhere else it is p_R.  The cap keeps logs short
+the law is the mixture importance distribution q_alpha and the densities
+at the drawn atom are logged; everywhere else it is p_R.  An episode's
+weight is its log's likelihood ratio (:func:`likelihood_ratio`), the
+product of p/q_alpha over its moments in log order, so a record's ``w``
+can be recomputed from its log bit for bit.  The cap keeps logs short
 without affecting unbiasedness.  An episode's pre-cut-in states do not
 depend on its draws: until it cuts in, it follows its no-cut-in walk
 (``kernel.no_cutin_walk``).  So the evaluator's cache is filled once per
@@ -147,6 +150,16 @@ def _walk_keys(s, cfg) -> set:
     return keys
 
 
+def likelihood_ratio(log: Iterable[CriticalMoment]) -> float:
+    """The importance weight of an episode with critical log ``log``:
+    ``p / q_alpha`` multiplied over its moments, left to right in log
+    order, so a record's weight is its log's, bit for bit."""
+    w = 1.0
+    for m in log:
+        w = w * (m.p / m.q_alpha)
+    return w
+
+
 def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
                       m_f: np.ndarray) -> np.ndarray:
     """Rows whose uniform ``u`` draws the lane change from the two-atom law
@@ -164,16 +177,18 @@ def draws_lane_change(u: np.ndarray, m_lc: np.ndarray,
 
 
 def _records(env: str, idx: np.ndarray, seeds: np.ndarray,
-             found: Sequence[CutIns], weights: Iterable[float],
+             found: Sequence[CutIns],
              logs: Iterable[Tuple[CriticalMoment, ...]],
              cfg) -> List[TestRecord]:
     """Each episode's record, built once: one rollout resolves every
-    cut-in of the call (few crash) and marks the accidents."""
+    cut-in of the call (few crash) and marks the accidents, and each
+    weight is its log's likelihood ratio (1 for an empty log)."""
     cut = CutIns.concat(found)
     accident = np.zeros(len(seeds), dtype=int)
     accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)]] = 1
+    logs = list(logs)
     return list(map(TestRecord, idx.tolist(), seeds.tolist(), repeat(env),
-                    accident.tolist(), weights, logs))
+                    accident.tolist(), map(likelihood_ratio, logs), logs))
 
 
 def sample_nde_batch(roots: Roots, cfg, n: int) -> List[TestRecord]:
@@ -183,13 +198,12 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> List[TestRecord]:
     found = []
     for lo, rng, states in _blocks(seeds, cfg):
         def decide(rows, s):
-            p_r, a_bv = bv_law(s, cfg)
-            fire = draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
-            return fire, p_r, a_bv
+            p_r = bv_law(s, cfg)
+            return draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
 
         cut = walk(states, cfg, decide, stay=False)
         found.append(cut._replace(rows=lo + cut.rows))
-    return _records(ENV_NDE, idx, seeds, found, repeat(1.0), repeat(()), cfg)
+    return _records(ENV_NDE, idx, seeds, found, repeat((), len(seeds)), cfg)
 
 
 def sample_nade_batch(roots: Roots, cfg, n: int,
@@ -200,7 +214,6 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
     idx, seeds = _episodes(roots, ENV_NADE, n)
-    weight = np.ones(len(seeds))
     logged = np.zeros(len(seeds), dtype=int)
     logs: List[List[CriticalMoment]] = [[] for _ in range(len(seeds))]
     found = []
@@ -219,14 +232,12 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
                 p = np.where(f, p_lc[ctl], 1.0 - p_lc[ctl])
                 q_alpha = np.where(f, m_lc[ctl], m_f[ctl])
                 q = np.where(f, prof.q_lane_change[:, ctl], prof.q_follow[:, ctl])
-                weight[r] = weight[r] * (p / q_alpha)
                 logged[r] += 1
                 for i, m in zip(r.tolist(), zip(p.tolist(), q_alpha.tolist(),
                                                 map(tuple, q.T.tolist()))):
                     logs[i].append(CriticalMoment(*m))
-            return fire, p_lc, prof.a_follow
+            return fire
 
         cut = walk(states, cfg, decide, stay=False)
         found.append(cut._replace(rows=lo + cut.rows))
-    return _records(ENV_NADE, idx, seeds, found, weight.tolist(),
-                    map(tuple, logs), cfg)
+    return _records(ENV_NADE, idx, seeds, found, map(tuple, logs), cfg)

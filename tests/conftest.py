@@ -16,9 +16,26 @@ import pytest
 
 from overtake_eval import kernel
 from overtake_eval.config import CampaignConfig, ScenarioConfig
-from overtake_eval.models import IdmParams
-from overtake_eval.sampling import CriticalMoment, TestRecord
+from overtake_eval.models import IdmParams, MobilParams
+from overtake_eval.sampling import CriticalMoment, TestRecord, likelihood_ratio
 from scalar_reference import State, mobil_right_lc_prob
+
+
+# ---------------------------------------------------------------------------
+# scenarios the lockstep paths are checked on
+# ---------------------------------------------------------------------------
+
+# Small step budget (MAX_STEPS endings, truncated cut-in rollouts), a
+# physical vehicle length and accident margin, and a lane-change law hot
+# enough that most episodes cut in.
+STRESSED = dataclasses.replace(
+    ScenarioConfig(), vehicle_length=1.0, d_accid=0.5, max_steps=10,
+    mobil=MobilParams(gamma_p=0.2, p_max=0.5))
+# The follower starts 20 m back: episodes walk dozens of steps, far into
+# their random streams.
+LONG = dataclasses.replace(
+    ScenarioConfig(), init=dataclasses.replace(ScenarioConfig().init, r2=20.0))
+CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +151,12 @@ def make_moment(p: float, q_alpha: float, q: Sequence[float]) -> CriticalMoment:
     return CriticalMoment(p=p, q_alpha=q_alpha, q=tuple(q))
 
 
-def recomputed_weight(record: TestRecord) -> float:
-    """The likelihood ratio of a record's log, p / q_alpha multiplied in
-    log order as the sampler multiplies it."""
-    w = 1.0
-    for m in record.critical_log:
-        w *= m.p / m.q_alpha
-    return w
-
-
 def make_nade_record(index: int, accident: int,
                      moments: Sequence[CriticalMoment],
                      seed: int = 0) -> TestRecord:
     r = TestRecord(index=index, seed=seed, env="nade", accident=accident,
                    weight=1.0, critical_log=tuple(moments))
-    return dataclasses.replace(r, weight=recomputed_weight(r))
+    return dataclasses.replace(r, weight=likelihood_ratio(r.critical_log))
 
 
 def random_nade_records(rng: np.random.Generator, n: int, j: int = 3,

@@ -345,6 +345,30 @@ def test_record_moment_count_must_match_its_log(tmp_path, capsys):
     assert "episode 0 (nade) has l = 2 but the critical log holds 1" in err
 
 
+def test_record_weight_must_be_its_logs_likelihood_ratio(tmp_path, capsys):
+    # A NADE weight is p / q_alpha multiplied over the logged moments in log
+    # order, so a ``w`` its log does not give, bit for bit, was tampered
+    # with; re-estimating it would move every NADE and ATSCV figure.
+    d = tmp_path / "run"
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 300,
+               "--seed", 11, "--out", d)[0] == 0
+    path = d / "records.csv"
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines[1:], start=1)
+              if line.split(",")[4] != "0")
+    fields = lines[at].split(",")
+    w = float(fields[5])
+    lines[at] = ",".join(fields[:5] + [repr(3.0 * w)])
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "estimate", "--records", d, "--env", "nade",
+                       "--out", tmp_path / "again")
+    assert rc == 4
+    assert out == ""
+    assert err == (f"data error: {path}: episode {fields[0]} (nade) has "
+                   f"w = {3.0 * w!r} but its critical log gives {w!r}\n")
+    assert not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("text", ['[]', '"x"', '{"methods": []}',
                                   '{"methods": {"nade": 3}}',
                                   '{"acceleration": [1]}'])

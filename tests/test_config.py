@@ -170,6 +170,36 @@ def test_negative_seed_exit_code(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("source,message", [
+    ("[scenario]\ndt = nan\n", "dt must be finite"),
+    ("[scenario]\nvehicle_length = nan\n", "vehicle_length must be finite"),
+    ("[scenario]\nd_accid = inf\n", "d_accid must be finite"),
+    ("--rhw-threshold nan", "rhw_threshold must be finite"),
+    ("[initial]\nr1_low = nan\n", "init.r1_low must be finite"),
+    ("[mobil]\np_max = inf\n", "mobil.p_max must be finite"),
+    ("[av_idm]\nv0 = inf\n", "av_idm.v0 must be finite"),
+    ("[sm_idm]\ns0 = nan\n", "idm.s0 must be finite"),
+    ("[sm_fvdm2]\nkappa = -inf\n", "fvdm2.kappa must be finite"),
+    # FVDM divides the gap by b_f
+    ("[sm_fvdm1]\nb_f = 0\n", "fvdm1: b_f must be positive"),
+], ids=["dt", "vehicle_length", "d_accid", "rhw_threshold", "r1_low",
+        "p_max", "av_v0", "sm_idm_s0", "fvdm2_kappa", "b_f"])
+def test_non_finite_config_values_exit_code(tmp_path, capsys, source,
+                                            message):
+    # Each ran to exit 0 (or blamed the data) with NaN or certain outcomes
+    # in every episode; the config names the field instead.
+    out = tmp_path / "out"
+    argv = ["estimate", "--env", "nde", "--episodes", "50", "--out", str(out)]
+    if source.startswith("--"):
+        argv += source.split()
+    else:
+        argv += ["--config", write(tmp_path, source)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_inverted_initial_range_rejected():
     sc = ScenarioConfig()
     sc = dataclasses.replace(sc, init=dataclasses.replace(sc.init, r1_high=29.0))

@@ -26,17 +26,7 @@ from overtake_eval.models import (
 from overtake_eval.oracle import bin_midpoints, brute_force_mu
 from overtake_eval.sampling import sample_nade_batch, sample_nde_batch
 
-# Small step budget (MAX_STEPS endings, truncated cut-in rollouts), a
-# physical vehicle length and accident margin, and a lane-change law hot
-# enough that most episodes cut in.
-STRESSED = dataclasses.replace(
-    ScenarioConfig(), vehicle_length=1.0, d_accid=0.5, max_steps=10,
-    mobil=MobilParams(gamma_p=0.2, p_max=0.5))
-# The follower starts 20 m back: episodes walk dozens of steps, far into
-# their random streams.
-LONG = dataclasses.replace(
-    ScenarioConfig(), init=dataclasses.replace(ScenarioConfig().init, r2=20.0))
-CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
+from conftest import CONFIGS, STRESSED
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +310,8 @@ def test_stressed_config_truncates_cutin_rollouts():
     init = kernel.initial_states(
         bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, 64), cfg.init)
 
-    def every_cut_in(rows, s):
-        p_r, a_bv = kernel.bv_law(s, cfg)
-        return p_r > 0.0, p_r, a_bv
-
-    cut = kernel.walk(init, cfg, every_cut_in, stay=True)
+    cut = kernel.walk(init, cfg, lambda rows, s: kernel.bv_law(s, cfg) > 0.0,
+                      stay=True)
     truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
     full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
     assert (truncated != full).any()

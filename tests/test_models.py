@@ -259,9 +259,8 @@ def test_nde_action_dist_two_atoms(scen):
     p_lc = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm,
                                    scen.vehicle_length)
     assert p_lc > 0.0
-    p_r, a_bv = kernel.bv_law(ref.cols([s]), scen)
+    p_r = kernel.bv_law(ref.cols([s]), scen)
     assert p_r.tolist() == [p_lc]
-    assert a_bv.tolist() == [ref.bv_car_following_accel(s, scen)]
     # "u < p_R" draws the same atom as sampling the two-atom law, for
     # any p_R including the rounding of 1 - p_R and the endpoints
     for p in (p_lc, 0.0, 0.3, float(np.nextafter(1.0, 0.0)), 1.0):
@@ -274,7 +273,7 @@ def test_nde_action_dist_two_atoms(scen):
 
 def test_nde_action_dist_drops_impossible_lane_change(scen):
     s = ref.State(8.0, 3000.0, 0.0, 30.0, 0.0)  # no incentive at free flow
-    p_r, _ = kernel.bv_law(ref.cols([s]), scen)
+    p_r = kernel.bv_law(ref.cols([s]), scen)
     assert p_r.tolist() == [0.0]
     # even the smallest uniform never fires a cut-in
     assert not draws_lane_change(np.zeros(1), p_r, 1.0 - p_r).any()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from overtake_eval import sampling, stream
-from overtake_eval.config import CampaignConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
@@ -15,12 +14,13 @@ from overtake_eval.sampling import (
     TestRecord,
     _blocks,
     episode_seeds,
+    likelihood_ratio,
     sample_nade_batch,
     sample_nde_batch,
 )
 from scalar_reference import episode_seed
 
-from conftest import recomputed_weight
+from conftest import CONFIGS
 
 # Roots of one to four 32-bit words; 10**40 takes five, so its entropy
 # reaches SeedSequence's mixing loop for words past the pool.
@@ -108,7 +108,7 @@ def test_nde_episode_shape(scen):
     assert r.weight == 1.0
     assert r.critical_log == ()
     assert r.control_steps == 0
-    assert recomputed_weight(r) == 1.0
+    assert likelihood_ratio(r.critical_log) == 1.0
 
 
 def test_nde_batch_deterministic_and_prefix_stable(scen):
@@ -182,7 +182,7 @@ def test_nade_weight_equals_density_ratio_product(scen):
     recs = sample_nade_batch(999, scen, 300, evaluator=ev)
     touched = 0
     for r in recs:
-        assert r.weight == recomputed_weight(r)  # exact, not approx
+        assert r.weight == likelihood_ratio(r.critical_log)  # exact
         touched += bool(r.critical_log)
     assert touched > 100  # importance actually kicked in
 
@@ -244,7 +244,8 @@ def test_nade_importance_actually_oversamples_accidents(scen):
     assert sum(r.accident for r in nade) > 5 * max(1, sum(r.accident for r in nde))
 
 
-def test_nade_sampler_fills_the_cache_once_per_block(monkeypatch):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_nade_sampler_fills_the_cache_once_per_block(name, monkeypatch):
     fills = []
     compute = CriticalityEvaluator._compute_challenges
 
@@ -253,7 +254,7 @@ def test_nade_sampler_fills_the_cache_once_per_block(monkeypatch):
         return compute(self, keys)
 
     monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
-    cfg = CampaignConfig().scenario
+    cfg = CONFIGS[name]
     ev = CriticalityEvaluator(cfg)
     cold = sample_nade_batch(7, cfg, 300, evaluator=ev)
     assert len(fills) == 1

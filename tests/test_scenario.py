@@ -19,18 +19,15 @@ from scalar_reference import State, cols
 from conftest import abs_cutin_crash, abs_no_cutin_walk, advance_abs
 
 
-def always(cfg):
+def always(rows, s):
     """A walk decision that cuts in at every live row."""
-    def decide(rows, s):
-        p_r, a_bv = kernel.bv_law(s, cfg)
-        return np.ones(len(rows), dtype=bool), p_r, a_bv
-    return decide
+    return np.ones(len(rows), dtype=bool)
 
 
 def visited(states, cfg):
     """Every pre-cut-in state the kernel walk visits, as (row, state) pairs
     in step order: each state fires a cut-in candidate and keeps walking."""
-    cut = kernel.walk(cols(states), cfg, always(cfg), stay=True)
+    cut = kernel.walk(cols(states), cfg, always, stay=True)
     return list(zip(cut.rows.tolist(), ref.rows(cut.state)))
 
 
@@ -147,7 +144,7 @@ def test_second_lane_change_rejected(scen):
     # A sampled episode ends at its cut-in: a walk row that fires leaves
     # the walk and never fires again.
     s = State(8.0, 30.0, -5.0, 5.0, -5.0)
-    cut = kernel.walk(cols([s] * 5), scen, always(scen), stay=False)
+    cut = kernel.walk(cols([s] * 5), scen, always, stay=False)
     assert cut.rows.tolist() == [0, 1, 2, 3, 4]
     assert cut.budget.tolist() == [scen.max_steps] * 5
 
@@ -159,7 +156,7 @@ def test_second_lane_change_rejected(scen):
 def test_termination_running_state(scen):
     # A state with the AV behind and budget left is walked and may cut in.
     s = State(8, 30, -5, 5, -5)
-    cut = kernel.walk(cols([s]), scen, always(scen), stay=False)
+    cut = kernel.walk(cols([s]), scen, always, stay=False)
     assert ref.rows(cut.state) == [s] and cut.budget.tolist() == [scen.max_steps]
 
 
@@ -169,7 +166,7 @@ def test_termination_accident_requires_cut_in(scen):
     assert crashes([hit], 1, scen) == [True]
     # The same geometry before the cut-in is the follower passing, not
     # contact: the walk ends without visiting it.
-    cut = kernel.walk(cols([hit]), scen, always(scen), stay=True)
+    cut = kernel.walk(cols([hit]), scen, always, stay=True)
     assert cut.rows.size == 0
 
 
@@ -178,7 +175,7 @@ def test_termination_step_budget(scen):
     # of them still sees the one state after it.
     cfg = dataclasses.replace(scen, max_steps=40)
     s = State(8.0, 500.0, 0.0, 5.0, 0.0)
-    cut = kernel.walk(cols([s]), cfg, always(cfg), stay=True)
+    cut = kernel.walk(cols([s]), cfg, always, stay=True)
     assert len(cut.rows) == cfg.max_steps
     assert cut.budget[-1] == 1
     # with no budget left there is nothing to observe
@@ -264,6 +261,6 @@ def test_run_trajectory_stops_at_budget(scen):
     # walk visits exactly max_steps states, with budgets counting down.
     cfg = dataclasses.replace(scen, max_steps=40)
     s0 = State(8.0, 500.0, 0.0, 5.0, 0.0)
-    cut = kernel.walk(cols([s0]), cfg, always(cfg), stay=True)
+    cut = kernel.walk(cols([s0]), cfg, always, stay=True)
     assert cut.budget.tolist() == list(range(cfg.max_steps, 0, -1))
     assert all(t.r2 >= 0.0 for t in ref.rows(cut.state))
