@@ -8,7 +8,10 @@ densities.  A brute-force enumeration oracle provides the reference value
 the estimators are checked against.  Both samplers, the criticality
 evaluator and the oracle run on one lockstep array kernel (``kernel``),
 and the samplers seed and draw whole blocks of episodes at once
-(``stream``), bit for bit as numpy's ``default_rng`` would.  The
+(``stream``), bit for bit as numpy's ``default_rng`` would.  A sampler
+call returns its episodes as one columnar block (``sampling.Records``:
+arrays of index, seed, accident and weight, and the critical logs in CSR
+form), which the estimators, the writers and the loader use as it is.  The
 accelerated sampler fills the criticality cache once per block, from its
 episodes' no-cut-in walks, before it walks them.  A campaign samples in
 one process.  A sampler call takes one or several root seeds, so a
@@ -37,8 +40,7 @@ from .config import (
     load_config,
 )
 from .sampling import (
-    CriticalMoment,
-    TestRecord,
+    Records,
     episode_seeds,
     sample_nade_batch,
     sample_nde_batch,

@@ -23,12 +23,12 @@ error (among them a float value that is not finite, from a config file or
 a flag), 3 oracle budget exceeded, 4 bad input data (a malformed records,
 critical-log or summary file: a header other than the writer's, a row
 whose field count differs from its header's, a value the samplers never
-write, an ``id`` repeated within one environment, a log row whose
-``moment`` is not the next of its record, a record whose ``w`` is not the
-likelihood ratio its critical log gives; a ``--records`` directory with
-no record of the selected environment; or records the estimators or
-samplers cannot use: a ``ValueError`` such as ``EmptyInput`` or
-``NonPositiveGap``, or ``ZeroDensity``).
+write, among them an integer outside its 64-bit column, an ``id`` repeated
+within one environment, a log row whose ``moment`` is not the next of its
+record, a record whose ``l`` or ``w`` its critical log does not give; a
+``--records`` directory with no record of the selected environment; or
+records the estimators or samplers cannot use: a ``ValueError`` such as
+``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load_base_config(args)
     env = cfg.environment
     records = sample_env(cfg, env)
-    emit_records(args.out, records, len(cfg.scenario.surrogates))
-    accidents = sum(r.accident for r in records)
-    print(f"{env}: {len(records)} episodes, {accidents} accidents "
+    emit_records(args.out, [records], len(cfg.scenario.surrogates))
+    print(f"{env}: {len(records)} episodes, {records.accident.sum()} accidents "
           f"-> {args.out}/records.csv")
     return EXIT_OK
 

@@ -34,7 +34,7 @@ episodes' no-cut-in walks, so each profile it asks for is a cache hit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -74,11 +74,22 @@ class CriticalityProfile(NamedTuple):
         return (self.criticalities > 0.0).any(axis=0)
 
 
-def grid_keys(s: State) -> List[Key]:
-    """The grid cell of each state: every coordinate in tenths, rounded
-    half to even."""
-    grid = np.rint(np.array(s).T * 10.0).astype(np.int64)
-    return list(map(tuple, grid.tolist()))
+def grid_cells(s: State) -> np.ndarray:
+    """The grid cell of each state, one int row per state: every coordinate
+    in tenths, rounded half to even."""
+    return np.rint(np.array(s).T * 10.0).astype(np.int64)
+
+
+def distinct_rows(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the int array ``grid``, sorted, and the index
+    of each row of ``grid`` among them."""
+    order = np.lexsort(grid.T)
+    g = grid[order]
+    new = np.ones(len(g), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]).any(axis=1)
+    inverse = np.empty(len(g), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return g[new], inverse
 
 
 def _panel_mean(q: np.ndarray) -> np.ndarray:
@@ -154,24 +165,28 @@ class CriticalityEvaluator:
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
         return np.stack([lane_change, follow])
 
-    def fill(self, keys: Iterable[Key]) -> None:
-        """Cache the challenges of the grid keys not cached yet, computed
-        in one batch."""
+    def fill(self, cells: np.ndarray) -> np.ndarray:
+        """The ``_table`` column of each of the distinct grid cells
+        ``cells`` (int rows); the ones not cached yet are computed in one
+        batch."""
         cache = self._entry_cache
-        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        keys = list(map(tuple, cells.tolist()))
+        missing = [k for k in keys if k not in cache]
         if missing:
             base = self._table.shape[2]
             self._table = np.concatenate(
                 [self._table, self._compute_challenges(missing)], axis=2)
             cache.update((k, base + i) for i, k in enumerate(missing))
+        return np.array([cache[k] for k in keys], dtype=np.intp)
 
     def challenges(self, s: State) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(lane-change, follow)`` challenges of the states ``s``,
-        each (J, m).  Keys not seen before are computed in one batch."""
-        keys = grid_keys(s)
-        self.fill(keys)
-        cache = self._entry_cache
-        lane_change, follow = self._table[:, :, [cache[k] for k in keys]]
+        each (J, m).  The batch's grid cells are deduplicated in numpy, so
+        each distinct cell is looked up once; the ones not seen before are
+        computed in one batch."""
+        cells, inverse = distinct_rows(grid_cells(s))
+        at = self.fill(cells)[inverse]
+        lane_change, follow = self._table[:, :, at]
         return lane_change, follow
 
     # -- profile assembly ---------------------------------------------------

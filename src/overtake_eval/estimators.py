@@ -34,13 +34,15 @@ rounding of the others stays far below the cut.
 A prefix with no residual degree of freedom (n <= rank; n < 2 at width 0)
 has no interval: its variance and relative half-width are infinite.
 
-One pass serves every output.  The cumulative Gram matrix of the rows
-``[1, z, y]`` (at most 5x5 with the stock three-model panel) holds the fit
-at every prefix of the record sequence, and one stacked ``eigh`` call
-solves them all.  :func:`fit` makes that pass once per method and record
-set, and everything downstream reads off the :class:`PooledFit` it
-returns: :meth:`~PooledFit.estimate` is the last prefix,
-:meth:`~PooledFit.table` has a convergence-table row per prefix,
+One pass serves every output.  :func:`fit` reads ``y`` and ``Z`` off a
+record block's columns (``sampling.Records``), each control from one
+ordered product over the block's CSR critical log.  The cumulative Gram
+matrix of the rows ``[1, z, y]`` (at most 5x5 with the stock three-model
+panel) holds the fit at every prefix of the records, and one stacked
+``eigh`` call solves them all.  :func:`fit` makes that pass once per
+method and record block, and everything downstream reads off the
+:class:`PooledFit` it returns: :meth:`~PooledFit.estimate` is the last
+prefix, :meth:`~PooledFit.table` has a convergence-table row per prefix,
 :func:`tests_to_threshold` scans that table's half-width column, and
 :meth:`~PooledFit.adjusted` gives the adjusted points.
 """
@@ -50,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .sampling import TestRecord
+from .sampling import Records, log_product
 
 __all__ = [
     "EmptyInput",
@@ -156,24 +158,18 @@ def _solve(method: str, y: np.ndarray, Z: np.ndarray) -> PooledFit:
                      rank=rank, beta=beta)
 
 
-def _controls(records: Sequence[TestRecord]) -> np.ndarray:
+def _controls(records: Records) -> np.ndarray:
     """ATSCV controls, one row per record and one column per surrogate:
     the product over the record's logged moments of ``q_j / q_alpha``,
     minus 1.  No logged moment anywhere gives no columns."""
-    logged = [m for r in records for m in r.critical_log]
-    if not logged:
+    if not len(records.p):
         return np.zeros((len(records), 0))
-    ratios = (np.array([m.q for m in logged])
-              / np.array([m.q_alpha for m in logged])[:, None])
-    owner = np.repeat(np.arange(len(records)),
-                      [r.control_steps for r in records])
-    Z = np.ones((len(records), ratios.shape[1]))
-    np.multiply.at(Z, owner, ratios)  # in log order
-    return Z - 1.0
+    return log_product(records.offsets,
+                       records.q / records.q_alpha[:, None]) - 1.0
 
 
-def fit(records: Sequence[TestRecord], method: str) -> PooledFit:
-    """``method``'s fit (one of ``METHODS``) of ``records``, all of the
+def fit(records: Records, method: str) -> PooledFit:
+    """``method``'s fit (one of ``METHODS``) of ``records``, of the
     environment the method estimates: NDE records for ``"nde"``, NADE
     records otherwise."""
     if method not in METHODS:
@@ -181,10 +177,9 @@ def fit(records: Sequence[TestRecord], method: str) -> PooledFit:
     env = "nde" if method == "nde" else "nade"
     if not records:
         raise EmptyInput("no records")
-    for r in records:
-        if r.env != env:
-            raise ValueError(f"expected {env!r} records, found {r.env!r}")
-    y = np.array([r.accident * r.weight for r in records], dtype=float)
+    if records.env != env:
+        raise ValueError(f"expected {env!r} records, found {records.env!r}")
+    y = records.accident * records.weight
     Z = (_controls(records) if method == "atscv"
          else np.zeros((len(records), 0)))
     return _solve(method, y, Z)

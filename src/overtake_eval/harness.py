@@ -12,17 +12,17 @@ permits, and emits a fixed set of files:
 * ``summary.json``         estimates, stopping counts, acceleration factors
 * ``replications.csv``     per-replication table (replication studies only)
 
-One path serves every entry point.  ``_sample`` draws one environment's
-episodes ``0 .. n-1`` for one or several root seeds, in the calling
-process; :func:`estimate_from_records` fits each method once over a record
-set and reads its estimate, convergence table, stopping count and (for
-ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`, then
-takes the acceleration ratios; :func:`run_campaign` is that on freshly
-sampled records plus the oracle, and a replication row is the same
-estimate at seed root+rep, without the oracle and on one warm criticality
-evaluator per worker chunk.  A chunk's replications are sampled in groups
-that fit one sampler block, one sampler call per environment and group,
-and fitted one by one.
+Records travel as columns: a sampler call returns one
+:class:`~.sampling.Records` block per environment, a replication's records
+are a slice of its group's block, and the writers, the loader and
+:func:`~.estimators.fit` use the block's arrays as they are.  ``_sample``
+draws one environment's episodes ``0 .. n-1`` for one or several root
+seeds, in the calling process; :func:`estimate_from_records` fits each
+method once and reads its estimate, convergence table, stopping count and
+(for ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`;
+:func:`run_campaign` is that on freshly sampled records plus the oracle,
+and a replication row is the same estimate at seed root+rep, without the
+oracle and on one warm criticality evaluator per worker chunk.
 
 Every CSV table goes through one writer, ``_write_table``, and one
 reader, ``_read_table``, which checks the header and the field count of
@@ -41,15 +41,16 @@ echo.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import statistics
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set)
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -66,10 +67,9 @@ from .estimators import (
 )
 from .oracle import BudgetExceeded, brute_force_mu
 from .sampling import (
-    CriticalMoment,
+    Records,
     Roots,
-    TestRecord,
-    likelihood_ratio,
+    log_product,
     sample_nade_batch,
     sample_nde_batch,
 )
@@ -97,7 +97,7 @@ class MethodResult:
 @dataclass
 class CampaignResult:
     config: CampaignConfig
-    records: Dict[str, List[TestRecord]]
+    records: Dict[str, Records]
     methods: Dict[str, MethodResult]
     oracle_mu: Optional[float] = None
     acceleration: Dict[str, Optional[float]] = field(default_factory=dict)
@@ -116,8 +116,7 @@ def _budgets(cfg: CampaignConfig) -> Dict[str, int]:
 
 
 def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
-            evaluator: Optional[CriticalityEvaluator] = None
-            ) -> List[TestRecord]:
+            evaluator: Optional[CriticalityEvaluator] = None) -> Records:
     """Episodes ``0 .. n-1`` of each root seed, root-major.  The samplers
     are read off this module at every call, so a wrapper set on
     ``harness.sample_nde_batch`` or ``sample_nade_batch`` sees them all."""
@@ -127,7 +126,7 @@ def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
                              max_control_steps=cfg.max_control_steps)
 
 
-def sample_env(cfg: CampaignConfig, env: str) -> List[TestRecord]:
+def sample_env(cfg: CampaignConfig, env: str) -> Records:
     """Every episode of one environment at the campaign's seed."""
     n = cfg.episodes_nde if env == "nde" else cfg.episodes_nade
     return _sample(env, cfg, cfg.seed, n)
@@ -141,7 +140,7 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _method_results(cfg: CampaignConfig, records: Dict[str, List[TestRecord]]
+def _method_results(cfg: CampaignConfig, records: Dict[str, Records]
                     ) -> Dict[str, MethodResult]:
     """Every applicable method's result, from one fit each."""
     methods = {}
@@ -187,7 +186,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 
 
 def estimate_from_records(cfg: CampaignConfig,
-                          records: Dict[str, List[TestRecord]]) -> CampaignResult:
+                          records: Dict[str, Records]) -> CampaignResult:
     """Run the estimators over sampled or previously emitted records, of
     the environments ``cfg.environment`` selects."""
     records = {env: recs for env, recs in records.items()
@@ -209,8 +208,8 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     (``sampling.BLOCK``), and at least one, form a group: one sampler call
     per environment walks all their episodes in lockstep, so their cut-ins
     resolve in one rollout and each step's new grid cells fill in one
-    batch.  The records are split back per replication, which is fitted on
-    its own.  Every record is a pure function of (root, environment, index)
+    batch.  Each replication is fitted on its slice of the group's block.
+    Every record is a pure function of (root, environment, index)
     and every cache value of its grid key, so the rows do not depend on the
     grouping.
     """
@@ -256,6 +255,7 @@ def run_replications(cfg: CampaignConfig) -> List[dict]:
     parts = min(cfg.workers, len(reps))
     if parts == 1:
         return _replicate(cfg, reps)
+    import multiprocessing  # about 9 ms of import, paid only for a pool
     chunks = [reps[i * len(reps) // parts:(i + 1) * len(reps) // parts]
               for i in range(parts)]
     with multiprocessing.Pool(parts) as pool:
@@ -286,6 +286,7 @@ def _aggregate_replications(rows: List[dict]) -> dict:
 # file emission
 
 
+ENVS = ("nde", "nade")
 RECORD_COLUMNS = ["id", "seed", "env", "accident", "l", "w"]
 ADJUSTED_COLUMNS = ["id", "l", "unadjusted", "adjusted"]
 CONVERGENCE_COLUMNS = ["n", "mu", "rhw"]
@@ -321,19 +322,24 @@ def _rows(a) -> Iterator:
         yield from a[lo:lo + sampling.BLOCK].tolist()
 
 
-def emit_records(out_dir: str, records: Sequence[TestRecord],
+def emit_records(out_dir: str, blocks: Sequence[Records],
                  panel_size: int) -> List[str]:
-    """Write ``records.csv`` and its ``critical_log.csv`` sidecar, which
-    :func:`load_campaign_records` reads back; returns their paths."""
+    """Write the record blocks to ``records.csv`` and its
+    ``critical_log.csv`` sidecar, which :func:`load_campaign_records`
+    reads back; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name)
              for name in ("records.csv", "critical_log.csv")]
-    _write_table(paths[0], RECORD_COLUMNS, (
-        (r.index, r.seed, r.env, r.accident, r.control_steps, r.weight)
-        for r in records))
+    _write_table(paths[0], RECORD_COLUMNS, (row for b in blocks for row in zip(
+        _rows(b.index), _rows(b.seed), repeat(b.env), _rows(b.accident),
+        _rows(b.control_steps), _rows(b.weight))))
     _write_table(paths[1], _log_columns(panel_size), (
-        (r.index, k, m.p, m.q_alpha, *m.q)
-        for r in records for k, m in enumerate(r.critical_log)))
+        (rid, k, p, q_alpha, *q) for b in blocks
+        for rid, k, p, q_alpha, q in zip(
+            _rows(np.repeat(b.index, b.control_steps)),
+            _rows(np.arange(len(b.p)) - np.repeat(b.offsets[:-1],
+                                                  b.control_steps)),
+            _rows(b.p), _rows(b.q_alpha), _rows(b.q))))
     return paths
 
 
@@ -371,8 +377,8 @@ def build_summary(result: CampaignResult) -> dict:
 def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
     """Write the full output file set; returns the manifest of paths."""
     records = result.records
-    nade = records.get("nade", [])
-    manifest = emit_records(out_dir, records.get("nde", []) + nade,
+    manifest = emit_records(out_dir, [records[env] for env in ENVS
+                                      if env in records],
                             len(result.config.scenario.surrogates))
 
     def out(name):
@@ -385,10 +391,10 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
         _write_table(out(f"convergence_{method}.csv"), CONVERGENCE_COLUMNS,
                      ((int(n), mu, rhw) for n, mu, rhw in _rows(table)))
     atscv = result.methods.get("atscv")
-    adjusted = [] if atscv is None else atscv.fit.adjusted()
-    _write_table(out("adjusted_points.csv"), ADJUSTED_COLUMNS, (
-        (r.index, r.control_steps, r.accident * r.weight, a)
-        for r, a in zip(nade, _rows(adjusted))))
+    adjusted = () if atscv is None else zip(
+        _rows(records["nade"].index), _rows(records["nade"].control_steps),
+        _rows(atscv.fit.y), _rows(atscv.fit.adjusted()))
+    _write_table(out("adjusted_points.csv"), ADJUSTED_COLUMNS, adjusted)
     if result.replication_rows:
         _write_table(out("replications.csv"), REPLICATION_COLUMNS,
                      ([row.get(col) for col in REPLICATION_COLUMNS]
@@ -403,47 +409,57 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 # loading emitted records back
 
 
-def _read_table(path: str, header_ok: Callable[[List[str]], bool],
-                parse: Callable[[List[str]], object]) -> list:
-    """``parse`` of the fields of each row of a CSV table that
-    :func:`_write_table` wrote.  ``ValueError`` names the file and line of
-    a header ``header_ok`` rejects, of a row whose field count differs from
-    the header's and of any ``ValueError`` that ``parse`` raises."""
+def _read_table(path: str, columns: Callable[[List[str]], Optional[str]],
+                parse: Callable[[List[str]], Sequence]
+                ) -> Tuple[List[np.ndarray], Optional[ValueError]]:
+    """The columns of a CSV table that :func:`_write_table` wrote, one
+    array per typecode that ``columns`` gives for the header (None rejects
+    it: ``ValueError`` names the file and line 1), filled with ``parse`` of
+    each row's fields.  The first row whose field count differs from the
+    header's, or that ``parse`` or a column's 64-bit range rejects, ends the
+    table; its error, naming the file and line, is returned rather than
+    raised, so that a check across the rows before it reports first."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if not header_ok(header):
+        codes = columns(header)
+        if codes is None:
             raise ValueError(f"{path}, line 1: unexpected header {header}")
-        out = []
+        cols, error = [array.array(code) for code in codes], None
         for line, text in enumerate(fh, start=2):
             fields = text.rstrip("\n").split(",")
             try:
                 if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields, the header has "
                                      f"{len(header)}")
-                out.append(parse(fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {line}: {exc}") from exc
-    return out
+                for col, value in zip(cols, parse(fields)):
+                    col.append(value)
+            except (ValueError, OverflowError) as exc:
+                kind = "out of range: " if isinstance(exc, OverflowError) else ""
+                error = ValueError(f"{path}, line {line}: {kind}{exc}")
+                for col in cols:
+                    del col[line - 2:]
+                break
+    return [np.frombuffer(col, dtype=col.typecode) for col in cols], error
 
 
-def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
-    """Rebuild the per-environment record lists from an output directory.
+def load_campaign_records(out_dir: str) -> Dict[str, Records]:
+    """Rebuild the per-environment record blocks from an output directory.
 
-    ``ValueError`` names the file of a value the samplers never write, an
-    ``id`` repeated within an environment, a log row whose ``record_id`` is
-    no NADE record or whose ``moment`` is not its record's next (0, 1, ...),
-    a record whose ``l`` differs from the moments its log holds (as when
-    ``critical_log.csv`` is missing) and one whose ``w`` is not its log's
-    likelihood ratio, bit for bit; ``EmptyInput`` a ``records.csv``
-    without a row."""
+    ``ValueError`` names the file and line of the first value the samplers
+    never write, ``id`` repeated within an environment, or log row whose
+    ``record_id`` is no NADE record or whose ``moment`` is not its
+    record's next (0, 1, ...); then the file and episode of the first
+    record whose ``l`` differs from the moments its log holds (as when
+    ``critical_log.csv`` is missing) or whose ``w`` is not its log's
+    product of ``p / q_alpha``, bit for bit.  ``EmptyInput`` is a
+    ``records.csv`` without a row."""
     path = os.path.join(out_dir, "records.csv")
     log_path = os.path.join(out_dir, "critical_log.csv")
-    ids: Dict[str, Set[int]] = {"nde": set(), "nade": set()}
 
     def record(fields):
         index, seed, env, accident, logged, weight = fields
         index, accident, weight = int(index), int(accident), float(weight)
-        if env not in ids:
+        if env not in ENVS:
             raise ValueError(f"env {env!r} is neither 'nde' nor 'nade'")
         if accident not in (0, 1):
             raise ValueError(f"accident {accident} is neither 0 nor 1")
@@ -451,52 +467,76 @@ def load_campaign_records(out_dir: str) -> Dict[str, List[TestRecord]]:
             raise ValueError(f"nde weight {weight!r} is not 1")
         if not (math.isfinite(weight) and weight >= 0.0):
             raise ValueError(f"weight {weight!r} is not finite and >= 0")
-        if index in ids[env]:
-            raise ValueError(f"{env} id {index} repeats")
-        ids[env].add(index)
-        return index, int(seed), env, accident, weight, int(logged)
+        return index, int(seed), ENVS.index(env), accident, int(logged), weight
 
-    rows = _read_table(path, RECORD_COLUMNS.__eq__, record)
-    logs: Dict[int, List[CriticalMoment]] = {i: [] for i in ids["nade"]}
+    (index, seed, env, accident, logged, weight), error = _read_table(
+        path, lambda h: "qQbqqd" if h == RECORD_COLUMNS else None, record)
+    order = np.lexsort((index, env))  # stable: a repeat sorts after its id
+    again = order[1:][(env[order][1:] == env[order][:-1])
+                      & (index[order][1:] == index[order][:-1])]
+    if again.size:
+        i = again.min()
+        raise ValueError(f"{path}, line {i + 2}: {ENVS[env[i]]} id "
+                         f"{index[i]} repeats")
+    if error:
+        raise error
 
-    def moment(fields):
-        rid, k = int(fields[0]), int(fields[1])
-        m = CriticalMoment(float(fields[2]), float(fields[3]),
-                           tuple(map(float, fields[4:])))
-        log = logs.get(rid)
-        if log is None:
-            raise ValueError(f"record_id {rid} is no NADE record")
-        if k != len(log):
-            raise ValueError(f"moment {k} of record_id {rid} should be "
-                             f"{len(log)}")
-        # q_alpha is the density the action was drawn from
-        densities = (m.p, m.q_alpha) + m.q
-        if not (all(math.isfinite(d) and d >= 0.0 for d in densities)
-                and m.q_alpha > 0.0):
-            raise ValueError(f"densities {densities} are not finite and >= 0 "
-                             f"with q_alpha > 0")
-        log.append(m)
-
+    cols, error = ([np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)] * 2,
+                   None)
     if os.path.exists(log_path):
-        _read_table(log_path,
-                    lambda h: len(h) > 4 and h == _log_columns(len(h) - 4),
-                    moment)
-    by_env: Dict[str, List[TestRecord]] = {}
-    for *row, logged in rows:
-        r = TestRecord(*row, tuple(logs[row[0]]) if row[2] == "nade" else ())
-        if logged != r.control_steps:
-            raise ValueError(
-                f"{path}: episode {r.index} ({r.env}) has l = {logged} but "
-                f"the critical log holds {r.control_steps}")
-        w = likelihood_ratio(r.critical_log)
-        if r.weight != w:
-            raise ValueError(
-                f"{path}: episode {r.index} ({r.env}) has w = {r.weight!r} "
-                f"but its critical log gives {w!r}")
-        by_env.setdefault(r.env, []).append(r)
-    if not by_env:
+        cols, error = _read_table(log_path, lambda h: (
+            "qq" + "d" * (len(h) - 2)
+            if len(h) > 4 and h == _log_columns(len(h) - 4) else None),
+            lambda f: [*map(int, f[:2]), *map(float, f[2:])])
+    rid, k, p, q_alpha, *q = cols
+    q = np.stack(q, axis=1) if q else np.empty((len(p), 0))
+    # Each log row's record, and how many rows of that record precede it.
+    nade = np.flatnonzero(env == 1)
+    ids, sorter = index[nade], np.argsort(index[nade])
+    known = np.isin(rid, ids)
+    pos = np.full(len(rid), -1)
+    pos[known] = nade[sorter[np.searchsorted(ids, rid[known], sorter=sorter)]]
+    order = np.argsort(pos, kind="stable")
+    rank = np.empty(len(pos), dtype=np.int64)
+    rank[order] = np.arange(len(pos)) - np.searchsorted(pos[order], pos[order])
+    # q_alpha is the density the action was drawn from
+    proper = (np.isfinite(p) & (p >= 0.0) & np.isfinite(q_alpha)
+              & (q_alpha > 0.0) & (np.isfinite(q) & (q >= 0.0)).all(axis=1))
+    bad = np.flatnonzero(~known | (k != rank) | ~proper)
+    if bad.size:
+        i = bad[0]
+        densities = (float(p[i]), float(q_alpha[i]), *q[i].tolist())
+        raise ValueError(f"{log_path}, line {i + 2}: " + (
+            f"record_id {rid[i]} is no NADE record" if not known[i] else
+            f"moment {k[i]} of record_id {rid[i]} should be {rank[i]}"
+            if k[i] != rank[i] else f"densities {densities} are not finite "
+                                    f"and >= 0 with q_alpha > 0"))
+    if error:
+        raise error
+
+    # One CSR log over every record; an NDE record has no moment.
+    count = np.bincount(pos, minlength=len(index))
+    p, q_alpha, q = p[order], q_alpha[order], q[order]
+    product = log_product(np.concatenate([[0], np.cumsum(count)]),
+                          p / q_alpha)
+    bad = np.flatnonzero((logged != count) | (weight != product))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: episode {index[i]} ({ENVS[env[i]]}) has " + (
+            f"l = {logged[i]} but the critical log holds {count[i]}"
+            if logged[i] != count[i] else f"w = {weight[i].item()!r} but "
+            f"its critical log gives {product[i].item()!r}"))
+    if not len(index):
         raise EmptyInput(f"{path}: no records")
-    return by_env
+    blocks = {}
+    for code, name in enumerate(ENVS):
+        rows = np.flatnonzero(env == code)
+        offsets = np.concatenate([[0], np.cumsum(count[rows])])
+        if rows.size:  # every moment is a NADE record's
+            blocks[name] = Records(
+                name, index[rows], seed[rows], accident[rows], weight[rows],
+                offsets, *(x[:offsets[-1]] for x in (p, q_alpha, q)))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ import pytest
 from overtake_eval import kernel
 from overtake_eval.config import CampaignConfig, ScenarioConfig
 from overtake_eval.models import IdmParams, MobilParams
-from overtake_eval.sampling import CriticalMoment, TestRecord, likelihood_ratio
-from scalar_reference import State, mobil_right_lc_prob
+from scalar_reference import (
+    CriticalMoment,
+    State,
+    TestRecord,
+    likelihood_ratio,
+    mobil_right_lc_prob,
+)
 
 
 # ---------------------------------------------------------------------------

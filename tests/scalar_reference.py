@@ -25,12 +25,100 @@ from overtake_eval.models import (
     ZeroDensity,
 )
 from overtake_eval.oracle import bin_midpoints
-from overtake_eval.sampling import (
-    ENV_NADE,
-    ENV_NDE,
-    CriticalMoment,
-    TestRecord,
-)
+from overtake_eval.sampling import ENV_NADE, ENV_NDE, Records
+
+
+# ---------------------------------------------------------------------------
+# records, one object per episode and per logged moment
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CriticalMoment:
+    """One logged critical moment: densities evaluated at the chosen action."""
+
+    p: float
+    q_alpha: float
+    q: Tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class TestRecord:
+    """One complete test episode, as the scalar samplers build it."""
+
+    __test__ = False  # keep pytest from collecting this as a test class
+
+    index: int
+    seed: int
+    env: str
+    accident: int
+    weight: float
+    critical_log: Tuple[CriticalMoment, ...] = ()
+
+    @property
+    def control_steps(self) -> int:
+        return len(self.critical_log)
+
+
+def likelihood_ratio(log: Iterable[CriticalMoment]) -> float:
+    """``p / q_alpha`` multiplied over the moments, left to right."""
+    w = 1.0
+    for m in log:
+        w = w * (m.p / m.q_alpha)
+    return w
+
+
+BLOCK_COLUMNS = ("index", "seed", "accident", "weight", "offsets", "p",
+                 "q_alpha", "q")
+
+
+def columns(records: Sequence[TestRecord]) -> Dict[str, list]:
+    """The columns of a record block holding ``records``, as Python values:
+    the critical logs concatenated in record order, with CSR offsets."""
+    log = [m for r in records for m in r.critical_log]
+    offsets = [0]
+    for r in records:
+        offsets.append(offsets[-1] + r.control_steps)
+    return {"index": [r.index for r in records],
+            "seed": [r.seed for r in records],
+            "accident": [r.accident for r in records],
+            "weight": [r.weight for r in records],
+            "offsets": offsets,
+            "p": [m.p for m in log],
+            "q_alpha": [m.q_alpha for m in log],
+            "q": [list(m.q) for m in log]}
+
+
+def block_columns(block: Records) -> Dict[str, list]:
+    """A record block's columns as Python values, comparable with
+    :func:`columns`."""
+    return {name: getattr(block, name).tolist() for name in BLOCK_COLUMNS}
+
+
+def to_block(records: Sequence[TestRecord]) -> Records:
+    """The record block holding ``records``, all of one environment (NADE
+    for no record)."""
+    env = records[0].env if records else ENV_NADE
+    c = columns(records)
+    q = np.array(c["q"], dtype=float).reshape(len(c["p"]), -1) if c["p"] \
+        else np.empty((0, 3))
+    return Records(env, np.array(c["index"], dtype=np.int64),
+                   np.array(c["seed"], dtype=np.uint64),
+                   np.array(c["accident"], dtype=np.int64),
+                   np.array(c["weight"], dtype=float),
+                   np.array(c["offsets"], dtype=np.int64),
+                   np.array(c["p"], dtype=float),
+                   np.array(c["q_alpha"], dtype=float), q)
+
+
+def from_block(block: Records) -> List[TestRecord]:
+    """One :class:`TestRecord` per episode of a record block."""
+    c = block_columns(block)
+    log = [CriticalMoment(*m) for m in zip(c["p"], c["q_alpha"],
+                                            map(tuple, c["q"]))]
+    return [TestRecord(i, s, block.env, a, w, tuple(log[lo:hi]))
+            for i, s, a, w, lo, hi in zip(c["index"], c["seed"],
+                                          c["accident"], c["weight"],
+                                          c["offsets"], c["offsets"][1:])]
 
 
 class State(NamedTuple):

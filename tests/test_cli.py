@@ -147,6 +147,18 @@ def test_gamma_below_the_last_quantile_has_no_interval(tmp_path, capsys):
         assert m["rhw"] is None
 
 
+@pytest.mark.parametrize("verb", ["estimate", "simulate"])
+def test_no_episodes_exit_code(tmp_path, capsys, verb):
+    # An empty record block still writes both headers.
+    rc, out, _ = run(capsys, verb, "--env", "nade", "--episodes", 0,
+                     "--out", tmp_path)
+    assert rc == 0
+    assert (tmp_path / "records.csv").read_text() == \
+        "id,seed,env,accident,l,w\n"
+    assert (tmp_path / "critical_log.csv").read_text() == \
+        "record_id,moment,p,q_alpha,q_1,q_2,q_3\n"
+
+
 def test_single_episode_has_no_interval(tmp_path, capsys):
     # One record leaves no residual degree of freedom for either method.
     rc, out, _ = run(capsys, "estimate", "--env", "nade", "--episodes", 1,
@@ -186,6 +198,10 @@ def _records_dir(tmp_path, text):
     ("id,seed,env,accident,l,w\n0,5,nade,1,0,nan\n", "line 2: weight nan"),
     ("id,seed,env,accident,l,w\n0,5,nade,1,0,-0.5\n", "line 2: weight -0.5"),
     ("id,seed,env,accident,l,w\n0,5,nde,1,0,2.0\n", "line 2: nde weight 2.0"),
+    # an integer outside its 64-bit column
+    ("id,seed,env,accident,l,w\n0,-5,nde,0,0,1.0\n", "line 2: out of range"),
+    ("id,seed,env,accident,l,w\n0,5,nde,0,9223372036854775808,1.0\n",
+     "line 2: out of range"),
     # a row with a field the header does not name
     ("id,seed,env,accident,l,w\n0,5,nde,0,0,1.0,9\n", "line 2: 7 fields"),
     # an id is an episode index, unique within its environment

@@ -195,13 +195,12 @@ def test_q_alpha_is_left_to_right_panel_mean(scen):
     # float sum is compensated from 3.12 on, and on these very values a
     # compensated sum would differ.
     recs = sample_nade_batch(7, scen, 200)
-    moments = [m for r in recs for m in r.critical_log]
-    unequal = [m for m in moments if len(set(m.q)) == 3]
+    moments = list(zip(recs.q_alpha.tolist(), recs.q.tolist()))
+    unequal = [(q_alpha, q) for q_alpha, q in moments if len(set(q)) == 3]
     assert len(unequal) > 10
-    for m in moments:
-        q0, q1, q2 = m.q
-        assert m.q_alpha == ((q0 + q1) + q2) / 3
-    assert any(m.q_alpha != math.fsum(m.q) / 3 for m in unequal)
+    for q_alpha, (q0, q1, q2) in moments:
+        assert q_alpha == ((q0 + q1) + q2) / 3
+    assert any(q_alpha != math.fsum(q) / 3 for q_alpha, q in unequal)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +215,41 @@ def test_challenges_shared_within_resolution_cell(scen):
     assert len(ev._entry_cache) == 1  # one cache entry serves both
     assert lc[:, 0].tolist() == lc[:, 1].tolist()
     assert fol[:, 0].tolist() == fol[:, 1].tolist()
+
+
+def test_batch_with_repeated_cells_equals_per_state_lookups(scen,
+                                                           monkeypatch):
+    # A batch is deduplicated by grid cell before the cache is touched:
+    # cold and then warm, each state gets its own cell's challenges, and
+    # each distinct cell is computed, and cached, exactly once.
+    rng = np.random.default_rng(4711)
+    box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
+    cells = random_grid_states(rng, 12, box)
+    picks = rng.integers(0, len(cells), size=60)
+    # states jittered inside their cell, so repeats are not equal floats
+    s = [np.array([cells[i][j] for i in picks]) + rng.uniform(-0.04, 0.04, 60)
+         for j in range(5)]
+    computed = []
+    compute = CriticalityEvaluator._compute_challenges
+
+    def counted(self, keys):
+        computed.extend(keys)
+        return compute(self, keys)
+
+    monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
+    ev = CriticalityEvaluator(scen)
+    cold = ev.challenges(s)
+    distinct = {ref.ScalarEvaluator.quantize(State(*c)) for c in zip(*s)}
+    assert len(distinct) == len(set(picks.tolist())) > 5
+    assert len(computed) == len(distinct) == len(ev._entry_cache)
+    assert set(ev._entry_cache) == distinct
+    warm = ev.challenges(s)
+    assert len(computed) == len(ev._entry_cache) == len(distinct)
+    one = CriticalityEvaluator(scen)
+    singles = [one.challenges([c[i:i + 1] for c in s]) for i in range(60)]
+    for k in range(2):
+        want = np.hstack([x[k] for x in singles]).tolist()
+        assert cold[k].tolist() == warm[k].tolist() == want
 
 
 def test_exposure_probability_not_snapped(scen):

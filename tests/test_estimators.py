@@ -12,15 +12,24 @@ from overtake_eval.estimators import (
     RANK_TOLERANCE,
     EmptyInput,
     _solve,
-    fit,
 )
+from overtake_eval.estimators import fit as block_fit
 from overtake_eval.estimators import tests_to_threshold as time_to_threshold
 from overtake_eval.oracle import brute_force_mu
-from overtake_eval.sampling import TestRecord, sample_nade_batch
+from overtake_eval.sampling import Records, sample_nade_batch
+from scalar_reference import TestRecord, from_block, to_block
 
 from conftest import make_moment, make_nade_record, random_nade_records, random_nde_records
 
 Z90 = 1.6448536269514722  # two-sided 90% normal quantile
+
+
+def fit(records, method):
+    """The library's fit of a record block, or of scalar records through
+    the block that holds them."""
+    if not isinstance(records, Records):
+        records = to_block(records)
+    return block_fit(records, method)
 
 
 def nde_rec(i, acc):
@@ -47,6 +56,16 @@ def test_controls_are_density_ratio_products_minus_one():
                                       1.2 * 1.6 - 1], rtol=1e-15, atol=1e-15)
     np.testing.assert_allclose(Z[1], [0.4 - 1, 0.0, 1.6 - 1],
                                rtol=1e-15, atol=1e-15)
+
+
+def test_no_control_step_gives_no_controls(scen):
+    # Without a control step the sampler logs nothing, so ATSCV has no
+    # column to adjust with and is the NADE fit.
+    recs = sample_nade_batch(5, scen, 200, max_control_steps=0)
+    atscv, nade = fit(recs, "atscv"), fit(recs, "nade")
+    assert atscv.Z.shape == (200, 0) and atscv.beta.shape == (200, 0)
+    assert atscv.mu.tolist() == nade.mu.tolist()
+    assert atscv.variance.tolist() == nade.variance.tolist()
 
 
 def test_controls_of_an_empty_log_are_zero():
@@ -294,7 +313,7 @@ def replications():
 
 
 def test_control_means_are_zero_on_sampled_records(replications):
-    Z = fit([r for rep in replications for r in rep], "atscv").Z
+    Z = fit([r for rep in replications for r in from_block(rep)], "atscv").Z
     assert Z.shape == (len(REPLICATION_SEEDS) * REPLICATION_EPISODES, 3)
     se = Z.std(axis=0, ddof=1) / math.sqrt(len(Z))
     assert (np.abs(Z.mean(axis=0)) <= 4.0 * se).all()
@@ -465,3 +484,16 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Importing multiprocessing costs about 9 ms; only a replication study
+    # with several workers starts a pool.
+    import subprocess
+    import sys
+
+    code = ("import sys, overtake_eval.cli; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

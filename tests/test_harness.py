@@ -1,6 +1,7 @@
 """Campaign-level contracts of the harness."""
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import jsonschema
@@ -17,6 +18,7 @@ from overtake_eval.harness import (
     run_replications,
 )
 from overtake_eval.sampling import BLOCK
+from scalar_reference import block_columns
 
 
 def _emitted(cfg, out_dir):
@@ -47,7 +49,7 @@ def test_campaign_samples_in_one_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a campaign started a process pool")
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     cfg = CampaignConfig(seed=98, episodes_nde=400, episodes_nade=40,
                          environment="both")
     one = _emitted(cfg, tmp_path / "one")
@@ -64,8 +66,10 @@ def test_emitted_records_load_back_field_for_field(tmp_path):
     loaded = load_campaign_records(str(tmp_path))
     assert sorted(loaded) == ["nade", "nde"]
     for env in ("nde", "nade"):
-        assert loaded[env] == result.records[env]
-    assert any(r.critical_log for r in loaded["nade"])
+        assert loaded[env].env == env
+        assert block_columns(loaded[env]) == block_columns(result.records[env])
+        assert loaded[env].q.shape[1] == 3
+    assert loaded["nade"].control_steps.any()
 
 
 def _replication_files(cfg, out_dir):

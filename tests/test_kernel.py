@@ -218,7 +218,10 @@ def test_nde_batch_matches_scalar_reference(name, monkeypatch):
     # The batch spans blocks and ends partway through one.
     monkeypatch.setattr(sampling, "BLOCK", 256)
     want = ref.nde_batch(4242, cfg, n)
-    assert sample_nde_batch(4242, cfg, n) == [r for r, _, _ in want]
+    got = sample_nde_batch(4242, cfg, n)
+    assert got.env == ref.ENV_NDE
+    assert ref.block_columns(got) == ref.columns([r for r, _, _ in want])
+    assert got.q.shape == (0, len(cfg.surrogates))
     for r in sample_nde_batch(4242, cfg, 5):
         assert type(r.index) is int and type(r.seed) is int
         assert type(r.accident) is int and type(r.weight) is float
@@ -243,12 +246,11 @@ def test_nade_batch_matches_scalar_reference(name):
     cap = 2 if name == "default" else 10
     want = ref.nade_batch(1717, cfg, n, scalar, max_control_steps=cap)
     got = sample_nade_batch(1717, cfg, n, evaluator=ev, max_control_steps=cap)
-    assert got == [r for r, _ in want]
+    assert got.env == ref.ENV_NADE
+    assert ref.block_columns(got) == ref.columns([r for r, _ in want])
     for r in got[:5]:
         assert type(r.weight) is float and type(r.accident) is int
-        assert all(type(m.p) is float and type(m.q_alpha) is float
-                   and all(type(q) is float for q in m.q)
-                   for m in r.critical_log)
+    assert got.p.dtype == got.q_alpha.dtype == got.q.dtype == np.float64
     # The sampler fills the cache ahead of its walk with the cells of every
     # episode's no-cut-in walk: a superset of the cells the episodes visit.
     walked = set()
@@ -262,12 +264,12 @@ def test_nade_batch_matches_scalar_reference(name):
             k += 1
     assert set(ev._entry_cache) == walked
     assert set(scalar.cache) <= walked
-    assert any(r.critical_log for r in got)
+    assert got.control_steps.any()
     steps = [k for _, k in want]
     if name != "long":  # whose truncated rollouts never reach contact
-        assert sum(r.accident for r in got) > 0
+        assert got.accident.sum() > 0
     if name == "default":
-        assert max(r.control_steps for r in got) == cap  # the cap binds
+        assert got.control_steps.max() == cap  # the cap binds
     if name == "stressed":
         assert 0 in steps  # a cut-in at step 0
     if name == "long":
@@ -281,7 +283,8 @@ def test_nade_batch_lane_change_certain():
         politeness=0.0, gamma_p=1.0, p_max=1.0))
     scalar = ref.ScalarEvaluator(cfg)
     want = ref.nade_batch(31, cfg, 120, scalar)
-    assert sample_nade_batch(31, cfg, 120) == [r for r, _ in want]
+    assert ref.block_columns(sample_nade_batch(31, cfg, 120)) == \
+        ref.columns([r for r, _ in want])
     moments = [m for r, _ in want for m in r.critical_log]
     assert any(m.p == 1.0 for m in moments)
 
