@@ -25,9 +25,9 @@ criticalities and importance weights are always evaluated at the exact state.
 
 Everything runs on the lockstep kernel: a profile covers a batch of states,
 and the cells a batch sees for the first time are filled together, their
-no-cut-in walks in lockstep (``kernel.no_cutin_walk``) and every
-surrogate's cut-in rollouts in one ``kernel.cutin_crashes`` call per
-surrogate per fill.  The accelerated sampler fills the cache once per
+no-cut-in walks in lockstep (``kernel.no_cutin_walk``) and the cut-in
+rollouts of the whole surrogate panel in one ``kernel.cutin_crashes``
+call per fill.  The accelerated sampler fills the cache once per
 block, before its walk: every cell the walk can query lies on its
 episodes' no-cut-in walks, so each profile it asks for is a cache hit.
 """
@@ -122,13 +122,6 @@ class CriticalityEvaluator:
 
     # -- challenge machinery ----------------------------------------------
 
-    def _crashes(self, s: State) -> np.ndarray:
-        """(J, m) contact indicators for a cut-in at each state, one row per
-        surrogate driving the follower, with the full step budget."""
-        budget = np.full(len(s[0]), self.cfg.max_steps)
-        return np.array([cutin_crashes(s, budget, self.cfg, accel)
-                         for accel in self._accels], dtype=float)
-
     def _compute_challenges(self, keys: List[Key]) -> np.ndarray:
         """(2, J, n) lane-change and follow challenges of the grid keys."""
         cfg = self.cfg
@@ -141,15 +134,16 @@ class CriticalityEvaluator:
         suffix = list(walks)
 
         # Cut-ins along the walks: moments with zero lane-change probability
-        # contribute nothing, so only the others are rolled out, together
-        # with the cut-ins at the representatives themselves.
+        # contribute nothing, so only the others are rolled out, in one panel
+        # rollout together with the cut-ins at the representatives themselves.
         at = np.cumsum([0] + [r.size for r, _ in suffix])
         later = [np.concatenate(c) for c in zip(*(t for _, t in suffix))] \
             if suffix else [np.empty(0)] * 5
         p_r = bv_law(later, cfg)
         hot = p_r > 0.0
-        crash = self._crashes([np.concatenate([x, y[hot]])
-                               for x, y in zip(rep, later)])
+        cut = [np.concatenate([x, y[hot]]) for x, y in zip(rep, later)]
+        crash = cutin_crashes(cut, np.full(len(cut[0]), cfg.max_steps), cfg,
+                              self._accels).astype(float)
         lane_change = crash[:, :len(keys)]
         crash_later = np.zeros((len(self._accels), len(p_r)))
         crash_later[:, hot] = crash[:, len(keys):]

@@ -24,7 +24,7 @@ method once and reads its estimate, convergence table, stopping count and
 and a replication row is the same estimate at seed root+rep, without the
 oracle and on one warm criticality evaluator per worker chunk.
 
-Every CSV table goes through one writer, ``_write_table``, and one
+Every CSV table goes through one column writer, ``_write_table``, and one
 reader, ``_read_table``, which checks the header and the field count of
 every row.  :func:`emit_records` and :func:`load_campaign_records` are the
 two ends of ``records.csv`` and ``critical_log.csv``; a value the samplers
@@ -48,9 +48,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -304,22 +302,42 @@ def _log_columns(panel_size: int) -> List[str]:
         f"q_{j + 1}" for j in range(panel_size)]
 
 
-def _write_table(path: str, columns: Sequence[str],
-                 rows: Iterable[Sequence]) -> None:
-    """Write a CSV table: the header, then ``str`` of each cell (``repr``
-    for a float), ``None`` as an empty cell.  No cell holds a comma, a
-    quote or a line break, so nothing is quoted."""
+def _cells(cols: Sequence, lo: int, hi: int) -> List[List[str]]:
+    """Rows ``lo:hi`` of the columns as text: ``str`` of an int array's
+    values, ``repr`` of a float array's, a ``str`` on every row, and ``str``
+    of a list's items, ``None`` as an empty cell.  Each distinct float bit
+    pattern is formatted once, so ``-0.0`` and ``0.0`` keep their own text."""
+    k = hi - lo
+    floats = [c[lo:hi] for c in cols
+              if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+    bits, inverse = np.unique(np.concatenate([np.empty(0), *floats]).view(
+        np.uint64), return_inverse=True)
+    text = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
+    float_text = iter(text[inverse].reshape(-1, k).tolist())
+    cells = []
+    for c in cols:
+        if isinstance(c, str):
+            cells.append([c] * k)
+        elif not isinstance(c, np.ndarray):
+            cells.append(["" if x is None else str(x) for x in c[lo:hi]])
+        else:
+            cells.append(next(float_text) if c.dtype.kind == "f"
+                         else list(map(str, c[lo:hi].tolist())))
+    return cells
+
+
+def _write_table(path: str, header: Sequence[str],
+                 parts: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then each part's equally long columns
+    (:func:`_cells`), ``sampling.BLOCK`` rows at a time.  No cell holds a
+    comma, a quote or a line break, so nothing is quoted."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(["" if c is None else str(c) for c in row])
-                      + "\n" for row in rows)
-
-
-def _rows(a) -> Iterator:
-    """The rows of array ``a`` as Python values, a block at a time, so a
-    long table is never held as Python objects all at once."""
-    for lo in range(0, len(a), sampling.BLOCK):
-        yield from a[lo:lo + sampling.BLOCK].tolist()
+        fh.write(",".join(header) + "\n")
+        for cols in parts:
+            n = len(next(c for c in cols if not isinstance(c, str)))
+            for lo in range(0, n, sampling.BLOCK):
+                cells = _cells(cols, lo, min(n, lo + sampling.BLOCK))
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def emit_records(out_dir: str, blocks: Sequence[Records],
@@ -330,16 +348,13 @@ def emit_records(out_dir: str, blocks: Sequence[Records],
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name)
              for name in ("records.csv", "critical_log.csv")]
-    _write_table(paths[0], RECORD_COLUMNS, (row for b in blocks for row in zip(
-        _rows(b.index), _rows(b.seed), repeat(b.env), _rows(b.accident),
-        _rows(b.control_steps), _rows(b.weight))))
-    _write_table(paths[1], _log_columns(panel_size), (
-        (rid, k, p, q_alpha, *q) for b in blocks
-        for rid, k, p, q_alpha, q in zip(
-            _rows(np.repeat(b.index, b.control_steps)),
-            _rows(np.arange(len(b.p)) - np.repeat(b.offsets[:-1],
-                                                  b.control_steps)),
-            _rows(b.p), _rows(b.q_alpha), _rows(b.q))))
+    _write_table(paths[0], RECORD_COLUMNS, [
+        [b.index, b.seed, b.env, b.accident, b.control_steps, b.weight]
+        for b in blocks])
+    _write_table(paths[1], _log_columns(panel_size), [
+        [np.repeat(b.index, b.control_steps),
+         np.arange(len(b.p)) - np.repeat(b.offsets[:-1], b.control_steps),
+         b.p, b.q_alpha, *b.q.T] for b in blocks])
     return paths
 
 
@@ -387,18 +402,18 @@ def emit_outputs(result: CampaignResult, out_dir: str) -> List[str]:
 
     for method in METHODS:
         mr = result.methods.get(method)
-        table = [] if mr is None else mr.table
         _write_table(out(f"convergence_{method}.csv"), CONVERGENCE_COLUMNS,
-                     ((int(n), mu, rhw) for n, mu, rhw in _rows(table)))
+                     [] if mr is None else [[mr.table[:, 0].astype(np.int64),
+                                             mr.table[:, 1], mr.table[:, 2]]])
     atscv = result.methods.get("atscv")
-    adjusted = () if atscv is None else zip(
-        _rows(records["nade"].index), _rows(records["nade"].control_steps),
-        _rows(atscv.fit.y), _rows(atscv.fit.adjusted()))
-    _write_table(out("adjusted_points.csv"), ADJUSTED_COLUMNS, adjusted)
+    _write_table(out("adjusted_points.csv"), ADJUSTED_COLUMNS,
+                 [] if atscv is None else [[
+                     records["nade"].index, records["nade"].control_steps,
+                     atscv.fit.y, atscv.fit.adjusted()]])
     if result.replication_rows:
-        _write_table(out("replications.csv"), REPLICATION_COLUMNS,
-                     ([row.get(col) for col in REPLICATION_COLUMNS]
-                      for row in result.replication_rows))
+        _write_table(out("replications.csv"), REPLICATION_COLUMNS, [[
+            [row.get(col) for row in result.replication_rows]
+            for col in REPLICATION_COLUMNS]])
     with open(out("summary.json"), "w") as fh:
         json.dump(build_summary(result), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -49,7 +49,7 @@ Accel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
     """Unclipped IDM acceleration; ``gap`` may be ``math.inf`` for free flow."""
-    if np.any(gap <= 0.0):
+    if np.less_equal(gap, 0.0).any():  # ``gap`` may be the float inf
         raise NonPositiveGap(f"IDM requires gap > 0, got {np.min(gap)}")
     push = v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
     s_star = p.s0 + np.where(push > 0.0, push, 0.0)
@@ -64,19 +64,17 @@ def idm_accel(v, gap, dv, p: IdmParams) -> np.ndarray:
                     np.where(a < -p.hard_decel, -p.hard_decel, a))
 
 
-_tanh = np.frompyfunc(math.tanh, 1, 1)
-
-
 def fvdm_opt_velocity(gap, p: FvdmParams) -> np.ndarray:
     """``V(gap) = v_cap/2 * (tanh(gap/b_f - c_f) + tanh(c_f))``."""
-    t = np.asarray(_tanh(gap / p.b_f - p.c_f), dtype=float)
+    x = gap / p.b_f - p.c_f
+    t = np.fromiter(map(math.tanh, x.tolist()), float, len(x))
     return 0.5 * p.v_cap * (t + math.tanh(p.c_f))
 
 
 def fvdm_accel(v, gap, dv, p: FvdmParams) -> np.ndarray:
     """FVDM acceleration ``kappa*(V_opt(gap) - v) - lam*dv``, clipped to
     [-hard_decel, hard_accel]."""
-    if np.any(gap <= 0.0):
+    if (gap <= 0.0).any():
         raise NonPositiveGap(f"FVDM requires gap > 0, got {np.min(gap)}")
     a = p.kappa * (fvdm_opt_velocity(gap, p) - v) - p.lam * dv
     return np.where(a > p.hard_accel, p.hard_accel,
@@ -156,43 +154,54 @@ def _follow(s: State, cfg) -> List[np.ndarray]:
     return step(s, a_bv, 0.0, cfg.dt)
 
 
-def cutin_crashes(s: State, n_states, cfg, accel: Accel = None) -> np.ndarray:
-    """Contact outcome of a cut-in fired from each row's pre-cut-in state.
+def cutin_crashes(s: State, n_states, cfg,
+                  laws: Sequence[Accel] = None) -> np.ndarray:
+    """Contact outcomes of a cut-in fired from each row's pre-cut-in state,
+    one row per follower law in ``laws`` (by default the tested vehicle,
+    ``cfg.av_idm``; the criticality evaluator passes its surrogate panel).
 
-    The cut-in step lets every vehicle coast; then ``accel`` drives the AV
-    while the BV holds speed.  It defaults to the tested vehicle,
-    ``cfg.av_idm``; the criticality evaluator passes each surrogate model.
-    Row i may visit ``n_states[i]`` states after the cut-in, and contact is
-    judged on each of them before the next control step.  Rows leave the
-    batch at contact or when their budget runs out, so it shrinks as it
-    goes.  The LV no longer matters, so only the AV and BV are advanced,
-    exactly as ``step`` advances them.
+    The cut-in step lets every vehicle coast; then the law drives the AV
+    while the BV holds speed.  Row i may visit ``n_states[i]`` states after
+    the cut-in, and contact is judged on each of them before the next
+    control step.  All laws' rows advance in one lockstep loop, stacked law
+    by law; a row leaves at contact or when its budget runs out, in order,
+    so each law drives a contiguous slice and every row sees exactly the
+    arithmetic of its law's rollout alone.  Only the AV and BV are
+    advanced (the LV no longer matters), exactly as ``step`` advances them.
     """
-    if accel is None:
-        def accel(v, gap, dv):
-            return idm_accel(v, gap, dv, cfg.av_idm)
+    if laws is None:
+        laws = [lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)]
     L, dt = cfg.vehicle_length, cfg.dt
     n_states = np.asarray(n_states)
-    crashed = np.zeros(len(n_states), dtype=bool)
-    rows = np.flatnonzero(n_states > 0)
-    n = n_states[rows]
-    v_bv, r2, r2_dot = (np.asarray(s[c])[rows] for c in (0, 3, 4))
-    a_av = 0.0  # the cut-in step
+    m, J = len(n_states), len(laws)
+    crashed = np.zeros(J * m, dtype=bool)
+    start = np.flatnonzero(n_states > 0)
+    # A live row's index into ``crashed``: law j's copy of row i is j*m + i.
+    edges = m * np.arange(J + 1)
+    rows = (edges[:-1, None] + start).ravel()
+    last, v_bv, r2, r2_dot = (np.tile(np.asarray(x)[start], J)
+                              for x in (n_states - 1, s[0], s[3], s[4]))
+    v_av, a_av = v_bv - r2_dot, 0.0  # the cut-in step
     contact = L + cfg.d_accid
     i = 0
     while rows.size:
-        x_av, v_av = _advance(0.0, v_bv - r2_dot, a_av, dt)
+        x_av, v_av = _advance(0.0, v_av, a_av, dt)
         x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
         r2, r2_dot = x_bv - x_av, v_bv - v_av
         hit = r2 <= contact
-        crashed[rows[hit]] = True
-        keep = ~hit & (n - 1 > i)
+        keep = ~hit & (last > i)
         if not keep.all():
-            rows, n, v_bv, r2, r2_dot = (
-                x[keep] for x in (rows, n, v_bv, r2, r2_dot))
-        a_av = accel(v_bv - r2_dot, r2 - L, -r2_dot)
+            crashed[rows[hit]] = True
+            rows, last, v_bv, r2, r2_dot = (
+                x[keep] for x in (rows, last, v_bv, r2, r2_dot))
+        v_av, gap, dv = v_bv - r2_dot, r2 - L, -r2_dot
+        a_av = np.empty(rows.size)
+        at = np.searchsorted(rows, edges).tolist()  # law j: at[j]:at[j+1]
+        for law, lo, hi in zip(laws, at, at[1:]):
+            if lo < hi:
+                a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
         i += 1
-    return crashed
+    return crashed.reshape(J, m)
 
 
 def no_cutin_walk(s: State, cfg

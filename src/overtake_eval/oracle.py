@@ -56,7 +56,7 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     cut = walk(initial_states(mids, cfg.init), cfg,
                lambda rows, s: bv_law(s, cfg) > 0.0, stay=True)
     p_r = bv_law(cut.state, cfg)
-    crashed = cutin_crashes(cut.state, cut.budget, cfg)
+    crashed = cutin_crashes(cut.state, cut.budget, cfg)[0]
     mu = np.zeros(bins)
     survive = np.ones(bins)
     # Fold one step at a time (the budget counts the steps down); a bin

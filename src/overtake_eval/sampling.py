@@ -5,11 +5,12 @@ lockstep array kernel.  A call takes one or several root seeds and returns
 episodes ``0 .. n-1`` of each root, root-major.  ``kernel.walk`` advances
 the call's episodes in blocks of ``BLOCK`` together up to their cut-ins,
 whichever roots they belong to, and one ``kernel.cutin_crashes`` rollout
-resolves every cut-in of the call, so a replication study hands one call
-the episodes of many roots.  The walks only collect each episode's cut-in
-and, step by step, the densities logged as arrays; the call's
-:class:`Records` block is built once, after that rollout has marked the
-accidents.  Before its cut-in the background vehicle's law has two atoms,
+of the tested vehicle resolves every cut-in of the call (a NADE block's
+cache fill adds one of the whole surrogate panel), so a replication study
+hands one call the episodes of many roots.  The walks only collect each
+episode's cut-in and, step by step, the densities logged as arrays; the
+call's :class:`Records` block is built once, after that rollout has marked
+the accidents.  Before its cut-in the background vehicle's law has two atoms,
 the lane change and following the leader, and an episode cuts in at a step
 iff that step's uniform is below the lane-change mass of the law in force;
 a sampler's ``decide`` says only that, and the walk takes the follow step
@@ -204,7 +205,7 @@ def _records(env: str, idx: np.ndarray, seeds: np.ndarray,
     ``p / q_alpha`` (1 for an empty log)."""
     cut = CutIns.concat(found)
     accident = np.zeros(len(seeds), dtype=np.int64)
-    accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)]] = 1
+    accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)[0]]] = 1
     empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
              np.empty((0, len(cfg.surrogates))))
     rows, p, q_alpha, q = map(np.concatenate, zip(empty, *log))

@@ -121,6 +121,17 @@ def from_block(block: Records) -> List[TestRecord]:
                                           c["offsets"], c["offsets"][1:])]
 
 
+def write_table(path: str, header: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """The CSV table the library's column writer must match byte for byte,
+    written row by row: the header, then ``str`` of each cell (``repr`` for
+    a float), ``None`` as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(["" if c is None else str(c) for c in row])
+                      + "\n" for row in rows)
+
+
 class State(NamedTuple):
     """Reduced pre-cut-in state."""
 

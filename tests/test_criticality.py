@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from overtake_eval import kernel
+from overtake_eval import criticality, kernel, sampling
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import MobilParams
 from overtake_eval.sampling import sample_nade_batch
@@ -250,6 +250,36 @@ def test_batch_with_repeated_cells_equals_per_state_lookups(scen,
     for k in range(2):
         want = np.hstack([x[k] for x in singles]).tolist()
         assert cold[k].tolist() == warm[k].tolist() == want
+
+
+def test_fill_rolls_the_whole_panel_out_at_once(scen, monkeypatch):
+    # A fill resolves every surrogate's cut-ins in one panel rollout, so a
+    # NADE sampler call of one block runs two rollouts: the block's fill
+    # and the tested vehicle's, whatever the panel's size.
+    calls = []
+
+    def counting(module):
+        rollout = module.cutin_crashes
+
+        def hooked(s, n_states, cfg, laws=None):
+            calls.append((module.__name__, laws and len(laws)))
+            return rollout(s, n_states, cfg, laws)
+        monkeypatch.setattr(module, "cutin_crashes", hooked)
+
+    counting(criticality)
+    counting(sampling)
+    rng = np.random.default_rng(77)
+    box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
+    cells = np.array(random_grid_states(rng, 20, box)) * 10.0
+    ev = CriticalityEvaluator(scen)
+    ev.fill(np.rint(cells).astype(np.int64))
+    assert calls == [("overtake_eval.criticality", len(scen.surrogates))]
+    ev.fill(np.rint(cells).astype(np.int64))  # every cell cached: no rollout
+    assert len(calls) == 1
+    calls.clear()
+    sample_nade_batch(5, scen, 200)
+    assert calls == [("overtake_eval.criticality", len(scen.surrogates)),
+                     ("overtake_eval.sampling", None)]
 
 
 def test_exposure_probability_not_snapped(scen):

@@ -1,10 +1,13 @@
 """Campaign-level contracts of the harness."""
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
+from itertools import repeat
 
 import jsonschema
+import numpy as np
 import pytest
 
 from overtake_eval import estimators, harness, sampling
@@ -18,7 +21,7 @@ from overtake_eval.harness import (
     run_replications,
 )
 from overtake_eval.sampling import BLOCK
-from scalar_reference import block_columns
+from scalar_reference import block_columns, write_table
 
 
 def _emitted(cfg, out_dir):
@@ -70,6 +73,43 @@ def test_emitted_records_load_back_field_for_field(tmp_path):
         assert block_columns(loaded[env]) == block_columns(result.records[env])
         assert loaded[env].q.shape[1] == 3
     assert loaded["nade"].control_steps.any()
+
+
+def test_column_writer_matches_the_row_writer(tmp_path):
+    # Floats are formatted once per distinct bit pattern in a block: -0.0
+    # keeps its sign next to 0.0, and values repeat within and across
+    # columns and blocks.  Ints include uint64 seeds of 2**63 and above.
+    rng = np.random.default_rng(2024)
+    n = BLOCK + 7
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, 1 / 3,
+                     5e-324, -1e300, 2.0 ** 53])
+    q = rng.choice(pool, (n, 3))
+    q[rng.random((n, 3)) < 0.3] = rng.standard_normal()
+    seeds = rng.integers(2 ** 63, 2 ** 64 - 1, n, dtype=np.uint64,
+                         endpoint=True)
+    seeds[:2] = 2 ** 63, 2 ** 64 - 1
+    ints = np.arange(n, dtype=np.int64) - 3
+    mixed = [None if i % 3 == 0 else i if i % 2 else i / 7 for i in range(n)]
+    part = [ints, seeds, "nade", q[:, 0], *q.T, mixed]
+    parts = [part, [c if isinstance(c, str) else c[:0] for c in part],
+             [c if isinstance(c, str) else c[:5] for c in part]]
+    header = [f"c{i}" for i in range(len(part))]
+
+    def rows(cols):
+        values = [repeat(c) if isinstance(c, str) else
+                  c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+        return zip(*values)
+
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    harness._write_table(str(got), header, parts)
+    write_table(str(want), header, (r for cols in parts for r in rows(cols)))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\n") == 1 + n + 5
+    assert b",-0.0," in got.read_bytes() and b",0.0," in got.read_bytes()
+    harness._write_table(str(got), header, [])
+    write_table(str(want), header, [])
+    assert got.read_bytes() == want.read_bytes() == b",".join(
+        h.encode() for h in header) + b"\n"
 
 
 def _replication_files(cfg, out_dir):

@@ -136,14 +136,55 @@ def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
         budget = rng.integers(0, 40, n)
         states = ref.rows(s)
         followers = [(None, ref.idm_follower(cfg.av_idm))] + [
-            (kernel.surrogate_accel(sm), ref.surrogate_accel(sm))
+            ([kernel.surrogate_accel(sm)], ref.surrogate_accel(sm))
             for sm in cfg.surrogates]
-        for accel, scalar in followers:
-            got = kernel.cutin_crashes(s, budget, cfg, accel).tolist()
+        for laws, scalar in followers:
+            got = kernel.cutin_crashes(s, budget, cfg, laws)[0].tolist()
             want = [ref.cutin_outcome(*states[i], scalar, cfg, int(budget[i]))
                     for i in range(n)]
             assert got == want
             assert 0 < sum(got) < n
+
+
+def test_panel_rollout_matches_one_rollout_per_law():
+    # One lockstep loop over the whole panel plus the tested vehicle gives
+    # every law the outcomes of a rollout of that law alone, bit for bit.
+    cfg = dataclasses.replace(ScenarioConfig(), vehicle_length=4.0,
+                              d_accid=0.5)
+    rng = np.random.default_rng(314159)
+    n = 400
+    s = [rng.uniform(2.0, 12.0, n), rng.uniform(5.0, 40.0, n),
+         rng.uniform(-6.0, 2.0, n), rng.uniform(4.6, 14.0, n),
+         rng.uniform(-8.0, 2.0, n)]
+    # rows already in contact after the cut-in step's coast
+    s[3][:40], s[4][:40] = 4.55, -2.0
+    budget = rng.integers(0, 300, n)
+    budget[::10], budget[1::10] = 0, 1
+
+    def ram(v, gap, dv):  # its rows all reach contact before the others'
+        return np.full(len(v), 40.0)
+
+    av = kernel.surrogate_accel(dataclasses.replace(
+        cfg.surrogates[0], idm=cfg.av_idm))
+    laws = [kernel.surrogate_accel(sm) for sm in cfg.surrogates[:1]] + [
+        ram] + [kernel.surrogate_accel(sm) for sm in cfg.surrogates[1:]] + [av]
+    panel = kernel.cutin_crashes(s, budget, cfg, laws)
+    assert panel.shape == (len(laws), n) and panel.dtype == bool
+    for law, got in zip(laws, panel):
+        assert np.array_equal(got, kernel.cutin_crashes(s, budget, cfg,
+                                                        [law])[0])
+    assert np.array_equal(panel[-1], kernel.cutin_crashes(s, budget, cfg)[0])
+    assert not panel[:, budget == 0].any()
+    assert panel[:, 2:40][:, budget[2:40] > 0].all()
+    # the ram law's rows leave within 20 states, the others' run on
+    assert panel[1][budget >= 20].all()
+    assert np.array_equal(panel[1], kernel.cutin_crashes(
+        s, np.minimum(budget, 20), cfg, [ram])[0])
+    assert (~panel[[0, 2, 3, 4]][:, budget >= 20]).any(axis=1).all()
+    # no row and no law at all
+    assert kernel.cutin_crashes([x[:0] for x in s], budget[:0], cfg,
+                                laws).shape == (len(laws), 0)
+    assert kernel.cutin_crashes(s, budget, cfg, []).shape == (0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +356,9 @@ def test_stressed_config_truncates_cutin_rollouts():
 
     cut = kernel.walk(init, cfg, lambda rows, s: kernel.bv_law(s, cfg) > 0.0,
                       stay=True)
-    truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
-    full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
+    truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)[0]
+    full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300),
+                                cfg)[0]
     assert (truncated != full).any()
 
 
