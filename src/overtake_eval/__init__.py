@@ -18,50 +18,11 @@ one process.  A sampler call takes one or several root seeds, so a
 replication study walks the episodes of every replication that fits one
 block (``sampling.BLOCK``, 8192 episodes) in one lockstep batch, and a
 worker pool splits its replications into chunks.
+
+Import the submodules for their names: ``models``, ``config``, ``kernel``,
+``stream``, ``sampling``, ``criticality``, ``estimators``, ``oracle``,
+``harness`` and ``cli``.  The package itself loads no numpy, so the
+command-line program (``cli``) can set its BLAS thread policy first.
 """
 
 __version__ = "0.1.0"
-
-from .models import (
-    FvdmParams,
-    IdmParams,
-    MobilParams,
-    NonPositiveGap,
-    SurrogateModel,
-    ZeroDensity,
-    default_surrogates,
-)
-from .criticality import CriticalityEvaluator, CriticalityProfile
-from .config import (
-    CampaignConfig,
-    ConfigError,
-    InitialStateParams,
-    ScenarioConfig,
-    load_config,
-)
-from .sampling import (
-    Records,
-    episode_seeds,
-    sample_nade_batch,
-    sample_nde_batch,
-)
-from .estimators import (
-    EmptyInput,
-    Estimate,
-    PooledFit,
-    fit,
-    tests_to_threshold,
-)
-from .oracle import BudgetExceeded, brute_force_mu
-from .harness import (
-    CampaignResult,
-    MethodResult,
-    SUMMARY_SCHEMA,
-    build_summary,
-    emit_outputs,
-    estimate_from_records,
-    load_campaign_records,
-    run_campaign,
-    run_replications,
-    sample_env,
-)

@@ -29,6 +29,15 @@ record, a record whose ``l`` or ``w`` its critical log does not give; a
 ``--records`` directory with no record of the selected environment; or
 records the estimators or samplers cannot use: a ``ValueError`` such as
 ``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
+
+The program runs BLAS on one thread: importing this module sets
+``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the caller has set
+one of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``,
+whose value then stands.  Its largest BLAS call is a batched ``eigh`` of
+J x J blocks (J surrogates), too small for helper threads, which would
+only spin.  ``replicate --workers`` processes inherit the setting.  To use
+more threads, set one of those variables, e.g. ``OPENBLAS_NUM_THREADS=2
+overtake-eval ...``; the outputs are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ import json
 import os
 import sys
 from typing import Optional
+
+# Before any import that loads numpy.
+if not any(var in os.environ for var in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
 from .config import CampaignConfig, ConfigError, load_config

@@ -48,8 +48,8 @@ Accel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
-    """Unclipped IDM acceleration; ``gap`` may be ``math.inf`` for free flow."""
-    if np.less_equal(gap, 0.0).any():  # ``gap`` may be the float inf
+    """Unclipped IDM acceleration."""
+    if (gap <= 0.0).any():
         raise NonPositiveGap(f"IDM requires gap > 0, got {np.min(gap)}")
     push = v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
     s_star = p.s0 + np.where(push > 0.0, push, 0.0)
@@ -57,11 +57,13 @@ def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
                       - np.float_power(s_star / gap, 2))
 
 
+def _clip(a, lo, hi) -> np.ndarray:
+    return np.where(a > hi, hi, np.where(a < lo, lo, a))
+
+
 def idm_accel(v, gap, dv, p: IdmParams) -> np.ndarray:
     """IDM acceleration clipped to the physical range [-hard_decel, a_max]."""
-    a = idm_accel_raw(v, gap, dv, p)
-    return np.where(a > p.a_max, p.a_max,
-                    np.where(a < -p.hard_decel, -p.hard_decel, a))
+    return _clip(idm_accel_raw(v, gap, dv, p), -p.hard_decel, p.a_max)
 
 
 def fvdm_opt_velocity(gap, p: FvdmParams) -> np.ndarray:
@@ -77,8 +79,7 @@ def fvdm_accel(v, gap, dv, p: FvdmParams) -> np.ndarray:
     if (gap <= 0.0).any():
         raise NonPositiveGap(f"FVDM requires gap > 0, got {np.min(gap)}")
     a = p.kappa * (fvdm_opt_velocity(gap, p) - v) - p.lam * dv
-    return np.where(a > p.hard_accel, p.hard_accel,
-                    np.where(a < -p.hard_decel, -p.hard_decel, a))
+    return _clip(a, -p.hard_decel, p.hard_accel)
 
 
 def surrogate_accel(sm: SurrogateModel) -> Accel:
@@ -112,7 +113,9 @@ def mobil_right_lc_prob(s: State, mobil: MobilParams, idm: IdmParams,
     a_pred = np.where(-idm.hard_decel > a_pred_raw, -idm.hard_decel, a_pred_raw)
     ok = open_ & ~(a_pred < -mobil.b_safe)
     a_old = idm_accel(v_bv, np.where(ok, r1 - vehicle_length, 1.0), -r1_dot, idm)
-    a_new = idm_accel(v_bv, math.inf, 0.0, idm)
+    # IDM on an open road: the interaction term ``(s*/inf)**2`` is +0.0.
+    a_new = _clip(idm.a_max * (1.0 - np.float_power(v_bv / idm.v0, idm.delta)),
+                  -idm.hard_decel, idm.a_max)
     incentive = (a_new - a_old) + mobil.politeness * a_pred_raw - mobil.delta_a_th
     p = mobil.gamma_p * incentive
     p = np.where(mobil.p_max < p, mobil.p_max, p)
@@ -163,24 +166,31 @@ def cutin_crashes(s: State, n_states, cfg,
     The cut-in step lets every vehicle coast; then the law drives the AV
     while the BV holds speed.  Row i may visit ``n_states[i]`` states after
     the cut-in, and contact is judged on each of them before the next
-    control step.  All laws' rows advance in one lockstep loop, stacked law
-    by law; a row leaves at contact or when its budget runs out, in order,
-    so each law drives a contiguous slice and every row sees exactly the
-    arithmetic of its law's rollout alone.  Only the AV and BV are
-    advanced (the LV no longer matters), exactly as ``step`` advances them.
+    control step.  Rows that share ``(v_bv, r2, r2_dot)`` and budget bit for
+    bit (so ``-0.0`` and ``0.0`` stay apart) roll out once.  All laws' rows
+    advance in one lockstep loop, stacked law by law; a row leaves at
+    contact or when its budget runs out, in order, so each law drives a
+    contiguous slice and every row sees exactly the arithmetic of its law's
+    rollout alone.  Only the AV and BV are advanced (the LV no longer
+    matters), exactly as ``step`` advances them.
     """
     if laws is None:
         laws = [lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)]
     L, dt = cfg.vehicle_length, cfg.dt
-    n_states = np.asarray(n_states)
+    cols = [np.asarray(n_states, dtype=np.int64)] + [
+        np.asarray(s[k], dtype=float) for k in (0, 3, 4)]
+    key = np.stack([x.view(np.uint64) for x in cols], axis=1)
+    _, first, back = np.unique(key, axis=0, return_index=True,
+                               return_inverse=True)
+    n_states, v_bv, r2, r2_dot = (x[first] for x in cols)
     m, J = len(n_states), len(laws)
     crashed = np.zeros(J * m, dtype=bool)
     start = np.flatnonzero(n_states > 0)
     # A live row's index into ``crashed``: law j's copy of row i is j*m + i.
     edges = m * np.arange(J + 1)
     rows = (edges[:-1, None] + start).ravel()
-    last, v_bv, r2, r2_dot = (np.tile(np.asarray(x)[start], J)
-                              for x in (n_states - 1, s[0], s[3], s[4]))
+    last, v_bv, r2, r2_dot = (np.tile(x[start], J)
+                              for x in (n_states - 1, v_bv, r2, r2_dot))
     v_av, a_av = v_bv - r2_dot, 0.0  # the cut-in step
     contact = L + cfg.d_accid
     i = 0
@@ -201,7 +211,7 @@ def cutin_crashes(s: State, n_states, cfg,
             if lo < hi:
                 a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
         i += 1
-    return crashed.reshape(J, m)
+    return crashed.reshape(J, m)[:, back.reshape(-1)]  # 2-D on numpy 2.0.0
 
 
 def no_cutin_walk(s: State, cfg

@@ -1,5 +1,9 @@
-"""The command-line verbs and their exit codes, driven through ``main``."""
+"""The command-line verbs and their exit codes, driven through ``main``,
+and the process policy the program sets."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -442,3 +446,47 @@ def test_library_data_errors_exit_code(tmp_path, capsys, monkeypatch, error):
                      "--out", tmp_path)
     assert rc == 4
     assert err == "data error: raised by the sampler\n"
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread policy
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+
+
+def python(code, **env):
+    """Standard output of ``code`` in a fresh interpreter whose environment
+    is the package path and ``env``, nothing inherited."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env={"PYTHONPATH": SRC, **env}, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_package_import_leaves_numpy_out():
+    # The program can set the BLAS policy only if numpy is not loaded yet.
+    code = "import sys, overtake_eval; print('numpy' in sys.modules)"
+    assert python(code) == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc")
+def test_cli_runs_blas_on_one_thread():
+    code = ("import os, overtake_eval.cli, numpy as np; "
+            "np.linalg.eigh(np.ones((4000, 3, 3)) + np.eye(3)); "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert python(code) == "1"
+
+
+@pytest.mark.parametrize("caller, added", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {}),
+    ({"OMP_NUM_THREADS": "2"}, {}),
+    ({"MKL_NUM_THREADS": "2"}, {}),
+], ids=["unset", "openblas", "omp", "mkl"])
+def test_cli_sets_one_blas_thread_unless_the_caller_chose(caller, added):
+    code = ("import json, os; before = dict(os.environ); "
+            "import overtake_eval.cli; "
+            "print(json.dumps({k: v for k, v in os.environ.items() "
+            "if before.get(k) != v}))")
+    assert json.loads(python(code, **caller)) == added

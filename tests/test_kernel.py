@@ -181,6 +181,26 @@ def test_panel_rollout_matches_one_rollout_per_law():
     assert np.array_equal(panel[1], kernel.cutin_crashes(
         s, np.minimum(budget, 20), cfg, [ram])[0])
     assert (~panel[[0, 2, 3, 4]][:, budget >= 20]).any(axis=1).all()
+    # repeated rows take their original's outcomes
+    again = kernel.cutin_crashes([np.concatenate([x, x[:50]]) for x in s],
+                                 np.concatenate([budget, budget[:50]]), cfg,
+                                 laws)
+    assert np.array_equal(again, np.concatenate([panel, panel[:, :50]], 1))
+    # each distinct start rolls out once; starts that differ only in the
+    # sign of a zero are distinct, and each has its own row's outcome
+    seen = []
+
+    def counted(v, gap, dv):
+        seen.append(len(v))
+        return av(v, gap, dv)
+
+    zero = [np.tile([0.0, 0.0, -0.0, -0.0], 3), np.full(12, 20.0),
+            np.zeros(12), np.full(12, 10.0), np.tile([0.0, -0.0], 6)]
+    got = kernel.cutin_crashes(zero, np.full(12, 300), cfg, [counted])
+    assert seen[0] == 4
+    alone = [kernel.cutin_crashes([x[i:i + 1] for x in zero], [300], cfg,
+                                  [av])[0, 0] for i in range(4)]
+    assert got[0].tolist() == alone * 3
     # no row and no law at all
     assert kernel.cutin_crashes([x[:0] for x in s], budget[:0], cfg,
                                 laws).shape == (len(laws), 0)
