@@ -6,8 +6,8 @@ dataclasses below::
 
     [campaign]    seed, episodes_nde, episodes_nade, environment,
                   replications, workers (worker processes of ``replicate``)
-    [estimator]   gamma, rhw_threshold, confirm_window, max_control_steps,
-                  oracle_bins, oracle_budget
+    [estimator]   gamma, rhw_threshold, confirm_window, oracle_bins,
+                  oracle_budget
     [scenario]    dt, max_steps, d_accid, vehicle_length
     [initial]     v_bv, r1_low, r1_high, r1_dot, r2, r2_dot
     [criticality] epsilon, surrogates   (comma list of idm, fvdm1, fvdm2)
@@ -17,9 +17,6 @@ dataclasses below::
     [sm_idm]      IDM surrogate overrides (same keys as bv_idm)
     [sm_fvdm1]    kappa, lam, v_cap, b_f, c_f, hard_decel, hard_accel
     [sm_fvdm2]    same keys as sm_fvdm1
-
-``max_control_steps`` caps the critical moments a NADE episode samples from
-the importance distribution and logs; the estimators use every logged one.
 
 Validation rejects, by name, any float that is not finite (NaN or
 infinite), in every section and surrogate block: the array kernel would
@@ -106,6 +103,16 @@ class ScenarioConfig:
             raise ConfigError("at least one surrogate model is required")
         if self.init.r1_high < self.init.r1_low:
             raise ConfigError("initial r1 range is inverted")
+        # The BV's, the LV's and the AV's initial speeds.  The laws take
+        # speeds of at least 0 (IDM raises v to a real power); the kernel
+        # floors a speed only after a step.
+        init = self.init
+        for name, v in (("init.v_bv", init.v_bv),
+                        ("init.v_bv + init.r1_dot", init.v_bv + init.r1_dot),
+                        ("init.v_bv - init.r2_dot", init.v_bv - init.r2_dot)):
+            if v < 0:
+                raise ConfigError(f"initial speed {name} must be "
+                                  f"non-negative, got {v}")
         # The array kernel would turn these into inf/nan instead of failing.
         idm_blocks = [("bv_idm", self.bv_idm), ("av_idm", self.av_idm)] + [
             (sm.name, sm.idm) for sm in self.surrogates if sm.kind == "idm"]
@@ -135,10 +142,6 @@ class CampaignConfig:
     gamma: float = 0.1
     rhw_threshold: float = 0.1
     confirm_window: int = 50
-    # Critical moments a NADE episode samples from q_alpha and logs; later
-    # ones follow p_R.  It caps the sampler's log only: the estimators use
-    # every logged moment, whatever its count.
-    max_control_steps: int = 10
     oracle_bins: int = 64
     oracle_budget: int = 10_000_000
     replications: int = 1
@@ -157,8 +160,6 @@ class CampaignConfig:
             raise ConfigError("rhw_threshold must be positive")
         if self.confirm_window < 1:
             raise ConfigError("confirm_window must be at least 1")
-        if self.max_control_steps < 0:
-            raise ConfigError("max_control_steps must be non-negative")
         if self.oracle_bins < 1:
             raise ConfigError("oracle_bins must be at least 1")
         if self.replications < 1:
@@ -176,7 +177,7 @@ _SECTIONS = {
     "campaign": ((), ("seed", "episodes_nde", "episodes_nade", "environment",
                       "replications", "workers")),
     "estimator": ((), ("gamma", "rhw_threshold", "confirm_window",
-                       "max_control_steps", "oracle_bins", "oracle_budget")),
+                       "oracle_bins", "oracle_budget")),
     "scenario": (("scenario",), ("dt", "max_steps", "d_accid",
                                  "vehicle_length")),
     "initial": (("scenario", "init"), None),

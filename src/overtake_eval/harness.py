@@ -120,8 +120,7 @@ def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
     ``harness.sample_nde_batch`` or ``sample_nade_batch`` sees them all."""
     if env == "nde":
         return sample_nde_batch(roots, cfg.scenario, n)
-    return sample_nade_batch(roots, cfg.scenario, n, evaluator=evaluator,
-                             max_control_steps=cfg.max_control_steps)
+    return sample_nade_batch(roots, cfg.scenario, n, evaluator=evaluator)
 
 
 def sample_env(cfg: CampaignConfig, env: str) -> Records:

@@ -18,16 +18,15 @@ of the others.
 
 The naturalistic sampler always uses the behaviour model's p_R.  The
 accelerated sampler decides from a criticality profile of the live
-episodes at every step: at critical moments, up to the control-step cap,
-the law is the mixture importance distribution q_alpha and the densities
-at the drawn atom are logged; everywhere else it is p_R.  An episode's
-weight is the product of p/q_alpha over its moments in log order
-(:func:`log_product`), so a record's ``w`` can be recomputed from its log
-bit for bit.  The cap keeps logs short without affecting unbiasedness.  An
-episode's pre-cut-in states do not depend on its draws: until it cuts in,
-it follows its no-cut-in walk (``kernel.no_cutin_walk``).  So the
-evaluator's cache is filled once per block, from those walks, before the
-block's walk starts, and every profile the walk asks for is a cache hit.
+episodes at every step: at every critical moment the law is the mixture
+importance distribution q_alpha and the densities at the drawn atom are
+logged; everywhere else it is p_R.  An episode's weight is the product of
+p/q_alpha over its moments in log order (:func:`log_product`), so a
+record's ``w`` can be recomputed from its log bit for bit.  An episode's
+pre-cut-in states do not depend on its draws: until it cuts in, it follows
+its no-cut-in walk (``kernel.no_cutin_walk``).  So the evaluator's cache is
+filled once per block, from those walks, before the block's walk starts,
+and every profile the walk asks for is a cache hit.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``
 (:func:`episode_seeds`, :func:`_blocks`), bit for bit as numpy's own
@@ -234,14 +233,13 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> Records:
 
 
 def sample_nade_batch(roots: Roots, cfg, n: int,
-                      evaluator: Optional[CriticalityEvaluator] = None,
-                      max_control_steps: int = 10) -> Records:
+                      evaluator: Optional[CriticalityEvaluator] = None
+                      ) -> Records:
     """Accelerated episodes ``0 .. n-1`` of each root seed in ``roots``
     (one int or a sequence), root-major, advanced in lockstep."""
     if evaluator is None:
         evaluator = CriticalityEvaluator(cfg)
     idx, seeds = _episodes(roots, ENV_NADE, n)
-    logged = np.zeros(len(seeds), dtype=int)
     log: List[Tuple[np.ndarray, ...]] = []
     found = []
     for lo, rng, states in _blocks(seeds, cfg):
@@ -250,13 +248,12 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
         def decide(rows, s):
             prof = evaluator.profile(s)
             p_lc = prof.p_lane_change
-            ctl = prof.is_critical & (logged[lo + rows] < max_control_steps)
+            ctl = prof.is_critical
             m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
             m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
             fire = draws_lane_change(rng.random(rows), m_lc, m_f)
             if ctl.any():
                 r, f = lo + rows[ctl], fire[ctl]
-                logged[r] += 1
                 log.append((r, np.where(f, p_lc[ctl], 1.0 - p_lc[ctl]),
                             np.where(f, m_lc[ctl], m_f[ctl]),
                             np.where(f, prof.q_lane_change[:, ctl],

@@ -479,7 +479,7 @@ def nde_batch(root_seed, cfg, n):
     return out
 
 
-def nade_episode(rng, cfg, evaluator, max_control_steps, index, seed):
+def nade_episode(rng, cfg, evaluator, index, seed):
     """Returns the record and the step it ended at."""
     s = initial_state(rng, cfg)
     k = 0
@@ -488,7 +488,7 @@ def nade_episode(rng, cfg, evaluator, max_control_steps, index, seed):
     log = []
     while running(s, k, cfg):
         prof = evaluator.profile(s)
-        controlled = prof.is_critical and len(log) < max_control_steps
+        controlled = prof.is_critical
         a = prof.law(controlled).sample(rng)
         if controlled:
             p_a, q_a, q_js = prof.components(a)
@@ -505,12 +505,12 @@ def nade_episode(rng, cfg, evaluator, max_control_steps, index, seed):
                       weight=weight, critical_log=tuple(log)), k
 
 
-def nade_batch(root_seed, cfg, n, evaluator, max_control_steps=10):
+def nade_batch(root_seed, cfg, n, evaluator):
     out = []
     for i in range(n):
         seed = episode_seed(root_seed, ENV_NADE, i)
         out.append(nade_episode(np.random.default_rng(seed), cfg, evaluator,
-                                max_control_steps, i, seed))
+                                i, seed))
     return out
 
 

@@ -1,6 +1,5 @@
 """Configuration loading and validation."""
 import dataclasses
-import json
 import os
 
 import pytest
@@ -111,7 +110,6 @@ def test_loaded_config_is_validated(tmp_path):
     ("gamma", 0.0, "gamma"),
     ("rhw_threshold", -0.1, "rhw_threshold"),
     ("confirm_window", 0, "confirm_window"),
-    ("max_control_steps", -1, "max_control_steps"),
     ("oracle_bins", 0, "oracle_bins"),
     ("replications", 0, "replications"),
     ("workers", 0, "workers"),
@@ -141,18 +139,19 @@ def test_scenario_validation_messages(field, value, message):
         cfg.validate()
 
 
-def test_wide_control_cap_runs_a_nade_estimate(tmp_path, capsys):
-    # The cap bounds the sampler's log only; no estimator design grows with
-    # it, so a deep cap is a valid campaign.
-    path = write(tmp_path, "[estimator]\nmax_control_steps = 20\n")
+def test_control_step_cap_key_is_unknown(tmp_path, capsys):
+    # NADE samples every critical moment from q_alpha and logs it; an old
+    # file that still caps them fails instead of running uncapped.
     out = tmp_path / "out"
-    rc = main(["estimate", "--config", path, "--env", "nade",
-               "--episodes", "20", "--out", str(out)])
-    assert rc == 0
-    assert "atscv" in capsys.readouterr().out
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["max_control_steps"] == 20
-    assert summary["methods"]["atscv"]["n"] == 20
+    for cap in (10, 20):
+        path = write(tmp_path, f"[estimator]\nmax_control_steps = {cap}\n")
+        rc = main(["estimate", "--config", path, "--env", "nade",
+                   "--episodes", "20", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'max_control_steps' in section "
+            "[estimator]\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -200,6 +199,25 @@ def test_non_finite_config_values_exit_code(tmp_path, capsys, source,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source,message", [
+    ("[initial]\nv_bv = -1\n[bv_idm]\ndelta = 4.5\n",
+     "initial speed init.v_bv must be non-negative, got -1.0"),
+    ("[initial]\nr1_dot = -9\n",
+     "initial speed init.v_bv + init.r1_dot must be non-negative, got -1.0"),
+    ("[initial]\nr2_dot = 9\n",
+     "initial speed init.v_bv - init.r2_dot must be non-negative, got -1.0"),
+], ids=["bv", "leader", "follower"])
+def test_negative_initial_speed_exit_code(tmp_path, capsys, source, message):
+    # The BV's case with a real IDM exponent ended as a data error (exit 4)
+    # after numpy warnings; the others simulated a vehicle driving backwards.
+    out = tmp_path / "out"
+    rc = main(["estimate", "--env", "nde", "--episodes", "300", "--config",
+               write(tmp_path, source), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_inverted_initial_range_rejected():
     sc = ScenarioConfig()
     sc = dataclasses.replace(sc, init=dataclasses.replace(sc.init, r1_high=29.0))
@@ -220,7 +238,6 @@ workers = 2
 gamma = 0.2
 rhw_threshold = 0.3
 confirm_window = 5
-max_control_steps = 4
 oracle_bins = 8
 oracle_budget = 999
 
@@ -300,8 +317,7 @@ def test_every_key_of_every_section_is_read(tmp_path):
     expected = CampaignConfig(
         seed=7, episodes_nde=11, episodes_nade=13, environment="nade",
         replications=3, workers=2, gamma=0.2, rhw_threshold=0.3,
-        confirm_window=5, max_control_steps=4, oracle_bins=8,
-        oracle_budget=999,
+        confirm_window=5, oracle_bins=8, oracle_budget=999,
         scenario=ScenarioConfig(
             dt=0.2, max_steps=50, d_accid=0.5, vehicle_length=4.5,
             epsilon=0.2,

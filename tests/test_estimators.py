@@ -16,7 +16,7 @@ from overtake_eval.estimators import (
 from overtake_eval.estimators import fit as block_fit
 from overtake_eval.estimators import tests_to_threshold as time_to_threshold
 from overtake_eval.oracle import brute_force_mu
-from overtake_eval.sampling import Records, sample_nade_batch
+from overtake_eval.sampling import Records, sample_nade_batch, sample_nde_batch
 from scalar_reference import TestRecord, from_block, to_block
 
 from conftest import make_moment, make_nade_record, random_nade_records, random_nde_records
@@ -59,9 +59,10 @@ def test_controls_are_density_ratio_products_minus_one():
 
 
 def test_no_control_step_gives_no_controls(scen):
-    # Without a control step the sampler logs nothing, so ATSCV has no
-    # column to adjust with and is the NADE fit.
-    recs = sample_nade_batch(5, scen, 200, max_control_steps=0)
+    # Records without a logged moment (NDE episodes, each of weight 1, read
+    # as NADE ones) give ATSCV no column to adjust with: it is the NADE fit.
+    recs = dataclasses.replace(sample_nde_batch(5, scen, 200), env="nade")
+    assert recs.accident.any()
     atscv, nade = fit(recs, "atscv"), fit(recs, "nade")
     assert atscv.Z.shape == (200, 0) and atscv.beta.shape == (200, 0)
     assert atscv.mu.tolist() == nade.mu.tolist()

@@ -304,9 +304,8 @@ def test_nade_batch_matches_scalar_reference(name):
         n = 12
     scalar = ref.ScalarEvaluator(cfg)
     ev = CriticalityEvaluator(cfg)
-    cap = 2 if name == "default" else 10
-    want = ref.nade_batch(1717, cfg, n, scalar, max_control_steps=cap)
-    got = sample_nade_batch(1717, cfg, n, evaluator=ev, max_control_steps=cap)
+    want = ref.nade_batch(1717, cfg, n, scalar)
+    got = sample_nade_batch(1717, cfg, n, evaluator=ev)
     assert got.env == ref.ENV_NADE
     assert ref.block_columns(got) == ref.columns([r for r, _ in want])
     for r in got[:5]:
@@ -329,12 +328,11 @@ def test_nade_batch_matches_scalar_reference(name):
     steps = [k for _, k in want]
     if name != "long":  # whose truncated rollouts never reach contact
         assert got.accident.sum() > 0
-    if name == "default":
-        assert got.control_steps.max() == cap  # the cap binds
     if name == "stressed":
         assert 0 in steps  # a cut-in at step 0
     if name == "long":
         assert max(steps) > 16  # the uniforms are refilled
+        assert got.control_steps.max() > 10  # every critical moment logged
 
 
 def test_nade_batch_lane_change_certain():

@@ -231,18 +231,12 @@ def test_nade_log_densities_are_proper(scen):
         assert p / q_alpha <= cap  # epsilon floor caps the weight
 
 
-def test_nade_respects_control_step_cap(scen):
-    ev = CriticalityEvaluator(scen)
-    recs = sample_nade_batch(13579, scen, 400, evaluator=ev,
-                             max_control_steps=3)
-    assert recs.control_steps.max() <= 3
-    # and the cap binds somewhere, otherwise this tests nothing
-    uncapped = sample_nade_batch(13579, scen, 400, evaluator=ev,
-                                 max_control_steps=10)
-    assert uncapped.control_steps.max() > 3
-    # without a control step nothing is logged and every weight is 1
-    none = sample_nade_batch(13579, scen, 400, evaluator=ev,
-                             max_control_steps=0)
+def test_nade_without_critical_moments_logs_nothing(scen):
+    # p_max = 0: the BV never cuts in, so no moment is critical, nothing is
+    # logged and every weight is 1
+    cfg = dataclasses.replace(scen, mobil=dataclasses.replace(scen.mobil,
+                                                              p_max=0.0))
+    none = sample_nade_batch(13579, cfg, 400)
     assert not none.control_steps.any() and none.q.shape == (0, 3)
     assert (none.weight == 1.0).all()
 
@@ -256,18 +250,30 @@ def test_nde_mean_matches_enumeration(campaign):
     assert abs(y.mean() - mu) < 3.5 * se
 
 
-def test_nade_mean_matches_enumeration_any_cap(campaign):
-    # The importance weights keep the estimate unbiased whether or not the
-    # per-episode control budget saturates.
-    scen = campaign.scenario
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_nade_mean_matches_enumeration(campaign, name):
+    # The importance weights keep the estimate unbiased however many
+    # critical moments an episode logs: up to 6 by default, 39 when long.
+    scen = CONFIGS[name]
     mu = brute_force_mu(scen, campaign.oracle_bins, campaign.oracle_budget)
-    ev = CriticalityEvaluator(scen)
-    for cap in (2, 10):
-        recs = sample_nade_batch(4096, scen, 4000, evaluator=ev,
-                                 max_control_steps=cap)
-        y = recs.weight * recs.accident
-        se = y.std(ddof=1) / math.sqrt(len(y))
-        assert abs(y.mean() - mu) < 3.5 * se, f"cap={cap}"
+    recs = sample_nade_batch(4096, scen, 4000)
+    y = recs.weight * recs.accident
+    se = y.std(ddof=1) / math.sqrt(len(y))
+    assert abs(y.mean() - mu) < 3.5 * se
+
+
+def test_nade_beats_nde_when_episodes_log_many_moments(campaign):
+    # At r2 = 10 an episode logs up to 19 critical moments and the
+    # decisive ones come late: drawing only the first ten from q_alpha
+    # leaves NADE at about NDE's relative variance.
+    scen = campaign.scenario
+    scen = dataclasses.replace(scen, init=dataclasses.replace(scen.init,
+                                                              r2=10.0))
+    mu = brute_force_mu(scen, campaign.oracle_bins, campaign.oracle_budget)
+    recs = sample_nade_batch(2207, scen, 2000)
+    y = recs.accident * recs.weight
+    assert y.var() / mu ** 2 < 0.1 * (1.0 - mu) / mu
+    assert recs.control_steps.max() > 10
 
 
 def test_nade_importance_actually_oversamples_accidents(scen):
