@@ -21,7 +21,8 @@ dataclasses below::
 Validation rejects, by name, any float that is not finite (NaN or
 infinite), in every section and surrogate block: the array kernel would
 carry it into every episode as NaN or as a certain outcome instead of
-failing.
+failing.  It also rejects a lane-change cap ``[mobil] p_max`` outside
+[0, 1], which would give the follow atom a negative mass.
 
 One table, ``_SECTIONS``, maps each section to the dataclass it sets and to
 its keys; loading and the unknown-key check read it.  A value is cast by
@@ -128,6 +129,10 @@ class ScenarioConfig:
             for p in (sm.idm, sm.fvdm) if p is not None]
         for prefix, block in blocks:
             _require_finite(block, prefix)
+        # A lane-change probability; 0 switches lane changes off.
+        if not 0.0 <= self.mobil.p_max <= 1.0:
+            raise ConfigError(f"mobil.p_max must lie in [0, 1], "
+                              f"got {self.mobil.p_max}")
 
 
 @dataclass(frozen=True)

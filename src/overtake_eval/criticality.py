@@ -5,11 +5,19 @@ now, or keep following its leader.  A panel of surrogate follower models is
 used to score how dangerous each option is:
 
 * the *challenge* of cutting in now is 1 or 0 depending on whether a
-  deterministic rollout with the surrogate driving the follower ends in
-  contact;
+  deterministic rollout with the surrogate driving the follower reaches
+  contact before the follower stops closing in, within the step budget
+  (``kernel.cutin_crashes`` with ``until_clear``);
 * the challenge of staying put is the probability that a cut-in at some later
-  moment of the (deterministic) no-cut-in continuation ends in contact,
-  accumulated over the lane-change hazard at each of those moments.
+  moment of the (deterministic) no-cut-in continuation does so, accumulated
+  over the lane-change hazard at each of those moments.
+
+The challenges only shape the importance distribution: the accelerated
+estimators stay unbiased for any challenge, because every tilted law keeps
+at least ``epsilon`` times the naturalistic mass on each action.  Ending a
+surrogate's rollout when the cut-in conflict is resolved measures that
+conflict, as the "maneuver challenge" of Feng et al. (Nat. Commun. 2021)
+does, and keeps a fill's panel rollout to a few lockstep steps.
 
 Combining the challenges with the naturalistic action probabilities gives a
 per-surrogate *criticality* (the probability, one step ahead and beyond, of a
@@ -143,7 +151,7 @@ class CriticalityEvaluator:
         hot = p_r > 0.0
         cut = [np.concatenate([x, y[hot]]) for x, y in zip(rep, later)]
         crash = cutin_crashes(cut, np.full(len(cut[0]), cfg.max_steps), cfg,
-                              self._accels).astype(float)
+                              self._accels, until_clear=True).astype(float)
         lane_change = crash[:, :len(keys)]
         crash_later = np.zeros((len(self._accels), len(p_r)))
         crash_later[:, hot] = crash[:, len(keys):]

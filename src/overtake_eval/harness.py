@@ -137,17 +137,25 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _method_results(cfg: CampaignConfig, records: Dict[str, Records]
-                    ) -> Dict[str, MethodResult]:
-    """Every applicable method's result, from one fit each."""
-    methods = {}
+def _fits(records: Dict[str, Records], reps: int = 1) -> Dict[str, PooledFit]:
+    """Every applicable method's fit, one each; with ``reps``, of that
+    many equal-size replications stacked in each block."""
+    fits = {}
     for m in METHODS:
         recs = records.get("nde" if m == "nde" else "nade")
         if recs:
-            f = fit(recs, m)
-            table = f.table(cfg.gamma)
-            methods[m] = MethodResult(f, table, tests_to_threshold(
-                table[:, 2], cfg.rhw_threshold, cfg.confirm_window))
+            fits[m] = fit(recs, m, reps)
+    return fits
+
+
+def _method_results(cfg: CampaignConfig, fits: Dict[str, PooledFit]
+                    ) -> Dict[str, MethodResult]:
+    """Each method's result, read off its fit."""
+    methods = {}
+    for m, f in fits.items():
+        table = f.table(cfg.gamma)
+        methods[m] = MethodResult(f, table, tests_to_threshold(
+            table[:, 2], cfg.rhw_threshold, cfg.confirm_window))
     return methods
 
 
@@ -188,7 +196,7 @@ def estimate_from_records(cfg: CampaignConfig,
     the environments ``cfg.environment`` selects."""
     records = {env: recs for env, recs in records.items()
                if cfg.environment in (env, "both")}
-    methods = _method_results(cfg, records)
+    methods = _method_results(cfg, _fits(records))
     return CampaignResult(config=cfg, records=records, methods=methods,
                           acceleration=_acceleration(methods))
 
@@ -205,7 +213,8 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     (``sampling.BLOCK``), and at least one, form a group: one sampler call
     per environment walks all their episodes in lockstep, so their cut-ins
     resolve in one rollout and each step's new grid cells fill in one
-    batch.  Each replication is fitted on its slice of the group's block.
+    batch.  Each method is fitted once over the group's block, restarted
+    at each replication, and each replication reads its slice of that fit.
     Every record is a pure function of (root, environment, index)
     and every cache value of its grid key, so the rows do not depend on the
     grouping.
@@ -226,11 +235,12 @@ def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
     seeds = [cfg.seed + rep for rep in group]
     drawn = {env: _sample(env, cfg, seeds, n, evaluator=evaluator)
              for env, n in budgets.items()}
+    fits = {m: (f, len(f.y) // len(group))
+            for m, f in _fits(drawn, len(group)).items()}
     rows = []
     for i, (rep, seed) in enumerate(zip(group, seeds)):
-        methods = _method_results(cfg, {
-            env: recs[i * budgets[env]:(i + 1) * budgets[env]]
-            for env, recs in drawn.items()})
+        methods = _method_results(cfg, {m: f[i * n:(i + 1) * n]
+                                         for m, (f, n) in fits.items()})
         row: Dict[str, object] = {"replication": rep, "seed": seed}
         for m in METHODS:
             mr = methods.get(m)

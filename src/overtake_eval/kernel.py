@@ -157,8 +157,8 @@ def _follow(s: State, cfg) -> List[np.ndarray]:
     return step(s, a_bv, 0.0, cfg.dt)
 
 
-def cutin_crashes(s: State, n_states, cfg,
-                  laws: Sequence[Accel] = None) -> np.ndarray:
+def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
+                  *, until_clear: bool = False) -> np.ndarray:
     """Contact outcomes of a cut-in fired from each row's pre-cut-in state,
     one row per follower law in ``laws`` (by default the tested vehicle,
     ``cfg.av_idm``; the criticality evaluator passes its surrogate panel).
@@ -166,13 +166,21 @@ def cutin_crashes(s: State, n_states, cfg,
     The cut-in step lets every vehicle coast; then the law drives the AV
     while the BV holds speed.  Row i may visit ``n_states[i]`` states after
     the cut-in, and contact is judged on each of them before the next
-    control step.  Rows that share ``(v_bv, r2, r2_dot)`` and budget bit for
-    bit (so ``-0.0`` and ``0.0`` stay apart) roll out once.  All laws' rows
-    advance in one lockstep loop, stacked law by law; a row leaves at
-    contact or when its budget runs out, in order, so each law drives a
-    contiguous slice and every row sees exactly the arithmetic of its law's
-    rollout alone.  Only the AV and BV are advanced (the LV no longer
-    matters), exactly as ``step`` advances them.
+    control step.  With ``until_clear`` a row also ends, without contact,
+    at its first state out of contact where the AV no longer closes in
+    (``r2_dot >= 0``): the outcome is then contact before the follower
+    stops closing in, within the budget.  The surrogate challenges are
+    defined so; the tested vehicle is a black box after it first matches
+    the BV's speed, so its rollouts keep the whole budget.
+
+    Rows that share ``(v_bv, r2, r2_dot)`` and budget bit for bit (so
+    ``-0.0`` and ``0.0`` stay apart) roll out once.  All laws' rows advance
+    in one lockstep loop, stacked law by law; the rows left keep their
+    order, so each law drives a contiguous slice and every row sees exactly
+    the arithmetic of its law's rollout alone.  Only the AV and BV are advanced
+    (the LV no longer matters), exactly as ``step`` advances them: after
+    the cut-in step the BV's speed is floored and no longer ``-0.0``, so
+    ``_advance`` returns it unchanged and moves the BV by ``v_bv * dt``.
     """
     if laws is None:
         laws = [lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)]
@@ -191,25 +199,35 @@ def cutin_crashes(s: State, n_states, cfg,
     rows = (edges[:-1, None] + start).ravel()
     last, v_bv, r2, r2_dot = (np.tile(x[start], J)
                               for x in (n_states - 1, v_bv, r2, r2_dot))
-    v_av, a_av = v_bv - r2_dot, 0.0  # the cut-in step
+    # The cut-in step.
+    x_av, v_av = _advance(0.0, v_bv - r2_dot, 0.0, dt)
+    x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
+    r2, r2_dot, bv_dx = x_bv - x_av, v_bv - v_av, v_bv * dt
     contact = L + cfg.d_accid
+    at = np.searchsorted(rows, edges).tolist()  # law j: at[j]:at[j+1]
     i = 0
     while rows.size:
-        x_av, v_av = _advance(0.0, v_av, a_av, dt)
-        x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
-        r2, r2_dot = x_bv - x_av, v_bv - v_av
         hit = r2 <= contact
         keep = ~hit & (last > i)
+        if until_clear:
+            keep &= ~(r2_dot >= 0.0)
         if not keep.all():
             crashed[rows[hit]] = True
-            rows, last, v_bv, r2, r2_dot = (
-                x[keep] for x in (rows, last, v_bv, r2, r2_dot))
+            rows, last, v_bv, bv_dx, r2, r2_dot = (
+                x[keep] for x in (rows, last, v_bv, bv_dx, r2, r2_dot))
+            if not rows.size:
+                break
+            at = np.searchsorted(rows, edges).tolist()
         v_av, gap, dv = v_bv - r2_dot, r2 - L, -r2_dot
-        a_av = np.empty(rows.size)
-        at = np.searchsorted(rows, edges).tolist()  # law j: at[j]:at[j+1]
-        for law, lo, hi in zip(laws, at, at[1:]):
-            if lo < hi:
-                a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
+        if J == 1:
+            a_av = laws[0](v_av, gap, dv)
+        else:
+            a_av = np.empty(rows.size)
+            for law, lo, hi in zip(laws, at, at[1:]):
+                if lo < hi:
+                    a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
+        x_av, v_av = _advance(0.0, v_av, a_av, dt)
+        r2, r2_dot = (r2 + bv_dx) - x_av, v_bv - v_av
         i += 1
     return crashed.reshape(J, m)[:, back.reshape(-1)]  # 2-D on numpy 2.0.0
 

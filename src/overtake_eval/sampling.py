@@ -5,8 +5,9 @@ lockstep array kernel.  A call takes one or several root seeds and returns
 episodes ``0 .. n-1`` of each root, root-major.  ``kernel.walk`` advances
 the call's episodes in blocks of ``BLOCK`` together up to their cut-ins,
 whichever roots they belong to, and one ``kernel.cutin_crashes`` rollout
-of the tested vehicle resolves every cut-in of the call (a NADE block's
-cache fill adds one of the whole surrogate panel), so a replication study
+of the tested vehicle resolves every cut-in of the call with the whole
+step budget (a NADE block's cache fill adds one of the whole surrogate
+panel, until each conflict is resolved), so a replication study
 hands one call the episodes of many roots.  The walks only collect each
 episode's cut-in and, step by step, the densities logged as arrays; the
 call's :class:`Records` block is built once, after that rollout has marked

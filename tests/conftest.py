@@ -69,10 +69,13 @@ def idm_ref(v: float, gap: float, dv: float, p: IdmParams) -> float:
 
 def abs_cutin_crash(v_bv: float, r1: float, r1_dot: float, r2: float,
                     r2_dot: float, accel_fn: Callable[[float, float, float], float],
-                    cfg: ScenarioConfig, n_states: int) -> bool:
+                    cfg: ScenarioConfig, n_states: int,
+                    until_clear: bool = False) -> bool:
     """Contact outcome of a cut-in fired from the given ranges, simulated on
     absolute positions: one zero-acceleration step while the lane change
-    completes, then the follower controls against the cutting-in vehicle."""
+    completes, then the follower controls against the cutting-in vehicle.
+    With ``until_clear`` the rollout also ends, without contact, once the
+    follower is no longer faster than the cutting-in vehicle."""
     v_av = v_bv - r2_dot
     v_lv = v_bv + r1_dot
     x_av, x_bv, x_lv = 0.0, r2, r2 + r1
@@ -83,7 +86,7 @@ def abs_cutin_crash(v_bv: float, r1: float, r1_dot: float, r2: float,
         gap = (x_bv - x_av) - cfg.vehicle_length
         if gap <= cfg.d_accid:
             return True
-        if i == n_states - 1:
+        if i == n_states - 1 or until_clear and v_av <= v_bv:
             break
         a = accel_fn(v_av, gap, v_av - v_bv)
         x_av, v_av = advance_abs(x_av, v_av, a, cfg.dt)

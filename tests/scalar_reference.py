@@ -245,16 +245,17 @@ def step_raw(v_bv, r1, r1_dot, r2, r2_dot, a_bv, a_av, dt) -> State:
 
 
 def cutin_outcome(v_bv, r1, r1_dot, r2, r2_dot, accel_fn, cfg,
-                  n_states: int) -> bool:
+                  n_states: int, until_clear: bool = False) -> bool:
     """True when the AV, driven by ``accel_fn`` after the cut-in, makes
-    contact within ``n_states`` states."""
+    contact within ``n_states`` states; with ``until_clear``, before the
+    first state where it no longer closes in (``r2_dot >= 0``)."""
     contact = cfg.vehicle_length + cfg.d_accid
     v_bv, r1, r1_dot, r2, r2_dot = step_raw(
         v_bv, r1, r1_dot, r2, r2_dot, 0.0, 0.0, cfg.dt)
     for i in range(n_states):
         if r2 <= contact:
             return True
-        if i == n_states - 1:
+        if i == n_states - 1 or until_clear and r2_dot >= 0.0:
             break
         a_av = accel_fn(v_bv - r2_dot, r2 - cfg.vehicle_length, -r2_dot)
         v_bv, r1, r1_dot, r2, r2_dot = step_raw(
@@ -362,7 +363,8 @@ class ScalarEvaluator:
     def crash_vector(self, s: State) -> Tuple[float, ...]:
         cfg = self.cfg
         return tuple(
-            1.0 if cutin_outcome(*s, surrogate_accel(sm), cfg, cfg.max_steps)
+            1.0 if cutin_outcome(*s, surrogate_accel(sm), cfg, cfg.max_steps,
+                                 until_clear=True)
             else 0.0 for sm in cfg.surrogates)
 
     def compute_challenges(self, key: Tuple[int, ...]):

@@ -218,6 +218,28 @@ def test_negative_initial_speed_exit_code(tmp_path, capsys, source, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p_max", ["2", "-0.5", "1.0000001"])
+def test_lane_change_probability_cap_outside_unit_interval_exit_code(
+        tmp_path, capsys, p_max):
+    # p_max = 2 with a steep gain made lane-change "probabilities" of 2 and
+    # a follow atom of mass -1, and every method reported mu = 0 (exit 0).
+    out = tmp_path / "out"
+    rc = main(["estimate", "--episodes", "2000", "--config",
+               write(tmp_path, f"[mobil]\ngamma_p = 100\np_max = {p_max}\n"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: mobil.p_max must lie in [0, 1], got {float(p_max)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p_max", [0.0, 1.0])
+def test_lane_change_probability_cap_at_its_bounds_is_valid(tmp_path, p_max):
+    # p_max = 0 switches lane changes off.
+    cfg = load_config(write(tmp_path, f"[mobil]\np_max = {p_max}\n"))
+    assert cfg.scenario.mobil.p_max == p_max
+
+
 def test_inverted_initial_range_rejected():
     sc = ScenarioConfig()
     sc = dataclasses.replace(sc, init=dataclasses.replace(sc.init, r1_high=29.0))

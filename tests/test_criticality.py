@@ -52,7 +52,8 @@ def test_lane_change_challenge_matches_absolute_rollouts(scen):
     got = ev.challenges(cols(states))[0]
     followers = [ref.surrogate_accel(sm) for sm in scen.surrogates]
     for i, s in enumerate(states):
-        want = [1.0 if abs_cutin_crash(*s, f, scen, scen.max_steps) else 0.0
+        want = [1.0 if abs_cutin_crash(*s, f, scen, scen.max_steps,
+                                       until_clear=True) else 0.0
                 for f in followers]
         assert got[:, i].tolist() == want
     assert 0 < got.sum() < 450  # the box straddles the contact boundary
@@ -74,7 +75,8 @@ def test_follow_challenge_matches_recursive_enumeration(scen):
             f = ref.surrogate_accel(sm)
             want = follow_hazard_recursive(
                 walk,
-                lambda t: 1.0 if abs_cutin_crash(*t, f, cfg, cfg.max_steps)
+                lambda t: 1.0 if abs_cutin_crash(*t, f, cfg, cfg.max_steps,
+                                                 until_clear=True)
                 else 0.0,
                 cfg)
             assert got[j, i] == pytest.approx(want, abs=1e-9)
@@ -254,16 +256,17 @@ def test_batch_with_repeated_cells_equals_per_state_lookups(scen,
 
 def test_fill_rolls_the_whole_panel_out_at_once(scen, monkeypatch):
     # A fill resolves every surrogate's cut-ins in one panel rollout, so a
-    # NADE sampler call of one block runs two rollouts: the block's fill
-    # and the tested vehicle's, whatever the panel's size.
+    # NADE sampler call of one block runs two rollouts: the block's fill,
+    # which ends each row once its conflict is resolved, and the tested
+    # vehicle's, which keeps the whole budget, whatever the panel's size.
     calls = []
 
     def counting(module):
         rollout = module.cutin_crashes
 
-        def hooked(s, n_states, cfg, laws=None):
-            calls.append((module.__name__, laws and len(laws)))
-            return rollout(s, n_states, cfg, laws)
+        def hooked(s, n_states, cfg, laws=None, **kw):
+            calls.append((module.__name__, laws and len(laws), kw))
+            return rollout(s, n_states, cfg, laws, **kw)
         monkeypatch.setattr(module, "cutin_crashes", hooked)
 
     counting(criticality)
@@ -273,13 +276,34 @@ def test_fill_rolls_the_whole_panel_out_at_once(scen, monkeypatch):
     cells = np.array(random_grid_states(rng, 20, box)) * 10.0
     ev = CriticalityEvaluator(scen)
     ev.fill(np.rint(cells).astype(np.int64))
-    assert calls == [("overtake_eval.criticality", len(scen.surrogates))]
+    panel = ("overtake_eval.criticality", len(scen.surrogates),
+             {"until_clear": True})
+    assert calls == [panel]
     ev.fill(np.rint(cells).astype(np.int64))  # every cell cached: no rollout
     assert len(calls) == 1
     calls.clear()
     sample_nade_batch(5, scen, 200)
-    assert calls == [("overtake_eval.criticality", len(scen.surrogates)),
-                     ("overtake_eval.sampling", None)]
+    assert calls == [panel, ("overtake_eval.sampling", None, {})]
+
+
+def test_fill_ends_each_rollout_with_its_conflict(scen, monkeypatch):
+    # A surrogate's rollout ends once the follower stops closing in, so a
+    # default-scenario fill steps its panel a few times, not the 300 states
+    # of the step budget.
+    calls = {}
+    law = criticality.surrogate_accel
+
+    def counting(sm):
+        accel = law(sm)
+
+        def counted(v, gap, dv):
+            calls[sm.name] = calls.get(sm.name, 0) + 1
+            return accel(v, gap, dv)
+        return counted
+    monkeypatch.setattr(criticality, "surrogate_accel", counting)
+    sample_nade_batch(5, scen, 300)
+    assert sorted(calls) == sorted(sm.name for sm in scen.surrogates)
+    assert max(calls.values()) <= 20
 
 
 def test_exposure_probability_not_snapped(scen):

@@ -7,6 +7,7 @@ exactly: same values, same records, same critical logs, same oracle value,
 same errors.
 """
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -128,7 +129,8 @@ def test_mobil_array_form_matches_scalar_form(b_safe):
 
 def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
     rng = np.random.default_rng(161803)
-    for cfg in CONFIGS.values():
+    for cfg, until_clear in itertools.product(CONFIGS.values(),
+                                              (False, True)):
         n = 400
         s = [rng.uniform(2.0, 12.0, n), rng.uniform(5.0, 40.0, n),
              rng.uniform(-6.0, 2.0, n), rng.uniform(0.3, 10.0, n),
@@ -139,8 +141,10 @@ def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
             ([kernel.surrogate_accel(sm)], ref.surrogate_accel(sm))
             for sm in cfg.surrogates]
         for laws, scalar in followers:
-            got = kernel.cutin_crashes(s, budget, cfg, laws)[0].tolist()
-            want = [ref.cutin_outcome(*states[i], scalar, cfg, int(budget[i]))
+            got = kernel.cutin_crashes(s, budget, cfg, laws,
+                                       until_clear=until_clear)[0].tolist()
+            want = [ref.cutin_outcome(*states[i], scalar, cfg, int(budget[i]),
+                                      until_clear)
                     for i in range(n)]
             assert got == want
             assert 0 < sum(got) < n
@@ -148,9 +152,20 @@ def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
 
 def test_panel_rollout_matches_one_rollout_per_law():
     # One lockstep loop over the whole panel plus the tested vehicle gives
-    # every law the outcomes of a rollout of that law alone, bit for bit.
+    # every law the outcomes of a rollout of that law alone, bit for bit,
+    # with the whole budget and until clear.
+    for until_clear in (False, True):
+        _check_panel_rollout(until_clear)
+
+
+def _check_panel_rollout(until_clear):
     cfg = dataclasses.replace(ScenarioConfig(), vehicle_length=4.0,
                               d_accid=0.5)
+
+    def rollout(s, budget, laws=None):
+        return kernel.cutin_crashes(s, budget, cfg, laws,
+                                    until_clear=until_clear)
+
     rng = np.random.default_rng(314159)
     n = 400
     s = [rng.uniform(2.0, 12.0, n), rng.uniform(5.0, 40.0, n),
@@ -168,26 +183,30 @@ def test_panel_rollout_matches_one_rollout_per_law():
         cfg.surrogates[0], idm=cfg.av_idm))
     laws = [kernel.surrogate_accel(sm) for sm in cfg.surrogates[:1]] + [
         ram] + [kernel.surrogate_accel(sm) for sm in cfg.surrogates[1:]] + [av]
-    panel = kernel.cutin_crashes(s, budget, cfg, laws)
+    panel = rollout(s, budget, laws)
     assert panel.shape == (len(laws), n) and panel.dtype == bool
     for law, got in zip(laws, panel):
-        assert np.array_equal(got, kernel.cutin_crashes(s, budget, cfg,
-                                                        [law])[0])
-    assert np.array_equal(panel[-1], kernel.cutin_crashes(s, budget, cfg)[0])
+        assert np.array_equal(got, rollout(s, budget, [law])[0])
+    assert np.array_equal(panel[-1], rollout(s, budget)[0])
     assert not panel[:, budget == 0].any()
     assert panel[:, 2:40][:, budget[2:40] > 0].all()
-    # the ram law's rows leave within 20 states, the others' run on
-    assert panel[1][budget >= 20].all()
-    assert np.array_equal(panel[1], kernel.cutin_crashes(
-        s, np.minimum(budget, 20), cfg, [ram])[0])
+    # the ram law's rows leave within 20 states, the others' run on; until
+    # clear, the rows not closing in after the cut-in step end there
+    rams = budget >= 20
+    if until_clear:
+        rams &= s[4] < 0.0
+    assert panel[1][rams].all()
+    assert np.array_equal(panel[1], rollout(s, np.minimum(budget, 20),
+                                            [ram])[0])
     assert (~panel[[0, 2, 3, 4]][:, budget >= 20]).any(axis=1).all()
     # repeated rows take their original's outcomes
-    again = kernel.cutin_crashes([np.concatenate([x, x[:50]]) for x in s],
-                                 np.concatenate([budget, budget[:50]]), cfg,
-                                 laws)
+    again = rollout([np.concatenate([x, x[:50]]) for x in s],
+                    np.concatenate([budget, budget[:50]]), laws)
     assert np.array_equal(again, np.concatenate([panel, panel[:, :50]], 1))
     # each distinct start rolls out once; starts that differ only in the
-    # sign of a zero are distinct, and each has its own row's outcome
+    # sign of a zero are distinct, and each has its own row's outcome.  Not
+    # closing in, they all end before a law call if the rollout is until
+    # clear.
     seen = []
 
     def counted(v, gap, dv):
@@ -196,15 +215,37 @@ def test_panel_rollout_matches_one_rollout_per_law():
 
     zero = [np.tile([0.0, 0.0, -0.0, -0.0], 3), np.full(12, 20.0),
             np.zeros(12), np.full(12, 10.0), np.tile([0.0, -0.0], 6)]
-    got = kernel.cutin_crashes(zero, np.full(12, 300), cfg, [counted])
-    assert seen[0] == 4
-    alone = [kernel.cutin_crashes([x[i:i + 1] for x in zero], [300], cfg,
-                                  [av])[0, 0] for i in range(4)]
+    got = rollout(zero, np.full(12, 300), [counted])
+    assert seen[:1] == ([] if until_clear else [4])
+    alone = [rollout([x[i:i + 1] for x in zero], [300], [av])[0, 0]
+             for i in range(4)]
     assert got[0].tolist() == alone * 3
     # no row and no law at all
-    assert kernel.cutin_crashes([x[:0] for x in s], budget[:0], cfg,
-                                laws).shape == (len(laws), 0)
-    assert kernel.cutin_crashes(s, budget, cfg, []).shape == (0, n)
+    assert rollout([x[:0] for x in s], budget[:0],
+                   laws).shape == (len(laws), 0)
+    assert rollout(s, budget, []).shape == (0, n)
+
+
+def test_until_clear_ends_rows_that_stop_closing_in():
+    # A follower that brakes until it no longer closes in and then rams:
+    # every cut-in ends in contact with the whole budget, none until clear.
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(2718)
+    n = 100
+    s = [rng.uniform(6.0, 12.0, n), rng.uniform(5.0, 40.0, n),
+         rng.uniform(-6.0, 2.0, n), rng.uniform(10.0, 20.0, n),
+         rng.uniform(-4.0, 2.0, n)]
+
+    def brake_then_ram(v, gap, dv):
+        return np.where(dv > 0.0, -8.0, 40.0)
+
+    budget, states = np.full(n, cfg.max_steps), ref.rows(s)
+    for until_clear, crash in ((False, True), (True, False)):
+        got = kernel.cutin_crashes(s, budget, cfg, [brake_then_ram],
+                                   until_clear=until_clear)[0]
+        assert (got == crash).all()
+        assert all(ref.cutin_outcome(*t, brake_then_ram, cfg, cfg.max_steps,
+                                     until_clear) == crash for t in states)
 
 
 # ---------------------------------------------------------------------------
