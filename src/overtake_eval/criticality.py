@@ -8,12 +8,12 @@ used to score how dangerous each option is:
   deterministic rollout with the surrogate driving the follower reaches
   contact before the follower stops closing in, within the step budget
   (``kernel.cutin_crashes`` with ``until_clear``);
-* the challenge of staying put is the probability that a cut-in at some later
-  moment of the (deterministic) no-cut-in continuation does so, accumulated
-  over the lane-change hazard at each of those moments.
+* the challenge of keeping its lane is the probability that a cut-in at a
+  later moment of the (deterministic) no-cut-in continuation does so,
+  accumulated over the lane-change hazard at each of those moments.
 
 The challenges only shape the importance distribution: the accelerated
-estimators stay unbiased for any challenge, because every tilted law keeps
+estimators remain unbiased for any challenge, because every tilted law keeps
 at least ``epsilon`` times the naturalistic mass on each action.  Ending a
 surrogate's rollout when the cut-in conflict is resolved measures that
 conflict, as the "maneuver challenge" of Feng et al. (Nat. Commun. 2021)
@@ -31,18 +31,18 @@ whose values depend only on the grid cell, never on visit order or on which
 other cells are filled alongside.  The naturalistic probabilities entering
 criticalities and importance weights are always evaluated at the exact state.
 
-Everything runs on the lockstep kernel: a profile covers a batch of states,
-and the cells a batch sees for the first time are filled together, their
-no-cut-in walks in lockstep (``kernel.no_cutin_walk``) and the cut-in
+Everything runs on the lockstep kernel.  The accelerated sampler hands
+:meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
+episodes (``kernel.no_cutin_walk``): every state an episode can be
+profiled at lies on its walk.  The cells seen for the first time are
+filled together, their own no-cut-in walks in lockstep and the cut-in
 rollouts of the whole surrogate panel in one ``kernel.cutin_crashes``
-call per fill.  The accelerated sampler fills the cache once per
-block, before its walk: every cell the walk can query lies on its
-episodes' no-cut-in walks, so each profile it asks for is a cache hit.
+call.  A profile reads the cache columns of its states and never fills.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -66,8 +66,9 @@ class CriticalityProfile(NamedTuple):
     Per-surrogate arrays have one row per surrogate, ordered like the panel
     in the configuration.  ``p_lane_change`` is exact for the queried
     state; the criticalities come from the challenges of its grid
-    representative (:meth:`CriticalityEvaluator.challenges`).  A profile
-    holds densities only: the follow step is ``kernel.walk``'s own.
+    representative (:meth:`CriticalityEvaluator.columns`).  A profile
+    holds densities only: the follow step is ``kernel.no_cutin_walk``'s
+    own.
     """
 
     p_lane_change: np.ndarray          # (m,)
@@ -117,9 +118,8 @@ class CriticalityEvaluator:
     do not depend on query order and the evaluator can be shared freely
     across episodes, replications, and workers.  ``_entry_cache`` maps each
     key filled so far to its column of ``_table``, which stacks the
-    lane-change and follow challenge vectors: one entry per cache miss.
-    A miss is a key filled, whether a profile asked for it or a sampler
-    block filled it ahead of its walk (:meth:`fill`).
+    lane-change and follow challenge vectors: one entry per cache miss,
+    that is, per key a walk handed to :meth:`columns` filled.
     """
 
     def __init__(self, cfg) -> None:
@@ -167,38 +167,43 @@ class CriticalityEvaluator:
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
         return np.stack([lane_change, follow])
 
-    def fill(self, cells: np.ndarray) -> np.ndarray:
-        """The ``_table`` column of each of the distinct grid cells
-        ``cells`` (int rows); the ones not cached yet are computed in one
-        batch."""
+    def columns(self, walk: Iterable[Tuple[np.ndarray, State]], n: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``_table`` columns ``cols`` of every state of a walk of
+        ``n`` rows, as ``kernel.no_cutin_walk`` yields it, and an int32
+        (steps, n) map ``at``: row i's state at step k has column
+        ``cols[at[k, i]]``.  Each step's grid cells are snapped and
+        deduplicated once, and the ones not cached yet filled in one batch.
+        """
+        cells, at, base = [], [], 0
+        for rows, s in walk:
+            c, inverse = distinct_rows(grid_cells(s))
+            step = np.empty(n, dtype=np.int32)
+            step[rows] = base + inverse
+            cells.append(c)
+            at.append(step)
+            base += len(c)
+        distinct, back = distinct_rows(
+            np.concatenate([np.empty((0, 5), dtype=np.int64)] + cells))
         cache = self._entry_cache
-        keys = list(map(tuple, cells.tolist()))
+        keys = list(map(tuple, distinct.tolist()))
         missing = [k for k in keys if k not in cache]
         if missing:
-            base = self._table.shape[2]
+            first = self._table.shape[2]
             self._table = np.concatenate(
                 [self._table, self._compute_challenges(missing)], axis=2)
-            cache.update((k, base + i) for i, k in enumerate(missing))
-        return np.array([cache[k] for k in keys], dtype=np.intp)
-
-    def challenges(self, s: State) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(lane-change, follow)`` challenges of the states ``s``,
-        each (J, m).  The batch's grid cells are deduplicated in numpy, so
-        each distinct cell is looked up once; the ones not seen before are
-        computed in one batch."""
-        cells, inverse = distinct_rows(grid_cells(s))
-        at = self.fill(cells)[inverse]
-        lane_change, follow = self._table[:, :, at]
-        return lane_change, follow
+            cache.update((k, first + i) for i, k in enumerate(missing))
+        cols = np.array([cache[k] for k in keys], dtype=np.intp)[back]
+        return cols, np.stack(at)
 
     # -- profile assembly ---------------------------------------------------
 
-    def profile(self, s: State) -> CriticalityProfile:
-        """Profiles of the pre-cut-in states ``s``, in one batch."""
+    def profile(self, s: State, at: np.ndarray) -> CriticalityProfile:
+        """Profiles of the states ``s``; ``at`` holds their table columns."""
         cfg = self.cfg
         p_lc = bv_law(s, cfg)
         p_follow = 1.0 - p_lc
-        ch_lc, ch_follow = self.challenges(s)
+        ch_lc, ch_follow = self._table[:, :, at]
         crits = ch_lc * p_lc + ch_follow * p_follow
 
         eps = cfg.epsilon

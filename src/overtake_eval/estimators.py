@@ -30,7 +30,7 @@ direction counts when its eigenvalue in ``Zc^T Zc`` exceeds
 exceeds ``sqrt(RANK_TOLERANCE)`` times the largest, as ``lstsq``'s
 ``rcond`` counts them.  The rank never exceeds n: n centred rows span at
 most n - 1 directions, and with rows taken relative to the first one the
-rounding of the others stays far below the cut.
+rounding of the others remains far below the cut.
 A prefix with no residual degree of freedom (n <= rank; n < 2 at width 0)
 has no interval: its variance and relative half-width are infinite.
 
@@ -225,7 +225,7 @@ def _quantile(gamma: float) -> float:
 def tests_to_threshold(rhw: np.ndarray, threshold: float,
                        confirm_window: int) -> Optional[int]:
     """Smallest prefix length whose relative half-width (the column ``rhw``
-    of :meth:`PooledFit.table`) stays at or below ``threshold`` for
+    of :meth:`PooledFit.table`) is at or below ``threshold`` for
     ``confirm_window`` consecutive prefixes; None when no fully observed
     window qualifies."""
     if threshold <= 0:

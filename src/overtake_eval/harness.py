@@ -212,7 +212,7 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     Consecutive replications whose episodes fit in one sampler block
     (``sampling.BLOCK``), and at least one, form a group: one sampler call
     per environment walks all their episodes in lockstep, so their cut-ins
-    resolve in one rollout and each step's new grid cells fill in one
+    resolve in one rollout and each block's new grid cells fill in one
     batch.  Each method is fitted once over the group's block, restarted
     at each replication, and each replication reads its slice of that fit.
     Every record is a pure function of (root, environment, index)

@@ -11,8 +11,8 @@ where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
 ranges and the dotted quantities are their rates.  Before the cut-in the
 BV either tracks the LV or changes into the right lane while the AV
 coasts; afterwards the AV reacts to the BV while LV and BV hold speed.
-``walk`` and ``no_cutin_walk`` take the tracking step with one function,
-``_follow``, so the states they visit agree by construction.
+``no_cutin_walk`` is the one walk of pre-cut-in states: the samplers, the
+oracle and the criticality cache all read their states off it.
 
 Many rows (episodes, oracle bins or criticality grid keys) advance
 together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
@@ -22,8 +22,8 @@ order is fixed, ``**`` is ``np.float_power`` (``np.power`` takes a SIMD
 path on some hosts that rounds differently from C ``pow``), FVDM's
 ``tanh`` calls ``math.tanh`` itself (``np.tanh`` differs in the last bit
 on about a quarter of inputs), and ``max``/``min``/``if`` are ``np.where``
-on the same comparison, so ties, signed zeros and NaNs resolve alike.  Any
-row with a closed gap raises ``NonPositiveGap``.
+on the same comparison, so ties, signed zeros and NaNs resolve alike.  A
+car-following law given a closed gap raises ``NonPositiveGap``.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
     the BV's speed, so its rollouts keep the whole budget.
 
     Rows that share ``(v_bv, r2, r2_dot)`` and budget bit for bit (so
-    ``-0.0`` and ``0.0`` stay apart) roll out once.  All laws' rows advance
+    ``-0.0`` and ``0.0`` remain apart) roll out once.  All laws' rows advance
     in one lockstep loop, stacked law by law; the rows left keep their
     order, so each law drives a contiguous slice and every row sees exactly
     the arithmetic of its law's rollout alone.  Only the AV and BV are advanced
@@ -232,28 +232,43 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
     return crashed.reshape(J, m)[:, back.reshape(-1)]  # 2-D on numpy 2.0.0
 
 
-def no_cutin_walk(s: State, cfg
+def no_cutin_walk(s: State, cfg, live: np.ndarray = None
                   ) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
     """The no-cut-in continuations of the states ``s``, in lockstep.
 
     Yields the rows still walking and their states: first the start, then
-    after each of up to ``cfg.max_steps`` steps of ``_follow``, the step
-    ``walk`` takes.  A row ends when the discrete step overshoots into
-    leader contact (``r1 - L <= 0``, where following is no longer modeled;
-    a start already there never walks) or, after a step, when the AV has
-    passed it (``r2 < 0``).
+    after each of up to ``cfg.max_steps`` steps of ``_follow``.  A row
+    ends, after a step, when the AV has passed it (``r2 < 0``), and at
+    leader contact (``r1 - L <= 0``, where following is no longer
+    modeled; a start already there never walks).
+
+    ``live`` is an optional mask over the rows of ``s`` that the caller
+    may clear between yields.  A row outside it stops walking (a sampled
+    episode once it cuts in), and a row in it that reaches leader contact
+    raises ``NonPositiveGap``: its episode cannot go on.  Without a mask a
+    row ends at contact silently, as the criticality cache's walks do.
     """
     L = cfg.vehicle_length
-    live = ~(s[1] - L <= 0.0)
-    rows, t = np.flatnonzero(live), [x[live] for x in s]
-    yield rows, t
-    for _ in range(cfg.max_steps):
-        if not rows.size:
-            return
-        t = _follow(t, cfg)
-        keep = ~(t[3] < 0.0) & ~(t[1] - L <= 0.0)
+    rows, t = np.arange(len(s[0])), list(s)
+    keep = np.ones(len(rows), dtype=bool)
+    for k in range(cfg.max_steps + 1):
+        if k:
+            t = _follow(t, cfg)
+            keep = ~(t[3] < 0.0)
+        contact = t[1] - L <= 0.0
+        if live is not None:
+            # A row cleared since the last yield took one more step; it
+            # leaves here, in the one subset of the step.
+            keep &= live[rows]
+            hit = keep & contact
+            if hit.any():
+                gap = np.min(t[1][hit] - L)
+                raise NonPositiveGap(f"IDM requires gap > 0, got {gap}")
+        keep &= ~contact
         rows, t = rows[keep], [x[keep] for x in t]
         yield rows, t
+        if not rows.size:
+            return
 
 
 class CutIns(NamedTuple):
@@ -264,41 +279,18 @@ class CutIns(NamedTuple):
     budget: np.ndarray  # states left before the step budget runs out
 
     @staticmethod
+    def fired(rows: np.ndarray, s: State, fire: np.ndarray,
+              budget: int) -> "CutIns":
+        """The cut-ins ``fire`` marks among the walk step ``(rows, s)``."""
+        return CutIns(rows[fire], np.array([x[fire] for x in s]),
+                      np.full(np.count_nonzero(fire), budget))
+
+    @staticmethod
     def concat(parts: Sequence["CutIns"]) -> "CutIns":
         if not parts:
             return CutIns(np.empty(0, dtype=int), np.empty((5, 0)),
                           np.empty(0, dtype=int))
         return CutIns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
-
-
-Decide = Callable[[np.ndarray, List[np.ndarray]], np.ndarray]
-
-
-def walk(s: State, cfg, decide: Decide, stay: bool) -> CutIns:
-    """Walk pre-cut-in rows in lockstep and collect the cut-ins they fire.
-
-    A row stops once the AV has passed it (``r2 < 0``) or it has visited
-    ``cfg.max_steps`` states.  At every step, ``decide(rows, s)`` gets the
-    live rows and their states and returns the mask of those that cut in.
-    With ``stay`` the firing rows keep walking (the oracle enumerates every
-    cut-in time); otherwise they end there (a sampled episode).  The rows
-    that walk on take one ``_follow`` step, so a row that never cuts in
-    visits exactly its ``no_cutin_walk`` states.
-    """
-    rows = np.arange(len(s[0]))
-    found = []
-    for k in range(cfg.max_steps):
-        run = ~(s[3] < 0.0)
-        rows, s = rows[run], [x[run] for x in s]
-        if not rows.size:
-            break
-        fire = decide(rows, s)
-        found.append(CutIns(rows[fire], np.array([x[fire] for x in s]),
-                            np.full(np.count_nonzero(fire), cfg.max_steps - k)))
-        if not stay:
-            rows, s = rows[~fire], [x[~fire] for x in s]
-        s = _follow(s, cfg)
-    return CutIns.concat(found)
 
 
 def initial_states(r1: np.ndarray, init) -> List[np.ndarray]:

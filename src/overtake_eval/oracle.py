@@ -12,20 +12,27 @@ vehicle under test with the remaining step budget.  The initial range is
 integrated by midpoint quadrature over equal-width bins, which is the sole
 approximation; the quoted value is exact up to that binning.
 
-All bins walk their no-cut-in trajectories in lockstep on the array kernel,
-every cut-in with ``p_R > 0`` is resolved in one batched rollout and its
-``p_R`` in one call, and the sum is then accumulated per bin in step
-order, so each bin's ``mu(r)`` is the value a scalar walk of that bin
-produces.
+All bins walk their no-cut-in trajectories in lockstep on the array kernel
+(``kernel.no_cutin_walk``), with one ``p_R`` call per walked state.  Every
+cut-in with ``p_R > 0`` is resolved in one batched rollout, and the sum is
+then accumulated per bin in step order, so each bin's ``mu(r)`` is the
+value a scalar walk of that bin produces.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List
 
 import numpy as np
 
-from .kernel import bv_law, cutin_crashes, initial_states, walk
+from .kernel import (
+    CutIns,
+    bv_law,
+    cutin_crashes,
+    initial_states,
+    no_cutin_walk,
+)
 
 __all__ = ["BudgetExceeded", "brute_force_mu", "bin_midpoints"]
 
@@ -44,7 +51,8 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     initial-range distribution.
 
     Raises BudgetExceeded before doing any work if ``bins`` trajectories of
-    up to ``max_steps + 1`` states would exceed the leaf budget.
+    up to ``max_steps + 1`` states would exceed the leaf budget, and
+    NonPositiveGap if a bin's walk reaches leader contact.
     """
     leaves = bins * (cfg.max_steps + 1)
     if leaves > budget:
@@ -53,18 +61,23 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
             f"evaluations exceeds the budget of {budget}")
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
 
-    cut = walk(initial_states(mids, cfg.init), cfg,
-               lambda rows, s: bv_law(s, cfg) > 0.0, stay=True)
-    p_r = bv_law(cut.state, cfg)
+    init = initial_states(mids, cfg.init)
+    walk = no_cutin_walk(init, cfg, ~(init[3] < 0.0))
+    found, p_r = [], []
+    for k, (rows, s) in enumerate(islice(walk, cfg.max_steps)):
+        p = bv_law(s, cfg)
+        hot = p > 0.0
+        found.append(CutIns.fired(rows, s, hot, cfg.max_steps - k))
+        p_r.append(p[hot])
+    cut = CutIns.concat(found)
     crashed = cutin_crashes(cut.state, cut.budget, cfg)[0]
-    mu = np.zeros(bins)
-    survive = np.ones(bins)
-    # Fold one step at a time (the budget counts the steps down); a bin
-    # fires at most once per step, so each bin sums in the scalar order.
-    for left in sorted(set(cut.budget.tolist()), reverse=True):
-        at = cut.budget == left
-        b, p = cut.rows[at], p_r[at]
-        mu[b] = np.where(crashed[at], mu[b] + survive[b] * p, mu[b])
+    # Fold one step at a time; a bin fires at most once per step, so each
+    # bin sums in the scalar order.
+    mu, survive, at = np.zeros(bins), np.ones(bins), 0
+    for step, p in zip(found, p_r):
+        b, hit = step.rows, crashed[at:at + len(p)]
+        at += len(p)
+        mu[b] = np.where(hit, mu[b] + survive[b] * p, mu[b])
         survive[b] = survive[b] * (1.0 - p)
     # Added left to right: Python's float ``sum`` is compensated from 3.12
     # on, which moves the last bit.

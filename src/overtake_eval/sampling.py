@@ -2,20 +2,21 @@
 
 Both samplers roll the scenario forward from a random initial gap on the
 lockstep array kernel.  A call takes one or several root seeds and returns
-episodes ``0 .. n-1`` of each root, root-major.  ``kernel.walk`` advances
-the call's episodes in blocks of ``BLOCK`` together up to their cut-ins,
-whichever roots they belong to, and one ``kernel.cutin_crashes`` rollout
-of the tested vehicle resolves every cut-in of the call with the whole
-step budget (a NADE block's cache fill adds one of the whole surrogate
-panel, until each conflict is resolved), so a replication study
-hands one call the episodes of many roots.  The walks only collect each
-episode's cut-in and, step by step, the densities logged as arrays; the
-call's :class:`Records` block is built once, after that rollout has marked
-the accidents.  Before its cut-in the background vehicle's law has two atoms,
+episodes ``0 .. n-1`` of each root, root-major.  ``kernel.no_cutin_walk``
+advances the call's episodes in blocks of ``BLOCK`` together up to their
+cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
+rollout of the tested vehicle resolves every cut-in of the call with the
+whole step budget (a NADE block's cache fill adds one of the whole
+surrogate panel, until each conflict is resolved), so a replication study
+hands one call the episodes of many roots.  A sampler reads each
+episode's cut-in off the walk and logs densities as arrays, and the call's
+:class:`Records` block is built once, after that rollout has marked the
+accidents.  Before its cut-in the background vehicle's law has two atoms,
 the lane change and following the leader, and an episode cuts in at a step
-iff that step's uniform is below the lane-change mass of the law in force;
-a sampler's ``decide`` says only that, and the walk takes the follow step
-of the others.
+iff that step's uniform is below the lane-change mass of the law in force.
+A sampler decides only that and clears the episodes that cut in from the
+walk's live mask; the walk steps the others, and raises if one of them
+reaches the leader.
 
 The naturalistic sampler always uses the behaviour model's p_R.  The
 accelerated sampler decides from a criticality profile of the live
@@ -25,9 +26,10 @@ logged; everywhere else it is p_R.  An episode's weight is the product of
 p/q_alpha over its moments in log order (:func:`log_product`), so a
 record's ``w`` can be recomputed from its log bit for bit.  An episode's
 pre-cut-in states do not depend on its draws: until it cuts in, it follows
-its no-cut-in walk (``kernel.no_cutin_walk``).  So the evaluator's cache is
-filled once per block, from those walks, before the block's walk starts,
-and every profile the walk asks for is a cache hit.
+its no-cut-in walk.  So a block's walk without a mask (a row that reaches
+the leader just ends) fills the evaluator's cache once
+(:meth:`CriticalityEvaluator.columns`), and the episodes' walk that follows
+reads every profile's cache columns off it.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``
 (:func:`episode_seeds`, :func:`_blocks`), bit for bit as numpy's own
@@ -46,14 +48,13 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import stream
-from .criticality import CriticalityEvaluator, distinct_rows, grid_cells
+from .criticality import CriticalityEvaluator
 from .kernel import (
     CutIns,
     bv_law,
     cutin_crashes,
     initial_states,
     no_cutin_walk,
-    walk,
 )
 from .models import ZeroDensity
 
@@ -141,27 +142,13 @@ def _blocks(seeds: np.ndarray, cfg
     BV-LV range (the only random part of the initial state), then one
     uniform per step.  ``Pcg64.random(rows)`` advances just the rows it is
     given, so a row must be read exactly once at every step it walks, as
-    ``kernel.walk`` does.
+    the samplers do.
     """
     init = cfg.init
     for lo in range(0, len(seeds), BLOCK):
         rng = stream.Pcg64(seeds[lo:lo + BLOCK])
         r1 = init.r1_low + (init.r1_high - init.r1_low) * rng.random()
         yield lo, rng, initial_states(r1, init)
-
-
-def _walk_keys(s, cfg) -> np.ndarray:
-    """The distinct grid cells of every state the walk of a block with
-    initial states ``s`` can profile, deduplicated step by step in numpy:
-    each row's no-cut-in walk while the AV has not passed it, up to the
-    step budget.  A walk that reaches leader contact stops there;
-    ``kernel.walk`` raises ``NonPositiveGap`` if a live episode gets that
-    far."""
-    run = ~(s[3] < 0.0)
-    cells = [distinct_rows(grid_cells(t))[0] for _, t in islice(
-        no_cutin_walk([x[run] for x in s], cfg), cfg.max_steps)]
-    return distinct_rows(np.concatenate(
-        [np.empty((0, len(s)), dtype=np.int64)] + cells))[0]
 
 
 def log_product(offsets: np.ndarray, ratios: np.ndarray) -> np.ndarray:
@@ -224,12 +211,13 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> Records:
     idx, seeds = _episodes(roots, ENV_NDE, n)
     found = []
     for lo, rng, states in _blocks(seeds, cfg):
-        def decide(rows, s):
+        live = ~(states[3] < 0.0)
+        for k, (rows, s) in enumerate(
+                islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
             p_r = bv_law(s, cfg)
-            return draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
-
-        cut = walk(states, cfg, decide, stay=False)
-        found.append(cut._replace(rows=lo + cut.rows))
+            fire = draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
+            live[rows[fire]] = False
+            found.append(CutIns.fired(lo + rows, s, fire, cfg.max_steps - k))
     return _records(ENV_NDE, idx, seeds, found, (), cfg)
 
 
@@ -244,10 +232,12 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     log: List[Tuple[np.ndarray, ...]] = []
     found = []
     for lo, rng, states in _blocks(seeds, cfg):
-        evaluator.fill(_walk_keys(states, cfg))
-
-        def decide(rows, s):
-            prof = evaluator.profile(s)
+        cols, at = evaluator.columns(
+            islice(no_cutin_walk(states, cfg), cfg.max_steps), len(states[0]))
+        live = ~(states[3] < 0.0)
+        for k, (rows, s) in enumerate(
+                islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
+            prof = evaluator.profile(s, cols[at[k, rows]])
             p_lc = prof.p_lane_change
             ctl = prof.is_critical
             m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
@@ -259,8 +249,6 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
                             np.where(f, m_lc[ctl], m_f[ctl]),
                             np.where(f, prof.q_lane_change[:, ctl],
                                      prof.q_follow[:, ctl]).T))
-            return fire
-
-        cut = walk(states, cfg, decide, stay=False)
-        found.append(cut._replace(rows=lo + cut.rows))
+            live[rows[fire]] = False
+            found.append(CutIns.fired(lo + rows, s, fire, cfg.max_steps - k))
     return _records(ENV_NADE, idx, seeds, found, log, cfg)

@@ -44,6 +44,31 @@ CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
 
 
 # ---------------------------------------------------------------------------
+# the criticality evaluator on a batch of states
+# ---------------------------------------------------------------------------
+
+def _columns(ev, s):
+    """The ``_table`` column of each of the states ``s``, filled as the one
+    step of a walk."""
+    n = len(s[0])
+    cols, at = ev.columns([(np.arange(n), s)], n)
+    return cols[at[0]]
+
+
+def challenges(ev, s):
+    """Cached ``(lane-change, follow)`` challenges of the states ``s``, each
+    (J, m)."""
+    at = _columns(ev, s)
+    lane_change, follow = ev._table[:, :, at]
+    return lane_change, follow
+
+
+def profile(ev, s):
+    """The evaluator's profile of the states ``s``."""
+    return ev.profile(s, _columns(ev, s))
+
+
+# ---------------------------------------------------------------------------
 # absolute-position kinematics
 # ---------------------------------------------------------------------------
 

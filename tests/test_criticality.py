@@ -20,8 +20,10 @@ from scalar_reference import State, cols
 from conftest import (
     abs_cutin_crash,
     abs_no_cutin_walk,
+    challenges,
     follow_hazard_recursive,
     grid_state,
+    profile,
 )
 
 # Lane-change parameters that light up the hand example: no politeness
@@ -49,7 +51,7 @@ def test_lane_change_challenge_matches_absolute_rollouts(scen):
     rng = np.random.default_rng(1001)
     box = [(2, 12), (3, 40), (-6, 2), (0.3, 10), (-8, 2)]
     states = random_grid_states(rng, 150, box)
-    got = ev.challenges(cols(states))[0]
+    got = challenges(ev, cols(states))[0]
     followers = [ref.surrogate_accel(sm) for sm in scen.surrogates]
     for i, s in enumerate(states):
         want = [1.0 if abs_cutin_crash(*s, f, scen, scen.max_steps,
@@ -67,7 +69,7 @@ def test_follow_challenge_matches_recursive_enumeration(scen):
     rng = np.random.default_rng(77)
     box = [(4, 12), (4, 20), (-6, 0), (1, 8), (-6, 2)]
     states = random_grid_states(rng, 40, box)
-    got = ev.challenges(cols(states))[1]
+    got = challenges(ev, cols(states))[1]
     nonzero = 0
     for i, s in enumerate(states):
         walk = abs_no_cutin_walk(s, cfg)
@@ -109,8 +111,8 @@ def test_profile_hand_example(scen):
     cfg = dataclasses.replace(scen, mobil=HOT_MOBIL)
     s = grid_state(8.0, 30.0, -5.0, 0.3, -5.0)
     ev = CriticalityEvaluator(cfg)
-    prof = ev.profile(cols([s]))
-    lc, fol = ev.challenges(cols([s]))
+    prof = profile(ev, cols([s]))
+    lc, fol = challenges(ev, cols([s]))
 
     assert prof.p_lane_change.tolist() == [0.1]  # saturates the cap
     assert lc[:, 0].tolist() == [1.0, 1.0, 1.0]
@@ -139,8 +141,8 @@ def test_profile_exposure_formula_self_consistent(scen):
     rng = np.random.default_rng(555)
     box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
     states = random_grid_states(rng, 60, box)
-    prof = ev.profile(cols(states))
-    lc, fol = ev.challenges(cols(states))
+    prof = profile(ev, cols(states))
+    lc, fol = challenges(ev, cols(states))
     eps = scen.epsilon
     checked_tilted = 0
     for i in range(len(states)):
@@ -166,7 +168,7 @@ def test_profile_exposure_formula_self_consistent(scen):
 def test_noncritical_state_keeps_exposure_distribution(scen):
     # Free flow far behind a distant leader: no hazard, no tilt.
     s = grid_state(8.0, 3000.0, 0.0, 30.0, 0.0)
-    prof = CriticalityEvaluator(scen).profile(cols([s]))
+    prof = profile(CriticalityEvaluator(scen), cols([s]))
     assert prof.is_critical.tolist() == [False]
     assert column(prof, "criticalities", 0) == (0.0, 0.0, 0.0)
     assert prof.q_alpha_lane_change.tolist() == prof.p_lane_change.tolist()
@@ -179,7 +181,7 @@ def test_profile_density_accounting(scen):
     ev = CriticalityEvaluator(scen)
     rng = np.random.default_rng(31415)
     box = [(2, 14), (2, 40), (-8, 2), (0.5, 10), (-8, 2)]
-    prof = ev.profile(cols(random_grid_states(rng, 120, box)))
+    prof = profile(ev, cols(random_grid_states(rng, 120, box)))
     p_lc = prof.p_lane_change
     total = prof.q_lane_change + prof.q_follow
     assert total == pytest.approx(np.ones_like(total), abs=1e-12)
@@ -213,7 +215,7 @@ def test_challenges_shared_within_resolution_cell(scen):
     ev = CriticalityEvaluator(scen)
     a = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     b = State(8.04, 9.96, -3.04, 2.04, -3.96)
-    lc, fol = ev.challenges(cols([a, b]))
+    lc, fol = challenges(ev, cols([a, b]))
     assert len(ev._entry_cache) == 1  # one cache entry serves both
     assert lc[:, 0].tolist() == lc[:, 1].tolist()
     assert fol[:, 0].tolist() == fol[:, 1].tolist()
@@ -240,15 +242,15 @@ def test_batch_with_repeated_cells_equals_per_state_lookups(scen,
 
     monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
     ev = CriticalityEvaluator(scen)
-    cold = ev.challenges(s)
+    cold = challenges(ev, s)
     distinct = {ref.ScalarEvaluator.quantize(State(*c)) for c in zip(*s)}
     assert len(distinct) == len(set(picks.tolist())) > 5
     assert len(computed) == len(distinct) == len(ev._entry_cache)
     assert set(ev._entry_cache) == distinct
-    warm = ev.challenges(s)
+    warm = challenges(ev, s)
     assert len(computed) == len(ev._entry_cache) == len(distinct)
     one = CriticalityEvaluator(scen)
-    singles = [one.challenges([c[i:i + 1] for c in s]) for i in range(60)]
+    singles = [challenges(one, [c[i:i + 1] for c in s]) for i in range(60)]
     for k in range(2):
         want = np.hstack([x[k] for x in singles]).tolist()
         assert cold[k].tolist() == warm[k].tolist() == want
@@ -273,13 +275,13 @@ def test_fill_rolls_the_whole_panel_out_at_once(scen, monkeypatch):
     counting(sampling)
     rng = np.random.default_rng(77)
     box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
-    cells = np.array(random_grid_states(rng, 20, box)) * 10.0
+    s = cols(random_grid_states(rng, 20, box))
     ev = CriticalityEvaluator(scen)
-    ev.fill(np.rint(cells).astype(np.int64))
+    challenges(ev, s)
     panel = ("overtake_eval.criticality", len(scen.surrogates),
              {"until_clear": True})
     assert calls == [panel]
-    ev.fill(np.rint(cells).astype(np.int64))  # every cell cached: no rollout
+    challenges(ev, s)  # every cell cached: no rollout
     assert len(calls) == 1
     calls.clear()
     sample_nade_batch(5, scen, 200)
@@ -314,7 +316,7 @@ def test_exposure_probability_not_snapped(scen):
     ev = CriticalityEvaluator(cfg)
     a = State(8.0, 10.0, -3.0, 2.0, -4.0)
     b = State(8.0, 9.98, -3.0, 2.0, -4.0)
-    pa, pb = ev.profile(cols([a, b])).p_lane_change.tolist()
+    pa, pb = profile(ev, cols([a, b])).p_lane_change.tolist()
     assert pa == ref.mobil_right_lc_prob(a, cfg.mobil, cfg.bv_idm)
     assert pb == ref.mobil_right_lc_prob(b, cfg.mobil, cfg.bv_idm)
     assert pa != pb
@@ -325,10 +327,11 @@ def test_evaluation_order_does_not_change_results(scen):
     rng = np.random.default_rng(9021)
     box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
     s = cols(random_grid_states(rng, 30, box))
-    fwd = CriticalityEvaluator(scen).challenges(s)
-    rev = CriticalityEvaluator(scen).challenges([c[::-1] for c in s])
+    fwd = challenges(CriticalityEvaluator(scen), s)
+    rev = challenges(CriticalityEvaluator(scen), [c[::-1] for c in s])
     one_by_one = CriticalityEvaluator(scen)
-    singles = [one_by_one.challenges([c[i:i + 1] for c in s]) for i in range(8)]
+    singles = [challenges(one_by_one, [c[i:i + 1] for c in s])
+               for i in range(8)]
     for got, ref_ in zip(fwd, rev):
         assert got.tolist() == ref_[:, ::-1].tolist()
     for k in range(2):
@@ -346,8 +349,8 @@ def test_maneuver_challenge_selects_action_component(scen):
     ev = CriticalityEvaluator(scen)
     s = cols([grid_state(8.0, 10.0, -3.0, 2.0, -4.0),
               grid_state(8.0, 3000.0, 0.0, 30.0, 0.0)])
-    lc, fol = ev.challenges(s)
-    prof = ev.profile(s)
+    lc, fol = challenges(ev, s)
+    prof = profile(ev, s)
     p = prof.p_lane_change
     assert lc.shape == fol.shape == prof.criticalities.shape == (3, 2)
     assert prof.criticalities.tolist() == (lc * p + fol * (1.0 - p)).tolist()
@@ -358,9 +361,9 @@ def test_maneuver_challenge_selects_action_component(scen):
 def test_criticality_combines_challenges_with_exposure(scen):
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
-    lc, fol = ev.challenges(cols([s]))
+    lc, fol = challenges(ev, cols([s]))
     p = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
-    prof = ev.profile(cols([s]))
+    prof = profile(ev, cols([s]))
     for j in range(len(scen.surrogates)):
         assert prof.criticalities[j, 0] == pytest.approx(
             lc[j, 0] * p + fol[j, 0] * (1 - p), abs=1e-15)
@@ -369,7 +372,7 @@ def test_criticality_combines_challenges_with_exposure(scen):
 def test_importance_fn_matches_profile(scen):
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
-    prof = ev.profile(cols([s]))
+    prof = profile(ev, cols([s]))
     assert prof.p_lane_change.tolist() == kernel.bv_law(cols([s]), scen).tolist()
     assert prof.q_alpha_lane_change[0] == \
         ((prof.q_lane_change[0, 0] + prof.q_lane_change[1, 0])
@@ -386,11 +389,11 @@ def test_out_of_panel_surrogate_gets_own_panel(scen):
     solo = CriticalityEvaluator(dataclasses.replace(scen, surrogates=(custom,)))
     wide = CriticalityEvaluator(dataclasses.replace(
         scen, surrogates=scen.surrogates + (custom,)))
-    lc_solo, fol_solo = solo.challenges(s)
-    lc_wide, fol_wide = wide.challenges(s)
+    lc_solo, fol_solo = challenges(solo, s)
+    lc_wide, fol_wide = challenges(wide, s)
     assert (lc_solo[0, 0], fol_solo[0, 0]) == (lc_wide[-1, 0], fol_wide[-1, 0])
     assert lc_wide[:-1].tolist() == \
-        CriticalityEvaluator(scen).challenges(s)[0].tolist()
+        challenges(CriticalityEvaluator(scen), s)[0].tolist()
 
 
 def test_surrogates_disagree_somewhere(scen):
@@ -399,6 +402,6 @@ def test_surrogates_disagree_somewhere(scen):
     ev = CriticalityEvaluator(scen)
     rng = np.random.default_rng(2718)
     box = [(2, 12), (3, 40), (-6, 2), (0.3, 10), (-8, 2)]
-    lc = ev.challenges(cols(random_grid_states(rng, 80, box)))[0]
+    lc = challenges(ev, cols(random_grid_states(rng, 80, box)))[0]
     votes = lc.sum(axis=0)
     assert ((0.0 < votes) & (votes < 3.0)).any()

@@ -27,7 +27,7 @@ from overtake_eval.models import (
 from overtake_eval.oracle import bin_midpoints, brute_force_mu
 from overtake_eval.sampling import sample_nade_batch, sample_nde_batch
 
-from conftest import CONFIGS, STRESSED
+from conftest import CONFIGS, STRESSED, challenges, profile
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def test_batched_challenges_match_scalar_reference():
     want = [scalar.challenges(t) for t in ref.rows(s)]
 
     def entries(ev, order):
-        lc, fol = ev.challenges([c[order] for c in s])
+        lc, fol = challenges(ev, [c[order] for c in s])
         got = {}
         for i, j in enumerate(order):
             got[j] = (tuple(lc[:, i].tolist()), tuple(fol[:, i].tolist()))
@@ -298,7 +298,7 @@ def test_batched_profile_matches_scalar_reference():
                               mobil=MobilParams(gamma_p=0.05))
     s = [rng.uniform(lo, hi, 80) for lo, hi in
          [(2, 14), (2, 40), (-8, 2), (0.5, 10), (-8, 2)]]
-    prof = CriticalityEvaluator(cfg).profile(s)
+    prof = profile(CriticalityEvaluator(cfg), s)
     scalar = ref.ScalarEvaluator(cfg)
     for i, t in enumerate(ref.rows(s)):
         want = scalar.profile(t)
@@ -412,9 +412,11 @@ def test_stressed_config_truncates_cutin_rollouts():
     cfg = STRESSED
     init = kernel.initial_states(
         bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, 64), cfg.init)
-
-    cut = kernel.walk(init, cfg, lambda rows, s: kernel.bv_law(s, cfg) > 0.0,
-                      stay=True)
+    walk = kernel.no_cutin_walk(init, cfg, np.ones(64, dtype=bool))
+    cut = kernel.CutIns.concat([
+        kernel.CutIns.fired(rows, s, kernel.bv_law(s, cfg) > 0.0,
+                            cfg.max_steps - k)
+        for k, (rows, s) in enumerate(itertools.islice(walk, cfg.max_steps))])
     truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)[0]
     full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300),
                                 cfg)[0]
@@ -449,6 +451,100 @@ def test_leader_contact_raises_in_the_nade_walk_not_its_fill():
     assert ev._entry_cache  # filled up to the contact
     with pytest.raises(NonPositiveGap):
         ref.nade_batch(3, cfg, 20, ref.ScalarEvaluator(cfg))
+
+
+# The BV closes on a standing LV 5 m ahead and cuts in with probability 0.5
+# per step: every no-cut-in walk reaches leader contact at step 8 or 9.
+CLOSING = dataclasses.replace(
+    ScenarioConfig(), mobil=MobilParams(gamma_p=0.2, p_max=0.5),
+    init=dataclasses.replace(ScenarioConfig().init, r1_low=5.0, r1_high=5.5,
+                             r1_dot=-8.0, r2=20.0))
+
+
+def test_live_mask_decides_whether_leader_contact_raises():
+    cfg = CLOSING
+    s = ref.cols([(8.0, 5.0, -8.0, 20.0, -5.0)] * 2)
+    contact = len(list(kernel.no_cutin_walk(s, cfg))) - 1
+    assert 0 < contact < cfg.max_steps
+    for cleared, raises in (([0], True), ([0, 1], False)):
+        live = np.ones(2, dtype=bool)
+        walk = kernel.no_cutin_walk(s, cfg, live)
+        for _ in range(contact):
+            next(walk)
+        # the cleared rows cut in at the last state before contact
+        live[cleared] = False
+        if raises:
+            with pytest.raises(NonPositiveGap):
+                next(walk)
+        else:
+            assert next(walk)[0].size == 0
+            assert next(walk, None) is None
+
+
+def _contact_steps(states, cfg):
+    """The step at which each row's scalar no-cut-in walk reaches the LV,
+    checking that its AV never passes and its budget never runs out
+    first."""
+    steps = []
+    for t in ref.rows(states):
+        k = 0
+        while t.r1 - cfg.vehicle_length > 0.0:
+            assert t.r2 >= 0.0 and k < cfg.max_steps
+            t = ref.step_raw(*t, ref.bv_car_following_accel(t, cfg), 0.0,
+                             cfg.dt)
+            k += 1
+        steps.append(k)
+    return steps
+
+
+@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 35), (ref.ENV_NADE, 16)])
+def test_episodes_that_cut_in_before_leader_contact_do_not_raise(env, root):
+    # At these roots every episode cuts in before its no-cut-in walk reaches
+    # the LV, one of them at the last state before contact: the walk steps
+    # its row once more, into contact, after it has left the live mask.
+    cfg, n = CLOSING, 20
+    seeds = sampling.episode_seeds(root, env, np.arange(n, dtype=np.uint64))
+    (_, _, states), = sampling._blocks(seeds, cfg)
+    contact = _contact_steps(states, cfg)
+    if env == ref.ENV_NDE:
+        want = ref.nde_batch(root, cfg, n)
+        got = sample_nde_batch(root, cfg, n)
+        assert {end for _, end, _ in want} == {"cut_in"}
+        want = [(r, k) for r, _, k in want]
+    else:
+        want = ref.nade_batch(root, cfg, n, ref.ScalarEvaluator(cfg))
+        got = sample_nade_batch(root, cfg, n)
+    assert ref.block_columns(got) == ref.columns([r for r, _ in want])
+    steps = [k for _, k in want]
+    assert all(k < c for k, c in zip(steps, contact))
+    assert any(k == c - 1 for k, c in zip(steps, contact))
+
+
+@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 4), (ref.ENV_NADE, 42)])
+def test_a_live_episode_at_leader_contact_raises(env, root):
+    # At these roots an episode that has not cut in reaches the LV.
+    cfg, n = CLOSING, 20
+    if env == ref.ENV_NDE:
+        runs = (lambda: ref.nde_batch(root, cfg, n),
+                lambda: sample_nde_batch(root, cfg, n))
+    else:
+        runs = (lambda: ref.nade_batch(root, cfg, n, ref.ScalarEvaluator(cfg)),
+                lambda: sample_nade_batch(root, cfg, n))
+    for run in runs:
+        with pytest.raises(NonPositiveGap):
+            run()
+
+
+def test_oracle_raises_at_leader_contact_mid_walk():
+    # Every bin starts clear of the LV and reaches it after 8 or 9 steps.
+    cfg, bins = CLOSING, 16
+    init = kernel.initial_states(
+        bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins), cfg.init)
+    assert set(_contact_steps(init, cfg)) == {8, 9}
+    with pytest.raises(NonPositiveGap):
+        brute_force_mu(cfg, bins)
+    with pytest.raises(NonPositiveGap):
+        ref.brute_force_mu(cfg, bins)
 
 
 def test_closed_initial_gap_raises_on_both_paths():

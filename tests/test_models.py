@@ -19,7 +19,7 @@ from overtake_eval.models import (
 )
 from overtake_eval.sampling import draws_lane_change
 
-from conftest import grid_state, idm_ref
+from conftest import grid_state, idm_ref, profile
 
 BV_IDM = IdmParams()  # v0=15, T=1, a=2, b=2, s0=2, delta=4
 
@@ -327,7 +327,7 @@ def test_distribution_mixture(scen):
     ev = CriticalityEvaluator(scen)
     states = [grid_state(8.0, 10.0, -3.0, 2.0, -4.0),
               grid_state(6.0, 14.0, -4.0, 3.0, -5.0)]
-    prof = ev.profile(ref.cols(states))
+    prof = profile(ev, ref.cols(states))
     assert prof.is_critical.all()
     for i in range(len(states)):
         dists = [ref.ActionDistribution.from_pairs(

@@ -1,11 +1,12 @@
 """Episode generation in the exposure and importance environments."""
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from overtake_eval import sampling, stream
+from overtake_eval import kernel, sampling, stream
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
@@ -286,7 +287,7 @@ def test_nade_importance_actually_oversamples_accidents(scen):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_walk_keys_are_the_cells_of_every_walked_state(name):
+def test_block_fill_holds_the_cells_of_every_walked_state(name):
     # Brute force: every state of every row's scalar no-cut-in walk, one
     # grid key each, in a set.
     cfg = CONFIGS[name]
@@ -300,12 +301,21 @@ def test_walk_keys_are_the_cells_of_every_walked_state(name):
             t = ref.step_raw(*t, ref.bv_car_following_accel(t, cfg), 0.0,
                              cfg.dt)
             k += 1
-    cells = sampling._walk_keys(states, cfg)
-    keys = list(map(tuple, cells.tolist()))
-    assert cells.dtype == np.int64 and cells.shape == (len(keys), 5)
-    assert len(set(keys)) == len(keys)  # deduplicated
-    assert set(keys) == walked
+    ev = CriticalityEvaluator(cfg)
+    walk = list(islice(kernel.no_cutin_walk(states, cfg), cfg.max_steps))
+    cols, at = ev.columns(walk, len(seeds))
+    assert set(ev._entry_cache) == walked
     assert len(walked) > 20
+    # Each step's cells are deduplicated once, and every walked state maps
+    # through its step's int32 map to the column of its own cell.
+    key_of = {col: key for key, col in ev._entry_cache.items()}
+    assert at.dtype == np.int32 and at.shape == (len(walk), len(seeds))
+    assert len(cols) == sum(
+        len({ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)})
+        for _, s in walk)
+    for (rows, s), step in zip(walk, at):
+        assert [key_of[c] for c in cols[step[rows]].tolist()] == \
+            [ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -1,13 +1,14 @@
 """Kinematics, phase handling, and episode endings of the three-vehicle
 scenario.
 
-Phase handling lives in the lockstep kernel: ``kernel.walk`` advances
-pre-cut-in states (the AV coasts, the BV car-follows) and
+Phase handling lives in the lockstep kernel: ``kernel.no_cutin_walk``
+advances pre-cut-in states (the AV coasts, the BV car-follows) and
 ``kernel.cutin_crashes`` rolls a cut-in out (the BV holds speed, the AV
 follows).  Both are checked against the absolute-position references in
 conftest.py and the scalar references in scalar_reference.py.
 """
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,16 +20,22 @@ from scalar_reference import State, cols
 from conftest import abs_cutin_crash, abs_no_cutin_walk, advance_abs
 
 
-def always(rows, s):
-    """A walk decision that cuts in at every live row."""
-    return np.ones(len(rows), dtype=bool)
+def episode_walk(states, cfg):
+    """The walk the samplers and the oracle take from ``states``, none of
+    which cuts in: a row whose AV has passed at the start never walks, and
+    a row visits at most ``max_steps`` states.  Yields the states left in
+    the budget, the rows and their states at each step."""
+    s = cols(states)
+    walk = kernel.no_cutin_walk(s, cfg, ~(s[3] < 0.0))
+    for k, (rows, t) in enumerate(islice(walk, cfg.max_steps)):
+        yield cfg.max_steps - k, rows, t
 
 
 def visited(states, cfg):
-    """Every pre-cut-in state the kernel walk visits, as (row, state) pairs
-    in step order: each state fires a cut-in candidate and keeps walking."""
-    cut = kernel.walk(cols(states), cfg, always, stay=True)
-    return list(zip(cut.rows.tolist(), ref.rows(cut.state)))
+    """Every pre-cut-in state the episode walk visits, as (row, state)
+    pairs in step order."""
+    return [(r, t) for _, rows, s in episode_walk(states, cfg)
+            for r, t in zip(rows.tolist(), ref.rows(s))]
 
 
 def crashes(states, budget, cfg):
@@ -141,12 +148,19 @@ def test_lane_change_is_zero_accel_step_with_phase_flip(scen):
 
 
 def test_second_lane_change_rejected(scen):
-    # A sampled episode ends at its cut-in: a walk row that fires leaves
-    # the walk and never fires again.
+    # A sampled episode ends at its cut-in: a row cleared from the live
+    # mask leaves the walk and never fires again.
     s = State(8.0, 30.0, -5.0, 5.0, -5.0)
-    cut = kernel.walk(cols([s] * 5), scen, always, stay=False)
-    assert cut.rows.tolist() == [0, 1, 2, 3, 4]
-    assert cut.budget.tolist() == [scen.max_steps] * 5
+    live = np.ones(5, dtype=bool)
+    walk = kernel.no_cutin_walk(cols([s] * 5), scen, live)
+    rows, _ = next(walk)
+    assert rows.tolist() == [0, 1, 2, 3, 4]
+    live[[1, 3]] = False
+    rows, _ = next(walk)
+    assert rows.tolist() == [0, 2, 4]
+    live[:] = False
+    assert next(walk)[0].size == 0
+    assert next(walk, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +170,9 @@ def test_second_lane_change_rejected(scen):
 def test_termination_running_state(scen):
     # A state with the AV behind and budget left is walked and may cut in.
     s = State(8, 30, -5, 5, -5)
-    cut = kernel.walk(cols([s]), scen, always, stay=False)
-    assert ref.rows(cut.state) == [s] and cut.budget.tolist() == [scen.max_steps]
+    left, rows, t = next(episode_walk([s], scen))
+    assert rows.tolist() == [0] and ref.rows(t) == [s]
+    assert left == scen.max_steps
 
 
 def test_termination_accident_requires_cut_in(scen):
@@ -166,8 +181,7 @@ def test_termination_accident_requires_cut_in(scen):
     assert crashes([hit], 1, scen) == [True]
     # The same geometry before the cut-in is the follower passing, not
     # contact: the walk ends without visiting it.
-    cut = kernel.walk(cols([hit]), scen, always, stay=True)
-    assert cut.rows.size == 0
+    assert visited([hit], scen) == []
 
 
 def test_termination_step_budget(scen):
@@ -175,9 +189,9 @@ def test_termination_step_budget(scen):
     # of them still sees the one state after it.
     cfg = dataclasses.replace(scen, max_steps=40)
     s = State(8.0, 500.0, 0.0, 5.0, 0.0)
-    cut = kernel.walk(cols([s]), cfg, always, stay=True)
-    assert len(cut.rows) == cfg.max_steps
-    assert cut.budget[-1] == 1
+    walked = list(episode_walk([s], cfg))
+    assert len(walked) == cfg.max_steps
+    assert walked[-1][0] == 1
     # with no budget left there is nothing to observe
     assert crashes([State(8, 30, -5, -0.2, -5)], 0, scen) == [False]
 
@@ -261,6 +275,6 @@ def test_run_trajectory_stops_at_budget(scen):
     # walk visits exactly max_steps states, with budgets counting down.
     cfg = dataclasses.replace(scen, max_steps=40)
     s0 = State(8.0, 500.0, 0.0, 5.0, 0.0)
-    cut = kernel.walk(cols([s0]), cfg, always, stay=True)
-    assert cut.budget.tolist() == list(range(cfg.max_steps, 0, -1))
-    assert all(t.r2 >= 0.0 for t in ref.rows(cut.state))
+    walked = list(episode_walk([s0], cfg))
+    assert [left for left, _, _ in walked] == list(range(cfg.max_steps, 0, -1))
+    assert all(t.r2 >= 0.0 for _, _, s in walked for t in ref.rows(s))
