@@ -8,7 +8,9 @@ densities.  A brute-force enumeration oracle provides the reference value
 the estimators are checked against.  Both samplers, the criticality
 evaluator and the oracle read their pre-cut-in states off one lockstep
 walk (``kernel.no_cutin_walk``).  The samplers seed and draw whole blocks
-of episodes (``stream``), bit for bit as numpy's ``default_rng`` would.
+of episodes at once: an episode's seed is a SplitMix64 hash of its root
+seed, environment and index, and its n-th draw is SplitMix64's n-th output
+from that seed, a function of the seed and the draw's number alone.
 A sampler call returns its episodes as one columnar block
 (``sampling.Records``: arrays of index, seed, accident and weight, and the
 critical logs in CSR form), which the estimators, the writers and the
@@ -20,7 +22,7 @@ fits one block (``sampling.BLOCK``, 8192 episodes) in one lockstep batch,
 and a worker pool splits its replications into chunks.
 
 Import the submodules for their names: ``models``, ``config``, ``kernel``,
-``stream``, ``sampling``, ``criticality``, ``estimators``, ``oracle``,
+``sampling``, ``criticality``, ``estimators``, ``oracle``,
 ``harness`` and ``cli``.  The package itself loads no numpy, so the
 command-line program (``cli``) can set its BLAS thread policy first.
 """

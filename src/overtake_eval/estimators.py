@@ -40,7 +40,7 @@ ordered product over the block's CSR critical log.  The cumulative Gram
 matrix of the rows ``[1, z, y]`` (at most 5x5 with the stock three-model
 panel) holds the fit at every prefix of the records, and one stacked
 ``eigh`` call solves them all.  :func:`fit` makes that pass once per
-method and record block, and everything downstream reads off the
+method and record block, and everything after it reads off the
 :class:`PooledFit` it returns: :meth:`~PooledFit.estimate` is the last
 prefix, :meth:`~PooledFit.table` has a convergence-table row per prefix,
 :func:`tests_to_threshold` scans that table's half-width column, and

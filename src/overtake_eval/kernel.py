@@ -18,8 +18,9 @@ Many rows (episodes, oracle bins or criticality grid keys) advance
 together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
 kinematic step, the pre-cut-in walk and the post-cut-in rollout.  The
 arithmetic is that of plain scalar code, kept bit for bit: the operation
-order is fixed, ``**`` is ``np.float_power`` (``np.power`` takes a SIMD
-path on some hosts that rounds differently from C ``pow``), FVDM's
+order is fixed, the real power ``x ** delta`` is ``np.float_power``
+(``np.power`` takes a SIMD path on some hosts that rounds differently from
+C ``pow``), IDM's square ``(s*/gap)²`` is ``r * r``, FVDM's
 ``tanh`` calls ``math.tanh`` itself (``np.tanh`` differs in the last bit
 on about a quarter of inputs), and ``max``/``min``/``if`` are ``np.where``
 on the same comparison, so ties, signed zeros and NaNs resolve alike.  A
@@ -53,8 +54,8 @@ def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
         raise NonPositiveGap(f"IDM requires gap > 0, got {np.min(gap)}")
     push = v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
     s_star = p.s0 + np.where(push > 0.0, push, 0.0)
-    return p.a_max * (1.0 - np.float_power(v / p.v0, p.delta)
-                      - np.float_power(s_star / gap, 2))
+    r = s_star / gap
+    return p.a_max * (1.0 - np.float_power(v / p.v0, p.delta) - r * r)
 
 
 def _clip(a, lo, hi) -> np.ndarray:

@@ -32,14 +32,18 @@ the leader just ends) fills the evaluator's cache once
 reads every profile's cache columns off it.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``
-(:func:`episode_seeds`, :func:`_blocks`), bit for bit as numpy's own
-generators would draw them.  So records are invariant to block layout and
-to which roots share a call, and a replication study's rows to how its
-replications are split among workers.
+(:func:`episode_seeds`).  An episode's draws are counter-based: draw n is
+SplitMix64's n-th output from its seed (:func:`uniform`; Steele, Lea &
+Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014), a
+function of the seed and n alone, with no generator state carried from
+step to step.  So records are invariant to block layout and to which roots
+share a call, and a replication study's rows to how its replications are
+split among workers.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
@@ -47,7 +51,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import stream
 from .criticality import CriticalityEvaluator
 from .kernel import (
     CutIns,
@@ -66,6 +69,16 @@ _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 # once.  A step's cost is mostly numpy dispatch, not data, up to thousands
 # of rows.
 BLOCK = 8192
+
+# SplitMix64's increment γ, a Python int so that n·γ mod 2**64 is exact,
+# and the multipliers and shifts of its output mix.  Every constant that
+# meets an array is an ``np.uint64``: under NumPy 1.x, uint64 mixed with a
+# Python or int64 integer promotes to float64.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
+_U = np.uint64
+_M1, _M2 = _U(0xBF58476D1CE4E5B9), _U(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = _U(11), _U(27), _U(30), _U(31)
 
 Roots = Union[int, Sequence[int]]
 
@@ -115,11 +128,37 @@ class Records:
                    self.control_steps.tolist())
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array: a bijection that
+    scrambles every bit.  Arrays wrap silently where numpy scalars would
+    warn, so only arrays come here."""
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
+
+
 def episode_seeds(root_seed: int, env: str, idx) -> np.ndarray:
-    """Seeds of episodes ``idx``: each is
-    ``SeedSequence((root_seed, env code, i)).generate_state(1, np.uint64)[0]``,
-    so order-independent."""
-    return stream.seeds((root_seed, _ENV_CODES[env]), idx)
+    """Seeds of episodes ``idx``: SplitMix64's mix folded over the root
+    seed's 64-bit words (least significant first, so every non-negative
+    root has its own seeds), the environment code and the index.  As
+    ``_mix`` is a bijection, one root's episodes have distinct seeds."""
+    root = operator.index(root_seed)
+    if root < 0:
+        raise ValueError("expected non-negative integer")
+    words = [root & _MASK64]
+    while root >> 64 * len(words):
+        words.append(root >> 64 * len(words) & _MASK64)
+    h = np.zeros(1, dtype=np.uint64)
+    for w in [*words, _ENV_CODES[env], idx]:
+        h = _mix(h + _U(_GAMMA) + np.asarray(w, dtype=np.uint64))
+    return h
+
+
+def uniform(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Draw ``n`` (from 1) of the episodes ``seeds``: SplitMix64's n-th
+    output from each seed, ``mix(seed + n·γ)``, as a double in [0, 1)."""
+    z = _mix(seeds + _U(n * _GAMMA & _MASK64))
+    return (z >> _S11).astype(np.float64) * 2.0 ** -53
 
 
 def _episodes(roots: Roots, env: str,
@@ -134,21 +173,18 @@ def _episodes(roots: Roots, env: str,
 
 
 def _blocks(seeds: np.ndarray, cfg
-            ) -> Iterator[Tuple[int, stream.Pcg64, List[np.ndarray]]]:
+            ) -> Iterator[Tuple[int, np.ndarray, List[np.ndarray]]]:
     """The episodes of ``seeds`` in blocks of up to ``BLOCK`` rows: each
-    block's first row, its generators and its initial states.
+    block's first row, its seeds and its initial states.
 
-    Row j draws what ``np.random.default_rng(seeds[j])`` would: the initial
-    BV-LV range (the only random part of the initial state), then one
-    uniform per step.  ``Pcg64.random(rows)`` advances just the rows it is
-    given, so a row must be read exactly once at every step it walks, as
-    the samplers do.
+    Draw 1 of a row is its initial BV-LV range (the only random part of
+    the initial state); walk step k takes draw k + 2.
     """
     init = cfg.init
     for lo in range(0, len(seeds), BLOCK):
-        rng = stream.Pcg64(seeds[lo:lo + BLOCK])
-        r1 = init.r1_low + (init.r1_high - init.r1_low) * rng.random()
-        yield lo, rng, initial_states(r1, init)
+        block = seeds[lo:lo + BLOCK]
+        r1 = init.r1_low + (init.r1_high - init.r1_low) * uniform(block, 1)
+        yield lo, block, initial_states(r1, init)
 
 
 def log_product(offsets: np.ndarray, ratios: np.ndarray) -> np.ndarray:
@@ -210,12 +246,13 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> Records:
     (one int or a sequence), root-major, advanced in lockstep."""
     idx, seeds = _episodes(roots, ENV_NDE, n)
     found = []
-    for lo, rng, states in _blocks(seeds, cfg):
+    for lo, block, states in _blocks(seeds, cfg):
         live = ~(states[3] < 0.0)
         for k, (rows, s) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
             p_r = bv_law(s, cfg)
-            fire = draws_lane_change(rng.random(rows), p_r, 1.0 - p_r)
+            fire = draws_lane_change(uniform(block[rows], k + 2), p_r,
+                                     1.0 - p_r)
             live[rows[fire]] = False
             found.append(CutIns.fired(lo + rows, s, fire, cfg.max_steps - k))
     return _records(ENV_NDE, idx, seeds, found, (), cfg)
@@ -231,7 +268,7 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     idx, seeds = _episodes(roots, ENV_NADE, n)
     log: List[Tuple[np.ndarray, ...]] = []
     found = []
-    for lo, rng, states in _blocks(seeds, cfg):
+    for lo, block, states in _blocks(seeds, cfg):
         cols, at = evaluator.columns(
             islice(no_cutin_walk(states, cfg), cfg.max_steps), len(states[0]))
         live = ~(states[3] < 0.0)
@@ -242,7 +279,7 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
             ctl = prof.is_critical
             m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
             m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
-            fire = draws_lane_change(rng.random(rows), m_lc, m_f)
+            fire = draws_lane_change(uniform(block[rows], k + 2), m_lc, m_f)
             if ctl.any():
                 r, f = lo + rows[ctl], fire[ctl]
                 log.append((r, np.where(f, p_lc[ctl], 1.0 - p_lc[ctl]),

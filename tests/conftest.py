@@ -36,8 +36,8 @@ from scalar_reference import (
 STRESSED = dataclasses.replace(
     ScenarioConfig(), vehicle_length=1.0, d_accid=0.5, max_steps=10,
     mobil=MobilParams(gamma_p=0.2, p_max=0.5))
-# The follower starts 20 m back: episodes walk dozens of steps, far into
-# their random streams.
+# The follower starts 20 m back: episodes walk dozens of steps and take
+# dozens of draws each.
 LONG = dataclasses.replace(
     ScenarioConfig(), init=dataclasses.replace(ScenarioConfig().init, r2=20.0))
 CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}

@@ -160,7 +160,8 @@ def idm_accel_raw(v: float, gap: float, dv: float, p: IdmParams) -> float:
     if gap <= 0.0:
         raise NonPositiveGap(f"IDM requires gap > 0, got {gap}")
     s_star = p.s0 + max(0.0, v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b)))
-    return p.a_max * (1.0 - (v / p.v0) ** p.delta - (s_star / gap) ** 2)
+    r = s_star / gap
+    return p.a_max * (1.0 - (v / p.v0) ** p.delta - r * r)
 
 
 def idm_accel(v: float, gap: float, dv: float, p: IdmParams) -> float:
@@ -466,18 +467,57 @@ def nde_episode(rng, cfg, index, seed):
                       accident=accident, weight=1.0), end, k
 
 
+# ---------------------------------------------------------------------------
+# the episode stream: one sequential SplitMix64 generator per episode
+# ---------------------------------------------------------------------------
+
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """SplitMix64 as first written: a Python int state mod 2**64 that each
+    draw advances by the golden gamma and then mixes."""
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed
+
+    def random(self) -> float:
+        self.state = (self.state + _GAMMA) & _MASK64
+        return (splitmix64_mix(self.state) >> 11) * 2.0 ** -53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+
 def episode_seed(root_seed, env, index):
-    """An episode's seed, straight from numpy's ``SeedSequence``."""
-    code = {ENV_NDE: 0, ENV_NADE: 1}[env]
-    ss = np.random.SeedSequence((root_seed, code, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """An episode's seed: the mix folded over the root seed's 64-bit words,
+    the environment code and the index."""
+    if root_seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = []
+    while True:
+        words.append(root_seed & _MASK64)
+        root_seed >>= 64
+        if not root_seed:
+            break
+    h = 0
+    for w in [*words, {ENV_NDE: 0, ENV_NADE: 1}[env], index]:
+        h = splitmix64_mix((h + _GAMMA + w) & _MASK64)
+    return h
 
 
 def nde_batch(root_seed, cfg, n):
     out = []
     for i in range(n):
         seed = episode_seed(root_seed, ENV_NDE, i)
-        out.append(nde_episode(np.random.default_rng(seed), cfg, i, seed))
+        out.append(nde_episode(SplitMix64(seed), cfg, i, seed))
     return out
 
 
@@ -511,8 +551,7 @@ def nade_batch(root_seed, cfg, n, evaluator):
     out = []
     for i in range(n):
         seed = episode_seed(root_seed, ENV_NADE, i)
-        out.append(nade_episode(np.random.default_rng(seed), cfg, evaluator,
-                                i, seed))
+        out.append(nade_episode(SplitMix64(seed), cfg, evaluator, i, seed))
     return out
 
 

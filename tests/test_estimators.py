@@ -61,10 +61,11 @@ def test_controls_are_density_ratio_products_minus_one():
 def test_no_control_step_gives_no_controls(scen):
     # Records without a logged moment (NDE episodes, each of weight 1, read
     # as NADE ones) give ATSCV no column to adjust with: it is the NADE fit.
-    recs = dataclasses.replace(sample_nde_batch(5, scen, 200), env="nade")
+    # At μ ≈ 0.0056, 2,000 episodes hold no accident with probability 1e-5.
+    recs = dataclasses.replace(sample_nde_batch(5, scen, 2000), env="nade")
     assert recs.accident.any()
     atscv, nade = fit(recs, "atscv"), fit(recs, "nade")
-    assert atscv.Z.shape == (200, 0) and atscv.beta.shape == (200, 0)
+    assert atscv.Z.shape == (2000, 0) and atscv.beta.shape == (2000, 0)
     assert atscv.mu.tolist() == nade.mu.tolist()
     assert atscv.variance.tolist() == nade.variance.tolist()
 

@@ -356,7 +356,7 @@ def test_nade_batch_matches_scalar_reference(name):
     # episode's no-cut-in walk: a superset of the cells the episodes visit.
     walked = set()
     for i in range(n):
-        rng = np.random.default_rng(ref.episode_seed(1717, ref.ENV_NADE, i))
+        rng = ref.SplitMix64(ref.episode_seed(1717, ref.ENV_NADE, i))
         t, k = ref.initial_state(rng, cfg), 0
         while ref.running(t, k, cfg):
             walked.add(ref.ScalarEvaluator.quantize(t))
@@ -372,7 +372,7 @@ def test_nade_batch_matches_scalar_reference(name):
     if name == "stressed":
         assert 0 in steps  # a cut-in at step 0
     if name == "long":
-        assert max(steps) > 16  # the uniforms are refilled
+        assert max(steps) > 16  # deep into the episodes' draws
         assert got.control_steps.max() > 10  # every critical moment logged
 
 
@@ -497,11 +497,12 @@ def _contact_steps(states, cfg):
     return steps
 
 
-@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 35), (ref.ENV_NADE, 16)])
+@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 11), (ref.ENV_NADE, 24)])
 def test_episodes_that_cut_in_before_leader_contact_do_not_raise(env, root):
-    # At these roots every episode cuts in before its no-cut-in walk reaches
-    # the LV, one of them at the last state before contact: the walk steps
-    # its row once more, into contact, after it has left the live mask.
+    # At these roots (the first from 0 for each environment) every episode
+    # cuts in before its no-cut-in walk reaches the LV, one of them at the
+    # last state before contact: the walk steps its row once more, into
+    # contact, after it has left the live mask.
     cfg, n = CLOSING, 20
     seeds = sampling.episode_seeds(root, env, np.arange(n, dtype=np.uint64))
     (_, _, states), = sampling._blocks(seeds, cfg)
@@ -520,9 +521,10 @@ def test_episodes_that_cut_in_before_leader_contact_do_not_raise(env, root):
     assert any(k == c - 1 for k, c in zip(steps, contact))
 
 
-@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 4), (ref.ENV_NADE, 42)])
+@pytest.mark.parametrize("env, root", [(ref.ENV_NDE, 8), (ref.ENV_NADE, 22)])
 def test_a_live_episode_at_leader_contact_raises(env, root):
-    # At these roots an episode that has not cut in reaches the LV.
+    # At these roots (the first from 0 for each environment) an episode
+    # that has not cut in reaches the LV.
     cfg, n = CLOSING, 20
     if env == ref.ENV_NDE:
         runs = (lambda: ref.nde_batch(root, cfg, n),

@@ -1,12 +1,13 @@
 """Episode generation in the exposure and importance environments."""
 import dataclasses
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from overtake_eval import kernel, sampling, stream
+from overtake_eval import kernel, sampling
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
@@ -18,6 +19,7 @@ from overtake_eval.sampling import (
     episode_seeds,
     sample_nade_batch,
     sample_nde_batch,
+    uniform,
 )
 import scalar_reference as ref
 from scalar_reference import (
@@ -30,23 +32,17 @@ from scalar_reference import (
 
 from conftest import CONFIGS
 
-# Roots of one to four 32-bit words; 10**40 takes five, so its entropy
-# reaches SeedSequence's mixing loop for words past the pool.
+# Roots of one to three 64-bit words, and indices up to the top of uint64.
 ROOTS = (0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 + 5, 10**40)
-INDICES = np.array(list(range(3000)) + [2**31, 2**32 - 1], dtype=np.uint64)
+INDICES = np.array(list(range(3000)) + [2**31, 2**32 - 1, 2**40 + 3,
+                                        2**64 - 1], dtype=np.uint64)
 
 
 @pytest.mark.parametrize("root", ROOTS)
-def test_episode_seeds_equal_numpy_seed_sequence(root):
+def test_episode_seeds_equal_reference(root):
     for env in (ENV_NDE, ENV_NADE):
         want = [episode_seed(root, env, i) for i in INDICES.tolist()]
         assert episode_seeds(root, env, INDICES).tolist() == want
-
-
-def test_episode_seeds_take_two_words_for_wide_indices():
-    idx = np.array([5, 2**32, 2**40 + 3, 7, 2**64 - 1], dtype=np.uint64)
-    want = [episode_seed(9, ENV_NADE, i) for i in idx.tolist()]
-    assert episode_seeds(9, ENV_NADE, idx).tolist() == want
 
 
 def test_episode_seeds_separate_index_and_environment():
@@ -64,34 +60,58 @@ def test_episode_seeds_reject_a_negative_root():
         episode_seeds(-1, ENV_NDE, np.arange(3, dtype=np.uint64))
 
 
+def test_roots_a_word_apart_have_their_own_streams():
+    idx = np.arange(1000, dtype=np.uint64)
+    for env in (ENV_NDE, ENV_NADE):
+        low = set(episode_seeds(5, env, idx).tolist())
+        assert not low & set(episode_seeds(2**64 + 5, env, idx).tolist())
+
+
 @pytest.mark.parametrize("root", ROOTS)
-def test_draws_equal_numpy_default_rng(scen, root):
-    # 40 steps: past the 16- and 32-step refills of a block-drawing stream.
+def test_draws_equal_reference(scen, root):
+    # The vectorised counter form against the sequential generator.
     steps = 40
     seeds = episode_seeds(root, ENV_NADE, INDICES[::15])
-    seeds = np.concatenate([np.array([0], dtype=np.uint64), seeds])
-    (lo, rng, states), = _blocks(seeds, scen)
-    assert lo == 0
-    got = np.stack([rng.random(np.arange(len(seeds))) for _ in range(steps)],
-                   axis=1)
+    seeds = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), seeds])
+    (lo, block, states), = _blocks(seeds, scen)
+    assert lo == 0 and block.tolist() == seeds.tolist()
+    got = np.stack([uniform(block, k + 2) for k in range(steps)], axis=1)
     init = scen.init
     for j, seed in enumerate(seeds.tolist()):
-        g = np.random.default_rng(seed)
+        g = ref.SplitMix64(seed)
         assert states[1][j] == g.uniform(init.r1_low, init.r1_high)
-        assert got[j].tolist() == g.random(steps).tolist()
+        assert got[j].tolist() == [g.random() for _ in range(steps)]
 
 
-def test_draws_advance_only_the_rows_given(scen):
+def test_draws_depend_only_on_seed_and_step():
     seeds = episode_seeds(3, ENV_NDE, np.arange(6, dtype=np.uint64))
-    rng = stream.Pcg64(seeds)
-    live = [np.arange(6), np.array([0, 2, 3, 5]), np.array([2, 5]),
-            np.array([5])]
-    got = [rng.random(rows) for rows in live]
-    for j, seed in enumerate(seeds.tolist()):
-        g = np.random.default_rng(seed)
-        mine = [u[rows.tolist().index(j)] for u, rows in zip(got, live)
-                if j in rows]
-        assert mine == g.random(len(mine)).tolist()
+    for n, rows in enumerate([np.arange(6), np.array([0, 2, 3, 5]),
+                              np.array([5, 2]), np.array([5])], start=1):
+        assert uniform(seeds[rows], n).tolist() == \
+            uniform(seeds, n)[rows].tolist()
+
+
+def test_draws_are_uniform_and_uncorrelated():
+    # 10k episodes x 100 draws of root 2023, fixed before looking.
+    from scipy import stats
+
+    seeds = episode_seeds(2023, ENV_NDE, np.arange(10_000, dtype=np.uint64))
+    u = np.stack([uniform(seeds, n) for n in range(1, 101)])
+    assert stats.kstest(u.ravel(), "uniform").pvalue > 1e-3
+    # A correlation over ~1M pairs has standard error about 1e-3.
+    within = np.corrcoef(u[:-1].ravel(), u[1:].ravel())[0, 1]
+    across = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
+    assert abs(within) < 5e-3 and abs(across) < 5e-3
+
+
+def test_sampling_near_the_top_of_uint64_does_not_warn(scen):
+    # numpy warns on uint64 overflow of scalars, not of arrays.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for root in (2**64 - 1, 2**64 - 2):
+            episode_seeds(root, ENV_NDE, np.uint64(2**64 - 1))
+            sample_nde_batch(root, scen, 30)
+            sample_nade_batch(root, scen, 30)
 
 
 def test_initial_state_distribution(scen):
