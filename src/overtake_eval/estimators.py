@@ -44,10 +44,7 @@ method and record block, and everything after it reads off the
 :class:`PooledFit` it returns: :meth:`~PooledFit.estimate` is the last
 prefix, :meth:`~PooledFit.table` has a convergence-table row per prefix,
 :func:`tests_to_threshold` scans that table's half-width column, and
-:meth:`~PooledFit.adjusted` gives the adjusted points.  A replication
-study fits a group of equal-size replications in one pass: the cumulative
-Gram restarts at each replication's first record, and a slice of the fit
-(``fit[lo:hi]``) is the fit of that replication alone, bit for bit.
+:meth:`~PooledFit.adjusted` gives the adjusted points.
 """
 
 from __future__ import annotations
@@ -128,31 +125,19 @@ class PooledFit:
         its point estimate."""
         return self.y - self.Z @ self.beta[-1]
 
-    def __getitem__(self, span: slice) -> "PooledFit":
-        """The entries of the records in ``span``: one replication of a
-        stacked fit."""
-        return PooledFit(self.method, *(x[span] for x in (
-            self.y, self.Z, self.mu, self.variance, self.rank, self.beta)))
 
-
-def _solve(method: str, y: np.ndarray, Z: np.ndarray,
-           reps: int = 1) -> PooledFit:
-    """The fit at every prefix of each of ``reps`` equal-size runs of
-    records, from the cumulative Gram of ``[1, Z, y]``, restarted at each
-    run.
+def _solve(method: str, y: np.ndarray, Z: np.ndarray) -> PooledFit:
+    """The fit at every prefix, from the cumulative Gram of ``[1, Z, y]``.
 
     Eliminating the column of ones leaves the centred cross products of
-    ``[Z, y]``.  Z is taken relative to its run's first row, which the
-    intercept absorbs, so a constant column centres to exact zeros rather
-    than to rounding noise.
+    ``[Z, y]``.  Z is taken relative to its first row, which the intercept
+    absorbs, so a constant column centres to exact zeros rather than to
+    rounding noise.
     """
     n, w = Z.shape
-    m = n // reps
-    first = np.repeat(Z[::m], m, axis=0)  # each run's first row
-    rows = np.column_stack([np.ones(n), Z - first, y]).reshape(reps, m, -1)
-    G = np.cumsum(rows[..., :, None] * rows[..., None, :],
-                  axis=1).reshape(n, w + 2, w + 2)
-    k = np.tile(np.arange(1.0, m + 1.0), reps)
+    rows = np.column_stack([np.ones(n), Z - Z[:1], y])
+    G = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    k = np.arange(1.0, n + 1.0)
     s = G[:, 0, 1:]  # sums of the shifted z and of y
     C = G[:, 1:, 1:] - s[:, :, None] * s[:, None, :] / k[:, None, None]
     lam, V = (np.linalg.eigh(C[:, :-1, :-1]) if w
@@ -163,7 +148,7 @@ def _solve(method: str, y: np.ndarray, Z: np.ndarray,
     scaled = np.divide(proj, lam, out=np.zeros_like(proj), where=keep)
     beta = np.einsum("kij,kj->ki", V, scaled)
     rss = np.maximum(C[:, -1, -1] - np.einsum("ki,ki->k", proj, scaled), 0.0)
-    zbar = first + s[:, :-1] / k[:, None]
+    zbar = Z[:1] + s[:, :-1] / k[:, None]
     mu = s[:, -1] / k - np.einsum("ki,ki->k", zbar, beta)
     rank = 1 + keep.sum(axis=1)
     dof = k - rank
@@ -183,12 +168,10 @@ def _controls(records: Records) -> np.ndarray:
                        records.q / records.q_alpha[:, None]) - 1.0
 
 
-def fit(records: Records, method: str, reps: int = 1) -> PooledFit:
+def fit(records: Records, method: str) -> PooledFit:
     """``method``'s fit (one of ``METHODS``) of ``records``, of the
     environment the method estimates: NDE records for ``"nde"``, NADE
-    records otherwise.  With ``reps`` the records are that many equal-size
-    replications, each fitted on its own: replication i's fit is
-    ``fit[i * m:(i + 1) * m]`` for ``m = len(records) // reps``."""
+    records otherwise."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     env = "nde" if method == "nde" else "nade"
@@ -196,13 +179,10 @@ def fit(records: Records, method: str, reps: int = 1) -> PooledFit:
         raise EmptyInput("no records")
     if records.env != env:
         raise ValueError(f"expected {env!r} records, found {records.env!r}")
-    if reps < 1 or len(records) % reps:
-        raise ValueError(f"{len(records)} records are not {reps} "
-                         f"equal-size replications")
     y = records.accident * records.weight
     Z = (_controls(records) if method == "atscv"
          else np.zeros((len(records), 0)))
-    return _solve(method, y, Z, reps)
+    return _solve(method, y, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ Records travel as columns: a sampler call returns one
 are a slice of its group's block, and the writers, the loader and
 :func:`~.estimators.fit` use the block's arrays as they are.  ``_sample``
 draws one environment's episodes ``0 .. n-1`` for one or several root
-seeds, in the calling process; :func:`estimate_from_records` fits each
-method once and reads its estimate, convergence table, stopping count and
-(for ATSCV) adjusted points off that one :class:`~.estimators.PooledFit`;
-:func:`run_campaign` is that on freshly sampled records plus the oracle,
-and a replication row is the same estimate at seed root+rep, without the
-oracle and on one warm criticality evaluator per worker chunk.
+seeds, in the calling process.  :func:`estimate_from_records` is the one
+estimate path: it fits each method once and reads its estimate,
+convergence table, stopping count and (for ATSCV) adjusted points off that
+one :class:`~.estimators.PooledFit`.  :func:`run_campaign` is that on
+freshly sampled records plus the oracle, ``estimate --records`` is that on
+emitted records, and a replication row is that on the replication's slice
+of its group's records (seed root+rep), without the oracle and on one warm
+criticality evaluator per worker chunk.
 
 Every CSV table goes through one column writer, ``_write_table``, and one
 reader, ``_read_table``, which checks the header and the field count of
@@ -137,28 +139,6 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _fits(records: Dict[str, Records], reps: int = 1) -> Dict[str, PooledFit]:
-    """Every applicable method's fit, one each; with ``reps``, of that
-    many equal-size replications stacked in each block."""
-    fits = {}
-    for m in METHODS:
-        recs = records.get("nde" if m == "nde" else "nade")
-        if recs:
-            fits[m] = fit(recs, m, reps)
-    return fits
-
-
-def _method_results(cfg: CampaignConfig, fits: Dict[str, PooledFit]
-                    ) -> Dict[str, MethodResult]:
-    """Each method's result, read off its fit."""
-    methods = {}
-    for m, f in fits.items():
-        table = f.table(cfg.gamma)
-        methods[m] = MethodResult(f, table, tests_to_threshold(
-            table[:, 2], cfg.rhw_threshold, cfg.confirm_window))
-    return methods
-
-
 def _ratio(a: Optional[int], b: Optional[int]) -> Optional[float]:
     if a is None or b is None or b == 0:
         return None
@@ -196,7 +176,14 @@ def estimate_from_records(cfg: CampaignConfig,
     the environments ``cfg.environment`` selects."""
     records = {env: recs for env, recs in records.items()
                if cfg.environment in (env, "both")}
-    methods = _method_results(cfg, _fits(records))
+    methods = {}
+    for m in METHODS:
+        recs = records.get("nde" if m == "nde" else "nade")
+        if recs:
+            f = fit(recs, m)
+            table = f.table(cfg.gamma)
+            methods[m] = MethodResult(f, table, tests_to_threshold(
+                table[:, 2], cfg.rhw_threshold, cfg.confirm_window))
     return CampaignResult(config=cfg, records=records, methods=methods,
                           acceleration=_acceleration(methods))
 
@@ -213,11 +200,10 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     (``sampling.BLOCK``), and at least one, form a group: one sampler call
     per environment walks all their episodes in lockstep, so their cut-ins
     resolve in one rollout and each block's new grid cells fill in one
-    batch.  Each method is fitted once over the group's block, restarted
-    at each replication, and each replication reads its slice of that fit.
-    Every record is a pure function of (root, environment, index)
-    and every cache value of its grid key, so the rows do not depend on the
-    grouping.
+    batch.  A replication's row is :func:`estimate_from_records` of its
+    slice of the group's records, as a campaign at its seed estimates.
+    Every record is a pure function of (root, environment, index) and every
+    cache value of its grid key, so the rows do not depend on the grouping.
     """
     budgets = _budgets(cfg)
     evaluator = CriticalityEvaluator(cfg.scenario) if "nade" in budgets else None
@@ -235,21 +221,18 @@ def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
     seeds = [cfg.seed + rep for rep in group]
     drawn = {env: _sample(env, cfg, seeds, n, evaluator=evaluator)
              for env, n in budgets.items()}
-    fits = {m: (f, len(f.y) // len(group))
-            for m, f in _fits(drawn, len(group)).items()}
     rows = []
     for i, (rep, seed) in enumerate(zip(group, seeds)):
-        methods = _method_results(cfg, {m: f[i * n:(i + 1) * n]
-                                         for m, (f, n) in fits.items()})
+        result = estimate_from_records(cfg, {
+            env: drawn[env][i * n:(i + 1) * n] for env, n in budgets.items()})
         row: Dict[str, object] = {"replication": rep, "seed": seed}
         for m in METHODS:
-            mr = methods.get(m)
+            mr = result.methods.get(m)
             row[f"{m}_mu"], row[f"{m}_rhw"], row[f"{m}_tests"] = (
                 (mr.estimate.mu, mr.rhw, mr.tests_to_threshold) if mr
                 else (None, None, None))
-        acc = _acceleration(methods)
-        row["accel_nde_nade"] = acc["nde_over_nade"]
-        row["accel_nade_atscv"] = acc["nade_over_atscv"]
+        row["accel_nde_nade"] = result.acceleration["nde_over_nade"]
+        row["accel_nade_atscv"] = result.acceleration["nade_over_atscv"]
         rows.append(row)
     return rows
 

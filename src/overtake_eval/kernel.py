@@ -220,13 +220,10 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
                 break
             at = np.searchsorted(rows, edges).tolist()
         v_av, gap, dv = v_bv - r2_dot, r2 - L, -r2_dot
-        if J == 1:
-            a_av = laws[0](v_av, gap, dv)
-        else:
-            a_av = np.empty(rows.size)
-            for law, lo, hi in zip(laws, at, at[1:]):
-                if lo < hi:
-                    a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
+        a_av = np.empty(rows.size)
+        for law, lo, hi in zip(laws, at, at[1:]):
+            if lo < hi:
+                a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
         x_av, v_av = _advance(0.0, v_av, a_av, dt)
         r2, r2_dot = (r2 + bv_dx) - x_av, v_bv - v_av
         i += 1
@@ -239,9 +236,9 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None
 
     Yields the rows still walking and their states: first the start, then
     after each of up to ``cfg.max_steps`` steps of ``_follow``.  A row
-    ends, after a step, when the AV has passed it (``r2 < 0``), and at
-    leader contact (``r1 - L <= 0``, where following is no longer
-    modeled; a start already there never walks).
+    ends when the AV has passed it (``r2 < 0``) and at leader contact
+    (``r1 - L <= 0``, where following is no longer modeled); a start
+    already there never walks.
 
     ``live`` is an optional mask over the rows of ``s`` that the caller
     may clear between yields.  A row outside it stops walking (a sampled
@@ -251,11 +248,10 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None
     """
     L = cfg.vehicle_length
     rows, t = np.arange(len(s[0])), list(s)
-    keep = np.ones(len(rows), dtype=bool)
     for k in range(cfg.max_steps + 1):
         if k:
             t = _follow(t, cfg)
-            keep = ~(t[3] < 0.0)
+        keep = ~(t[3] < 0.0)
         contact = t[1] - L <= 0.0
         if live is not None:
             # A row cleared since the last yield took one more step; it

@@ -62,7 +62,7 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     mids = bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, bins)
 
     init = initial_states(mids, cfg.init)
-    walk = no_cutin_walk(init, cfg, ~(init[3] < 0.0))
+    walk = no_cutin_walk(init, cfg, np.ones(bins, dtype=bool))
     found, p_r = [], []
     for k, (rows, s) in enumerate(islice(walk, cfg.max_steps)):
         p = bv_law(s, cfg)

@@ -94,7 +94,7 @@ class Records:
     form.  Episode i's moments are rows ``offsets[i]:offsets[i + 1]`` of
     ``p``, ``q_alpha`` and the (moments, J) ``q``, in log order: the
     naturalistic, mixture and per-surrogate densities of the drawn atom.
-    A slice of episodes is a block too."""
+    A contiguous slice of episodes (step 1) is a block too."""
 
     env: str
     index: np.ndarray
@@ -114,7 +114,9 @@ class Records:
         return np.diff(self.offsets)
 
     def __getitem__(self, span: slice) -> "Records":
-        lo, hi, _ = span.indices(len(self))
+        lo, hi, step = span.indices(len(self))
+        if step != 1:
+            raise ValueError(f"a block slice has step 1, not {step}")
         hi = max(lo, hi)
         a, b = self.offsets[lo], self.offsets[hi]
         return Records(self.env, self.index[lo:hi], self.seed[lo:hi],
@@ -247,7 +249,7 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> Records:
     idx, seeds = _episodes(roots, ENV_NDE, n)
     found = []
     for lo, block, states in _blocks(seeds, cfg):
-        live = ~(states[3] < 0.0)
+        live = np.ones(len(block), dtype=bool)
         for k, (rows, s) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
             p_r = bv_law(s, cfg)
@@ -271,7 +273,7 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     for lo, block, states in _blocks(seeds, cfg):
         cols, at = evaluator.columns(
             islice(no_cutin_walk(states, cfg), cfg.max_steps), len(states[0]))
-        live = ~(states[3] < 0.0)
+        live = np.ones(len(block), dtype=bool)
         for k, (rows, s) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
             prof = evaluator.profile(s, cols[at[k, rows]])

@@ -343,40 +343,6 @@ def test_atscv_point_differs_from_nade_point(replications):
         assert atscv.estimate().mu != nade.estimate().mu
 
 
-def _fit_fields(f):
-    return [x.tolist() for x in (f.y, f.Z, f.mu, f.variance, f.rank, f.beta,
-                                 f.table(0.1))]
-
-
-def test_stacked_fit_is_each_replications_fit_bit_for_bit(replications):
-    # A replication group's block is fitted once; each replication's slice
-    # of that fit is its own fit, whatever the height of the stack.
-    scen = ScenarioConfig()
-    for reps in (1, 2, 7):
-        block = sample_nade_batch(list(REPLICATION_SEEDS[:reps]), scen,
-                                  REPLICATION_EPISODES)
-        n = REPLICATION_EPISODES
-        for method in ("nade", "atscv"):
-            f = block_fit(block, method, reps)
-            for i in range(reps):
-                assert _fit_fields(f[i * n:(i + 1) * n]) == _fit_fields(
-                    block_fit(replications[i], method))
-    # A replication without a logged moment has no control column alone;
-    # in the stack its columns are zeros, which change no value it reports.
-    rng = np.random.default_rng(5)
-    parts = [random_nade_records(rng, 40), random_nade_records(rng, 40,
-                                                               max_l=0)]
-    f = block_fit(to_block(parts[0] + parts[1]), "atscv", 2)
-    assert _fit_fields(f[:40]) == _fit_fields(fit(parts[0], "atscv"))
-    got, alone = f[40:], fit(parts[1], "atscv")
-    assert got.Z.shape == (40, 3) and alone.Z.shape == (40, 0)
-    assert not got.Z.any() and not got.beta.any()
-    for name in ("y", "mu", "variance", "rank"):
-        assert getattr(got, name).tolist() == getattr(alone, name).tolist()
-    with pytest.raises(ValueError, match="equal-size"):
-        block_fit(to_block(parts[0][:39]), "atscv", 2)
-
-
 def test_first_prefixes_without_a_residual_dof_never_qualify():
     # n = 1 (NADE) or n <= rank (ATSCV) has no interval, so a window of
     # those prefixes cannot stop the test.

@@ -168,23 +168,24 @@ def test_summaries_match_schema(tmp_path):
 
 def test_each_method_is_fitted_once_per_record_set(tmp_path, monkeypatch):
     # The estimate, the convergence table, the stopping count and the
-    # adjusted points all read off one fit per method and record set; a
-    # replication group's block is one record set of stacked replications.
+    # adjusted points all read off one fit per method and record set; each
+    # replication of a study is one record set, fitted on its own.
     solved = []
     solve = estimators._solve
 
-    def counting(method, y, Z, reps=1):
-        solved.append((method, reps))
-        return solve(method, y, Z, reps)
+    def counting(method, y, Z):
+        solved.append((method, len(y)))
+        return solve(method, y, Z)
 
     monkeypatch.setattr(estimators, "_solve", counting)
     cfg = CampaignConfig(seed=43, episodes_nde=150, episodes_nade=60,
                          environment="both", replications=2)
     emit_outputs(run_campaign(cfg), str(tmp_path))
-    assert sorted(solved) == [("atscv", 1), ("nade", 1), ("nde", 1)]
+    assert sorted(solved) == [("atscv", 60), ("nade", 60), ("nde", 150)]
     solved.clear()
     run_replications(cfg)  # one worker: the fits run in this process
-    assert sorted(solved) == [("atscv", 2), ("nade", 2), ("nde", 2)]
+    assert sorted(solved) == [("atscv", 60)] * 2 + [("nade", 60)] * 2 + [
+        ("nde", 150)] * 2
 
 
 def test_replications_are_sampled_in_groups_that_fit_a_block(monkeypatch):

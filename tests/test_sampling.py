@@ -228,6 +228,30 @@ def test_replication_slice_equals_the_replication_alone(scen, at):
         assert group.control_steps[at * n - 1] > 0
 
 
+def test_a_block_slice_refuses_a_step():
+    recs = sample_nde_batch(3, CONFIGS["default"], 10)
+    assert block_columns(recs[2:7:1]) == block_columns(recs[2:7])
+    for span in (slice(None, None, 2), slice(None, None, -1)):
+        with pytest.raises(ValueError, match="step"):
+            recs[span]
+
+
+def test_a_passed_start_fills_no_cache_cell(scen):
+    # At r2 < 0 the AV has passed every start, so no row walks: a NADE block
+    # profiles no state, and its cache fill walks none either.
+    passed = dataclasses.replace(scen, init=dataclasses.replace(scen.init,
+                                                                r2=-1.0))
+    (_, _, states), = _blocks(episode_seeds(3, ENV_NADE, np.arange(
+        500, dtype=np.uint64)), passed)
+    rows, _ = next(kernel.no_cutin_walk(states, passed))
+    assert rows.size == 0
+    ev = CriticalityEvaluator(passed)
+    recs = sample_nade_batch(3, passed, 500, evaluator=ev)
+    assert ev._entry_cache == {}
+    assert not recs.accident.any() and not recs.control_steps.any()
+    assert recs.weight.tolist() == [1.0] * 500
+
+
 def test_nade_weight_equals_density_ratio_product(scen):
     ev = CriticalityEvaluator(scen)
     recs = sample_nade_batch(999, scen, 300, evaluator=ev)
