@@ -174,24 +174,19 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
     defined so; the tested vehicle is a black box after it first matches
     the BV's speed, so its rollouts keep the whole budget.
 
-    Rows that share ``(v_bv, r2, r2_dot)`` and budget bit for bit (so
-    ``-0.0`` and ``0.0`` remain apart) roll out once.  All laws' rows advance
-    in one lockstep loop, stacked law by law; the rows left keep their
-    order, so each law drives a contiguous slice and every row sees exactly
-    the arithmetic of its law's rollout alone.  Only the AV and BV are advanced
-    (the LV no longer matters), exactly as ``step`` advances them: after
-    the cut-in step the BV's speed is floored and no longer ``-0.0``, so
-    ``_advance`` returns it unchanged and moves the BV by ``v_bv * dt``.
+    Every row rolls out as given.  All laws' rows advance in one lockstep
+    loop, stacked law by law; the rows left keep their order, so each law
+    drives a contiguous slice and every row sees exactly the arithmetic of
+    its law's rollout alone.  Only the AV and BV are advanced (the LV no
+    longer matters), exactly as ``step`` advances them: after the cut-in
+    step the BV's speed is floored and no longer ``-0.0``, so ``_advance``
+    returns it unchanged and moves the BV by ``v_bv * dt``.
     """
     if laws is None:
         laws = [lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)]
     L, dt = cfg.vehicle_length, cfg.dt
-    cols = [np.asarray(n_states, dtype=np.int64)] + [
-        np.asarray(s[k], dtype=float) for k in (0, 3, 4)]
-    key = np.stack([x.view(np.uint64) for x in cols], axis=1)
-    _, first, back = np.unique(key, axis=0, return_index=True,
-                               return_inverse=True)
-    n_states, v_bv, r2, r2_dot = (x[first] for x in cols)
+    n_states = np.asarray(n_states, dtype=np.int64)
+    v_bv, r2, r2_dot = (np.asarray(s[k], dtype=float) for k in (0, 3, 4))
     m, J = len(n_states), len(laws)
     crashed = np.zeros(J * m, dtype=bool)
     start = np.flatnonzero(n_states > 0)
@@ -227,7 +222,7 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
         x_av, v_av = _advance(0.0, v_av, a_av, dt)
         r2, r2_dot = (r2 + bv_dx) - x_av, v_bv - v_av
         i += 1
-    return crashed.reshape(J, m)[:, back.reshape(-1)]  # 2-D on numpy 2.0.0
+    return crashed.reshape(J, m)
 
 
 def no_cutin_walk(s: State, cfg, live: np.ndarray = None

@@ -469,6 +469,13 @@ def test_package_import_leaves_numpy_out():
     assert python(code) == "False"
 
 
+def test_cli_import_freezes_the_heap_and_keeps_the_collector():
+    # Exit then skips the import-time objects; collection stays on.
+    code = ("import gc, overtake_eval.cli; "
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert python(code) == "True True"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="threads are counted in /proc")
 def test_cli_runs_blas_on_one_thread():

@@ -10,8 +10,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from overtake_eval import estimators, harness, sampling
+from overtake_eval import cli, estimators, harness, sampling
 from overtake_eval.config import CampaignConfig
+from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.harness import (
     SUMMARY_SCHEMA,
     CampaignResult,
@@ -232,3 +233,18 @@ def test_replications_are_sampled_in_groups_that_fit_a_block(monkeypatch):
     assert [(name, roots, n) for name, roots, n, _ in calls] == [
         ("sample_nde_batch", [51, 52], 45), ("sample_nade_batch", [51, 52], 30),
         ("sample_nde_batch", [53], 45), ("sample_nade_batch", [53], 30)]
+
+
+def test_the_names_the_benchmark_binds_exist():
+    # bench/child.py times these where harness and cli bind them and skips a
+    # missing one silently, which reads 0 for its layer; bench/checks.py
+    # imports the rest.
+    for name in ("sample_nde_batch", "sample_nade_batch",
+                 "tests_to_threshold", "brute_force_mu",
+                 "estimate_from_records", "load_campaign_records",
+                 "SUMMARY_SCHEMA"):
+        assert hasattr(harness, name), name
+    assert callable(cli.emit_outputs)
+    assert callable(CriticalityEvaluator.profile)
+    ev = CriticalityEvaluator(CampaignConfig().scenario)
+    assert isinstance(ev._entry_cache, dict)

@@ -203,10 +203,9 @@ def _check_panel_rollout(until_clear):
     again = rollout([np.concatenate([x, x[:50]]) for x in s],
                     np.concatenate([budget, budget[:50]]), laws)
     assert np.array_equal(again, np.concatenate([panel, panel[:, :50]], 1))
-    # each distinct start rolls out once; starts that differ only in the
-    # sign of a zero are distinct, and each has its own row's outcome.  Not
-    # closing in, they all end before a law call if the rollout is until
-    # clear.
+    # every row rolls out, repeated starts too; starts that differ only in
+    # the sign of a zero each have their own row's outcome.  Not closing
+    # in, they all end before a law call if the rollout is until clear.
     seen = []
 
     def counted(v, gap, dv):
@@ -216,7 +215,7 @@ def _check_panel_rollout(until_clear):
     zero = [np.tile([0.0, 0.0, -0.0, -0.0], 3), np.full(12, 20.0),
             np.zeros(12), np.full(12, 10.0), np.tile([0.0, -0.0], 6)]
     got = rollout(zero, np.full(12, 300), [counted])
-    assert seen[:1] == ([] if until_clear else [4])
+    assert seen[:1] == ([] if until_clear else [12])
     alone = [rollout([x[i:i + 1] for x in zero], [300], [av])[0, 0]
              for i in range(4)]
     assert got[0].tolist() == alone * 3
