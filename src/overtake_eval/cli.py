@@ -6,7 +6,8 @@ Verbs:
 * ``estimate``   full campaign (or re-estimate from --records) + all outputs
 * ``oracle``     brute-force reference accident rate
 * ``replicate``  seeded replication study
-* ``report``     pretty-print a summary.json
+* ``report``     pretty-print a summary.json; ``estimate`` and ``replicate``
+                 print ``report`` of the one they wrote, then its directory
 
 ``estimate --records DIR`` re-estimates the records of ``DIR`` that
 ``--env`` (or the configured environment) selects; it refuses ``--seed``
@@ -62,7 +63,6 @@ from .estimators import EmptyInput
 from .models import ZeroDensity
 from .harness import (
     CampaignResult,
-    build_summary,
     emit_outputs,
     emit_records,
     estimate_from_records,
@@ -110,18 +110,6 @@ def _fmt(x: Optional[float]) -> str:
     return str(x)
 
 
-def _print_methods(methods: dict) -> None:
-    if not methods:
-        return
-    print(f"{'method':<8}{'n':>10}{'mu':>14}{'rhw':>12}{'tests':>10}")
-    for name in ("nde", "nade", "atscv"):
-        if name not in methods:
-            continue
-        m = methods[name]
-        print(f"{name:<8}{_fmt(m.get('n')):>10}{_fmt(m.get('mu')):>14}"
-              f"{_fmt(m.get('rhw')):>12}{_fmt(m.get('tests_to_threshold')):>10}")
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_base_config(args)
     env = cfg.environment
@@ -153,13 +141,7 @@ def _cmd_estimate(args) -> int:
     else:
         result = run_campaign(cfg)
     emit_outputs(result, args.out)
-    summary = build_summary(result)
-    if summary["oracle_mu"] is not None:
-        print(f"oracle_mu {summary['oracle_mu']!r}")
-    _print_methods(summary["methods"])
-    acc = summary["acceleration"]
-    print(f"acceleration nde/nade {_fmt(acc['nde_over_nade'])}, "
-          f"nade/atscv {_fmt(acc['nade_over_atscv'])}")
+    _cmd_report(args)
     print(f"outputs -> {args.out}")
     return EXIT_OK
 
@@ -182,19 +164,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_base_config(args)
-    rows = run_replications(cfg)
-    result = CampaignResult(config=cfg, records={}, methods={},
-                            replication_rows=rows)
-    emit_outputs(result, args.out)
-    summary = build_summary(result)
-    agg = summary["aggregates"]
-    print(f"{len(rows)} replications")
-    for key in ("median_nde_tests", "median_nade_tests", "median_atscv_tests",
-                "median_accel_nde_nade", "median_accel_nade_atscv"):
-        print(f"  {key}: {_fmt(agg[key])}")
-    if agg["atscv_nade_comparable"]:
-        print(f"  atscv faster than nade: {agg['atscv_faster_than_nade']}"
-              f"/{agg['atscv_nade_comparable']}")
+    emit_outputs(CampaignResult(config=cfg, records={}, methods={},
+                                replication_rows=run_replications(cfg)),
+                 args.out)
+    _cmd_report(args)
     print(f"outputs -> {args.out}")
     return EXIT_OK
 
@@ -227,7 +200,13 @@ def _cmd_report(args) -> int:
     print(f"campaign summary (version {summary.get('version', '?')})")
     if summary.get("oracle_mu") is not None:
         print(f"oracle_mu: {_fmt(summary['oracle_mu'])}")
-    _print_methods(summary.get("methods", {}))
+    methods = summary.get("methods") or {}
+    if methods:
+        print(f"{'method':<8}{'n':>10}{'mu':>14}{'rhw':>12}{'tests':>10}")
+    for name in [n for n in ("nde", "nade", "atscv") if n in methods]:
+        m = methods[name]
+        print(f"{name:<8}{_fmt(m.get('n')):>10}{_fmt(m.get('mu')):>14}"
+              f"{_fmt(m.get('rhw')):>12}{_fmt(m.get('tests_to_threshold')):>10}")
     acc = summary.get("acceleration", {})
     if acc:
         print(f"acceleration nde/nade {_fmt(acc.get('nde_over_nade'))}, "

@@ -9,8 +9,11 @@ permits, and emits a fixed set of files:
 * ``convergence_<m>.csv``  per-prefix (n, mu, rhw) for each method
 * ``adjusted_points.csv``  weighted indicator and its control-variate adjusted
                            value ``y - z . beta`` per NADE record
-* ``summary.json``         estimates, stopping counts, acceleration factors
-* ``replications.csv``     per-replication table (replication studies only)
+* ``summary.json``         estimates, stopping counts, acceleration factors;
+                           a study's adds its rows and ``aggregates``: their
+                           count and each ``median_<m>_tests`` of the stops
+* ``replications.csv``     a study's rows: replication, seed and each
+                           method's ``<m>_mu``, ``<m>_rhw`` and ``<m>_tests``
 
 Records travel as columns: a sampler call returns one
 :class:`~.sampling.Records` block per environment, a replication's records
@@ -231,8 +234,6 @@ def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
             row[f"{m}_mu"], row[f"{m}_rhw"], row[f"{m}_tests"] = (
                 (mr.estimate.mu, mr.rhw, mr.tests_to_threshold) if mr
                 else (None, None, None))
-        row["accel_nde_nade"] = result.acceleration["nde_over_nade"]
-        row["accel_nade_atscv"] = result.acceleration["nade_over_atscv"]
         rows.append(row)
     return rows
 
@@ -254,22 +255,11 @@ def run_replications(cfg: CampaignConfig) -> List[dict]:
 
 
 def _aggregate_replications(rows: List[dict]) -> dict:
-    def median_of(key):
-        vals = [r[key] for r in rows if r[key] is not None]
-        return statistics.median(vals) if vals else None
-
-    pairs = [(r["atscv_tests"], r["nade_tests"]) for r in rows
-             if r["atscv_tests"] is not None and r["nade_tests"] is not None]
-    return {
-        "replications": len(rows),
-        "median_nde_tests": median_of("nde_tests"),
-        "median_nade_tests": median_of("nade_tests"),
-        "median_atscv_tests": median_of("atscv_tests"),
-        "median_accel_nde_nade": median_of("accel_nde_nade"),
-        "median_accel_nade_atscv": median_of("accel_nade_atscv"),
-        "atscv_faster_than_nade": sum(1 for a, b in pairs if a < b),
-        "atscv_nade_comparable": len(pairs),
-    }
+    agg = {"replications": len(rows)}
+    for m in METHODS:
+        tests = [r[f"{m}_tests"] for r in rows if r[f"{m}_tests"] is not None]
+        agg[f"median_{m}_tests"] = statistics.median(tests) if tests else None
+    return agg
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +270,8 @@ ENVS = ("nde", "nade")
 RECORD_COLUMNS = ["id", "seed", "env", "accident", "l", "w"]
 ADJUSTED_COLUMNS = ["id", "l", "unadjusted", "adjusted"]
 CONVERGENCE_COLUMNS = ["n", "mu", "rhw"]
-REPLICATION_COLUMNS = [
-    "replication", "seed",
-    "nde_mu", "nde_rhw", "nde_tests",
-    "nade_mu", "nade_rhw", "nade_tests",
-    "atscv_mu", "atscv_rhw", "atscv_tests",
-    "accel_nde_nade", "accel_nade_atscv",
-]
+REPLICATION_COLUMNS = ["replication", "seed"] + [
+    f"{m}_{col}" for m in METHODS for col in ("mu", "rhw", "tests")]
 
 
 def _log_columns(panel_size: int) -> List[str]:
@@ -562,6 +547,22 @@ _METHOD_SCHEMA = {
     },
 }
 
+
+def _exactly(properties: dict) -> dict:
+    """An object with exactly these properties."""
+    return {"type": "object", "required": list(properties),
+            "properties": properties, "additionalProperties": False}
+
+
+_REPLICATION_SCHEMA = _exactly({
+    col: {"type": "integer"} if col in ("replication", "seed") else
+    {"type": ["integer" if col.endswith("_tests") else "number", "null"]}
+    for col in REPLICATION_COLUMNS})
+
+_AGGREGATES_SCHEMA = _exactly({
+    key: {"type": ["number", "null"]}
+    for key in ["replications", *(f"median_{m}_tests" for m in METHODS)]})
+
 SUMMARY_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -581,7 +582,7 @@ SUMMARY_SCHEMA = {
                 "nade_over_atscv": {"type": ["number", "null"]},
             },
         },
-        "replications": {"type": "array", "items": {"type": "object"}},
-        "aggregates": {"type": "object"},
+        "replications": {"type": "array", "items": _REPLICATION_SCHEMA},
+        "aggregates": _AGGREGATES_SCHEMA,
     },
 }

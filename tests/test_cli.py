@@ -71,6 +71,22 @@ def test_report_prints_methods_table(tmp_path, capsys):
                                               rel=1e-5)
 
 
+def test_a_run_prints_the_report_of_what_it_wrote(tmp_path, capsys):
+    # estimate, estimate --records and replicate print what report prints
+    # of the summary.json they wrote, then where they wrote it.
+    first = tmp_path / "first"
+    for argv in (["estimate", "--episodes", 200, "--out", first],
+                 ["estimate", "--records", first, "--out", tmp_path / "again"],
+                 ["replicate", "--env", "nade", "--episodes", 100,
+                  "--replications", 3, "--out", tmp_path / "study"]):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        rc, report, _ = run(capsys, "report", "--out", argv[-1])
+        assert rc == 0
+        assert out == report + f"outputs -> {argv[-1]}\n"
+    assert "replication aggregates:\n  median_atscv_tests:" in report
+
+
 def test_estimate_from_records_reproduces_every_method(tmp_path, capsys):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(capsys, "estimate", "--episodes", 300, "--seed", 8,

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import statistics
 from itertools import repeat
 
 import jsonschema
@@ -124,12 +125,18 @@ def _replication_files(cfg, out_dir):
 
 def test_replication_row_is_the_campaign_at_its_seed(tmp_path):
     # A replication is the campaign at seed root+rep, oracle aside.  The
-    # loose threshold gives every method a stopping count and a ratio.
+    # loose threshold gives every method a stopping count.  The aggregates
+    # are the rows' count and each method's median stopping count.
     cfg = CampaignConfig(seed=40, episodes_nde=300, episodes_nade=120,
-                         environment="both", replications=2,
+                         environment="both", replications=3,
                          rhw_threshold=2.0, confirm_window=5)
-    rows = run_replications(cfg)
-    assert [r["replication"] for r in rows] == [1, 2]
+    rows, _ = _replication_files(cfg, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary["aggregates"]) == {
+        "replications", "median_nde_tests", "median_nade_tests",
+        "median_atscv_tests"}
+    assert summary["aggregates"]["replications"] == len(rows)
+    assert [r["replication"] for r in rows] == [1, 2, 3]
     for row in rows:
         assert row["seed"] == cfg.seed + row["replication"]
         result = run_campaign(dataclasses.replace(cfg, seed=row["seed"],
@@ -139,9 +146,10 @@ def test_replication_row_is_the_campaign_at_its_seed(tmp_path):
             assert row[f"{m}_mu"] == mr.estimate.mu
             assert row[f"{m}_rhw"] == mr.rhw
             assert row[f"{m}_tests"] == mr.tests_to_threshold
-        assert row["accel_nde_nade"] == result.acceleration["nde_over_nade"]
-        assert row["accel_nade_atscv"] == result.acceleration["nade_over_atscv"]
-        assert None not in (row["accel_nde_nade"], row["accel_nade_atscv"])
+            assert mr.tests_to_threshold is not None
+    for m in ("nde", "nade", "atscv"):
+        assert summary["aggregates"][f"median_{m}_tests"] == statistics.median(
+            r[f"{m}_tests"] for r in rows if r[f"{m}_tests"] is not None)
 
 
 def test_replication_files_do_not_depend_on_worker_count(tmp_path):
@@ -162,9 +170,13 @@ def test_summaries_match_schema(tmp_path):
     for name in ("campaign", "replications"):
         summary = json.loads((tmp_path / name / "summary.json").read_text())
         jsonschema.validate(summary, SUMMARY_SCHEMA)
-    bad = dict(summary, methods={"nde": {"n": -1}})
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, SUMMARY_SCHEMA)
+    row = summary["replications"][0]
+    for bad in (dict(summary, methods={"nde": {"n": -1}}),
+                dict(summary, replications=[dict(row, accel_nade_atscv=1.0)]),
+                dict(summary, aggregates=dict(summary["aggregates"],
+                                              atscv_faster_than_nade=2))):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, SUMMARY_SCHEMA)
 
 
 def test_each_method_is_fitted_once_per_record_set(tmp_path, monkeypatch):
