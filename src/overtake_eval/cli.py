@@ -15,21 +15,22 @@ and ``--episodes``, which would change nothing but the config echo.  Its
 summary echoes the records it estimated as the episode budgets, and a
 ``null`` seed, since the root seed is not in the records.
 
-``--workers`` splits ``replicate``'s replications among processes;
-``estimate`` accepts it and runs in one process whatever its value.
+``--workers`` splits ``replicate``'s replications among processes, at most
+one per usable CPU; ``estimate`` accepts it, inert, for the benchmark.
 ``oracle`` takes no ``--seed``: the brute-force value draws nothing.
 
-Exit codes: 0 success, 1 a file cannot be read or written, 2 configuration
-error (among them a float value that is not finite, from a config file or
-a flag), 3 oracle budget exceeded, 4 bad input data (a malformed records,
-critical-log or summary file: a header other than the writer's, a row
-whose field count differs from its header's, a value the samplers never
-write, among them an integer outside its 64-bit column, an ``id`` repeated
-within one environment, a log row whose ``moment`` is not the next of its
-record, a record whose ``l`` or ``w`` its critical log does not give; a
-``--records`` directory with no record of the selected environment; or
-records the estimators or samplers cannot use: a ``ValueError`` such as
-``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
+Exit codes: 0 success, 1 a file cannot be read or written or memory cannot
+be allocated, 2 configuration error (among them a float value that is not
+finite, from a config file or a flag), 3 oracle budget exceeded, 4 bad
+input data (a malformed records, critical-log or summary file: a header
+other than the writer's, a row whose field count differs from its header's,
+a value the samplers never write, among them an integer outside its 64-bit
+column, an ``id`` repeated within one environment, a log row whose
+``moment`` is not the next of its record, a record whose ``l`` or ``w`` its
+critical log does not give; a ``--records`` directory with no record of the
+selected environment; or records the estimators or samplers cannot use: a
+``ValueError`` such as ``EmptyInput`` or ``NonPositiveGap``, or
+``ZeroDensity``).
 
 The program runs BLAS on one thread: importing this module sets
 ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the caller has set
@@ -83,7 +84,7 @@ EXIT_DATA = 4
 
 
 # (argument, CampaignConfig field) pairs a verb's flags override.
-_OVERRIDES = (("seed", "seed"), ("workers", "workers"), ("gamma", "gamma"),
+_OVERRIDES = (("seed", "seed"), ("gamma", "gamma"),
               ("rhw_threshold", "rhw_threshold"),
               ("replications", "replications"), ("env", "environment"))
 
@@ -99,6 +100,8 @@ def _load_base_config(args) -> CampaignConfig:
                 overrides[f"episodes_{budget}"] = args.episodes
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError("workers must be at least 1")
     return cfg
 
 
@@ -164,9 +167,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_base_config(args)
+    rows = run_replications(cfg, args.workers)
     emit_outputs(CampaignResult(config=cfg, records={}, methods={},
-                                replication_rows=run_replications(cfg)),
-                 args.out)
+                                replication_rows=rows), args.out)
     _cmd_report(args)
     print(f"outputs -> {args.out}")
     return EXIT_OK
@@ -197,7 +200,9 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{path}: not a campaign summary: expected an object "
                          f"whose methods, acceleration and aggregates are "
                          f"objects")
-    print(f"campaign summary (version {summary.get('version', '?')})")
+    agg = summary.get("aggregates")
+    print("replication study" if agg else "campaign summary",
+          f"(version {summary.get('version', '?')})")
     if summary.get("oracle_mu") is not None:
         print(f"oracle_mu: {_fmt(summary['oracle_mu'])}")
     methods = summary.get("methods") or {}
@@ -211,7 +216,6 @@ def _cmd_report(args) -> int:
     if acc:
         print(f"acceleration nde/nade {_fmt(acc.get('nde_over_nade'))}, "
               f"nade/atscv {_fmt(acc.get('nade_over_atscv'))}")
-    agg = summary.get("aggregates")
     if agg:
         print("replication aggregates:")
         for key, value in sorted(agg.items()):
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, help="confidence complement")
         p.add_argument("--rhw-threshold", dest="rhw_threshold", type=float,
                        help="stopping threshold for the relative half-width")
-        p.add_argument("--workers", type=int,
+        p.add_argument("--workers", type=int, default=1,
                        help="worker processes that split replicate's "
                             "replications")
 
@@ -289,8 +293,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDensity) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,7 @@ optional; anything omitted keeps its default.  Section names mirror the
 dataclasses below::
 
     [campaign]    seed, episodes_nde, episodes_nade, environment,
-                  replications, workers (worker processes of ``replicate``)
+                  replications
     [estimator]   gamma, rhw_threshold, confirm_window, oracle_bins,
                   oracle_budget
     [scenario]    dt, max_steps, d_accid, vehicle_length
@@ -150,7 +150,6 @@ class CampaignConfig:
     oracle_bins: int = 64
     oracle_budget: int = 10_000_000
     replications: int = 1
-    workers: int = 1
 
     def validate(self) -> None:
         if self.environment not in ("nde", "nade", "both"):
@@ -169,8 +168,6 @@ class CampaignConfig:
             raise ConfigError("oracle_bins must be at least 1")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         _require_finite(self)
         self.scenario.validate()
 
@@ -180,7 +177,7 @@ class CampaignConfig:
 # ``sm_<name>`` sections set the parameter block its ``kind`` names.
 _SECTIONS = {
     "campaign": ((), ("seed", "episodes_nde", "episodes_nade", "environment",
-                      "replications", "workers")),
+                      "replications")),
     "estimator": ((), ("gamma", "rhw_threshold", "confirm_window",
                        "oracle_bins", "oracle_budget")),
     "scenario": (("scenario",), ("dt", "max_steps", "d_accid",

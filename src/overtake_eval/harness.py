@@ -36,12 +36,12 @@ two ends of ``records.csv`` and ``critical_log.csv``; a value the samplers
 never write fails with its file and line.
 
 The worker pool serves replication studies only: :func:`run_replications`
-hands each worker a contiguous chunk of replications.  A campaign samples
-in one process, because shipping its records back from workers costs more
-than drawing them.  Every record is a pure function of (root seed,
-environment, index), so output bytes do not depend on the worker count,
-and the worker count is deliberately left out of the summary's config
-echo.
+takes the worker count as an argument and hands each worker a contiguous
+chunk of replications.  A campaign samples in one process, because
+shipping its records back from workers costs more than drawing them.
+Every record is a pure function of (root seed, environment, index), so
+output bytes do not depend on the worker count, which is no config field:
+``summary.json`` echoes the config as it is.
 """
 
 from __future__ import annotations
@@ -238,12 +238,14 @@ def _replicate_group(cfg: CampaignConfig, budgets: Dict[str, int],
     return rows
 
 
-def run_replications(cfg: CampaignConfig) -> List[dict]:
-    """One campaign per replication, seeded root+1 ... root+R; with several
-    workers, each samples and fits a contiguous chunk of replications."""
+def run_replications(cfg: CampaignConfig, workers: int = 1) -> List[dict]:
+    """One campaign per replication, seeded root+1 ... root+R; ``workers``
+    processes, at most one per usable CPU, fit them in contiguous chunks."""
     cfg.validate()
     reps = list(range(1, cfg.replications + 1))
-    parts = min(cfg.workers, len(reps))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    parts = min(workers, len(reps), cpus)
     if parts == 1:
         return _replicate(cfg, reps)
     import multiprocessing  # about 9 ms of import, paid only for a pool
@@ -335,14 +337,6 @@ def emit_records(out_dir: str, blocks: Sequence[Records],
     return paths
 
 
-def config_echo(cfg: CampaignConfig) -> dict:
-    """Config as a JSON-safe dict; the worker count is execution detail and
-    deliberately excluded so summaries are invariant to it."""
-    echo = dataclasses.asdict(cfg)
-    echo.pop("workers", None)
-    return echo
-
-
 def build_summary(result: CampaignResult) -> dict:
     methods = {}
     for name, mr in result.methods.items():
@@ -355,7 +349,7 @@ def build_summary(result: CampaignResult) -> dict:
         }
     summary = {
         "version": __version__,
-        "config": config_echo(result.config),
+        "config": dataclasses.asdict(result.config),
         "oracle_mu": result.oracle_mu,
         "methods": methods,
         "acceleration": result.acceleration,

@@ -1,5 +1,6 @@
 """The command-line verbs and their exit codes, driven through ``main``,
 and the process policy the program sets."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from overtake_eval import harness
+from overtake_eval import __version__, cli, harness
 from overtake_eval.cli import main
 from overtake_eval.config import CampaignConfig
 from overtake_eval.estimators import EmptyInput
@@ -73,17 +74,26 @@ def test_report_prints_methods_table(tmp_path, capsys):
 
 def test_a_run_prints_the_report_of_what_it_wrote(tmp_path, capsys):
     # estimate, estimate --records and replicate print what report prints
-    # of the summary.json they wrote, then where they wrote it.
+    # of the summary.json they wrote, then where they wrote it.  Each
+    # summary echoes the config as it is, every field and nothing else.
     first = tmp_path / "first"
-    for argv in (["estimate", "--episodes", 200, "--out", first],
-                 ["estimate", "--records", first, "--out", tmp_path / "again"],
-                 ["replicate", "--env", "nade", "--episodes", 100,
-                  "--replications", 3, "--out", tmp_path / "study"]):
+    fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+    for argv, heading in (
+            (["estimate", "--episodes", 200, "--out", first],
+             "campaign summary"),
+            (["estimate", "--records", first, "--out", tmp_path / "again"],
+             "campaign summary"),
+            (["replicate", "--env", "nade", "--episodes", 100,
+              "--replications", 3, "--out", tmp_path / "study"],
+             "replication study")):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         rc, report, _ = run(capsys, "report", "--out", argv[-1])
         assert rc == 0
         assert out == report + f"outputs -> {argv[-1]}\n"
+        assert report.startswith(f"{heading} (version {__version__})\n")
+        summary = json.loads((argv[-1] / "summary.json").read_text())
+        assert set(summary["config"]) == fields
     assert "replication aggregates:\n  median_atscv_tests:" in report
 
 
@@ -451,6 +461,23 @@ def test_leader_contact_exit_code(tmp_path, capsys):
                      "--config", cfg, "--out", tmp_path / "out")
     assert rc == 4
     assert err.startswith("data error: IDM requires gap > 0")
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    (MemoryError(), "MemoryError")], ids=["numpy", "bare"])
+def test_failed_allocation_exit_code(tmp_path, capsys, monkeypatch, error,
+                                     message):
+    # A budget too large for memory ends in one line, not a traceback.
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "sample_env", fail)
+    rc, out, err = run(capsys, "simulate", "--episodes", 10 ** 12,
+                       "--out", tmp_path / "out")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("error", [ZeroDensity, EmptyInput, NonPositiveGap])

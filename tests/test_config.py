@@ -112,7 +112,6 @@ def test_loaded_config_is_validated(tmp_path):
     ("confirm_window", 0, "confirm_window"),
     ("oracle_bins", 0, "oracle_bins"),
     ("replications", 0, "replications"),
-    ("workers", 0, "workers"),
     ("environment", "street", "environment"),
     ("seed", -1, "seed"),
 ])
@@ -152,6 +151,29 @@ def test_control_step_cap_key_is_unknown(tmp_path, capsys):
             "config error: unknown key 'max_control_steps' in section "
             "[estimator]\n")
         assert not out.exists()
+
+
+def test_workers_key_is_unknown(tmp_path, capsys):
+    # The worker count is an argument of replicate, not of the experiment:
+    # a file that sets it fails instead of being read by one verb only.
+    out = tmp_path / "out"
+    path = write(tmp_path, "[campaign]\nworkers = 2\n")
+    rc = main(["replicate", "--config", path, "--env", "nade",
+               "--episodes", "20", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'workers' in section [campaign]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["estimate", "replicate"])
+def test_workers_below_one_exit_code(tmp_path, capsys, verb):
+    out = str(tmp_path / "out")
+    rc = main([verb, "--workers", "0", "--env", "nade", "--episodes", "5",
+               "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: workers must be at least 1\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,7 +276,6 @@ episodes_nde = 11
 episodes_nade = 13
 environment = nade
 replications = 3
-workers = 2
 
 [estimator]
 gamma = 0.2
@@ -338,7 +359,7 @@ hard_accel = 4.2
 def test_every_key_of_every_section_is_read(tmp_path):
     expected = CampaignConfig(
         seed=7, episodes_nde=11, episodes_nade=13, environment="nade",
-        replications=3, workers=2, gamma=0.2, rhw_threshold=0.3,
+        replications=3, gamma=0.2, rhw_threshold=0.3,
         confirm_window=5, oracle_bins=8, oracle_budget=999,
         scenario=ScenarioConfig(
             dt=0.2, max_steps=50, d_accid=0.5, vehicle_length=4.5,

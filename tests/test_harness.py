@@ -5,7 +5,7 @@ import math
 import multiprocessing
 import os
 import statistics
-from itertools import repeat
+from itertools import repeat, starmap
 
 import jsonschema
 import numpy as np
@@ -26,39 +26,47 @@ from overtake_eval.sampling import BLOCK
 from scalar_reference import block_columns, write_table
 
 
-def _emitted(cfg, out_dir):
-    paths = emit_outputs(run_campaign(cfg), str(out_dir))
-    files = {}
-    for path in paths:
-        with open(path, "rb") as fh:
-            files[os.path.basename(path)] = fh.read()
-    return files
+def _campaign_ini(tmp_path, **keys):
+    (tmp_path / "campaign.ini").write_text("[campaign]\n" + "".join(
+        f"{key} = {value}\n" for key, value in keys.items()))
 
 
-def test_worker_count_does_not_change_outputs(tmp_path):
+def _estimated(tmp_path, name, *flags):
+    # A campaign's worker count is only ``estimate --workers``.
+    ini = tmp_path / "campaign.ini"
+    assert cli.main(["estimate", "--config", str(ini), *map(str, flags),
+                     "--out", str(tmp_path / name)]) == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+
+def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     # The NDE episodes span two sampler blocks and end partway through the
     # second, so a campaign larger than one block is covered too.
-    cfg = CampaignConfig(seed=99, episodes_nde=BLOCK + 300,
-                         episodes_nade=60, environment="both")
-    one = _emitted(cfg, tmp_path / "one")
-    two = _emitted(dataclasses.replace(cfg, workers=2), tmp_path / "two")
+    _campaign_ini(tmp_path, seed=99, episodes_nde=BLOCK + 300,
+                  episodes_nade=60, environment="both")
+    one = _estimated(tmp_path, "one")
+    one_out = capsys.readouterr().out.splitlines()[:-1]
+    two = _estimated(tmp_path, "two", "--workers", 2)
+    assert capsys.readouterr().out.splitlines()[:-1] == one_out
     assert sorted(one) == sorted(two)
     for name in one:
         assert one[name] == two[name], name
-    assert one["records.csv"].count(b"\n") == 1 + cfg.episodes_nde + 60
+    assert one["records.csv"].count(b"\n") == 1 + BLOCK + 300 + 60
 
 
-def test_campaign_samples_in_one_process(tmp_path, monkeypatch):
+def test_campaign_samples_in_one_process(tmp_path, monkeypatch, capsys):
     # Shipping records back from workers costs more than drawing them, so
     # a campaign starts no pool whatever its worker count.
     def no_pool(*args, **kwargs):
         raise AssertionError("a campaign started a process pool")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    cfg = CampaignConfig(seed=98, episodes_nde=400, episodes_nade=40,
-                         environment="both")
-    one = _emitted(cfg, tmp_path / "one")
-    assert _emitted(dataclasses.replace(cfg, workers=4), tmp_path / "four") == one
+    _campaign_ini(tmp_path, seed=98, episodes_nde=400, episodes_nade=40,
+                  environment="both")
+    one = _estimated(tmp_path, "one")
+    one_out = capsys.readouterr().out.splitlines()[:-1]
+    assert _estimated(tmp_path, "four", "--workers", 4) == one
+    assert capsys.readouterr().out.splitlines()[:-1] == one_out
 
 
 def test_emitted_records_load_back_field_for_field(tmp_path):
@@ -114,8 +122,8 @@ def test_column_writer_matches_the_row_writer(tmp_path):
         h.encode() for h in header) + b"\n"
 
 
-def _replication_files(cfg, out_dir):
-    rows = run_replications(cfg)
+def _replication_files(cfg, out_dir, workers=1):
+    rows = run_replications(cfg, workers)
     result = CampaignResult(config=cfg, records={}, methods={},
                             replication_rows=rows)
     emit_outputs(result, str(out_dir))
@@ -156,10 +164,37 @@ def test_replication_files_do_not_depend_on_worker_count(tmp_path):
     cfg = CampaignConfig(seed=41, episodes_nde=200, episodes_nade=100,
                          environment="both", replications=3)
     rows, one = _replication_files(cfg, tmp_path / "one")
-    _, two = _replication_files(dataclasses.replace(cfg, workers=2),
-                                tmp_path / "two")
+    _, two = _replication_files(cfg, tmp_path / "two", workers=2)
     assert one == two
     assert one["replications.csv"].count(b"\n") == 1 + len(rows)
+
+
+def test_pool_is_no_larger_than_the_usable_cpus(monkeypatch):
+    # Each worker holds its own criticality cache, so workers beyond the
+    # CPUs the process may run on only cost memory.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return list(starmap(func, args))
+
+    cfg = CampaignConfig(seed=43, episodes_nade=20, environment="nade",
+                         replications=64)
+    one = run_replications(cfg)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert run_replications(cfg, workers=64) == one
+    assert sizes == [2]
 
 
 def test_summaries_match_schema(tmp_path):
