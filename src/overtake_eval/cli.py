@@ -28,9 +28,10 @@ a value the samplers never write, among them an integer outside its 64-bit
 column, an ``id`` repeated within one environment, a log row whose
 ``moment`` is not the next of its record, a record whose ``l`` or ``w`` its
 critical log does not give; a ``--records`` directory with no record of the
-selected environment; or records the estimators or samplers cannot use: a
-``ValueError`` such as ``EmptyInput`` or ``NonPositiveGap``, or
-``ZeroDensity``).
+selected environment, or whose NADE records log another number of surrogate
+densities per moment than the configured panel has; or records the
+estimators or samplers cannot use: a ``ValueError`` such as
+``EmptyInput`` or ``NonPositiveGap``, or ``ZeroDensity``).
 
 The program runs BLAS on one thread: importing this module sets
 ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the caller has set
@@ -138,6 +139,11 @@ def _cmd_estimate(args) -> int:
         if not result.records:
             raise EmptyInput(f"{os.path.join(args.records, 'records.csv')}: "
                              f"no {cfg.environment} records")
+        nade, panel = result.records.get("nade"), len(cfg.scenario.surrogates)
+        if nade is not None and nade.q.shape[1] != panel:
+            log = os.path.join(args.records, "critical_log.csv")
+            raise ValueError(f"{log}: {nade.q.shape[1]} surrogate densities "
+                             f"per moment, the configured panel has {panel}")
         result.config = dataclasses.replace(cfg, seed=None, **{
             f"episodes_{env}": len(result.records.get(env, ()))
             for env in ("nde", "nade")})

@@ -29,7 +29,7 @@ Challenge evaluation snaps the query state to a 0.1 m / 0.1 m/s grid and
 evaluates the snapped representative, so that repeated queries hit a cache
 whose values depend only on the grid cell, never on visit order or on which
 other cells are filled alongside.  The naturalistic probabilities entering
-criticalities and importance weights are always evaluated at the exact state.
+criticality and importance weights are always evaluated at the exact state.
 
 Everything runs on the lockstep kernel.  The accelerated sampler hands
 :meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
@@ -63,24 +63,19 @@ class CriticalityProfile(NamedTuple):
     """Everything the accelerated sampler needs to know about a batch of
     moments, one column per queried state.
 
-    Per-surrogate arrays have one row per surrogate, ordered like the panel
-    in the configuration.  ``p_lane_change`` is exact for the queried
-    state; the criticalities come from the challenges of its grid
-    representative (:meth:`CriticalityEvaluator.columns`).  A profile
-    holds densities only: the follow step is ``kernel.no_cutin_walk``'s
-    own.
+    Axis 0 of ``p``, ``q`` and ``q_alpha`` is the BV's two-atom law, lane
+    change first as in ``CriticalityEvaluator._table``: the naturalistic
+    law, each surrogate's tilted law (one row per surrogate, in panel
+    order) and their equal-weight mixture.  ``p`` is exact for the queried
+    state; the tilt comes from the challenges of its grid representative.
+    A profile holds densities only: the follow step is
+    ``kernel.no_cutin_walk``'s own.
     """
 
-    p_lane_change: np.ndarray          # (m,)
-    criticalities: np.ndarray          # (J, m)
-    q_lane_change: np.ndarray          # (J, m)
-    q_follow: np.ndarray               # (J, m)
-    q_alpha_lane_change: np.ndarray    # (m,)
-    q_alpha_follow: np.ndarray         # (m,)
-
-    @property
-    def is_critical(self) -> np.ndarray:
-        return (self.criticalities > 0.0).any(axis=0)
+    p: np.ndarray              # (2, m)
+    q: np.ndarray              # (2, J, m)
+    q_alpha: np.ndarray        # (2, m)
+    is_critical: np.ndarray    # (m,)
 
 
 def grid_cells(s: State) -> np.ndarray:
@@ -102,12 +97,13 @@ def distinct_rows(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_mean(q: np.ndarray) -> np.ndarray:
-    """Equal-weight mixture over the panel, added left to right: Python's
-    float ``sum`` is compensated from 3.12 on, which moves the last bit."""
+    """Equal-weight mixture over the panel, axis 1, added left to right:
+    Python's float ``sum`` is compensated from 3.12 on, which moves the
+    last bit."""
     total = 0.0
-    for row in q:
+    for row in q.swapaxes(0, 1):
         total = total + row
-    return total / len(q)
+    return total / q.shape[1]
 
 
 class CriticalityEvaluator:
@@ -200,24 +196,12 @@ class CriticalityEvaluator:
 
     def profile(self, s: State, at: np.ndarray) -> CriticalityProfile:
         """Profiles of the states ``s``; ``at`` holds their table columns."""
-        cfg = self.cfg
-        p_lc = bv_law(s, cfg)
-        p_follow = 1.0 - p_lc
-        ch_lc, ch_follow = self._table[:, :, at]
-        crits = ch_lc * p_lc + ch_follow * p_follow
-
-        eps = cfg.epsilon
+        p_lc = bv_law(s, self.cfg)
+        p = np.stack([p_lc, 1.0 - p_lc])
+        weighted = self._table[:, :, at] * p[:, None]
+        crits = weighted[0] + weighted[1]
         tilt = crits > 0.0
-        c = np.where(tilt, crits, 1.0)
-        q_lc = np.where(tilt, eps * p_lc + (1.0 - eps) * (ch_lc * p_lc) / c, p_lc)
-        q_follow = np.where(
-            tilt, eps * p_follow + (1.0 - eps) * (ch_follow * p_follow) / c,
-            p_follow)
-        return CriticalityProfile(
-            p_lane_change=p_lc,
-            criticalities=crits,
-            q_lane_change=q_lc,
-            q_follow=q_follow,
-            q_alpha_lane_change=_panel_mean(q_lc),
-            q_alpha_follow=_panel_mean(q_follow),
-        )
+        eps = self.cfg.epsilon
+        q = np.where(tilt, eps * p[:, None] + (1.0 - eps) * weighted
+                     / np.where(tilt, crits, 1.0), p[:, None])
+        return CriticalityProfile(p, q, _panel_mean(q), tilt.any(axis=0))

@@ -21,15 +21,15 @@ reaches the leader.
 The naturalistic sampler always uses the behaviour model's p_R.  The
 accelerated sampler decides from a criticality profile of the live
 episodes at every step: at every critical moment the law is the mixture
-importance distribution q_alpha and the densities at the drawn atom are
-logged; everywhere else it is p_R.  An episode's weight is the product of
-p/q_alpha over its moments in log order (:func:`log_product`), so a
-record's ``w`` can be recomputed from its log bit for bit.  An episode's
-pre-cut-in states do not depend on its draws: until it cuts in, it follows
-its no-cut-in walk.  So a block's walk without a mask (a row that reaches
-the leader just ends) fills the evaluator's cache once
-(:meth:`CriticalityEvaluator.columns`), and the episodes' walk that follows
-reads every profile's cache columns off it.
+importance distribution q_alpha, and the log keeps p, q_alpha and each
+surrogate's q_j at the drawn atom; everywhere else the law is p_R.  An
+episode's weight is the product of p/q_alpha over its moments in log
+order (:func:`log_product`), so a record's ``w`` can be recomputed from
+its log bit for bit.  An episode's pre-cut-in states do not depend on
+its draws: until it cuts in, it follows its no-cut-in walk.  So a block's
+walk without a mask (a row that reaches the leader just ends) fills the
+evaluator's cache once (:meth:`CriticalityEvaluator.columns`), and the
+episodes' walk that follows reads every profile's cache columns off it.
 
 Episodes are deterministic functions of ``(root seed, environment, index)``
 (:func:`episode_seeds`).  An episode's draws are counter-based: draw n is
@@ -277,17 +277,13 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
         for k, (rows, s) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
             prof = evaluator.profile(s, cols[at[k, rows]])
-            p_lc = prof.p_lane_change
             ctl = prof.is_critical
-            m_lc = np.where(ctl, prof.q_alpha_lane_change, p_lc)
-            m_f = np.where(ctl, prof.q_alpha_follow, 1.0 - p_lc)
-            fire = draws_lane_change(uniform(block[rows], k + 2), m_lc, m_f)
+            law = np.where(ctl, prof.q_alpha, prof.p)
+            fire = draws_lane_change(uniform(block[rows], k + 2), *law)
             if ctl.any():
-                r, f = lo + rows[ctl], fire[ctl]
-                log.append((r, np.where(f, p_lc[ctl], 1.0 - p_lc[ctl]),
-                            np.where(f, m_lc[ctl], m_f[ctl]),
-                            np.where(f, prof.q_lane_change[:, ctl],
-                                     prof.q_follow[:, ctl]).T))
+                atom = np.where(fire[ctl], 0, 1)
+                log.append((lo + rows[ctl], prof.p[atom, ctl],
+                            law[atom, ctl], prof.q[atom, :, ctl]))
             live[rows[fire]] = False
             found.append(CutIns.fired(lo + rows, s, fire, cfg.max_steps - k))
     return _records(ENV_NADE, idx, seeds, found, log, cfg)

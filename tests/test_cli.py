@@ -353,6 +353,29 @@ def test_estimate_from_records_keeps_only_the_selected_environment(
         assert (nade / name).read_bytes() == (both / name).read_bytes(), name
 
 
+def test_records_of_another_panel_exit_code(tmp_path, capsys):
+    # Re-estimated under the default three-surrogate panel, a two-surrogate
+    # run's records would leave a critical log whose rows are shorter than
+    # its header, and a summary echoing a panel that did not log them.
+    ini = tmp_path / "two.ini"
+    ini.write_text("[criticality]\nsurrogates = idm, fvdm1\n")
+    d = tmp_path / "two"
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 200,
+               "--config", ini, "--out", d)[0] == 0
+    rc, out, err = run(capsys, "estimate", "--records", d,
+                       "--out", tmp_path / "three")
+    assert rc == 4
+    assert out == ""
+    assert err == (f"data error: {d / 'critical_log.csv'}: 2 surrogate "
+                   f"densities per moment, the configured panel has 3\n")
+    assert not (tmp_path / "three").exists()
+    again = tmp_path / "again"
+    assert run(capsys, "estimate", "--records", d, "--config", ini,
+               "--out", again)[0] == 0
+    for name in ("records.csv", "critical_log.csv"):
+        assert (again / name).read_bytes() == (d / name).read_bytes(), name
+
+
 def test_truncated_summary_exit_code(tmp_path, capsys):
     assert run(capsys, "estimate", "--env", "nde", "--episodes", 50,
                "--out", tmp_path)[0] == 0

@@ -36,12 +36,6 @@ def random_grid_states(rng, n, box):
     return [grid_state(*(rng.uniform(*b) for b in box)) for _ in range(n)]
 
 
-def column(prof, field, i):
-    """One state's entry of a profile field, as Python floats."""
-    value = getattr(prof, field)[..., i].tolist()
-    return tuple(value) if isinstance(value, list) else value
-
-
 # ---------------------------------------------------------------------------
 # challenge values against the independent simulator
 # ---------------------------------------------------------------------------
@@ -114,20 +108,20 @@ def test_profile_hand_example(scen):
     prof = profile(ev, cols([s]))
     lc, fol = challenges(ev, cols([s]))
 
-    assert prof.p_lane_change.tolist() == [0.1]  # saturates the cap
+    p_lc, p_f = prof.p[:, 0].tolist()
+    assert p_lc == 0.1  # saturates the cap
+    assert p_f == 1.0 - p_lc
     assert lc[:, 0].tolist() == [1.0, 1.0, 1.0]
     assert fol[:, 0].tolist() == [0.0, 0.0, 0.0]
-    assert column(prof, "criticalities", 0) == pytest.approx((0.1,) * 3,
-                                                             abs=1e-15)
+    crits = lc[:, 0] * p_lc + fol[:, 0] * p_f
+    assert crits.tolist() == pytest.approx((0.1,) * 3, abs=1e-15)
     assert prof.is_critical.tolist() == [True]
 
     # exposure-weighted mixture: 0.1*0.1 + 0.9*(1*0.1)/0.1 = 0.91 on the
     # lane change, 0.1*0.9 + 0 = 0.09 on following
-    assert column(prof, "q_lane_change", 0) == pytest.approx((0.91,) * 3,
-                                                             abs=1e-12)
-    assert column(prof, "q_follow", 0) == pytest.approx((0.09,) * 3,
-                                                        abs=1e-12)
-    qa_lc, qa_f = prof.q_alpha_lane_change[0], prof.q_alpha_follow[0]
+    assert prof.q[0, :, 0].tolist() == pytest.approx((0.91,) * 3, abs=1e-12)
+    assert prof.q[1, :, 0].tolist() == pytest.approx((0.09,) * 3, abs=1e-12)
+    qa_lc, qa_f = prof.q_alpha[:, 0]
     assert qa_lc == pytest.approx(0.91, abs=1e-12)
     assert qa_f == pytest.approx(0.09, abs=1e-12)
     assert qa_lc + qa_f == pytest.approx(1.0, abs=1e-12)
@@ -146,33 +140,35 @@ def test_profile_exposure_formula_self_consistent(scen):
     eps = scen.epsilon
     checked_tilted = 0
     for i in range(len(states)):
-        p_lc = prof.p_lane_change[i]
-        p_f = 1.0 - p_lc
+        p_lc, p_f = prof.p[:, i]
+        assert p_f == 1.0 - p_lc
+        crits = lc[:, i] * p_lc + fol[:, i] * p_f
         for j in range(3):
-            cl, cf = lc[j, i], fol[j, i]
-            c = prof.criticalities[j, i]
-            assert c == pytest.approx(cl * p_lc + cf * p_f, abs=1e-15)
+            cl, cf, c = lc[j, i], fol[j, i], crits[j]
             if c > 0.0:
                 want_lc = eps * p_lc + (1 - eps) * cl * p_lc / c
                 want_f = eps * p_f + (1 - eps) * cf * p_f / c
-                assert prof.q_lane_change[j, i] == pytest.approx(want_lc, abs=1e-14)
-                assert prof.q_follow[j, i] == pytest.approx(want_f, abs=1e-14)
+                assert prof.q[0, j, i] == pytest.approx(want_lc, abs=1e-14)
+                assert prof.q[1, j, i] == pytest.approx(want_f, abs=1e-14)
                 checked_tilted += 1
             else:
-                assert prof.q_lane_change[j, i] == p_lc
-                assert prof.q_follow[j, i] == p_f
-        assert prof.is_critical[i] == any(prof.criticalities[:, i] > 0)
+                assert prof.q[0, j, i] == p_lc
+                assert prof.q[1, j, i] == p_f
+        assert prof.is_critical[i] == any(crits > 0)
     assert checked_tilted > 10
 
 
 def test_noncritical_state_keeps_exposure_distribution(scen):
     # Free flow far behind a distant leader: no hazard, no tilt.
     s = grid_state(8.0, 3000.0, 0.0, 30.0, 0.0)
-    prof = profile(CriticalityEvaluator(scen), cols([s]))
+    ev = CriticalityEvaluator(scen)
+    prof = profile(ev, cols([s]))
+    lc, fol = challenges(ev, cols([s]))
+    p_lc, p_f = prof.p[:, 0]
     assert prof.is_critical.tolist() == [False]
-    assert column(prof, "criticalities", 0) == (0.0, 0.0, 0.0)
-    assert prof.q_alpha_lane_change.tolist() == prof.p_lane_change.tolist()
-    assert prof.q_alpha_follow.tolist() == (1.0 - prof.p_lane_change).tolist()
+    assert (lc[:, 0] * p_lc + fol[:, 0] * p_f).tolist() == [0.0, 0.0, 0.0]
+    assert prof.q_alpha.tolist() == prof.p.tolist()
+    assert prof.p[1].tolist() == (1.0 - prof.p[0]).tolist()
 
 
 def test_profile_density_accounting(scen):
@@ -182,13 +178,13 @@ def test_profile_density_accounting(scen):
     rng = np.random.default_rng(31415)
     box = [(2, 14), (2, 40), (-8, 2), (0.5, 10), (-8, 2)]
     prof = profile(ev, cols(random_grid_states(rng, 120, box)))
-    p_lc = prof.p_lane_change
-    total = prof.q_lane_change + prof.q_follow
+    p_lc = prof.p[0]
+    total = prof.q[0] + prof.q[1]
     assert total == pytest.approx(np.ones_like(total), abs=1e-12)
     floor = scen.epsilon - 1e-15
-    assert (prof.q_lane_change >= floor * p_lc).all()
-    assert (prof.q_follow >= floor * (1.0 - p_lc)).all()
-    mix = prof.q_alpha_lane_change + prof.q_alpha_follow
+    assert (prof.q[0] >= floor * p_lc).all()
+    assert (prof.q[1] >= floor * (1.0 - p_lc)).all()
+    mix = prof.q_alpha[0] + prof.q_alpha[1]
     assert mix == pytest.approx(np.ones_like(mix), abs=1e-12)
     assert prof.is_critical.any() and (p_lc > 0.0).any()
 
@@ -316,7 +312,7 @@ def test_exposure_probability_not_snapped(scen):
     ev = CriticalityEvaluator(cfg)
     a = State(8.0, 10.0, -3.0, 2.0, -4.0)
     b = State(8.0, 9.98, -3.0, 2.0, -4.0)
-    pa, pb = profile(ev, cols([a, b])).p_lane_change.tolist()
+    pa, pb = profile(ev, cols([a, b])).p[0].tolist()
     assert pa == ref.mobil_right_lc_prob(a, cfg.mobil, cfg.bv_idm)
     assert pb == ref.mobil_right_lc_prob(b, cfg.mobil, cfg.bv_idm)
     assert pa != pb
@@ -343,19 +339,27 @@ def test_evaluation_order_does_not_change_results(scen):
 # ---------------------------------------------------------------------------
 
 def test_maneuver_challenge_selects_action_component(scen):
-    # The profile's criticalities combine the cached challenges per
-    # surrogate, and its per-surrogate densities line up with them row for
-    # row.
+    # The profile's tilt combines the cached challenges per surrogate, and
+    # its per-surrogate densities line up with them row for row, the lane
+    # change first.
     ev = CriticalityEvaluator(scen)
     s = cols([grid_state(8.0, 10.0, -3.0, 2.0, -4.0),
               grid_state(8.0, 3000.0, 0.0, 30.0, 0.0)])
     lc, fol = challenges(ev, s)
     prof = profile(ev, s)
-    p = prof.p_lane_change
-    assert lc.shape == fol.shape == prof.criticalities.shape == (3, 2)
-    assert prof.criticalities.tolist() == (lc * p + fol * (1.0 - p)).tolist()
-    assert prof.q_lane_change.shape == prof.q_follow.shape == (3, 2)
-    assert prof.p_lane_change.shape == prof.q_alpha_follow.shape == (2,)
+    p_lc, p_f = prof.p
+    crits = lc * p_lc + fol * p_f
+    assert lc.shape == fol.shape == (3, 2)
+    assert prof.q.shape == (2, 3, 2)
+    assert prof.p.shape == prof.q_alpha.shape == (2, 2)
+    tilt = crits > 0.0
+    assert prof.is_critical.tolist() == tilt.any(axis=0).tolist()
+    assert prof.is_critical.tolist() == [True, False]
+    eps = scen.epsilon
+    for q, ch, p in zip(prof.q, (lc, fol), (p_lc, p_f)):
+        want = np.where(tilt, eps * p + (1.0 - eps) * (ch * p)
+                        / np.where(tilt, crits, 1.0), p)
+        assert q.tolist() == want.tolist()
 
 
 def test_criticality_combines_challenges_with_exposure(scen):
@@ -364,19 +368,24 @@ def test_criticality_combines_challenges_with_exposure(scen):
     lc, fol = challenges(ev, cols([s]))
     p = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
     prof = profile(ev, cols([s]))
+    assert prof.p[:, 0].tolist() == pytest.approx((p, 1 - p), abs=1e-15)
+    eps = scen.epsilon
     for j in range(len(scen.surrogates)):
-        assert prof.criticalities[j, 0] == pytest.approx(
-            lc[j, 0] * p + fol[j, 0] * (1 - p), abs=1e-15)
+        c = lc[j, 0] * p + fol[j, 0] * (1 - p)
+        assert c > 0.0
+        assert prof.q[:, j, 0].tolist() == pytest.approx(
+            (eps * p + (1 - eps) * lc[j, 0] * p / c,
+             eps * (1 - p) + (1 - eps) * fol[j, 0] * (1 - p) / c), abs=1e-14)
 
 
 def test_importance_fn_matches_profile(scen):
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     prof = profile(ev, cols([s]))
-    assert prof.p_lane_change.tolist() == kernel.bv_law(cols([s]), scen).tolist()
-    assert prof.q_alpha_lane_change[0] == \
-        ((prof.q_lane_change[0, 0] + prof.q_lane_change[1, 0])
-         + prof.q_lane_change[2, 0]) / 3
+    assert prof.p[0].tolist() == kernel.bv_law(cols([s]), scen).tolist()
+    q = prof.q[:, :, 0]
+    assert prof.q_alpha[:, 0].tolist() == \
+        (((q[:, 0] + q[:, 1]) + q[:, 2]) / 3).tolist()
 
 
 def test_out_of_panel_surrogate_gets_own_panel(scen):

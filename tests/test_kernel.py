@@ -301,10 +301,11 @@ def test_batched_profile_matches_scalar_reference():
     scalar = ref.ScalarEvaluator(cfg)
     for i, t in enumerate(ref.rows(s)):
         want = scalar.profile(t)
-        for name, value in zip(prof._fields, prof):
-            got = value[..., i].tolist()
-            assert (tuple(got) if isinstance(got, list) else got) == \
-                getattr(want, name), name
+        assert [x[..., i].tolist() for x in prof] == [
+            [want.p_lane_change, 1.0 - want.p_lane_change],
+            [list(want.q_lane_change), list(want.q_follow)],
+            [want.q_alpha_lane_change, want.q_alpha_follow],
+            want.is_critical]
     assert prof.is_critical.any() and not prof.is_critical.all()
 
 

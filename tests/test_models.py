@@ -331,12 +331,11 @@ def test_distribution_mixture(scen):
     assert prof.is_critical.all()
     for i in range(len(states)):
         dists = [ref.ActionDistribution.from_pairs(
-            [(ref.LANE_CHANGE, prof.q_lane_change[j, i]),
-             ("follow", prof.q_follow[j, i])])
+            [(ref.LANE_CHANGE, prof.q[0, j, i]), ("follow", prof.q[1, j, i])])
             for j in range(len(scen.surrogates))]
         mix = ref.ActionDistribution.mixture(dists, [1.0 / 3] * 3)
         assert mix.prob(ref.LANE_CHANGE) == pytest.approx(
-            prof.q_alpha_lane_change[i], abs=1e-15)
-        assert mix.prob("follow") == pytest.approx(
-            prof.q_alpha_follow[i], abs=1e-15)
+            prof.q_alpha[0, i], abs=1e-15)
+        assert mix.prob("follow") == pytest.approx(prof.q_alpha[1, i],
+                                                   abs=1e-15)
         assert mix.total() == pytest.approx(1.0, abs=1e-15)
