@@ -35,9 +35,9 @@ Everything runs on the lockstep kernel.  The accelerated sampler hands
 :meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
 episodes (``kernel.no_cutin_walk``): every state an episode can be
 profiled at lies on its walk.  The cells seen for the first time are
-filled together, their own no-cut-in walks in lockstep and the cut-in
-rollouts of the whole surrogate panel in one ``kernel.cutin_crashes``
-call.  A profile reads the cache columns of its states and never fills.
+filled together, their own no-cut-in walks in lockstep and their cut-in
+rollouts in one ``kernel.cutin_crashes`` call per surrogate.  A profile
+reads the cache columns of its states and never fills.
 """
 
 from __future__ import annotations
@@ -138,16 +138,17 @@ class CriticalityEvaluator:
         suffix = list(walks)
 
         # Cut-ins along the walks: moments with zero lane-change probability
-        # contribute nothing, so only the others are rolled out, in one panel
-        # rollout together with the cut-ins at the representatives themselves.
+        # contribute nothing, so only the others are rolled out, by each
+        # surrogate together with the cut-ins at the representatives.
         at = np.cumsum([0] + [r.size for r, _ in suffix])
         later = [np.concatenate(c) for c in zip(*(t for _, t in suffix))] \
             if suffix else [np.empty(0)] * 5
         p_r = bv_law(later, cfg)
         hot = p_r > 0.0
         cut = [np.concatenate([x, y[hot]]) for x, y in zip(rep, later)]
-        crash = cutin_crashes(cut, np.full(len(cut[0]), cfg.max_steps), cfg,
-                              self._accels, until_clear=True).astype(float)
+        budget = np.full(len(cut[0]), cfg.max_steps)
+        crash = np.array([cutin_crashes(cut, budget, cfg, law, until_clear=True)
+                          for law in self._accels], dtype=float)
         lane_change = crash[:, :len(keys)]
         crash_later = np.zeros((len(self._accels), len(p_r)))
         crash_later[:, hot] = crash[:, len(keys):]

@@ -16,7 +16,7 @@ oracle and the criticality cache all read their states off it.
 
 Many rows (episodes, oracle bins or criticality grid keys) advance
 together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
-kinematic step, the pre-cut-in walk and the post-cut-in rollout.  The
+kinematic step, the pre-cut-in walk and one law's cut-in rollout.  The
 arithmetic is that of plain scalar code, kept bit for bit: the operation
 order is fixed, the real power ``x ** delta`` is ``np.float_power``
 (``np.power`` takes a SIMD path on some hosts that rounds differently from
@@ -158,11 +158,11 @@ def _follow(s: State, cfg) -> List[np.ndarray]:
     return step(s, a_bv, 0.0, cfg.dt)
 
 
-def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
+def cutin_crashes(s: State, n_states, cfg, law: Accel = None,
                   *, until_clear: bool = False) -> np.ndarray:
-    """Contact outcomes of a cut-in fired from each row's pre-cut-in state,
-    one row per follower law in ``laws`` (by default the tested vehicle,
-    ``cfg.av_idm``; the criticality evaluator passes its surrogate panel).
+    """Contact outcome of a cut-in fired from each row's pre-cut-in state,
+    with ``law`` driving the follower (by default the tested vehicle,
+    ``cfg.av_idm``; the criticality evaluator passes each surrogate's).
 
     The cut-in step lets every vehicle coast; then the law drives the AV
     while the BV holds speed.  Row i may visit ``n_states[i]`` states after
@@ -174,33 +174,25 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
     defined so; the tested vehicle is a black box after it first matches
     the BV's speed, so its rollouts keep the whole budget.
 
-    Every row rolls out as given.  All laws' rows advance in one lockstep
-    loop, stacked law by law; the rows left keep their order, so each law
-    drives a contiguous slice and every row sees exactly the arithmetic of
-    its law's rollout alone.  Only the AV and BV are advanced (the LV no
+    Every row rolls out as given, all rows in one lockstep loop that a row
+    leaves when it ends.  Only the AV and BV are advanced (the LV no
     longer matters), exactly as ``step`` advances them: after the cut-in
     step the BV's speed is floored and no longer ``-0.0``, so ``_advance``
     returns it unchanged and moves the BV by ``v_bv * dt``.
     """
-    if laws is None:
-        laws = [lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)]
+    if law is None:
+        law = lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)
     L, dt = cfg.vehicle_length, cfg.dt
     n_states = np.asarray(n_states, dtype=np.int64)
-    v_bv, r2, r2_dot = (np.asarray(s[k], dtype=float) for k in (0, 3, 4))
-    m, J = len(n_states), len(laws)
-    crashed = np.zeros(J * m, dtype=bool)
-    start = np.flatnonzero(n_states > 0)
-    # A live row's index into ``crashed``: law j's copy of row i is j*m + i.
-    edges = m * np.arange(J + 1)
-    rows = (edges[:-1, None] + start).ravel()
-    last, v_bv, r2, r2_dot = (np.tile(x[start], J)
-                              for x in (n_states - 1, v_bv, r2, r2_dot))
+    crashed = np.zeros(len(n_states), dtype=bool)
+    rows = np.flatnonzero(n_states > 0)
+    last = n_states[rows] - 1
+    v_bv, r2, r2_dot = (np.asarray(s[k], dtype=float)[rows] for k in (0, 3, 4))
     # The cut-in step.
     x_av, v_av = _advance(0.0, v_bv - r2_dot, 0.0, dt)
     x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
     r2, r2_dot, bv_dx = x_bv - x_av, v_bv - v_av, v_bv * dt
     contact = L + cfg.d_accid
-    at = np.searchsorted(rows, edges).tolist()  # law j: at[j]:at[j+1]
     i = 0
     while rows.size:
         hit = r2 <= contact
@@ -213,16 +205,11 @@ def cutin_crashes(s: State, n_states, cfg, laws: Sequence[Accel] = None,
                 x[keep] for x in (rows, last, v_bv, bv_dx, r2, r2_dot))
             if not rows.size:
                 break
-            at = np.searchsorted(rows, edges).tolist()
-        v_av, gap, dv = v_bv - r2_dot, r2 - L, -r2_dot
-        a_av = np.empty(rows.size)
-        for law, lo, hi in zip(laws, at, at[1:]):
-            if lo < hi:
-                a_av[lo:hi] = law(v_av[lo:hi], gap[lo:hi], dv[lo:hi])
-        x_av, v_av = _advance(0.0, v_av, a_av, dt)
+        v_av = v_bv - r2_dot
+        x_av, v_av = _advance(0.0, v_av, law(v_av, r2 - L, -r2_dot), dt)
         r2, r2_dot = (r2 + bv_dx) - x_av, v_bv - v_av
         i += 1
-    return crashed.reshape(J, m)
+    return crashed
 
 
 def no_cutin_walk(s: State, cfg, live: np.ndarray = None

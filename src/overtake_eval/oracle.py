@@ -70,7 +70,7 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
         found.append(CutIns.fired(rows, s, hot, cfg.max_steps - k))
         p_r.append(p[hot])
     cut = CutIns.concat(found)
-    crashed = cutin_crashes(cut.state, cut.budget, cfg)[0]
+    crashed = cutin_crashes(cut.state, cut.budget, cfg)
     # Fold one step at a time; a bin fires at most once per step, so each
     # bin sums in the scalar order.
     mu, survive, at = np.zeros(bins), np.ones(bins), 0

@@ -6,8 +6,8 @@ episodes ``0 .. n-1`` of each root, root-major.  ``kernel.no_cutin_walk``
 advances the call's episodes in blocks of ``BLOCK`` together up to their
 cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
 rollout of the tested vehicle resolves every cut-in of the call with the
-whole step budget (a NADE block's cache fill adds one of the whole
-surrogate panel, until each conflict is resolved), so a replication study
+whole step budget (a NADE block's cache fill adds one rollout per
+surrogate, until each conflict is resolved), so a replication study
 hands one call the episodes of many roots.  A sampler reads each
 episode's cut-in off the walk and logs densities as arrays, and the call's
 :class:`Records` block is built once, after that rollout has marked the
@@ -230,7 +230,7 @@ def _records(env: str, idx: np.ndarray, seeds: np.ndarray,
     ``p / q_alpha`` (1 for an empty log)."""
     cut = CutIns.concat(found)
     accident = np.zeros(len(seeds), dtype=np.int64)
-    accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)[0]]] = 1
+    accident[cut.rows[cutin_crashes(cut.state, cut.budget, cfg)]] = 1
     empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
              np.empty((0, len(cfg.surrogates))))
     rows, p, q_alpha, q = map(np.concatenate, zip(empty, *log))

@@ -252,36 +252,50 @@ def test_batch_with_repeated_cells_equals_per_state_lookups(scen,
         assert cold[k].tolist() == warm[k].tolist() == want
 
 
-def test_fill_rolls_the_whole_panel_out_at_once(scen, monkeypatch):
-    # A fill resolves every surrogate's cut-ins in one panel rollout, so a
-    # NADE sampler call of one block runs two rollouts: the block's fill,
-    # which ends each row once its conflict is resolved, and the tested
-    # vehicle's, which keeps the whole budget, whatever the panel's size.
-    calls = []
+def test_fill_rolls_each_surrogate_out_once(scen, monkeypatch):
+    # A fill rolls its cut-ins out once per surrogate, in panel order, each
+    # ending a row once its conflict is resolved; a NADE sampler call of one
+    # block then runs the tested vehicle's rollout, which keeps the whole
+    # budget.  Each surrogate gets the cut-in rows of a panel of one.
+    calls, rows, names = [], [], {}
+    law = criticality.surrogate_accel
+
+    def named(sm):
+        accel = law(sm)
+        names[accel] = sm.name
+        return accel
 
     def counting(module):
         rollout = module.cutin_crashes
 
-        def hooked(s, n_states, cfg, laws=None, **kw):
-            calls.append((module.__name__, laws and len(laws), kw))
-            return rollout(s, n_states, cfg, laws, **kw)
+        def hooked(s, n_states, cfg, law=None, **kw):
+            calls.append((module.__name__, names.get(law), kw))
+            rows.append(len(n_states))
+            return rollout(s, n_states, cfg, law, **kw)
         monkeypatch.setattr(module, "cutin_crashes", hooked)
 
+    monkeypatch.setattr(criticality, "surrogate_accel", named)
     counting(criticality)
     counting(sampling)
     rng = np.random.default_rng(77)
     box = [(4, 12), (3, 30), (-6, 0), (0.5, 8), (-7, 2)]
     s = cols(random_grid_states(rng, 20, box))
+    challenges(CriticalityEvaluator(dataclasses.replace(
+        scen, surrogates=scen.surrogates[:1])), s)
+    (m,) = rows
+    calls.clear()
+    rows.clear()
     ev = CriticalityEvaluator(scen)
     challenges(ev, s)
-    panel = ("overtake_eval.criticality", len(scen.surrogates),
-             {"until_clear": True})
-    assert calls == [panel]
+    panel = [("overtake_eval.criticality", sm.name, {"until_clear": True})
+             for sm in scen.surrogates]
+    assert len(panel) > 1 and m > 20
+    assert calls == panel and rows == [m] * len(panel)
     challenges(ev, s)  # every cell cached: no rollout
-    assert len(calls) == 1
+    assert len(calls) == len(panel)
     calls.clear()
     sample_nade_batch(5, scen, 200)
-    assert calls == [panel, ("overtake_eval.sampling", None, {})]
+    assert calls == panel + [("overtake_eval.sampling", None, {})]
 
 
 def test_fill_ends_each_rollout_with_its_conflict(scen, monkeypatch):

@@ -128,42 +128,45 @@ def test_mobil_array_form_matches_scalar_form(b_safe):
 
 
 def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
+    # Short budgets, and 100 rows with the long budgets that the tested
+    # vehicle's rollouts carry: a row that never makes contact keeps its
+    # whole budget unless it ends until clear.
     rng = np.random.default_rng(161803)
     for cfg, until_clear in itertools.product(CONFIGS.values(),
                                               (False, True)):
-        n = 400
+        n = 500
         s = [rng.uniform(2.0, 12.0, n), rng.uniform(5.0, 40.0, n),
              rng.uniform(-6.0, 2.0, n), rng.uniform(0.3, 10.0, n),
              rng.uniform(-8.0, 2.0, n)]
-        budget = rng.integers(0, 40, n)
+        budget = np.concatenate([rng.integers(0, 40, 400),
+                                 rng.integers(250, 301, 100)])
         states = ref.rows(s)
         followers = [(None, ref.idm_follower(cfg.av_idm))] + [
-            ([kernel.surrogate_accel(sm)], ref.surrogate_accel(sm))
+            (kernel.surrogate_accel(sm), ref.surrogate_accel(sm))
             for sm in cfg.surrogates]
-        for laws, scalar in followers:
-            got = kernel.cutin_crashes(s, budget, cfg, laws,
-                                       until_clear=until_clear)[0].tolist()
+        for law, scalar in followers:
+            got = kernel.cutin_crashes(s, budget, cfg, law,
+                                       until_clear=until_clear).tolist()
             want = [ref.cutin_outcome(*states[i], scalar, cfg, int(budget[i]),
                                       until_clear)
                     for i in range(n)]
             assert got == want
-            assert 0 < sum(got) < n
+            assert 0 < sum(got[:400]) < 400 and 0 < sum(got[400:]) < 100
 
 
-def test_panel_rollout_matches_one_rollout_per_law():
-    # One lockstep loop over the whole panel plus the tested vehicle gives
-    # every law the outcomes of a rollout of that law alone, bit for bit,
-    # with the whole budget and until clear.
+def test_cutin_rollout_of_each_law():
+    # Each follower law's rollout, with the whole budget and until clear:
+    # budgets, contact, repeated rows and signed zeros.
     for until_clear in (False, True):
-        _check_panel_rollout(until_clear)
+        _check_rollout(until_clear)
 
 
-def _check_panel_rollout(until_clear):
+def _check_rollout(until_clear):
     cfg = dataclasses.replace(ScenarioConfig(), vehicle_length=4.0,
                               d_accid=0.5)
 
-    def rollout(s, budget, laws=None):
-        return kernel.cutin_crashes(s, budget, cfg, laws,
+    def rollout(s, budget, law=None):
+        return kernel.cutin_crashes(s, budget, cfg, law,
                                     until_clear=until_clear)
 
     rng = np.random.default_rng(314159)
@@ -176,33 +179,34 @@ def _check_panel_rollout(until_clear):
     budget = rng.integers(0, 300, n)
     budget[::10], budget[1::10] = 0, 1
 
-    def ram(v, gap, dv):  # its rows all reach contact before the others'
+    def ram(v, gap, dv):  # its rows all reach contact within 20 states
         return np.full(len(v), 40.0)
 
     av = kernel.surrogate_accel(dataclasses.replace(
         cfg.surrogates[0], idm=cfg.av_idm))
-    laws = [kernel.surrogate_accel(sm) for sm in cfg.surrogates[:1]] + [
-        ram] + [kernel.surrogate_accel(sm) for sm in cfg.surrogates[1:]] + [av]
-    panel = rollout(s, budget, laws)
-    assert panel.shape == (len(laws), n) and panel.dtype == bool
-    for law, got in zip(laws, panel):
-        assert np.array_equal(got, rollout(s, budget, [law])[0])
-    assert np.array_equal(panel[-1], rollout(s, budget)[0])
-    assert not panel[:, budget == 0].any()
-    assert panel[:, 2:40][:, budget[2:40] > 0].all()
-    # the ram law's rows leave within 20 states, the others' run on; until
-    # clear, the rows not closing in after the cut-in step end there
+    followers = [kernel.surrogate_accel(sm) for sm in cfg.surrogates] + [av]
+    for law in followers + [ram]:
+        got = rollout(s, budget, law)
+        assert got.shape == (n,) and got.dtype == bool
+        assert not got[budget == 0].any()
+        assert got[2:40][budget[2:40] > 0].all()
+        # repeated rows take their original's outcomes
+        again = rollout([np.concatenate([x, x[:50]]) for x in s],
+                        np.concatenate([budget, budget[:50]]), law)
+        assert np.array_equal(again, np.concatenate([got, got[:50]]))
+        # no row at all
+        assert rollout([x[:0] for x in s], budget[:0], law).shape == (0,)
+        if law is not ram:  # some rows run on past 20 states
+            assert (~got[budget >= 20]).any()
+    assert np.array_equal(rollout(s, budget, av), rollout(s, budget))
+    # the ram law's rows end within 20 states; until clear, the rows not
+    # closing in after the cut-in step end there
     rams = budget >= 20
     if until_clear:
         rams &= s[4] < 0.0
-    assert panel[1][rams].all()
-    assert np.array_equal(panel[1], rollout(s, np.minimum(budget, 20),
-                                            [ram])[0])
-    assert (~panel[[0, 2, 3, 4]][:, budget >= 20]).any(axis=1).all()
-    # repeated rows take their original's outcomes
-    again = rollout([np.concatenate([x, x[:50]]) for x in s],
-                    np.concatenate([budget, budget[:50]]), laws)
-    assert np.array_equal(again, np.concatenate([panel, panel[:, :50]], 1))
+    rammed = rollout(s, budget, ram)
+    assert rammed[rams].all()
+    assert np.array_equal(rammed, rollout(s, np.minimum(budget, 20), ram))
     # every row rolls out, repeated starts too; starts that differ only in
     # the sign of a zero each have their own row's outcome.  Not closing
     # in, they all end before a law call if the rollout is until clear.
@@ -214,15 +218,11 @@ def _check_panel_rollout(until_clear):
 
     zero = [np.tile([0.0, 0.0, -0.0, -0.0], 3), np.full(12, 20.0),
             np.zeros(12), np.full(12, 10.0), np.tile([0.0, -0.0], 6)]
-    got = rollout(zero, np.full(12, 300), [counted])
+    got = rollout(zero, np.full(12, 300), counted)
     assert seen[:1] == ([] if until_clear else [12])
-    alone = [rollout([x[i:i + 1] for x in zero], [300], [av])[0, 0]
+    alone = [rollout([x[i:i + 1] for x in zero], [300], av)[0]
              for i in range(4)]
-    assert got[0].tolist() == alone * 3
-    # no row and no law at all
-    assert rollout([x[:0] for x in s], budget[:0],
-                   laws).shape == (len(laws), 0)
-    assert rollout(s, budget, []).shape == (0, n)
+    assert got.tolist() == alone * 3
 
 
 def test_until_clear_ends_rows_that_stop_closing_in():
@@ -240,8 +240,8 @@ def test_until_clear_ends_rows_that_stop_closing_in():
 
     budget, states = np.full(n, cfg.max_steps), ref.rows(s)
     for until_clear, crash in ((False, True), (True, False)):
-        got = kernel.cutin_crashes(s, budget, cfg, [brake_then_ram],
-                                   until_clear=until_clear)[0]
+        got = kernel.cutin_crashes(s, budget, cfg, brake_then_ram,
+                                   until_clear=until_clear)
         assert (got == crash).all()
         assert all(ref.cutin_outcome(*t, brake_then_ram, cfg, cfg.max_steps,
                                      until_clear) == crash for t in states)
@@ -417,9 +417,8 @@ def test_stressed_config_truncates_cutin_rollouts():
         kernel.CutIns.fired(rows, s, kernel.bv_law(s, cfg) > 0.0,
                             cfg.max_steps - k)
         for k, (rows, s) in enumerate(itertools.islice(walk, cfg.max_steps))])
-    truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)[0]
-    full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300),
-                                cfg)[0]
+    truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
+    full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
     assert (truncated != full).any()
 
 

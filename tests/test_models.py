@@ -104,7 +104,7 @@ def test_idm_follower_binds_parameters(scen):
          rng.uniform(-8.0, 2.0, 200)]
     budget = np.full(200, scen.max_steps)
     av = kernel.surrogate_accel(SurrogateModel("av", "idm", idm=scen.av_idm))
-    assert (kernel.cutin_crashes(s, budget, scen, [av])
+    assert (kernel.cutin_crashes(s, budget, scen, av)
             == kernel.cutin_crashes(s, budget, scen)).all()
 
 

@@ -40,7 +40,7 @@ def visited(states, cfg):
 
 def crashes(states, budget, cfg):
     return kernel.cutin_crashes(cols(states), np.broadcast_to(
-        budget, (len(states),)), cfg)[0].tolist()
+        budget, (len(states),)), cfg).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_cutin_outcome_agrees_with_run_trajectory(scen):
                     rng.uniform(-6.0, 2.0), rng.uniform(0.3, 10.0),
                     rng.uniform(-8.0, 2.0)) for _ in range(50)]
     budgets = rng.integers(0, 80, 50)
-    got = kernel.cutin_crashes(cols(states), budgets, scen)[0].tolist()
+    got = kernel.cutin_crashes(cols(states), budgets, scen).tolist()
     for s, n, batched in zip(states, budgets.tolist(), got):
         assert batched == ref.cutin_outcome(*s, follower, scen, n)
         assert batched == abs_cutin_crash(*s, follower, scen, n)
