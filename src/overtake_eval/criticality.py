@@ -34,14 +34,15 @@ criticality and importance weights are always evaluated at the exact state.
 Everything runs on the lockstep kernel.  The accelerated sampler hands
 :meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
 episodes (``kernel.no_cutin_walk``): every state an episode can be
-profiled at lies on its walk.  The cells seen for the first time are
-filled together, their own no-cut-in walks in lockstep and their cut-in
-rollouts in one ``kernel.cutin_crashes`` call per surrogate.  A profile
-reads the cache columns of its states and never fills.
+profiled at lies on its walk.  New cells are filled in batches of at most
+``FILL`` cells, each batch's no-cut-in walks in lockstep and the cut-ins
+they can fire rolled out in one ``kernel.cutin_crashes`` call per
+surrogate.  A profile reads the cache columns of its states and never fills.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from .kernel import (
 __all__ = ["CriticalityProfile", "CriticalityEvaluator"]
 
 Key = Tuple[int, ...]
+FILL = 512  # most cells per fill batch: a batch holds its walks' cut-ins
 
 
 class CriticalityProfile(NamedTuple):
@@ -127,42 +129,34 @@ class CriticalityEvaluator:
     # -- challenge machinery ----------------------------------------------
 
     def _compute_challenges(self, keys: List[Key]) -> np.ndarray:
-        """(2, J, n) lane-change and follow challenges of the grid keys."""
+        """(2, J, n) lane-change and follow challenges of a batch of keys."""
         cfg = self.cfg
         rep = list(np.array(keys, dtype=float).T / 10.0)
 
-        # The moments after each representative on its no-cut-in walk: a
-        # cut-in is possible at each of them.
-        walks = no_cutin_walk(rep, cfg)
-        next(walks)
-        suffix = list(walks)
-
-        # Cut-ins along the walks: moments with zero lane-change probability
-        # contribute nothing, so only the others are rolled out, by each
-        # surrogate together with the cut-ins at the representatives.
-        at = np.cumsum([0] + [r.size for r, _ in suffix])
-        later = [np.concatenate(c) for c in zip(*(t for _, t in suffix))] \
-            if suffix else [np.empty(0)] * 5
-        p_r = bv_law(later, cfg)
-        hot = p_r > 0.0
-        cut = [np.concatenate([x, y[hot]]) for x, y in zip(rep, later)]
+        # The cut-ins at the representatives, then along their no-cut-in
+        # walks step by step: a moment with zero lane-change probability
+        # contributes nothing, so only the others are kept.
+        cut, found = [[x] for x in rep], []
+        for rows, s in islice(no_cutin_walk(rep, cfg), 1, None):
+            p_r = bv_law(s, cfg)
+            hot = p_r > 0.0
+            for c, x in zip(cut, s):
+                c.append(x[hot])
+            found.append((rows[hot], p_r[hot]))
+        cut = [np.concatenate(c) for c in cut]
         budget = np.full(len(cut[0]), cfg.max_steps)
         crash = np.array([cutin_crashes(cut, budget, cfg, law, until_clear=True)
                           for law in self._accels], dtype=float)
-        lane_change = crash[:, :len(keys)]
-        crash_later = np.zeros((len(self._accels), len(p_r)))
-        crash_later[:, hot] = crash[:, len(keys):]
 
         # Accumulate backwards: at each later moment the lane change either
         # fires (and crashes or not) or the walk continues.
         follow = np.zeros((len(self._accels), len(keys)))
-        for i in reversed(range(len(suffix))):
-            span = slice(at[i], at[i + 1])
-            fire = hot[span]
-            r, p = suffix[i][0][fire], p_r[span][fire]
-            cr = crash_later[:, span][:, fire]
+        end = crash.shape[1]
+        for r, p in reversed(found):
+            cr = crash[:, end - len(p):end]
+            end -= len(p)
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
-        return np.stack([lane_change, follow])
+        return np.stack([crash[:, :len(keys)], follow])
 
     def columns(self, walk: Iterable[Tuple[np.ndarray, State]], n: int
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -170,7 +164,7 @@ class CriticalityEvaluator:
         ``n`` rows, as ``kernel.no_cutin_walk`` yields it, and an int32
         (steps, n) map ``at``: row i's state at step k has column
         ``cols[at[k, i]]``.  Each step's grid cells are snapped and
-        deduplicated once, and the ones not cached yet filled in one batch.
+        deduplicated once, and new ones filled in batches of ``FILL`` at most.
         """
         cells, at, base = [], [], 0
         for rows, s in walk:
@@ -187,8 +181,9 @@ class CriticalityEvaluator:
         missing = [k for k in keys if k not in cache]
         if missing:
             first = self._table.shape[2]
+            parts = [missing[i:i + FILL] for i in range(0, len(missing), FILL)]
             self._table = np.concatenate(
-                [self._table, self._compute_challenges(missing)], axis=2)
+                [self._table, *map(self._compute_challenges, parts)], axis=2)
             cache.update((k, first + i) for i, k in enumerate(missing))
         cols = np.array([cache[k] for k in keys], dtype=np.intp)[back]
         return cols, np.stack(at)

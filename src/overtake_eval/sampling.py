@@ -7,8 +7,8 @@ advances the call's episodes in blocks of ``BLOCK`` together up to their
 cut-ins, whichever roots they belong to, and one ``kernel.cutin_crashes``
 rollout of the tested vehicle resolves every cut-in of the call with the
 whole step budget (a NADE block's cache fill adds one rollout per
-surrogate, until each conflict is resolved), so a replication study
-hands one call the episodes of many roots.  A sampler reads each
+surrogate per batch, until each conflict is resolved), so a replication
+study hands one call the episodes of many roots.  A sampler reads each
 episode's cut-in off the walk and logs densities as arrays, and the call's
 :class:`Records` block is built once, after that rollout has marked the
 accidents.  Before its cut-in the background vehicle's law has two atoms,

@@ -6,12 +6,15 @@ its states to the batched evaluator in one call.
 """
 import dataclasses
 import math
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
 from overtake_eval import criticality, kernel, sampling
+from overtake_eval.config import ScenarioConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import MobilParams
 from overtake_eval.sampling import sample_nade_batch
@@ -428,3 +431,29 @@ def test_surrogates_disagree_somewhere(scen):
     lc = challenges(ev, cols(random_grid_states(rng, 80, box)))[0]
     votes = lc.sum(axis=0)
     assert ((0.0 < votes) & (votes < 3.0)).any()
+
+
+def test_long_walk_fill_holds_one_batch_of_cut_ins(monkeypatch):
+    # A cut-down long-walk scenario: one episode walks 100 steps, whose
+    # 100 new cells each walk up to 100 steps of their own.  A fill holds
+    # the cut-ins of one batch at a time, so fills of at most 12 cells
+    # peak at a fraction of the numpy bytes of one fill of all of them.
+    base = ScenarioConfig()
+    cfg = dataclasses.replace(
+        base, max_steps=100, surrogates=base.surrogates[:1],
+        init=dataclasses.replace(base.init, r2_dot=0.5, r1_low=30.0,
+                                 r1_high=300.0))
+    start = kernel.initial_states([150.0], cfg.init)
+    peaks = []
+    for fill in (10**9, 12):
+        monkeypatch.setattr(criticality, "FILL", fill)
+        ev = CriticalityEvaluator(cfg)
+        walk = list(islice(kernel.no_cutin_walk(start, cfg), cfg.max_steps))
+        tracemalloc.start()
+        try:
+            ev.columns(walk, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ev._entry_cache) >= 90
+    assert peaks[1] <= peaks[0] / 3

@@ -154,6 +154,27 @@ def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
             assert 0 < sum(got[:400]) < 400 and 0 < sum(got[400:]) < 100
 
 
+def test_late_contact_of_a_long_rollout():
+    # A follower at the BV's speed that gains a constant 0.12 m/s² reaches
+    # the BV only after 200 states or more: a rollout cut short of its
+    # budget misses these contacts.
+    cfg = ScenarioConfig()
+    n = 4
+    s = [np.full(n, 8.0), np.full(n, 30.0), np.zeros(n),
+         np.array([20.0, 25.0, 30.0, 35.0]), np.zeros(n)]
+    seen = []
+    for budget in (150, 200, 250, 300):
+        got = kernel.cutin_crashes(
+            s, np.full(n, budget), cfg,
+            lambda v, gap, dv: np.full(len(v), 0.12)).tolist()
+        assert got == [ref.cutin_outcome(*t, lambda v, gap, dv: 0.12, cfg,
+                                         budget)
+                       for t in ref.rows(s)]
+        seen.append(got)
+    assert seen == [[False] * 4, [True] + [False] * 3, [True] * 4,
+                    [True] * 4]
+
+
 def test_cutin_rollout_of_each_law():
     # Each follower law's rollout, with the whole budget and until clear:
     # budgets, contact, repeated rows and signed zeros.

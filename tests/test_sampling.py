@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from overtake_eval import kernel, sampling
+from overtake_eval import criticality, kernel, sampling
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.oracle import brute_force_mu
 from overtake_eval.sampling import (
@@ -364,29 +364,67 @@ def test_block_fill_holds_the_cells_of_every_walked_state(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_nade_sampler_fills_the_cache_once_per_block(name, monkeypatch):
+    # One list of fill batches per ``columns`` call, that is, per block.
     fills = []
     compute = CriticalityEvaluator._compute_challenges
+    fill_block = CriticalityEvaluator.columns
 
     def counted(self, keys):
-        fills.append(len(keys))
+        fills[-1].append(list(keys))
         return compute(self, keys)
 
+    def checked(self, walk, n):
+        before = len(self._entry_cache)
+        fills.append([])
+        out = fill_block(self, walk, n)
+        cache = self._entry_cache
+        missing = sorted(cache, key=cache.get)[before:]
+        batches, size = fills[-1], criticality.FILL
+        # ceil(missing / FILL) calls of at most FILL keys each, taking
+        # consecutive slices of the block's sorted missing keys
+        assert len(batches) == -(-len(missing) // size)
+        assert all(len(b) <= size for b in batches)
+        assert [k for b in batches for k in b] == missing
+        assert missing == sorted(missing, key=lambda k: k[::-1])
+        return out
+
     monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
+    monkeypatch.setattr(CriticalityEvaluator, "columns", checked)
+    cfg, block = CONFIGS[name], sampling.BLOCK
+    for size in (criticality.FILL, 40):
+        monkeypatch.setattr(criticality, "FILL", size)
+        monkeypatch.setattr(sampling, "BLOCK", block)
+        fills.clear()
+        ev = CriticalityEvaluator(cfg)
+        cold = sample_nade_batch(7, cfg, 300, evaluator=ev)
+        assert len(fills) == 1 and fills[0]
+        # every profile of the walk was a cache hit, so a warm call fills
+        # nothing
+        fills.clear()
+        assert block_columns(sample_nade_batch(7, cfg, 300, evaluator=ev)) \
+            == block_columns(cold)
+        assert fills == [[]]
+        # a call spanning five blocks fills each block's missing keys
+        monkeypatch.setattr(sampling, "BLOCK", 64)
+        fills.clear()
+        spanning = CriticalityEvaluator(cfg)
+        assert block_columns(sample_nade_batch(7, cfg, 300,
+                                               evaluator=spanning)) == \
+            block_columns(cold)
+        assert len(fills) == 5 and fills[0]
+        assert set(spanning._entry_cache) == set(ev._entry_cache)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_batched_fill_equals_one_fill(name, monkeypatch):
+    # Cache values are pure functions of the grid key, so fills of at most
+    # five cells build the same table, bit for bit, as fills of any size.
     cfg = CONFIGS[name]
-    ev = CriticalityEvaluator(cfg)
-    cold = sample_nade_batch(7, cfg, 300, evaluator=ev)
-    assert len(fills) == 1
-    # every profile of the walk was a cache hit, so a warm call fills nothing
-    fills.clear()
-    assert block_columns(sample_nade_batch(7, cfg, 300, evaluator=ev)) == \
-        block_columns(cold)
-    assert fills == []
-    # a call spanning five blocks fills at most once per block
-    monkeypatch.setattr(sampling, "BLOCK", 64)
-    fills.clear()
-    spanning = CriticalityEvaluator(cfg)
-    assert block_columns(sample_nade_batch(7, cfg, 300,
-                                           evaluator=spanning)) == \
-        block_columns(cold)
-    assert 1 <= len(fills) <= 5
-    assert set(spanning._entry_cache) == set(ev._entry_cache)
+    runs = []
+    for fill in (10**9, 5):
+        monkeypatch.setattr(criticality, "FILL", fill)
+        ev = CriticalityEvaluator(cfg)
+        got = block_columns(sample_nade_batch(7, cfg, 300, evaluator=ev))
+        runs.append((ev._table.tobytes(), ev._table.shape, ev._entry_cache,
+                     got))
+    assert runs[0] == runs[1]
