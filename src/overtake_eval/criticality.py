@@ -29,7 +29,8 @@ Challenge evaluation snaps the query state to a 0.1 m / 0.1 m/s grid and
 evaluates the snapped representative, so that repeated queries hit a cache
 whose values depend only on the grid cell, never on visit order or on which
 other cells are filled alongside.  The naturalistic probabilities entering
-criticality and importance weights are always evaluated at the exact state.
+criticality and importance weights are always those of the exact state:
+the p_R that ``kernel.no_cutin_walk`` yields with it.
 
 Everything runs on the lockstep kernel.  The accelerated sampler hands
 :meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
@@ -37,7 +38,8 @@ episodes (``kernel.no_cutin_walk``): every state an episode can be
 profiled at lies on its walk.  New cells are filled in batches of at most
 ``FILL`` cells, each batch's no-cut-in walks in lockstep and the cut-ins
 they can fire rolled out in one ``kernel.cutin_crashes`` call per
-surrogate.  A profile reads the cache columns of its states and never fills.
+surrogate, weighed by the p_R the walk yields.  A profile takes a walk's
+p_R and the cache columns of its states, and never fills.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 
 from .kernel import (
     State,
-    bv_law,
     cutin_crashes,
     no_cutin_walk,
     surrogate_accel,
@@ -137,8 +138,7 @@ class CriticalityEvaluator:
         # walks step by step: a moment with zero lane-change probability
         # contributes nothing, so only the others are kept.
         cut, found = [[x] for x in rep], []
-        for rows, s in islice(no_cutin_walk(rep, cfg), 1, None):
-            p_r = bv_law(s, cfg)
+        for rows, s, p_r in islice(no_cutin_walk(rep, cfg), 1, None):
             hot = p_r > 0.0
             for c, x in zip(cut, s):
                 c.append(x[hot])
@@ -158,16 +158,16 @@ class CriticalityEvaluator:
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
         return np.stack([crash[:, :len(keys)], follow])
 
-    def columns(self, walk: Iterable[Tuple[np.ndarray, State]], n: int
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def columns(self, walk: Iterable[Tuple[np.ndarray, State, np.ndarray]],
+                n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The ``_table`` columns ``cols`` of every state of a walk of
-        ``n`` rows, as ``kernel.no_cutin_walk`` yields it, and an int32
-        (steps, n) map ``at``: row i's state at step k has column
+        ``n`` rows, as ``kernel.no_cutin_walk`` yields it (p_R unread), and
+        an int32 (steps, n) map ``at``: row i's state at step k has column
         ``cols[at[k, i]]``.  Each step's grid cells are snapped and
         deduplicated once, and new ones filled in batches of ``FILL`` at most.
         """
         cells, at, base = [], [], 0
-        for rows, s in walk:
+        for rows, s, _ in walk:
             c, inverse = distinct_rows(grid_cells(s))
             step = np.empty(n, dtype=np.int32)
             step[rows] = base + inverse
@@ -190,9 +190,9 @@ class CriticalityEvaluator:
 
     # -- profile assembly ---------------------------------------------------
 
-    def profile(self, s: State, at: np.ndarray) -> CriticalityProfile:
-        """Profiles of the states ``s``; ``at`` holds their table columns."""
-        p_lc = bv_law(s, self.cfg)
+    def profile(self, p_lc: np.ndarray, at: np.ndarray) -> CriticalityProfile:
+        """Profiles of moments with the lane-change probabilities ``p_lc``
+        (a walk's p_R); ``at`` holds their states' table columns."""
         p = np.stack([p_lc, 1.0 - p_lc])
         weighted = self._table[:, :, at] * p[:, None]
         crits = weighted[0] + weighted[1]

@@ -11,8 +11,10 @@ where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
 ranges and the dotted quantities are their rates.  Before the cut-in the
 BV either tracks the LV or changes into the right lane while the AV
 coasts; afterwards the AV reacts to the BV while LV and BV hold speed.
-``no_cutin_walk`` is the one walk of pre-cut-in states: the samplers, the
-oracle and the criticality cache all read their states off it.
+``no_cutin_walk`` is the one walk of pre-cut-in states and carries the
+BV's law: it yields each state with its lane-change probability p_R,
+computed against the IDM acceleration it then follows with.  The samplers,
+the oracle and the criticality cache read both off it.
 
 Many rows (episodes, oracle bins or criticality grid keys) advance
 together on numpy arrays of that state: IDM, FVDM, stochastic MOBIL, the
@@ -92,41 +94,37 @@ def surrogate_accel(sm: SurrogateModel) -> Accel:
     raise ValueError(f"unknown surrogate kind {sm.kind!r}")
 
 
-def mobil_right_lc_prob(s: State, mobil: MobilParams, idm: IdmParams,
-                        vehicle_length: float) -> np.ndarray:
+def mobil_right_lc_prob(s: State, a_follow, mobil: MobilParams,
+                        idm: IdmParams, vehicle_length: float) -> np.ndarray:
     """Probability p_R that the BV starts the right lane change this step.
 
     Stochastic MOBIL: the acceleration-gain incentive is mapped linearly
-    to a probability and clamped to [0, p_max].  The move is vetoed when
-    it would place the BV on top of the AV or when the AV's braking,
-    clipped at what its brakes can deliver, would exceed ``b_safe``.  The
-    politeness term uses the unclipped demand, so deep cut-ins into a
-    fast-closing AV are increasingly unattractive.
+    to a probability and clamped to [0, p_max].  The gain is over
+    ``a_follow``, the BV's "old" acceleration: its IDM response to the LV
+    in its own lane, the acceleration ``no_cutin_walk`` steps it with.
+    The move is vetoed when it would place the BV on top of the AV or when
+    the AV's braking, clipped at what its brakes can deliver, would exceed
+    ``b_safe``.  The politeness term uses the unclipped demand, so deep
+    cut-ins into a fast-closing AV are increasingly unattractive.
 
-    Vetoed rows get a harmless gap of 1.0 in the branches they skip, so
-    only a gap the decision actually reads can raise.
+    A row with the AV gap closed gets a harmless gap of 1.0 in the demand
+    it skips, so it is vetoed without raising.
     """
-    v_bv, r1, r1_dot, r2, r2_dot = s
+    v_bv, _, _, r2, r2_dot = s
     gap_av = r2 - vehicle_length
     open_ = gap_av > 0.0
     a_pred_raw = idm_accel_raw(v_bv - r2_dot, np.where(open_, gap_av, 1.0),
                                -r2_dot, idm)
     a_pred = np.where(-idm.hard_decel > a_pred_raw, -idm.hard_decel, a_pred_raw)
     ok = open_ & ~(a_pred < -mobil.b_safe)
-    a_old = idm_accel(v_bv, np.where(ok, r1 - vehicle_length, 1.0), -r1_dot, idm)
     # IDM on an open road: the interaction term ``(s*/inf)**2`` is +0.0.
     a_new = _clip(idm.a_max * (1.0 - np.float_power(v_bv / idm.v0, idm.delta)),
                   -idm.hard_decel, idm.a_max)
-    incentive = (a_new - a_old) + mobil.politeness * a_pred_raw - mobil.delta_a_th
+    incentive = ((a_new - a_follow) + mobil.politeness * a_pred_raw
+                 - mobil.delta_a_th)
     p = mobil.gamma_p * incentive
     p = np.where(mobil.p_max < p, mobil.p_max, p)
     return np.where(ok & ~(p <= 0.0), p, 0.0)
-
-
-def bv_law(s: State, cfg) -> np.ndarray:
-    """The naturalistic lane-change probability p_R of every row.  The
-    BV's other atom, following the LV, is the walk's own step."""
-    return mobil_right_lc_prob(s, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
 
 
 def _advance(x, v, a, dt):
@@ -150,12 +148,6 @@ def step(s: State, a_bv, a_av, dt: float) -> List[np.ndarray]:
     x_bv, v_bv = _advance(r2, v_bv, a_bv, dt)
     x_lv, v_lv = _advance(r1 + r2, v_lv, 0.0, dt)
     return [v_bv, x_lv - x_bv, v_lv - v_bv, x_bv - x_av, v_bv - v_av]
-
-
-def _follow(s: State, cfg) -> List[np.ndarray]:
-    """One no-cut-in step: the BV follows the LV by IDM, the AV coasts."""
-    a_bv = idm_accel(s[0], s[1] - cfg.vehicle_length, -s[2], cfg.bv_idm)
-    return step(s, a_bv, 0.0, cfg.dt)
 
 
 def cutin_crashes(s: State, n_states, cfg, law: Accel = None,
@@ -212,15 +204,19 @@ def cutin_crashes(s: State, n_states, cfg, law: Accel = None,
     return crashed
 
 
-def no_cutin_walk(s: State, cfg, live: np.ndarray = None
-                  ) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
-    """The no-cut-in continuations of the states ``s``, in lockstep.
+def no_cutin_walk(s: State, cfg, live: np.ndarray = None) -> Iterator[
+        Tuple[np.ndarray, List[np.ndarray], np.ndarray]]:
+    """The no-cut-in continuations of the states ``s``, in lockstep, with
+    the BV's two-atom law at each of them.
 
-    Yields the rows still walking and their states: first the start, then
-    after each of up to ``cfg.max_steps`` steps of ``_follow``.  A row
-    ends when the AV has passed it (``r2 < 0``) and at leader contact
-    (``r1 - L <= 0``, where following is no longer modeled); a start
-    already there never walks.
+    Yields the rows still walking, their states and the lane-change
+    probability p_R of each: first at the start, then after each of up to
+    ``cfg.max_steps`` steps.  At every state the BV's IDM response to the
+    LV is evaluated once: it is MOBIL's "old" acceleration in p_R and the
+    acceleration the BV follows with to the next state, while the AV
+    coasts.  A row ends when the AV has passed it (``r2 < 0``) and at
+    leader contact (``r1 - L <= 0``, where following is no longer
+    modeled); a start already there never walks.
 
     ``live`` is an optional mask over the rows of ``s`` that the caller
     may clear between yields.  A row outside it stops walking (a sampled
@@ -232,7 +228,7 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None
     rows, t = np.arange(len(s[0])), list(s)
     for k in range(cfg.max_steps + 1):
         if k:
-            t = _follow(t, cfg)
+            t = step(t, a_bv, 0.0, cfg.dt)
         keep = ~(t[3] < 0.0)
         contact = t[1] - L <= 0.0
         if live is not None:
@@ -245,7 +241,8 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None
                 raise NonPositiveGap(f"IDM requires gap > 0, got {gap}")
         keep &= ~contact
         rows, t = rows[keep], [x[keep] for x in t]
-        yield rows, t
+        a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
+        yield rows, t, mobil_right_lc_prob(t, a_bv, cfg.mobil, cfg.bv_idm, L)
         if not rows.size:
             return
 

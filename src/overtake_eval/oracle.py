@@ -13,10 +13,10 @@ integrated by midpoint quadrature over equal-width bins, which is the sole
 approximation; the quoted value is exact up to that binning.
 
 All bins walk their no-cut-in trajectories in lockstep on the array kernel
-(``kernel.no_cutin_walk``), with one ``p_R`` call per walked state.  Every
-cut-in with ``p_R > 0`` is resolved in one batched rollout, and the sum is
-then accumulated per bin in step order, so each bin's ``mu(r)`` is the
-value a scalar walk of that bin produces.
+(``kernel.no_cutin_walk``), which yields ``p_R`` with every walked state.
+Every cut-in with ``p_R > 0`` is resolved in one batched rollout, and the
+sum is then accumulated per bin in step order, so each bin's ``mu(r)`` is
+the value a scalar walk of that bin produces.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .kernel import (
     CutIns,
-    bv_law,
     cutin_crashes,
     initial_states,
     no_cutin_walk,
@@ -64,8 +63,7 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     init = initial_states(mids, cfg.init)
     walk = no_cutin_walk(init, cfg, np.ones(bins, dtype=bool))
     found, p_r = [], []
-    for k, (rows, s) in enumerate(islice(walk, cfg.max_steps)):
-        p = bv_law(s, cfg)
+    for k, (rows, s, p) in enumerate(islice(walk, cfg.max_steps)):
         hot = p > 0.0
         found.append(CutIns.fired(rows, s, hot, cfg.max_steps - k))
         p_r.append(p[hot])

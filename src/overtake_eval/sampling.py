@@ -12,15 +12,18 @@ study hands one call the episodes of many roots.  A sampler reads each
 episode's cut-in off the walk and logs densities as arrays, and the call's
 :class:`Records` block is built once, after that rollout has marked the
 accidents.  Before its cut-in the background vehicle's law has two atoms,
-the lane change and following the leader, and an episode cuts in at a step
-iff that step's uniform is below the lane-change mass of the law in force.
-A sampler decides only that and clears the episodes that cut in from the
-walk's live mask; the walk steps the others, and raises if one of them
-reaches the leader.
+the lane change and following the leader.  The walk yields each live
+episode's state with its naturalistic lane-change probability p_R, and
+follows with the acceleration p_R was computed against.  An episode cuts
+in at a step iff that step's uniform is below the lane-change mass of the
+law in force.  A sampler decides only that and clears the episodes that
+cut in from the walk's live mask; the walk steps the others, and raises if
+one of them reaches the leader.
 
-The naturalistic sampler always uses the behaviour model's p_R.  The
+The naturalistic sampler draws from the walk's p_R as it is.  The
 accelerated sampler decides from a criticality profile of the live
-episodes at every step: at every critical moment the law is the mixture
+episodes at every step, built from the walk's p_R and the cache columns
+of their states: at every critical moment the law is the mixture
 importance distribution q_alpha, and the log keeps p, q_alpha and each
 surrogate's q_j at the drawn atom; everywhere else the law is p_R.  An
 episode's weight is the product of p/q_alpha over its moments in log
@@ -54,7 +57,6 @@ import numpy as np
 from .criticality import CriticalityEvaluator
 from .kernel import (
     CutIns,
-    bv_law,
     cutin_crashes,
     initial_states,
     no_cutin_walk,
@@ -250,9 +252,8 @@ def sample_nde_batch(roots: Roots, cfg, n: int) -> Records:
     found = []
     for lo, block, states in _blocks(seeds, cfg):
         live = np.ones(len(block), dtype=bool)
-        for k, (rows, s) in enumerate(
+        for k, (rows, s, p_r) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
-            p_r = bv_law(s, cfg)
             fire = draws_lane_change(uniform(block[rows], k + 2), p_r,
                                      1.0 - p_r)
             live[rows[fire]] = False
@@ -274,9 +275,9 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
         cols, at = evaluator.columns(
             islice(no_cutin_walk(states, cfg), cfg.max_steps), len(states[0]))
         live = np.ones(len(block), dtype=bool)
-        for k, (rows, s) in enumerate(
+        for k, (rows, s, p_r) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
-            prof = evaluator.profile(s, cols[at[k, rows]])
+            prof = evaluator.profile(p_r, cols[at[k, rows]])
             ctl = prof.is_critical
             law = np.where(ctl, prof.q_alpha, prof.p)
             fire = draws_lane_change(uniform(block[rows], k + 2), *law)

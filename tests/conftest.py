@@ -49,9 +49,9 @@ CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
 
 def _columns(ev, s):
     """The ``_table`` column of each of the states ``s``, filled as the one
-    step of a walk."""
+    step of a walk (whose p_R the fill does not read)."""
     n = len(s[0])
-    cols, at = ev.columns([(np.arange(n), s)], n)
+    cols, at = ev.columns([(np.arange(n), s, None)], n)
     return cols[at[0]]
 
 
@@ -65,7 +65,25 @@ def challenges(ev, s):
 
 def profile(ev, s):
     """The evaluator's profile of the states ``s``."""
-    return ev.profile(s, _columns(ev, s))
+    return ev.profile(lc_prob(s, ev.cfg), _columns(ev, s))
+
+
+# ---------------------------------------------------------------------------
+# the BV's law at arbitrary states
+# ---------------------------------------------------------------------------
+
+def bv_follow(s, cfg) -> np.ndarray:
+    """The BV's IDM response to the LV at the states ``s``: the
+    acceleration ``kernel.no_cutin_walk`` follows with."""
+    return kernel.idm_accel(s[0], s[1] - cfg.vehicle_length, -s[2],
+                            cfg.bv_idm)
+
+
+def lc_prob(s, cfg) -> np.ndarray:
+    """The lane-change probability p_R that ``kernel.no_cutin_walk`` yields
+    at the states ``s``; every state's LV gap must be open."""
+    return kernel.mobil_right_lc_prob(s, bv_follow(s, cfg), cfg.mobil,
+                                      cfg.bv_idm, cfg.vehicle_length)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The command-line verbs and their exit codes, driven through ``main``,
 and the process policy the program sets."""
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -475,15 +477,53 @@ def test_seed_is_refused_by_the_oracle(tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_leader_contact_exit_code(tmp_path, capsys):
-    # Without lane changes every NADE episode follows its BV into the LV.
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--env", "nde", "--episodes", 20),
+    ("estimate", "--env", "nade", "--episodes", 20),
+    ("oracle",)], ids=["estimate-nde", "estimate-nade", "oracle"])
+def test_leader_contact_exit_code(tmp_path, capsys, argv):
+    # Without lane changes every episode and every oracle bin follows its
+    # BV into the LV.  The masked walk is the one place a closed gap is
+    # judged, whichever verb drives it.
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[mobil]\np_max = 0\n[initial]\nr1_low = 5\nr1_high = 5.5\n"
                    "r1_dot = -8\nr2 = 20\n")
-    rc, _, err = run(capsys, "estimate", "--env", "nade", "--episodes", 20,
-                     "--config", cfg, "--out", tmp_path / "out")
+    rc, out, err = run(capsys, *argv, "--config", cfg,
+                       "--out", tmp_path / "out")
     assert rc == 4
-    assert err.startswith("data error: IDM requires gap > 0")
+    assert out == ""
+    assert re.fullmatch(r"data error: IDM requires gap > 0, got -\d\.\d+\n",
+                        err)
+
+
+PINNED = {
+    "records.csv":
+        "8e7a7c8baa165d33c38c92d8875692b6d0e7545834bccb1c18b2bd942983528f",
+    "critical_log.csv":
+        "65b52ac791a59d2434c2a82ba0cc666d10f656e5d8b5aaa524d12e7d5a20b5f5",
+    "convergence_nde.csv":
+        "90a1b134662b412bb74c273101d4f6ae6865f6524802d7edc93440b7ec66cfc5",
+    "convergence_nade.csv":
+        "cdfe8969e91758dbfbc3a27fe60da0b7ff41cd1edca6058de63c559424a2c770",
+}
+
+
+def test_estimate_writes_the_pinned_bytes(tmp_path, capsys):
+    # Changes that keep every output byte are checked against these values:
+    # the records, the critical log and the two convergence tables of a
+    # small campaign, and the oracle at the default scenario and with the
+    # follower 20 m back.  The eigh-fitted outputs are left out: their last
+    # bits may follow the LAPACK build.
+    assert run(capsys, "estimate", "--episodes", 300, "--seed", 11,
+               "--out", tmp_path)[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in PINNED}
+    assert digests == PINNED
+    scen = CampaignConfig().scenario
+    far = dataclasses.replace(scen, init=dataclasses.replace(scen.init,
+                                                             r2=20.0))
+    assert repr(brute_force_mu(scen)) == "0.005603536878876694"
+    assert repr(brute_force_mu(far)) == "0.050786964077358825"
 
 
 @pytest.mark.parametrize("error, message", [

@@ -399,7 +399,8 @@ def test_importance_fn_matches_profile(scen):
     ev = CriticalityEvaluator(scen)
     s = grid_state(8.0, 10.0, -3.0, 2.0, -4.0)
     prof = profile(ev, cols([s]))
-    assert prof.p[0].tolist() == kernel.bv_law(cols([s]), scen).tolist()
+    p = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm, scen.vehicle_length)
+    assert prof.p[:, 0].tolist() == [p, 1.0 - p]
     q = prof.q[:, :, 0]
     assert prof.q_alpha[:, 0].tolist() == \
         (((q[:, 0] + q[:, 1]) + q[:, 2]) / 3).tolist()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from overtake_eval import kernel, sampling
+from overtake_eval import kernel, oracle, sampling
 from overtake_eval.config import ScenarioConfig
 from overtake_eval.criticality import CriticalityEvaluator
 from overtake_eval.models import (
@@ -27,7 +27,7 @@ from overtake_eval.models import (
 from overtake_eval.oracle import bin_midpoints, brute_force_mu
 from overtake_eval.sampling import sample_nade_batch, sample_nde_batch
 
-from conftest import CONFIGS, STRESSED, challenges, profile
+from conftest import CONFIGS, STRESSED, bv_follow, challenges, profile
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +109,29 @@ def test_mobil_array_form_matches_scalar_form(b_safe):
     p = IdmParams()
     mob = MobilParams(gamma_p=0.3, p_max=0.4, b_safe=b_safe)
     length = 0.5
-    open_rows, closed_rows, p_want = [], [], []
+    # The scalar form raises at a closed LV gap unless it vetoes the move
+    # first; the array form takes the BV's follow acceleration instead, and
+    # the walk judges the gap before it evaluates that.
+    open_rows, p_want = [], []
     for i, row in enumerate(ref.rows(s)):
         try:
             p_want.append(ref.mobil_right_lc_prob(row, mob, p, length))
             open_rows.append(i)
         except NonPositiveGap:
-            closed_rows.append(i)
-    p_got = kernel.mobil_right_lc_prob([c[open_rows] for c in s], mob, p,
+            pass
+    # A closed LV gap has no follow acceleration: NaN, which only a vetoed
+    # row may carry.
+    gap_lv = s[1] - length
+    lv_open = gap_lv > 0.0
+    a_follow = np.full(n, np.nan)
+    a_follow[lv_open] = kernel.idm_accel(s[0][lv_open], gap_lv[lv_open],
+                                         -s[2][lv_open], p)
+    p_got = kernel.mobil_right_lc_prob([c[open_rows] for c in s],
+                                       a_follow[open_rows], mob, p,
                                        length).tolist()
     assert p_got == p_want
     assert sum(q > 0.0 for q in p_want) > 100
-    # a row the scalar form rejects makes the whole batch raise
-    assert closed_rows
-    for i in closed_rows[:20]:
-        with pytest.raises(NonPositiveGap):
-            kernel.mobil_right_lc_prob([c[[0, i]] for c in s], mob, p, length)
+    assert len(open_rows) < n and not lv_open[open_rows].all()
 
 
 def test_cutin_crashes_match_cutin_outcome_bit_for_bit():
@@ -435,9 +442,9 @@ def test_stressed_config_truncates_cutin_rollouts():
         bin_midpoints(cfg.init.r1_low, cfg.init.r1_high, 64), cfg.init)
     walk = kernel.no_cutin_walk(init, cfg, np.ones(64, dtype=bool))
     cut = kernel.CutIns.concat([
-        kernel.CutIns.fired(rows, s, kernel.bv_law(s, cfg) > 0.0,
-                            cfg.max_steps - k)
-        for k, (rows, s) in enumerate(itertools.islice(walk, cfg.max_steps))])
+        kernel.CutIns.fired(rows, s, p_r > 0.0, cfg.max_steps - k)
+        for k, (rows, s, p_r) in enumerate(
+            itertools.islice(walk, cfg.max_steps))])
     truncated = kernel.cutin_crashes(cut.state, cut.budget, cfg)
     full = kernel.cutin_crashes(cut.state, np.full(len(cut.budget), 300), cfg)
     assert (truncated != full).any()
@@ -448,15 +455,56 @@ def test_no_cutin_walk_stops_at_leader_contact():
     cfg = ScenarioConfig()
     s = ref.cols([(8.0, 5.0, -8.0, 20.0, -5.0)])
     walked = list(kernel.no_cutin_walk(s, cfg))
-    assert [r.tolist() for r, _ in walked] == [[0]] * (len(walked) - 1) + [[]]
-    # the walked states are the scalar reference's, up to the contact
+    assert [r.tolist() for r, _, _ in walked] == \
+        [[0]] * (len(walked) - 1) + [[]]
+    # the walked states and their p_R are the scalar reference's, up to the
+    # contact
     t = ref.rows(s)[0]
-    for _, u in walked[:-1]:
+    for _, u, p_r in walked[:-1]:
         assert [x[0] for x in u] == list(t)
+        assert p_r.tolist() == [ref.mobil_right_lc_prob(
+            t, cfg.mobil, cfg.bv_idm, cfg.vehicle_length)]
         t = ref.step_raw(*t, ref.bv_car_following_accel(t, cfg), 0.0, cfg.dt)
+    # where the walk stops, following the LV is no longer defined
     assert t.r1 <= 0.0
     with pytest.raises(NonPositiveGap):
-        kernel.bv_law(ref.cols([t]), cfg)
+        bv_follow(ref.cols([t]), cfg)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: sample_nde_batch(2024, cfg, 3000),
+    lambda cfg: brute_force_mu(cfg)], ids=["nde", "oracle"])
+def test_walk_evaluates_the_bv_idm_once_per_step(run, monkeypatch):
+    # The acceleration a walk step's p_R gains over is the one the BV then
+    # follows with: one IDM evaluation per yielded step.  The tested
+    # vehicle's rollouts, which also run IDM, are not counted.
+    calls, steps, paused = [0], [0], [False]
+    idm_accel, walk = kernel.idm_accel, kernel.no_cutin_walk
+    crashes = kernel.cutin_crashes
+
+    def counted_idm(*args):
+        calls[0] += not paused[0]
+        return idm_accel(*args)
+
+    def counted_walk(*args):
+        for step in walk(*args):
+            steps[0] += 1
+            yield step
+
+    def uncounted_crashes(*args, **kwargs):
+        paused[0] = True
+        try:
+            return crashes(*args, **kwargs)
+        finally:
+            paused[0] = False
+
+    monkeypatch.setattr(kernel, "idm_accel", counted_idm)
+    for module in (sampling, oracle):
+        monkeypatch.setattr(module, "no_cutin_walk", counted_walk)
+        monkeypatch.setattr(module, "cutin_crashes", uncounted_crashes)
+    run(ScenarioConfig())
+    assert steps[0] > 1
+    assert calls[0] == steps[0]
 
 
 def test_leader_contact_raises_in_the_nade_walk_not_its_fill():

@@ -43,9 +43,15 @@ def fvdm_accel(v, gap, dv, p):
     return one(lambda *a: kernel.fvdm_accel(*a, p), v, gap, dv)
 
 
+def follow_accel(s, idm=BV_IDM, length=0.0):
+    """The BV's IDM response to the LV: MOBIL's "old" acceleration."""
+    return kernel.idm_accel(s[0], s[1] - length, -s[2], idm)
+
+
 def lc_prob(state, mob, idm=BV_IDM, length=0.0):
-    return float(kernel.mobil_right_lc_prob(ref.cols([state]), mob, idm,
-                                            length)[0])
+    s = ref.cols([state])
+    return float(kernel.mobil_right_lc_prob(
+        s, follow_accel(s, idm, length), mob, idm, length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +232,7 @@ def test_lc_prob_bounded_everywhere():
     s = [rng.uniform(0, 20, 500), rng.uniform(0.2, 60, 500),
          rng.uniform(-12, 6, 500), rng.uniform(0.2, 12, 500),
          rng.uniform(-12, 6, 500)]
-    p = kernel.mobil_right_lc_prob(s, mob, BV_IDM, 0.0)
+    p = kernel.mobil_right_lc_prob(s, follow_accel(s), mob, BV_IDM, 0.0)
     assert ((0.0 <= p) & (p <= mob.p_max)).all()
 
 
@@ -259,7 +265,7 @@ def test_nde_action_dist_two_atoms(scen):
     p_lc = ref.mobil_right_lc_prob(s, scen.mobil, scen.bv_idm,
                                    scen.vehicle_length)
     assert p_lc > 0.0
-    p_r = kernel.bv_law(ref.cols([s]), scen)
+    _, _, p_r = next(kernel.no_cutin_walk(ref.cols([s]), scen))
     assert p_r.tolist() == [p_lc]
     # "u < p_R" draws the same atom as sampling the two-atom law, for
     # any p_R including the rounding of 1 - p_R and the endpoints
@@ -273,7 +279,7 @@ def test_nde_action_dist_two_atoms(scen):
 
 def test_nde_action_dist_drops_impossible_lane_change(scen):
     s = ref.State(8.0, 3000.0, 0.0, 30.0, 0.0)  # no incentive at free flow
-    p_r = kernel.bv_law(ref.cols([s]), scen)
+    _, _, p_r = next(kernel.no_cutin_walk(ref.cols([s]), scen))
     assert p_r.tolist() == [0.0]
     # even the smallest uniform never fires a cut-in
     assert not draws_lane_change(np.zeros(1), p_r, 1.0 - p_r).any()

@@ -243,7 +243,7 @@ def test_a_passed_start_fills_no_cache_cell(scen):
                                                                 r2=-1.0))
     (_, _, states), = _blocks(episode_seeds(3, ENV_NADE, np.arange(
         500, dtype=np.uint64)), passed)
-    rows, _ = next(kernel.no_cutin_walk(states, passed))
+    rows, _, _ = next(kernel.no_cutin_walk(states, passed))
     assert rows.size == 0
     ev = CriticalityEvaluator(passed)
     recs = sample_nade_batch(3, passed, 500, evaluator=ev)
@@ -356,8 +356,8 @@ def test_block_fill_holds_the_cells_of_every_walked_state(name):
     assert at.dtype == np.int32 and at.shape == (len(walk), len(seeds))
     assert len(cols) == sum(
         len({ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)})
-        for _, s in walk)
-    for (rows, s), step in zip(walk, at):
+        for _, s, _ in walk)
+    for (rows, s, _), step in zip(walk, at):
         assert [key_of[c] for c in cols[step[rows]].tolist()] == \
             [ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)]
 

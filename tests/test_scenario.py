@@ -27,7 +27,7 @@ def episode_walk(states, cfg):
     the budget, the rows and their states at each step."""
     s = cols(states)
     walk = kernel.no_cutin_walk(s, cfg, ~(s[3] < 0.0))
-    for k, (rows, t) in enumerate(islice(walk, cfg.max_steps)):
+    for k, (rows, t, _) in enumerate(islice(walk, cfg.max_steps)):
         yield cfg.max_steps - k, rows, t
 
 
@@ -153,10 +153,10 @@ def test_second_lane_change_rejected(scen):
     s = State(8.0, 30.0, -5.0, 5.0, -5.0)
     live = np.ones(5, dtype=bool)
     walk = kernel.no_cutin_walk(cols([s] * 5), scen, live)
-    rows, _ = next(walk)
+    rows, _, _ = next(walk)
     assert rows.tolist() == [0, 1, 2, 3, 4]
     live[[1, 3]] = False
-    rows, _ = next(walk)
+    rows, _, _ = next(walk)
     assert rows.tolist() == [0, 2, 4]
     live[:] = False
     assert next(walk)[0].size == 0
