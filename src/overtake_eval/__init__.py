@@ -14,12 +14,12 @@ from that seed, a function of the seed and the draw's number alone.
 A sampler call returns its episodes as one columnar block
 (``sampling.Records``: arrays of index, seed, accident and weight, and the
 critical logs in CSR form), which the estimators, the writers and the
-loader use as it is.  The accelerated sampler fills the criticality cache
-once per block, from its episodes' no-cut-in walks, before they walk.  A
-campaign samples in one process.  A sampler call takes one or several root
-seeds, so a replication study walks the episodes of every replication that
-fits one block (``sampling.BLOCK``, 8192 episodes) in one lockstep batch,
-and a worker pool splits its replications into chunks.
+loader use as it is.  The criticality cache fills on a miss, at most
+once per block, from the no-cut-in walks of the episodes still live at
+that step.  A campaign samples in one process.  A sampler call takes one
+or several root seeds, so a replication study walks the episodes of every
+replication that fits one block (``sampling.BLOCK``, 8192 episodes) in one
+lockstep batch, and a worker pool splits its replications into chunks.
 
 Import the submodules for their names: ``models``, ``config``, ``kernel``,
 ``sampling``, ``criticality``, ``estimators``, ``oracle``,

@@ -32,20 +32,21 @@ other cells are filled alongside.  The naturalistic probabilities entering
 criticality and importance weights are always those of the exact state:
 the p_R that ``kernel.no_cutin_walk`` yields with it.
 
-Everything runs on the lockstep kernel.  The accelerated sampler hands
-:meth:`CriticalityEvaluator.columns` the no-cut-in walks of a block of
-episodes (``kernel.no_cutin_walk``): every state an episode can be
-profiled at lies on its walk.  New cells are filled in batches of at most
-``FILL`` cells, each batch's no-cut-in walks in lockstep and the cut-ins
-they can fire rolled out in one ``kernel.cutin_crashes`` call per
-surrogate, weighed by the p_R the walk yields.  A profile takes a walk's
-p_R and the cache columns of its states, and never fills.
+Everything runs on the lockstep kernel.  The cache fills on a miss of
+:meth:`CriticalityEvaluator.columns`, with every cell on the no-cut-in
+walks (``kernel.no_cutin_walk``) of the queried states: an episode's later
+states lie on its walk, so a sampler block fills at most once.  New cells
+are filled in batches of at most ``FILL``, each batch's no-cut-in walks in
+lockstep and the cut-ins they can fire rolled out in one
+``kernel.cutin_crashes`` call per surrogate, weighed by the p_R the walk
+yields.  A profile takes a walk's p_R and the cache columns of its
+states, and never fills.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from itertools import chain, islice
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -117,8 +118,8 @@ class CriticalityEvaluator:
     do not depend on query order and the evaluator can be shared freely
     across episodes, replications, and workers.  ``_entry_cache`` maps each
     key filled so far to its column of ``_table``, which stacks the
-    lane-change and follow challenge vectors: one entry per cache miss,
-    that is, per key a walk handed to :meth:`columns` filled.
+    lane-change and follow challenge vectors: one entry per key that
+    :meth:`columns` filled on a miss, at most once per sampler block.
     """
 
     def __init__(self, cfg) -> None:
@@ -158,43 +159,40 @@ class CriticalityEvaluator:
             follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
         return np.stack([crash[:, :len(keys)], follow])
 
-    def columns(self, walk: Iterable[Tuple[np.ndarray, State, np.ndarray]],
-                n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``_table`` columns ``cols`` of every state of a walk of
-        ``n`` rows, as ``kernel.no_cutin_walk`` yields it (p_R unread), and
-        an int32 (steps, n) map ``at``: row i's state at step k has column
-        ``cols[at[k, i]]``.  Each step's grid cells are snapped and
-        deduplicated once, and new ones filled in batches of ``FILL`` at most.
-        """
-        cells, at, base = [], [], 0
-        for rows, s, _ in walk:
-            c, inverse = distinct_rows(grid_cells(s))
-            step = np.empty(n, dtype=np.int32)
-            step[rows] = base + inverse
-            cells.append(c)
-            at.append(step)
-            base += len(c)
-        distinct, back = distinct_rows(
-            np.concatenate([np.empty((0, 5), dtype=np.int64)] + cells))
+    def columns(self, s: State, horizon: int) -> np.ndarray:
+        """The ``_table`` column of each of the states ``s``.  On a miss it
+        first fills every cell on the no-cut-in walks from ``s``, ``horizon``
+        states long: they hold all later states, so a block fills once."""
+        cells, back = distinct_rows(grid_cells(s))
+        keys = list(map(tuple, cells.tolist()))
         cache = self._entry_cache
-        keys = list(map(tuple, distinct.tolist()))
-        missing = [k for k in keys if k not in cache]
-        if missing:
-            first = self._table.shape[2]
-            parts = [missing[i:i + FILL] for i in range(0, len(missing), FILL)]
-            self._table = np.concatenate(
-                [self._table, *map(self._compute_challenges, parts)], axis=2)
-            cache.update((k, first + i) for i, k in enumerate(missing))
-        cols = np.array([cache[k] for k in keys], dtype=np.intp)[back]
-        return cols, np.stack(at)
+        if not all(map(cache.__contains__, keys)):
+            self._fill(s, horizon)
+        return np.array([cache[k] for k in keys], dtype=np.intp)[back]
+
+    def _fill(self, s: State, horizon: int) -> None:
+        """Fill the new cells of ``s`` and of their walks (p_R unread), in
+        batches of at most ``FILL``; each step's are deduplicated once."""
+        walk = islice(no_cutin_walk(s, self.cfg), 1, horizon)
+        cells = [distinct_rows(grid_cells(t))[0]
+                 for t in chain([s], (t for _, t, _ in walk))]
+        distinct, _ = distinct_rows(np.concatenate(cells))
+        cache = self._entry_cache
+        missing = [k for k in map(tuple, distinct.tolist()) if k not in cache]
+        first = self._table.shape[2]
+        parts = [missing[i:i + FILL] for i in range(0, len(missing), FILL)]
+        self._table = np.concatenate(
+            [self._table, *map(self._compute_challenges, parts)], axis=2)
+        cache.update((k, first + i) for i, k in enumerate(missing))
 
     # -- profile assembly ---------------------------------------------------
 
-    def profile(self, p_lc: np.ndarray, at: np.ndarray) -> CriticalityProfile:
+    def profile(self, p_lc: np.ndarray,
+                cols: np.ndarray) -> CriticalityProfile:
         """Profiles of moments with the lane-change probabilities ``p_lc``
-        (a walk's p_R); ``at`` holds their states' table columns."""
+        (a walk's p_R) and states' table columns ``cols``; never fills."""
         p = np.stack([p_lc, 1.0 - p_lc])
-        weighted = self._table[:, :, at] * p[:, None]
+        weighted = self._table[:, :, cols] * p[:, None]
         crits = weighted[0] + weighted[1]
         tilt = crits > 0.0
         eps = self.cfg.epsilon

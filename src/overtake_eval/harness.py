@@ -202,8 +202,8 @@ def _replicate(cfg: CampaignConfig, reps: Sequence[int]) -> List[dict]:
     Consecutive replications whose episodes fit in one sampler block
     (``sampling.BLOCK``), and at least one, form a group: one sampler call
     per environment walks all their episodes in lockstep, so their cut-ins
-    resolve in one rollout and each block's new grid cells fill in one
-    batch.  A replication's row is :func:`estimate_from_records` of its
+    resolve in one rollout and each block's cache fills at most once, on
+    its first miss.  A replication's row is :func:`estimate_from_records` of its
     slice of the group's records, as a campaign at its seed estimates.
     Every record is a pure function of (root, environment, index) and every
     cache value of its grid key, so the rows do not depend on the grouping.

@@ -29,10 +29,10 @@ surrogate's q_j at the drawn atom; everywhere else the law is p_R.  An
 episode's weight is the product of p/q_alpha over its moments in log
 order (:func:`log_product`), so a record's ``w`` can be recomputed from
 its log bit for bit.  An episode's pre-cut-in states do not depend on
-its draws: until it cuts in, it follows its no-cut-in walk.  So a block's
-walk without a mask (a row that reaches the leader just ends) fills the
-evaluator's cache once (:meth:`CriticalityEvaluator.columns`), and the
-episodes' walk that follows reads every profile's cache columns off it.
+its draws: until it cuts in, it follows its no-cut-in walk.  So a block
+walks once, and the evaluator's cache fills on a miss, at most once per
+block, with the walks of the episodes still live at that step
+(:meth:`CriticalityEvaluator.columns`).
 
 Episodes are deterministic functions of ``(root seed, environment, index)``
 (:func:`episode_seeds`).  An episode's draws are counter-based: draw n is
@@ -272,12 +272,11 @@ def sample_nade_batch(roots: Roots, cfg, n: int,
     log: List[Tuple[np.ndarray, ...]] = []
     found = []
     for lo, block, states in _blocks(seeds, cfg):
-        cols, at = evaluator.columns(
-            islice(no_cutin_walk(states, cfg), cfg.max_steps), len(states[0]))
         live = np.ones(len(block), dtype=bool)
         for k, (rows, s, p_r) in enumerate(
                 islice(no_cutin_walk(states, cfg, live), cfg.max_steps)):
-            prof = evaluator.profile(p_r, cols[at[k, rows]])
+            prof = evaluator.profile(
+                p_r, evaluator.columns(s, cfg.max_steps - k))
             ctl = prof.is_critical
             law = np.where(ctl, prof.q_alpha, prof.p)
             fire = draws_lane_change(uniform(block[rows], k + 2), *law)

@@ -48,11 +48,9 @@ CONFIGS = {"default": ScenarioConfig(), "stressed": STRESSED, "long": LONG}
 # ---------------------------------------------------------------------------
 
 def _columns(ev, s):
-    """The ``_table`` column of each of the states ``s``, filled as the one
-    step of a walk (whose p_R the fill does not read)."""
-    n = len(s[0])
-    cols, at = ev.columns([(np.arange(n), s, None)], n)
-    return cols[at[0]]
+    """The ``_table`` column of each of the states ``s``, filled, on a miss,
+    with their own cells only (walks one state long)."""
+    return ev.columns(s, 1)
 
 
 def challenges(ev, s):

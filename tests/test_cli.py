@@ -526,6 +526,25 @@ def test_estimate_writes_the_pinned_bytes(tmp_path, capsys):
     assert repr(brute_force_mu(far)) == "0.050786964077358825"
 
 
+def test_estimate_pins_the_bytes_of_blocks_that_first_miss_late(tmp_path,
+                                                               capsys):
+    # Three blocks of a wide initial range: the second and third start on
+    # cells the first filled, and first miss the cache steps later, where
+    # they fill only the walks of their live episodes.
+    (tmp_path / "r1.ini").write_text("[initial]\nr1_low = 10\nr1_high = 60\n")
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 20000,
+               "--seed", 3, "--config", tmp_path / "r1.ini",
+               "--out", tmp_path / "out")[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in ("records.csv", "critical_log.csv")}
+    assert digests == {
+        "records.csv":
+            "fb8aa75ad37b5cccb3d27b60a74f2f569fe690f6583e97b7508fb5e442f2bed2",
+        "critical_log.csv":
+            "90372079fe7192526f31126cea710799d8472bd7a118e5ab88c08b14d9e606bb",
+    }
+
+
 @pytest.mark.parametrize("error, message", [
     (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
     (MemoryError(), "MemoryError")], ids=["numpy", "bare"])

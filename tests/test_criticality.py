@@ -7,7 +7,6 @@ its states to the batched evaluator in one call.
 import dataclasses
 import math
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -434,6 +433,18 @@ def test_surrogates_disagree_somewhere(scen):
     assert ((0.0 < votes) & (votes < 3.0)).any()
 
 
+def test_columns_fill_starts_their_walks_drop(scen):
+    # A start the AV has passed, or at leader contact, never walks, yet a
+    # miss fills its own cell.
+    ev = CriticalityEvaluator(scen)
+    s = cols([State(20.0, 30.0, 0.0, -1.0, 0.5),
+              State(20.0, 0.0, 0.0, 5.0, 0.5)])
+    got = ev.columns(s, scen.max_steps).tolist()
+    key_of = {col: key for key, col in ev._entry_cache.items()}
+    assert [key_of[c] for c in got] == [(200, 300, 0, -10, 5),
+                                        (200, 0, 0, 50, 5)]
+
+
 def test_long_walk_fill_holds_one_batch_of_cut_ins(monkeypatch):
     # A cut-down long-walk scenario: one episode walks 100 steps, whose
     # 100 new cells each walk up to 100 steps of their own.  A fill holds
@@ -449,10 +460,9 @@ def test_long_walk_fill_holds_one_batch_of_cut_ins(monkeypatch):
     for fill in (10**9, 12):
         monkeypatch.setattr(criticality, "FILL", fill)
         ev = CriticalityEvaluator(cfg)
-        walk = list(islice(kernel.no_cutin_walk(start, cfg), cfg.max_steps))
         tracemalloc.start()
         try:
-            ev.columns(walk, 1)
+            ev.columns(start, cfg.max_steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

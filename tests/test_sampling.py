@@ -346,73 +346,150 @@ def test_block_fill_holds_the_cells_of_every_walked_state(name):
                              cfg.dt)
             k += 1
     ev = CriticalityEvaluator(cfg)
-    walk = list(islice(kernel.no_cutin_walk(states, cfg), cfg.max_steps))
-    cols, at = ev.columns(walk, len(seeds))
+    cols = ev.columns(states, cfg.max_steps)
     assert set(ev._entry_cache) == walked
     assert len(walked) > 20
-    # Each step's cells are deduplicated once, and every walked state maps
-    # through its step's int32 map to the column of its own cell.
+    # Every state gets the column of its own cell: the block's starts, and
+    # every later state of their walks without a further fill.
     key_of = {col: key for key, col in ev._entry_cache.items()}
-    assert at.dtype == np.int32 and at.shape == (len(walk), len(seeds))
-    assert len(cols) == sum(
-        len({ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)})
-        for _, s, _ in walk)
-    for (rows, s, _), step in zip(walk, at):
-        assert [key_of[c] for c in cols[step[rows]].tolist()] == \
+    assert [key_of[c] for c in cols.tolist()] == \
+        [ref.ScalarEvaluator.quantize(t) for t in ref.rows(states)]
+    for _, s, _ in islice(kernel.no_cutin_walk(states, cfg), cfg.max_steps):
+        assert [key_of[c] for c in ev.columns(s, 1).tolist()] == \
             [ref.ScalarEvaluator.quantize(t) for t in ref.rows(s)]
+    assert set(ev._entry_cache) == walked
+
+
+def _watch_fills(monkeypatch):
+    """Record, per cache fill, its horizon, the sampler block (the count of
+    the sampler's walks so far) and its ``_compute_challenges`` batches,
+    and check that the batches take consecutive slices of at most
+    ``FILL`` of the fill's sorted missing keys."""
+    fills, blocks = [], [0]
+    compute = CriticalityEvaluator._compute_challenges
+    fill, walk = CriticalityEvaluator._fill, sampling.no_cutin_walk
+
+    def counted(self, keys):
+        fills[-1]["batches"].append(list(keys))
+        return compute(self, keys)
+
+    def checked(self, s, horizon):
+        before = len(self._entry_cache)
+        fills.append({"horizon": horizon, "block": blocks[0], "batches": []})
+        fill(self, s, horizon)
+        cache = self._entry_cache
+        missing = sorted(cache, key=cache.get)[before:]
+        batches, size = fills[-1]["batches"], criticality.FILL
+        # ceil(missing / FILL) calls of at most FILL keys each, taking
+        # consecutive slices of the fill's sorted missing keys
+        assert missing and len(batches) == -(-len(missing) // size)
+        assert all(len(b) <= size for b in batches)
+        assert [k for b in batches for k in b] == missing
+        assert missing == sorted(missing, key=lambda k: k[::-1])
+
+    def counted_walk(*args):
+        blocks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
+    monkeypatch.setattr(CriticalityEvaluator, "_fill", checked)
+    monkeypatch.setattr(sampling, "no_cutin_walk", counted_walk)
+    return fills, blocks
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_nade_sampler_fills_the_cache_once_per_block(name, monkeypatch):
-    # One list of fill batches per ``columns`` call, that is, per block.
-    fills = []
-    compute = CriticalityEvaluator._compute_challenges
-    fill_block = CriticalityEvaluator.columns
-
-    def counted(self, keys):
-        fills[-1].append(list(keys))
-        return compute(self, keys)
-
-    def checked(self, walk, n):
-        before = len(self._entry_cache)
-        fills.append([])
-        out = fill_block(self, walk, n)
-        cache = self._entry_cache
-        missing = sorted(cache, key=cache.get)[before:]
-        batches, size = fills[-1], criticality.FILL
-        # ceil(missing / FILL) calls of at most FILL keys each, taking
-        # consecutive slices of the block's sorted missing keys
-        assert len(batches) == -(-len(missing) // size)
-        assert all(len(b) <= size for b in batches)
-        assert [k for b in batches for k in b] == missing
-        assert missing == sorted(missing, key=lambda k: k[::-1])
-        return out
-
-    monkeypatch.setattr(CriticalityEvaluator, "_compute_challenges", counted)
-    monkeypatch.setattr(CriticalityEvaluator, "columns", checked)
+    fills, blocks = _watch_fills(monkeypatch)
     cfg, block = CONFIGS[name], sampling.BLOCK
     for size in (criticality.FILL, 40):
         monkeypatch.setattr(criticality, "FILL", size)
         monkeypatch.setattr(sampling, "BLOCK", block)
         fills.clear()
+        blocks[0] = 0
         ev = CriticalityEvaluator(cfg)
         cold = sample_nade_batch(7, cfg, 300, evaluator=ev)
-        assert len(fills) == 1 and fills[0]
+        assert [f["horizon"] for f in fills] == [cfg.max_steps]
         # every profile of the walk was a cache hit, so a warm call fills
         # nothing
         fills.clear()
         assert block_columns(sample_nade_batch(7, cfg, 300, evaluator=ev)) \
             == block_columns(cold)
-        assert fills == [[]]
-        # a call spanning five blocks fills each block's missing keys
+        assert fills == []
+        # A call spanning five blocks fills at most once per block, the
+        # first block from its start.  A later block fills only the walks
+        # of the episodes still live at its first miss, so its cache may
+        # hold fewer cells than the one block's fill from the start.
         monkeypatch.setattr(sampling, "BLOCK", 64)
         fills.clear()
+        blocks[0] = 0
         spanning = CriticalityEvaluator(cfg)
         assert block_columns(sample_nade_batch(7, cfg, 300,
                                                evaluator=spanning)) == \
             block_columns(cold)
-        assert len(fills) == 5 and fills[0]
-        assert set(spanning._entry_cache) == set(ev._entry_cache)
+        assert blocks[0] == 5
+        assert fills[0]["block"] == 1
+        assert fills[0]["horizon"] == cfg.max_steps
+        assert len({f["block"] for f in fills}) == len(fills)
+        assert set(spanning._entry_cache) <= set(ev._entry_cache)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_nade_block_walks_once_and_looks_ahead_only_on_a_miss(name,
+                                                             monkeypatch):
+    # The sampler walks each block once, masked, cold or warm; the
+    # unmasked look-ahead walk is the fill's own, made on a miss.
+    cfg = CONFIGS[name]
+    fills, blocks = _watch_fills(monkeypatch)
+    looks, walk = [0], criticality.no_cutin_walk
+
+    def counted_look(*args):
+        looks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(criticality, "no_cutin_walk", counted_look)
+    ev = CriticalityEvaluator(cfg)
+    sample_nade_batch(7, cfg, 300, evaluator=ev)
+    assert blocks[0] == 1 and len(fills) == 1
+    # one look-ahead, then one walk of each batch's representatives
+    assert looks[0] == 1 + len(fills[0]["batches"])
+    fills.clear()
+    blocks[0] = looks[0] = 0
+    sample_nade_batch(7, cfg, 300, evaluator=ev)
+    assert blocks[0] == 1 and fills == [] and looks[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_nade_block_first_missing_at_a_later_step_fills_once(name,
+                                                            monkeypatch):
+    # With only its starts' cells cached, a block first misses at a step
+    # k > 0, and fills there the walks of its live episodes, cfg.max_steps
+    # - k states long: every later state of theirs lies on them.
+    cfg = CONFIGS[name]
+    cold = CriticalityEvaluator(cfg)
+    want = block_columns(sample_nade_batch(7, cfg, 300, evaluator=cold))
+    (_, _, states), = _blocks(
+        episode_seeds(7, ENV_NADE, np.arange(300, dtype=np.uint64)), cfg)
+    ev = CriticalityEvaluator(cfg)
+    ev.columns(states, 1)
+    horizons, fills = [], []
+    columns, fill = CriticalityEvaluator.columns, CriticalityEvaluator._fill
+
+    def counted_columns(self, s, horizon):
+        horizons.append(horizon)
+        return columns(self, s, horizon)
+
+    def counted_fill(self, s, horizon):
+        fills.append((len(horizons) - 1, horizon))
+        fill(self, s, horizon)
+
+    monkeypatch.setattr(CriticalityEvaluator, "columns", counted_columns)
+    monkeypatch.setattr(CriticalityEvaluator, "_fill", counted_fill)
+    assert block_columns(sample_nade_batch(7, cfg, 300, evaluator=ev)) == want
+    # the sampler asks step k's columns with horizon cfg.max_steps - k
+    assert horizons == [cfg.max_steps - k for k in range(len(horizons))]
+    (k, horizon), = fills
+    assert k > 0 and horizon == cfg.max_steps - k
+    assert set(ev._entry_cache) <= set(cold._entry_cache)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
