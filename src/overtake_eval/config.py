@@ -166,6 +166,8 @@ class CampaignConfig:
             raise ConfigError("confirm_window must be at least 1")
         if self.oracle_bins < 1:
             raise ConfigError("oracle_bins must be at least 1")
+        if self.oracle_budget < 0:
+            raise ConfigError("oracle_budget must be non-negative")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         _require_finite(self)

@@ -54,6 +54,7 @@ from .kernel import (
     State,
     cutin_crashes,
     no_cutin_walk,
+    ordered_sum,
     surrogate_accel,
 )
 
@@ -70,10 +71,10 @@ class CriticalityProfile(NamedTuple):
     Axis 0 of ``p``, ``q`` and ``q_alpha`` is the BV's two-atom law, lane
     change first as in ``CriticalityEvaluator._table``: the naturalistic
     law, each surrogate's tilted law (one row per surrogate, in panel
-    order) and their equal-weight mixture.  ``p`` is exact for the queried
-    state; the tilt comes from the challenges of its grid representative.
-    A profile holds densities only: the follow step is
-    ``kernel.no_cutin_walk``'s own.
+    order) and their equal-weight mixture, folded by ``kernel.ordered_sum``
+    in panel order.  ``p`` is exact for the queried state; the tilt comes
+    from the challenges of its grid representative.  A profile holds
+    densities only: the follow step is ``kernel.no_cutin_walk``'s own.
     """
 
     p: np.ndarray              # (2, m)
@@ -98,16 +99,6 @@ def distinct_rows(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(g), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return g[new], inverse
-
-
-def _panel_mean(q: np.ndarray) -> np.ndarray:
-    """Equal-weight mixture over the panel, axis 1, added left to right:
-    Python's float ``sum`` is compensated from 3.12 on, which moves the
-    last bit."""
-    total = 0.0
-    for row in q.swapaxes(0, 1):
-        total = total + row
-    return total / q.shape[1]
 
 
 class CriticalityEvaluator:
@@ -198,4 +189,5 @@ class CriticalityEvaluator:
         eps = self.cfg.epsilon
         q = np.where(tilt, eps * p[:, None] + (1.0 - eps) * weighted
                      / np.where(tilt, crits, 1.0), p[:, None])
-        return CriticalityProfile(p, q, _panel_mean(q), tilt.any(axis=0))
+        q_alpha = ordered_sum(q.swapaxes(0, 1)) / q.shape[1]
+        return CriticalityProfile(p, q, q_alpha, tilt.any(axis=0))

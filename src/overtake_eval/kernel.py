@@ -26,12 +26,16 @@ C ``pow``), IDM's square ``(s*/gap)²`` is ``r * r``, FVDM's
 ``tanh`` calls ``math.tanh`` itself (``np.tanh`` differs in the last bit
 on about a quarter of inputs), and ``max``/``min``/``if`` are ``np.where``
 on the same comparison, so ties, signed zeros and NaNs resolve alike.  A
-car-following law given a closed gap raises ``NonPositiveGap``.
+car-following law given a closed gap raises ``NonPositiveGap``.  Totals
+that keep their bits are ``ordered_sum``, left to right: Python's float
+``sum`` is compensated from 3.12 on, which moves the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +62,11 @@ def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
     s_star = p.s0 + np.where(push > 0.0, push, 0.0)
     r = s_star / gap
     return p.a_max * (1.0 - np.float_power(v / p.v0, p.delta) - r * r)
+
+
+def ordered_sum(terms):
+    """The terms (floats or arrays) added left to right, from 0.0."""
+    return reduce(operator.add, terms, 0.0)
 
 
 def _clip(a, lo, hi) -> np.ndarray:

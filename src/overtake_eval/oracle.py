@@ -12,11 +12,12 @@ vehicle under test with the remaining step budget.  The initial range is
 integrated by midpoint quadrature over equal-width bins, which is the sole
 approximation; the quoted value is exact up to that binning.
 
-All bins walk their no-cut-in trajectories in lockstep on the array kernel
-(``kernel.no_cutin_walk``), which yields ``p_R`` with every walked state.
-Every cut-in with ``p_R > 0`` is resolved in one batched rollout, and the
-sum is then accumulated per bin in step order, so each bin's ``mu(r)`` is
-the value a scalar walk of that bin produces.
+All bins walk their no-cut-in trajectories once, in lockstep on the array
+kernel (``kernel.no_cutin_walk``), and keep each bin's survival probability
+and, at every state with ``p_R > 0``, the path mass ``survival * p_R`` of
+cutting in there.  One batched rollout resolves those cut-ins, and one
+ordered scatter adds the crashing masses into each bin's ``mu(r)`` in step
+order, the value a scalar walk of that bin produces.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .kernel import (
     cutin_crashes,
     initial_states,
     no_cutin_walk,
+    ordered_sum,
 )
 
 __all__ = ["BudgetExceeded", "brute_force_mu", "bin_midpoints"]
@@ -47,7 +49,8 @@ def bin_midpoints(low: float, high: float, bins: int) -> List[float]:
 
 def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
     """Reference accident rate: midpoint quadrature of ``mu(r)`` over the
-    initial-range distribution.
+    initial-range distribution, from one walk of the bins that keeps each
+    (bin, step) path mass and one ordered scatter of the crashing ones.
 
     Raises BudgetExceeded before doing any work if ``bins`` trajectories of
     up to ``max_steps + 1`` states would exceed the leaf budget, and
@@ -62,24 +65,16 @@ def brute_force_mu(cfg, bins: int = 64, budget: int = 10_000_000) -> float:
 
     init = initial_states(mids, cfg.init)
     walk = no_cutin_walk(init, cfg, np.ones(bins, dtype=bool))
-    found, p_r = [], []
+    survive, found, mass = np.ones(bins), [], []
     for k, (rows, s, p) in enumerate(islice(walk, cfg.max_steps)):
         hot = p > 0.0
         found.append(CutIns.fired(rows, s, hot, cfg.max_steps - k))
-        p_r.append(p[hot])
+        b, p = rows[hot], p[hot]
+        mass.append(survive[b] * p)
+        survive[b] = survive[b] * (1.0 - p)
     cut = CutIns.concat(found)
     crashed = cutin_crashes(cut.state, cut.budget, cfg)
-    # Fold one step at a time; a bin fires at most once per step, so each
-    # bin sums in the scalar order.
-    mu, survive, at = np.zeros(bins), np.ones(bins), 0
-    for step, p in zip(found, p_r):
-        b, hit = step.rows, crashed[at:at + len(p)]
-        at += len(p)
-        mu[b] = np.where(hit, mu[b] + survive[b] * p, mu[b])
-        survive[b] = survive[b] * (1.0 - p)
-    # Added left to right: Python's float ``sum`` is compensated from 3.12
-    # on, which moves the last bit.
-    total = 0.0
-    for x in mu.tolist():
-        total += x
-    return total / bins
+    # ``bincount`` adds its weights in input order: step order per bin.
+    mu = np.bincount(cut.rows[crashed], np.concatenate(mass)[crashed],
+                     minlength=bins)
+    return ordered_sum(mu.tolist()) / bins

@@ -17,6 +17,8 @@ from overtake_eval.estimators import EmptyInput
 from overtake_eval.models import NonPositiveGap, ZeroDensity
 from overtake_eval.oracle import brute_force_mu
 
+from conftest import STRESSED
+
 
 def run(capsys, *argv):
     rc = main([str(a) for a in argv])
@@ -524,6 +526,22 @@ def test_estimate_writes_the_pinned_bytes(tmp_path, capsys):
                                                              r2=20.0))
     assert repr(brute_force_mu(scen)) == "0.005603536878876694"
     assert repr(brute_force_mu(far)) == "0.050786964077358825"
+
+
+def test_oracle_keeps_its_bits_where_they_are_hardest_to_keep():
+    # Truncated rollout budgets, mu(r1) jumping inside bins, walks of up to
+    # 270 m, and a tested vehicle that brakes softer.
+    scen = CampaignConfig().scenario
+    init = lambda **kw: dataclasses.replace(
+        scen, init=dataclasses.replace(scen.init, **kw))
+    assert repr(brute_force_mu(STRESSED)) == "0.09783518155878894"
+    assert repr(brute_force_mu(init(r1_low=10.0, r1_high=60.0), 256)) == \
+        "0.02347483038040209"
+    assert repr(brute_force_mu(init(r2_dot=0.5, r1_low=30.0,
+                                    r1_high=300.0))) == "0.0009069294245728193"
+    soft = dataclasses.replace(scen, av_idm=dataclasses.replace(
+        scen.av_idm, hard_decel=3.0))
+    assert repr(brute_force_mu(soft)) == "0.015277451521965633"
 
 
 def test_estimate_pins_the_bytes_of_blocks_that_first_miss_late(tmp_path,

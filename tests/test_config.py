@@ -1,5 +1,6 @@
 """Configuration loading and validation."""
 import dataclasses
+import json
 import os
 
 import pytest
@@ -111,6 +112,7 @@ def test_loaded_config_is_validated(tmp_path):
     ("rhw_threshold", -0.1, "rhw_threshold"),
     ("confirm_window", 0, "confirm_window"),
     ("oracle_bins", 0, "oracle_bins"),
+    ("oracle_budget", -1, "oracle_budget"),
     ("replications", 0, "replications"),
     ("environment", "street", "environment"),
     ("seed", -1, "seed"),
@@ -189,6 +191,28 @@ def test_negative_seed_exit_code(tmp_path, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err == "config error: seed must be non-negative\n"
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", ["estimate", "oracle"])
+def test_negative_oracle_budget_exit_code(tmp_path, capsys, verb):
+    # A campaign ran without its oracle (exit 0), and ``oracle`` blamed a
+    # budget of -5 (exit 3).
+    out = tmp_path / "out"
+    rc = main([verb, "--config", write(tmp_path, "[estimator]\n"
+               "oracle_budget = -5\n"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: oracle_budget must be non-negative\n")
+    assert not out.exists()
+
+
+def test_zero_oracle_budget_skips_the_oracle(tmp_path, capsys):
+    path = write(tmp_path, "[estimator]\noracle_budget = 0\n")
+    assert main(["oracle", "--config", path]) == 3
+    assert main(["estimate", "--env", "nde", "--episodes", "50", "--config",
+                 path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["oracle_mu"] is None
 
 
 @pytest.mark.parametrize("source,message", [

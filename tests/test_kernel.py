@@ -434,6 +434,29 @@ def test_oracle_matches_scalar_reference(name):
     assert brute_force_mu(cfg, bins) == ref.brute_force_mu(cfg, bins)
 
 
+def test_oracle_exceeds_its_budget_before_walking(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the oracle walked")
+
+    monkeypatch.setattr(oracle, "no_cutin_walk", walk)
+    cfg = ScenarioConfig()
+    with pytest.raises(oracle.BudgetExceeded):
+        brute_force_mu(cfg, 64, 64 * (cfg.max_steps + 1) - 1)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # A compensated sum (``math.fsum``, and the builtin ``sum`` from Python
+    # 3.12 on) gives 1.0 here.
+    assert kernel.ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    rng = np.random.default_rng(3)
+    q = rng.uniform(size=(2, 3, 500)) * 10.0 ** rng.integers(-8, 9, (2, 3, 500))
+    total = 0.0
+    for row in q.swapaxes(0, 1):
+        total = total + row
+    assert kernel.ordered_sum(q.swapaxes(0, 1)).tobytes() == total.tobytes()
+
+
 def test_stressed_config_truncates_cutin_rollouts():
     # Some cut-in of the stressed walk resolves differently with the full
     # budget, so the budget bookkeeping is actually exercised above.
