@@ -36,11 +36,11 @@ Everything runs on the lockstep kernel.  The cache fills on a miss of
 :meth:`CriticalityEvaluator.columns`, with every cell on the no-cut-in
 walks (``kernel.no_cutin_walk``) of the queried states: an episode's later
 states lie on its walk, so a sampler block fills at most once.  New cells
-are filled in batches of at most ``FILL``, each batch's no-cut-in walks in
-lockstep and the cut-ins they can fire rolled out in one
-``kernel.cutin_crashes`` call per surrogate, weighed by the p_R the walk
-yields.  A profile takes a walk's p_R and the cache columns of its
-states, and never fills.
+are filled in batches of at most ``FILL``.  A batch walks in lockstep and
+collects the cut-ins it can fire as ``kernel.CutIns``, as the samplers and
+the oracle do, rolls them out in one ``kernel.cutin_crashes`` call per
+surrogate and weighs them by the p_R the walk yields.  A profile takes a
+walk's p_R and the cache columns of its states, and never fills.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .kernel import (
+    CutIns,
     State,
     cutin_crashes,
     no_cutin_walk,
@@ -122,33 +123,33 @@ class CriticalityEvaluator:
     # -- challenge machinery ----------------------------------------------
 
     def _compute_challenges(self, keys: List[Key]) -> np.ndarray:
-        """(2, J, n) lane-change and follow challenges of a batch of keys."""
-        cfg = self.cfg
-        rep = list(np.array(keys, dtype=float).T / 10.0)
+        """(2, J, n) lane-change and follow challenges of a batch of keys,
+        from their ``CutIns``, collected as the samplers' and the oracle's."""
+        cfg, n = self.cfg, len(keys)
+        rep = np.array(keys, dtype=float).T / 10.0
 
         # The cut-ins at the representatives, then along their no-cut-in
         # walks step by step: a moment with zero lane-change probability
         # contributes nothing, so only the others are kept.
-        cut, found = [[x] for x in rep], []
+        found = [CutIns(np.arange(n), rep, np.full(n, cfg.max_steps))]
+        hazard = []
         for rows, s, p_r in islice(no_cutin_walk(rep, cfg), 1, None):
             hot = p_r > 0.0
-            for c, x in zip(cut, s):
-                c.append(x[hot])
-            found.append((rows[hot], p_r[hot]))
-        cut = [np.concatenate(c) for c in cut]
-        budget = np.full(len(cut[0]), cfg.max_steps)
-        crash = np.array([cutin_crashes(cut, budget, cfg, law, until_clear=True)
+            found.append(CutIns.fired(rows, s, hot, cfg.max_steps))
+            hazard.append(p_r[hot])
+        cut = CutIns.concat(found)
+        crash = np.array([cutin_crashes(cut.state, cut.budget, cfg, law,
+                                        until_clear=True)
                           for law in self._accels], dtype=float)
+        lane_change, *later = np.split(
+            crash, np.cumsum([len(f.rows) for f in found[:-1]]), axis=1)
 
         # Accumulate backwards: at each later moment the lane change either
         # fires (and crashes or not) or the walk continues.
-        follow = np.zeros((len(self._accels), len(keys)))
-        end = crash.shape[1]
-        for r, p in reversed(found):
-            cr = crash[:, end - len(p):end]
-            end -= len(p)
-            follow[:, r] = p * cr + (1.0 - p) * follow[:, r]
-        return np.stack([crash[:, :len(keys)], follow])
+        follow = np.zeros((len(self._accels), n))
+        for f, p, cr in reversed(list(zip(found[1:], hazard, later))):
+            follow[:, f.rows] = p * cr + (1.0 - p) * follow[:, f.rows]
+        return np.stack([lane_change, follow])
 
     def columns(self, s: State, horizon: int) -> np.ndarray:
         """The ``_table`` column of each of the states ``s``.  On a miss it

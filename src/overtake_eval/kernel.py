@@ -9,8 +9,9 @@ captured by the reduced state
 
 where ``r1 = x_lv - x_bv`` and ``r2 = x_bv - x_av`` are longitudinal
 ranges and the dotted quantities are their rates.  Before the cut-in the
-BV either tracks the LV or changes into the right lane while the AV
-coasts; afterwards the AV reacts to the BV while LV and BV hold speed.
+BV tracks the LV while the AV coasts.  The cut-in is one ``step`` in which
+every vehicle coasts; afterwards the AV reacts to the BV while LV and BV
+hold speed.
 ``no_cutin_walk`` is the one walk of pre-cut-in states and carries the
 BV's law: it yields each state with its lane-change probability p_R,
 computed against the IDM acceleration it then follows with.  The samplers,
@@ -165,21 +166,20 @@ def cutin_crashes(s: State, n_states, cfg, law: Accel = None,
     with ``law`` driving the follower (by default the tested vehicle,
     ``cfg.av_idm``; the criticality evaluator passes each surrogate's).
 
-    The cut-in step lets every vehicle coast; then the law drives the AV
-    while the BV holds speed.  Row i may visit ``n_states[i]`` states after
-    the cut-in, and contact is judged on each of them before the next
-    control step.  With ``until_clear`` a row also ends, without contact,
-    at its first state out of contact where the AV no longer closes in
-    (``r2_dot >= 0``): the outcome is then contact before the follower
-    stops closing in, within the budget.  The surrogate challenges are
-    defined so; the tested vehicle is a black box after it first matches
-    the BV's speed, so its rollouts keep the whole budget.
+    The cut-in is one ``step`` in which every vehicle coasts; then the law
+    drives the AV while the BV holds speed.  Row i may visit
+    ``n_states[i]`` states after the cut-in, and contact is judged on each
+    of them before the next control step.  With ``until_clear`` a row also
+    ends, without contact, at its first state out of contact where the AV
+    no longer closes in (``r2_dot >= 0``): the outcome is then contact
+    before the follower stops closing in, within the budget.  The surrogate
+    challenges are defined so; the tested vehicle is a black box after it
+    first matches the BV's speed, so its rollouts keep the whole budget.
 
     Every row rolls out as given, all rows in one lockstep loop that a row
-    leaves when it ends.  Only the AV and BV are advanced (the LV no
-    longer matters), exactly as ``step`` advances them: after the cut-in
-    step the BV's speed is floored and no longer ``-0.0``, so ``_advance``
-    returns it unchanged and moves the BV by ``v_bv * dt``.
+    leaves when it ends.  After the cut-in step the loop advances the AV as
+    ``step`` would and the BV by ``v_bv * dt``: its speed is floored and no
+    longer ``-0.0``, so ``_advance`` would return it unchanged.
     """
     if law is None:
         law = lambda v, gap, dv: idm_accel(v, gap, dv, cfg.av_idm)
@@ -188,11 +188,9 @@ def cutin_crashes(s: State, n_states, cfg, law: Accel = None,
     crashed = np.zeros(len(n_states), dtype=bool)
     rows = np.flatnonzero(n_states > 0)
     last = n_states[rows] - 1
-    v_bv, r2, r2_dot = (np.asarray(s[k], dtype=float)[rows] for k in (0, 3, 4))
-    # The cut-in step.
-    x_av, v_av = _advance(0.0, v_bv - r2_dot, 0.0, dt)
-    x_bv, v_bv = _advance(r2, v_bv, 0.0, dt)
-    r2, r2_dot, bv_dx = x_bv - x_av, v_bv - v_av, v_bv * dt
+    v_bv, _, _, r2, r2_dot = step(
+        [np.asarray(x, dtype=float)[rows] for x in s], 0.0, 0.0, dt)
+    bv_dx = v_bv * dt
     contact = L + cfg.d_accid
     i = 0
     while rows.size:

@@ -445,6 +445,34 @@ def test_columns_fill_starts_their_walks_drop(scen):
                                         (200, 0, 0, 50, 5)]
 
 
+def test_fill_without_later_cut_ins_folds_only_its_representatives(scen):
+    # With p_max = 0 no later state fires, and a start the AV has passed or
+    # at leader contact never walks: the fold then holds only the
+    # representatives' rollouts.  Follow challenges are exactly 0.0 and
+    # lane-change challenges each representative's own rollout.
+    rng = np.random.default_rng(1001)
+    box = [(2, 12), (3, 40), (-6, 2), (0.3, 10), (-8, 2)]
+    cases = [
+        (dataclasses.replace(scen, mobil=MobilParams(p_max=0.0)),
+         random_grid_states(rng, 60, box)),
+        (scen, [State(20.0, 30.0, 0.0, -1.0, 0.5),
+                State(20.0, 0.0, 0.0, 5.0, 0.5)])]
+    for cfg, states in cases:
+        keys = list(map(tuple, criticality.grid_cells(cols(states)).tolist()))
+        lane_change, follow = CriticalityEvaluator(cfg)._compute_challenges(
+            keys)
+        followers = [ref.surrogate_accel(sm) for sm in cfg.surrogates]
+        want = [[1.0 if abs_cutin_crash(*s, f, cfg, cfg.max_steps,
+                                        until_clear=True) else 0.0
+                 for s in states] for f in followers]
+        assert lane_change.tolist() == want
+        assert 0 < lane_change.sum() < lane_change.size
+        assert follow.tolist() == [[0.0] * len(states)] * len(followers)
+        assert not np.signbit(follow).any()
+    # The random states do carry follow hazard under the default law.
+    assert challenges(CriticalityEvaluator(scen), cols(cases[0][1]))[1].any()
+
+
 def test_long_walk_fill_holds_one_batch_of_cut_ins(monkeypatch):
     # A cut-down long-walk scenario: one episode walks 100 steps, whose
     # 100 new cells each walk up to 100 steps of their own.  A fill holds
