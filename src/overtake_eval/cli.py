@@ -2,7 +2,6 @@
 
 Verbs:
 
-* ``simulate``   run one environment's episodes, write records + log
 * ``estimate``   full campaign (or re-estimate from --records) + all outputs
 * ``oracle``     brute-force reference accident rate
 * ``replicate``  seeded replication study
@@ -66,12 +65,10 @@ from .models import ZeroDensity
 from .harness import (
     CampaignResult,
     emit_outputs,
-    emit_records,
     estimate_from_records,
     load_campaign_records,
     run_campaign,
     run_replications,
-    sample_env,
 )
 from .oracle import BudgetExceeded, brute_force_mu
 
@@ -112,16 +109,6 @@ def _fmt(x: Optional[float]) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
     return str(x)
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_base_config(args)
-    env = cfg.environment
-    records = sample_env(cfg, env)
-    emit_records(args.out, [records], len(cfg.scenario.surrogates))
-    print(f"{env}: {len(records)} episodes, {records.accident.sum()} accidents "
-          f"-> {args.out}/records.csv")
-    return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
@@ -254,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes that split replicate's "
                             "replications")
-
-    p = sub.add_parser("simulate", help="run one environment's episodes")
-    common(p)
-    p.add_argument("--episodes", type=int, help="episode budget override")
-    p.add_argument("--env", choices=["nde", "nade"], default="nde")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate",
                        help="run a campaign (or re-estimate --records) "

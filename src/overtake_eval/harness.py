@@ -128,12 +128,6 @@ def _sample(env: str, cfg: CampaignConfig, roots: Roots, n: int,
     return sample_nade_batch(roots, cfg.scenario, n, evaluator=evaluator)
 
 
-def sample_env(cfg: CampaignConfig, env: str) -> Records:
-    """Every episode of one environment at the campaign's seed."""
-    n = cfg.episodes_nde if env == "nde" else cfg.episodes_nade
-    return _sample(env, cfg, cfg.seed, n)
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 
@@ -167,7 +161,8 @@ def _attempt_oracle(cfg: CampaignConfig) -> Optional[float]:
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Sample the configured environments, estimate, and collect results."""
     cfg.validate()
-    records = {env: sample_env(cfg, env) for env in _budgets(cfg)}
+    records = {env: _sample(env, cfg, cfg.seed, n)
+               for env, n in _budgets(cfg).items()}
     result = estimate_from_records(cfg, records)
     result.oracle_mu = _attempt_oracle(cfg)
     return result

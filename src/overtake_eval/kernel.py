@@ -55,14 +55,20 @@ State = Sequence[np.ndarray]  # (v_bv, r1, r1_dot, r2, r2_dot), equal lengths
 Accel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def idm_accel_raw(v, gap, dv, p: IdmParams) -> np.ndarray:
-    """Unclipped IDM acceleration."""
+def idm_free_road(v, p: IdmParams) -> np.ndarray:
+    """IDM's free-road term ``1 - (v/v0)**delta``."""
+    return 1.0 - np.float_power(v / p.v0, p.delta)
+
+
+def idm_accel_raw(v, gap, dv, p: IdmParams, free=None) -> np.ndarray:
+    """Unclipped IDM acceleration; ``free`` is ``idm_free_road(v, p)``."""
     if (gap <= 0.0).any():
         raise NonPositiveGap(f"IDM requires gap > 0, got {np.min(gap)}")
     push = v * p.headway + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
     s_star = p.s0 + np.where(push > 0.0, push, 0.0)
     r = s_star / gap
-    return p.a_max * (1.0 - np.float_power(v / p.v0, p.delta) - r * r)
+    free = idm_free_road(v, p) if free is None else free
+    return p.a_max * (free - r * r)
 
 
 def ordered_sum(terms):
@@ -74,9 +80,9 @@ def _clip(a, lo, hi) -> np.ndarray:
     return np.where(a > hi, hi, np.where(a < lo, lo, a))
 
 
-def idm_accel(v, gap, dv, p: IdmParams) -> np.ndarray:
+def idm_accel(v, gap, dv, p: IdmParams, free=None) -> np.ndarray:
     """IDM acceleration clipped to the physical range [-hard_decel, a_max]."""
-    return _clip(idm_accel_raw(v, gap, dv, p), -p.hard_decel, p.a_max)
+    return _clip(idm_accel_raw(v, gap, dv, p, free), -p.hard_decel, p.a_max)
 
 
 def fvdm_opt_velocity(gap, p: FvdmParams) -> np.ndarray:
@@ -104,7 +110,7 @@ def surrogate_accel(sm: SurrogateModel) -> Accel:
     raise ValueError(f"unknown surrogate kind {sm.kind!r}")
 
 
-def mobil_right_lc_prob(s: State, a_follow, mobil: MobilParams,
+def mobil_right_lc_prob(s: State, a_follow, free, mobil: MobilParams,
                         idm: IdmParams, vehicle_length: float) -> np.ndarray:
     """Probability p_R that the BV starts the right lane change this step.
 
@@ -112,6 +118,7 @@ def mobil_right_lc_prob(s: State, a_follow, mobil: MobilParams,
     to a probability and clamped to [0, p_max].  The gain is over
     ``a_follow``, the BV's "old" acceleration: its IDM response to the LV
     in its own lane, the acceleration ``no_cutin_walk`` steps it with.
+    That response's ``idm_free_road`` term, ``free``, gives the "new" one.
     The move is vetoed when it would place the BV on top of the AV or when
     the AV's braking, clipped at what its brakes can deliver, would exceed
     ``b_safe``.  The politeness term uses the unclipped demand, so deep
@@ -128,8 +135,7 @@ def mobil_right_lc_prob(s: State, a_follow, mobil: MobilParams,
     a_pred = np.where(-idm.hard_decel > a_pred_raw, -idm.hard_decel, a_pred_raw)
     ok = open_ & ~(a_pred < -mobil.b_safe)
     # IDM on an open road: the interaction term ``(s*/inf)**2`` is +0.0.
-    a_new = _clip(idm.a_max * (1.0 - np.float_power(v_bv / idm.v0, idm.delta)),
-                  -idm.hard_decel, idm.a_max)
+    a_new = _clip(idm.a_max * free, -idm.hard_decel, idm.a_max)
     incentive = ((a_new - a_follow) + mobil.politeness * a_pred_raw
                  - mobil.delta_a_th)
     p = mobil.gamma_p * incentive
@@ -221,8 +227,9 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None) -> Iterator[
     ``cfg.max_steps`` steps.  At every state the BV's IDM response to the
     LV is evaluated once: it is MOBIL's "old" acceleration in p_R and the
     acceleration the BV follows with to the next state, while the AV
-    coasts.  A row ends when the AV has passed it (``r2 < 0``) and at
-    leader contact (``r1 - L <= 0``, where following is no longer
+    coasts.  Its free-road term, one real power, serves MOBIL's open-road
+    acceleration too.  A row ends when the AV has passed it (``r2 < 0``)
+    and at leader contact (``r1 - L <= 0``, where following is no longer
     modeled); a start already there never walks.
 
     ``live`` is an optional mask over the rows of ``s`` that the caller
@@ -231,7 +238,7 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None) -> Iterator[
     raises ``NonPositiveGap``: its episode cannot go on.  Without a mask a
     row ends at contact silently, as the criticality cache's walks do.
     """
-    L = cfg.vehicle_length
+    L, idm = cfg.vehicle_length, cfg.bv_idm
     rows, t = np.arange(len(s[0])), list(s)
     for k in range(cfg.max_steps + 1):
         if k:
@@ -248,8 +255,9 @@ def no_cutin_walk(s: State, cfg, live: np.ndarray = None) -> Iterator[
                 raise NonPositiveGap(f"IDM requires gap > 0, got {gap}")
         keep &= ~contact
         rows, t = rows[keep], [x[keep] for x in t]
-        a_bv = idm_accel(t[0], t[1] - L, -t[2], cfg.bv_idm)
-        yield rows, t, mobil_right_lc_prob(t, a_bv, cfg.mobil, cfg.bv_idm, L)
+        free = idm_free_road(t[0], idm)
+        a_bv = idm_accel(t[0], t[1] - L, -t[2], idm, free)
+        yield rows, t, mobil_right_lc_prob(t, a_bv, free, cfg.mobil, idm, L)
         if not rows.size:
             return
 

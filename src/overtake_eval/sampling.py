@@ -68,9 +68,9 @@ ENV_NADE = "nade"
 _ENV_CODES = {ENV_NDE: 0, ENV_NADE: 1}
 
 # Episodes advanced together by either sampler; bounds the arrays held at
-# once.  A default-config walk step takes 65/84/146/384/717 us at 64/256/
+# once.  A default-config walk step takes 61/75/121/312/586 us at 64/256/
 # 1,024/4,096/8,192 rows (Xeon, min of 15): dispatch dominates only below a
-# few hundred; at 8,192 its three ``np.float_power`` calls are about half.
+# few hundred; at 8,192 its two ``np.float_power`` calls are about a third.
 BLOCK = 8192
 
 # SplitMix64's increment γ, a Python int so that n·γ mod 2**64 is exact,

@@ -80,8 +80,9 @@ def bv_follow(s, cfg) -> np.ndarray:
 def lc_prob(s, cfg) -> np.ndarray:
     """The lane-change probability p_R that ``kernel.no_cutin_walk`` yields
     at the states ``s``; every state's LV gap must be open."""
-    return kernel.mobil_right_lc_prob(s, bv_follow(s, cfg), cfg.mobil,
-                                      cfg.bv_idm, cfg.vehicle_length)
+    return kernel.mobil_right_lc_prob(
+        s, bv_follow(s, cfg), kernel.idm_free_road(s[0], cfg.bv_idm),
+        cfg.mobil, cfg.bv_idm, cfg.vehicle_length)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from overtake_eval import __version__, cli, harness
+from overtake_eval import __version__, harness
 from overtake_eval.cli import main
 from overtake_eval.config import CampaignConfig
 from overtake_eval.estimators import EmptyInput
@@ -24,21 +24,6 @@ def run(capsys, *argv):
     rc = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return rc, out, err
-
-
-def test_simulate_nade_writes_records_and_log(tmp_path, capsys):
-    rc, out, _ = run(capsys, "simulate", "--env", "nade", "--episodes", 40,
-                     "--seed", 3, "--out", tmp_path)
-    assert rc == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "critical_log.csv", "records.csv"]
-    records = (tmp_path / "records.csv").read_text().splitlines()
-    assert records[0] == "id,seed,env,accident,l,w"
-    assert len(records) == 41
-    assert all(line.split(",")[2] == "nade" for line in records[1:])
-    assert (tmp_path / "critical_log.csv").read_text().startswith(
-        "record_id,moment,p,q_alpha,q_1,q_2,q_3\n")
-    assert "nade: 40 episodes" in out
 
 
 def test_oracle_writes_brute_force_value(tmp_path, capsys):
@@ -181,7 +166,7 @@ def test_gamma_below_the_last_quantile_has_no_interval(tmp_path, capsys):
         assert m["rhw"] is None
 
 
-@pytest.mark.parametrize("verb", ["estimate", "simulate"])
+@pytest.mark.parametrize("verb", ["estimate"])
 def test_no_episodes_exit_code(tmp_path, capsys, verb):
     # An empty record block still writes both headers.
     rc, out, _ = run(capsys, verb, "--env", "nade", "--episodes", 0,
@@ -264,7 +249,7 @@ def test_records_holding_only_their_header_exit_code(tmp_path, capsys):
 def test_records_without_the_selected_environment_exit_code(tmp_path,
                                                             capsys):
     d = tmp_path / "nade"
-    assert run(capsys, "simulate", "--env", "nade", "--episodes", 20,
+    assert run(capsys, "estimate", "--env", "nade", "--episodes", 20,
                "--out", d)[0] == 0
     rc, out, err = run(capsys, "estimate", "--records", d, "--env", "nde",
                        "--out", tmp_path / "out")
@@ -461,7 +446,7 @@ def test_report_prints_missing_method_fields_as_dashes(tmp_path, capsys):
     assert out.splitlines()[-1].split() == ["nade", "7", "-", "-", "-"]
 
 
-@pytest.mark.parametrize("verb", ["simulate", "oracle"])
+@pytest.mark.parametrize("verb", ["oracle"])
 def test_workers_is_refused_where_it_changes_nothing(tmp_path, capsys, verb):
     # Only replicate splits work among processes; estimate keeps the flag
     # and runs in one process.
@@ -469,6 +454,14 @@ def test_workers_is_refused_where_it_changes_nothing(tmp_path, capsys, verb):
         main([verb, "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_simulate_is_no_verb(tmp_path, capsys):
+    # ``estimate`` writes the records and critical log of its campaign.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
 
 
 def test_seed_is_refused_by_the_oracle(tmp_path, capsys):
@@ -571,8 +564,8 @@ def test_failed_allocation_exit_code(tmp_path, capsys, monkeypatch, error,
     # A budget too large for memory ends in one line, not a traceback.
     def fail(*args, **kwargs):
         raise error
-    monkeypatch.setattr(cli, "sample_env", fail)
-    rc, out, err = run(capsys, "simulate", "--episodes", 10 ** 12,
+    monkeypatch.setattr(harness, "_sample", fail)
+    rc, out, err = run(capsys, "estimate", "--episodes", 10 ** 12,
                        "--out", tmp_path / "out")
     assert rc == 1
     assert out == ""

@@ -126,9 +126,9 @@ def test_mobil_array_form_matches_scalar_form(b_safe):
     a_follow = np.full(n, np.nan)
     a_follow[lv_open] = kernel.idm_accel(s[0][lv_open], gap_lv[lv_open],
                                          -s[2][lv_open], p)
-    p_got = kernel.mobil_right_lc_prob([c[open_rows] for c in s],
-                                       a_follow[open_rows], mob, p,
-                                       length).tolist()
+    p_got = kernel.mobil_right_lc_prob(
+        [c[open_rows] for c in s], a_follow[open_rows],
+        kernel.idm_free_road(s[0][open_rows], p), mob, p, length).tolist()
     assert p_got == p_want
     assert sum(q > 0.0 for q in p_want) > 100
     assert len(open_rows) < n and not lv_open[open_rows].all()
@@ -494,20 +494,17 @@ def test_no_cutin_walk_stops_at_leader_contact():
         bv_follow(ref.cols([t]), cfg)
 
 
-@pytest.mark.parametrize("run", [
-    lambda cfg: sample_nde_batch(2024, cfg, 3000),
-    lambda cfg: brute_force_mu(cfg)], ids=["nde", "oracle"])
-def test_walk_evaluates_the_bv_idm_once_per_step(run, monkeypatch):
-    # The acceleration a walk step's p_R gains over is the one the BV then
-    # follows with: one IDM evaluation per yielded step.  The tested
-    # vehicle's rollouts, which also run IDM, are not counted.
+def _calls_per_walk_step(run, monkeypatch, owner, name):
+    """Calls of ``owner.name`` and walk steps yielded while ``run`` runs on
+    the default scenario.  The tested vehicle's rollouts, which also run
+    IDM, are not counted."""
     calls, steps, paused = [0], [0], [False]
-    idm_accel, walk = kernel.idm_accel, kernel.no_cutin_walk
+    fn, walk = getattr(owner, name), kernel.no_cutin_walk
     crashes = kernel.cutin_crashes
 
-    def counted_idm(*args):
+    def counted(*args):
         calls[0] += not paused[0]
-        return idm_accel(*args)
+        return fn(*args)
 
     def counted_walk(*args):
         for step in walk(*args):
@@ -521,13 +518,34 @@ def test_walk_evaluates_the_bv_idm_once_per_step(run, monkeypatch):
         finally:
             paused[0] = False
 
-    monkeypatch.setattr(kernel, "idm_accel", counted_idm)
+    monkeypatch.setattr(owner, name, counted)
     for module in (sampling, oracle):
         monkeypatch.setattr(module, "no_cutin_walk", counted_walk)
         monkeypatch.setattr(module, "cutin_crashes", uncounted_crashes)
     run(ScenarioConfig())
     assert steps[0] > 1
-    assert calls[0] == steps[0]
+    return calls[0], steps[0]
+
+
+WALK_RUNS = pytest.mark.parametrize("run", [
+    lambda cfg: sample_nde_batch(2024, cfg, 3000),
+    lambda cfg: brute_force_mu(cfg)], ids=["nde", "oracle"])
+
+
+@WALK_RUNS
+def test_walk_evaluates_the_bv_idm_once_per_step(run, monkeypatch):
+    # The acceleration a walk step's p_R gains over is the one the BV then
+    # follows with: one IDM evaluation per yielded step.
+    calls, steps = _calls_per_walk_step(run, monkeypatch, kernel, "idm_accel")
+    assert calls == steps
+
+
+@WALK_RUNS
+def test_walk_takes_two_real_powers_per_step(run, monkeypatch):
+    # The BV's free-road term, shared by its IDM and MOBIL's open-road
+    # acceleration, and MOBIL's predicted response of the AV.
+    calls, steps = _calls_per_walk_step(run, monkeypatch, np, "float_power")
+    assert calls == 2 * steps
 
 
 def test_leader_contact_raises_in_the_nade_walk_not_its_fill():

@@ -51,7 +51,8 @@ def follow_accel(s, idm=BV_IDM, length=0.0):
 def lc_prob(state, mob, idm=BV_IDM, length=0.0):
     s = ref.cols([state])
     return float(kernel.mobil_right_lc_prob(
-        s, follow_accel(s, idm, length), mob, idm, length)[0])
+        s, follow_accel(s, idm, length), kernel.idm_free_road(s[0], idm), mob,
+        idm, length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,9 @@ def test_lc_prob_bounded_everywhere():
     s = [rng.uniform(0, 20, 500), rng.uniform(0.2, 60, 500),
          rng.uniform(-12, 6, 500), rng.uniform(0.2, 12, 500),
          rng.uniform(-12, 6, 500)]
-    p = kernel.mobil_right_lc_prob(s, follow_accel(s), mob, BV_IDM, 0.0)
+    p = kernel.mobil_right_lc_prob(s, follow_accel(s),
+                                   kernel.idm_free_road(s[0], BV_IDM), mob,
+                                   BV_IDM, 0.0)
     assert ((0.0 <= p) & (p <= mob.p_max)).all()
 
 
